@@ -192,8 +192,11 @@ def conservation_document(report: ConservationReport) -> dict:
     }
 
 
-def audit_document(audit) -> dict:
-    """Deterministic, serializable view of a run audit (no timings)."""
+def audit_document(audit, report: ConservationReport) -> dict:
+    """Deterministic, serializable view of a run audit (no timings).
+
+    report is conservation_check(audit), computed once by the caller.
+    """
     return {
         "sources": {k: sorted(v) for k, v in sorted(audit.source_pids.items())},
         "stages": [
@@ -216,14 +219,16 @@ def audit_document(audit) -> dict:
             str(pid): [[owner, port] for owner, port in audit.visits.get(pid, [])]
             for pid in sorted(audit.visits)
         },
-        "conservation": conservation_document(conservation_check(audit)),
+        "conservation": conservation_document(report),
     }
 
 
-def dashboard_document(graph, result) -> dict:
-    """Per-report rollup: row counts, error groupings, accounting verdicts."""
+def dashboard_document(graph, result, report: ConservationReport) -> dict:
+    """Per-report rollup: row counts, error groupings, accounting verdicts.
+
+    report is conservation_check(result.audit), computed once by the caller.
+    """
     audit = result.audit
-    report = conservation_check(audit)
     by_label: dict[str, dict] = {}
     for label in sorted(audit.sink_order):
         classes = attribution_classes(audit, label)

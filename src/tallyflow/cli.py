@@ -18,7 +18,7 @@ import sys
 
 from .audit import audit_document, conservation_check, dashboard_document, render_dashboard
 from .csvio import load_sidecar, read_table, table_schema, write_csv, write_text
-from .errors import TallyError
+from .errors import InvalidGraph, TallyError
 from .fuzz import run_fuzz
 from .pipeline_doc import build_graph, load_doc, source_files
 
@@ -62,14 +62,12 @@ def cmd_run(args) -> int:
         _err(f"run: {exc}")
         return 2
 
-    violations = graph.validate()
-    if violations:
-        for v in violations:
-            _err(f"run: {v.kind} at {v.where}: {v.detail}")
-        return 2
-
     try:
         result = graph.run(inputs)
+    except InvalidGraph as exc:
+        for v in exc.violations:
+            _err(f"run: {v.kind} at {v.where}: {v.detail}")
+        return 2
     except TallyError as exc:
         _err(f"run: {exc}")
         return 2
@@ -80,20 +78,20 @@ def cmd_run(args) -> int:
     for name, rel in sorted(ingest_errors.items()):
         write_csv(os.path.join(args.out, f"{name}_ingest_errors.csv"), rel)
 
-    dash = dashboard_document(graph, result)
+    report = conservation_check(result.audit)
+    dash = dashboard_document(graph, result, report)
     text = render_dashboard(dash)
     write_text(os.path.join(args.out, "dashboard.txt"), text)
     write_text(os.path.join(args.out, "dashboard.json"),
                json.dumps(dash, indent=2, sort_keys=True) + "\n")
     write_text(os.path.join(args.out, "audit.json"),
-               json.dumps(audit_document(result.audit), indent=2, sort_keys=True) + "\n")
+               json.dumps(audit_document(result.audit, report), indent=2, sort_keys=True) + "\n")
 
     if args.format == "structured":
         _out(json.dumps(dash, indent=2, sort_keys=True))
     else:
         _out(text.rstrip("\n"))
 
-    report = conservation_check(result.audit)
     if not report.ok:
         for c in report.checks:
             if not c.ok:

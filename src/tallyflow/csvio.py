@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -120,7 +119,8 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
     """Load a CSV into (typed relation, error relation, next free pid).
 
     Every data row gets a pid whether it parses or not; rows with junk
-    cells keep their raw text and move to the error relation instead.
+    cells, or with more or fewer cells than the header, keep their raw
+    text and move to the error relation instead.
     """
     cols = tuple(cols)
     stage = name or os.path.basename(csv_path)
@@ -131,21 +131,27 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
     bad: list[Record] = []
     pid = first_pid
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if sorted(header) != sorted(expected):
             raise SchemaMismatch(
                 f"{csv_path}: header {header} does not match described "
                 f"columns {expected}")
-        for raw_row in reader:
+        for cells in reader:
+            if not cells:
+                continue  # a blank line is not a row
+            raw_row = dict(zip(header, cells))
             problem = None
             fields: dict = {}
-            for c in cols:
-                try:
-                    fields[c.name] = _parse_cell(raw_row[c.name] or "", c)
-                except ValueError as exc:
-                    problem = str(exc)
-                    break
+            if len(cells) != len(header):
+                problem = f"expected {len(header)} cells, got {len(cells)}"
+            else:
+                for c in cols:
+                    try:
+                        fields[c.name] = _parse_cell(raw_row[c.name], c)
+                    except ValueError as exc:
+                        problem = str(exc)
+                        break
             if problem is None:
                 for c in cols:
                     if c.type != "quantity":
@@ -164,7 +170,7 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
             if problem is None:
                 good.append(Record(pids=frozenset({pid}), fields=fields))
             else:
-                row = {c.name: raw_row[c.name] or "" for c in cols}
+                row = {c.name: raw_row.get(c.name, "") for c in cols}
                 row[ERROR_STAGE] = stage
                 row[ERROR_REASON] = problem
                 bad.append(Record(pids=frozenset({pid}), fields=row))
@@ -204,8 +210,14 @@ def _csv_text(names: list, rel: Relation) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write a sibling temp file, then rename it over path.
+
+    The temp file is created with mode 0o666, so the umask sets the final
+    permissions as it does for any other file the user creates.
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -36,10 +36,6 @@ class UntagMissing(TallyError):
     """untag/strip applied to a record with an empty tag stack."""
 
 
-class MissingTag(TallyError):
-    """A tag-dispatching function applied to an untagged record."""
-
-
 class CollisionAfterRename(TallyError):
     """A rename would map two fields onto the same name."""
 
@@ -52,10 +48,6 @@ class FnNotTotal(TallyError):
     """A mapped function failed to produce a usable value for some record."""
 
 
-class DomainPredUnsound(TallyError):
-    """A totalized function raised inside its claimed domain."""
-
-
 class JoinColumnMissing(TallyError):
     """A join referenced a column absent from one operand."""
 
@@ -65,7 +57,15 @@ class MissingInput(TallyError):
 
 
 class InvalidGraph(TallyError):
-    """run() called on a graph that has validation violations."""
+    """run() called on a graph that has validation violations.
+
+    violations holds every pipeline.Violation that validate() reported, so
+    callers can render them without validating a second time.
+    """
+
+    def __init__(self, message: str, violations: tuple):
+        super().__init__(message)
+        self.violations = tuple(violations)
 
 
 class ExprTypeError(TallyError, TypeError):

@@ -28,10 +28,6 @@ class Kind(enum.Enum):
     TUPLE = "tuple"
 
 
-# Kinds whose order is the one derived from fuse (a⋄b ≤ a and a⋄b ≤ b).
-DERIVED_ORDER_KINDS = frozenset({Kind.MIN, Kind.MAX})
-
-
 @dataclass(frozen=True)
 class MonoidElement:
     """A single summary value: kind + payload + optional unit label.
@@ -249,13 +245,6 @@ class InformationMonoid:
     @property
     def kind(self) -> Kind:
         return self.unit.kind
-
-    @property
-    def derived_order(self) -> bool:
-        k = self.kind
-        if k is Kind.TUPLE:
-            return all(e.kind in DERIVED_ORDER_KINDS for e in self.unit.payload)
-        return k in DERIVED_ORDER_KINDS
 
     def fuse(self, a: MonoidElement, b: MonoidElement) -> MonoidElement:
         return fuse(a, b)

@@ -1,4 +1,4 @@
-"""Operations over relations and streams.
+"""Operations over relations.
 
 Every operation here is total over its precondition and loses nothing:
 rows are routed, tagged, merged or enriched, never silently dropped.
@@ -12,10 +12,8 @@ from decimal import Decimal
 
 from .errors import (
     CollisionAfterRename,
-    DomainPredUnsound,
     ForbiddenFieldWrite,
     JoinColumnMissing,
-    MissingTag,
     SchemaMismatch,
     UnknownField,
     UnknownGroup,
@@ -43,7 +41,6 @@ from .relation import (
     Record,
     Relation,
     Schema,
-    Stream,
     SumSchema,
     error_schema,
     field_names,
@@ -330,12 +327,13 @@ def _infer_sem(values) -> str:
     return kinds.pop() if kinds else "text"
 
 
-def _map_add(rel: Relation, additions: dict, sems: dict | None,
-             units: dict | None, op: str) -> Relation:
-    sch = _plain_schema(rel, op)
+def fmap(rel: Relation, additions: dict, sems: dict | None = None,
+         units: dict | None = None) -> Relation:
+    """Enrich every row with computed fields; existing fields stay untouchable."""
+    sch = _plain_schema(rel, "fmap")
     for name in additions:
         if has_field(sch, name):
-            raise ForbiddenFieldWrite(f"{op} may only add fields, {name!r} exists")
+            raise ForbiddenFieldWrite(f"fmap may only add fields, {name!r} exists")
     computed = {name: [] for name in additions}
     for rec in rel.rows:
         for name, expr in additions.items():
@@ -352,56 +350,6 @@ def _map_add(rel: Relation, additions: dict, sems: dict | None,
             fields[name] = computed[name][i]
         rows.append(replace(rec, fields=fields))
     return Relation(new_schema, tuple(rows))
-
-
-def fmap(obj, additions: dict, sems: dict | None = None, units: dict | None = None):
-    """Enrich the correct path with computed fields; errors pass through."""
-    if isinstance(obj, Stream):
-        return Stream(_map_add(obj.correct, additions, sems, units, "fmap"), obj.errors)
-    return _map_add(obj, additions, sems, units, "fmap")
-
-
-def emap(stream: Stream, additions: dict, sems: dict | None = None,
-         units: dict | None = None) -> Stream:
-    """Enrich the error path only; existing fields stay untouchable."""
-    return Stream(stream.correct, _map_add(stream.errors, additions, sems, units, "emap"))
-
-
-def totalize(fn, domain_pred: Pred):
-    """Wrap a partial function into a total one.
-
-    Inside the claimed domain the result is ("inr", fn(record)); outside it
-    the record passes through unchanged as ("inl", record).  If fn fails
-    inside the domain, the domain predicate lied.
-    """
-    def total(rec: Record):
-        if eval_pred(domain_pred, rec.value).state == "t":
-            try:
-                return ("inr", fn(rec))
-            except Exception as exc:
-                raise DomainPredUnsound(
-                    f"fn failed inside its domain ({describe(domain_pred)}): {exc}") from exc
-        return ("inl", rec)
-
-    return total
-
-
-def disjoint_map(f, g):
-    """Dispatch on a record's outermost tag: inl goes to f, inr to g."""
-    def h(rec: Record):
-        if not rec.tags:
-            raise MissingTag("record carries no routing tag")
-        return f(rec) if rec.tags[-1].side == "inl" else g(rec)
-
-    return h
-
-
-def parallel_map(f, g):
-    """Apply two functions to the same input, keeping both results."""
-    def h(x):
-        return (f(x), g(x))
-
-    return h
 
 
 # -- aggregation --------------------------------------------------------

@@ -12,8 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
-from .exprs import Pred
+from .exprs import Pred, decode_expr, decode_pred
 from .ops import (
+    AggSpec,
     aggregate,
     as_errors,
     dedup,
@@ -75,6 +76,11 @@ class Node:
     in_ports: tuple[str, ...] = ("in",)
     out_ports: tuple[str, ...] = ("out",)
 
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        """Build the stage from its pipeline-document entry."""
+        return cls(nd["name"])
+
     def apply(self, ins: dict) -> dict:
         raise NotImplementedError
 
@@ -88,6 +94,11 @@ class PartitionNode(Node):
     rejected_to_errors: bool = False
     in_ports = ("in",)
     out_ports = ("accepted", "rejected")
+
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        return cls(nd["name"], decode_pred(nd["when"]),
+                   bool(nd.get("rejected_to_errors", False)))
 
     def apply(self, ins: dict) -> dict:
         acc, rej, reasons = partition_detailed(ins["in"], self.pred)
@@ -114,6 +125,10 @@ class TaggedUnionNode(Node):
     label: str | None = None
     in_ports = ("left", "right")
     out_ports = ("out",)
+
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        return cls(nd["name"], nd.get("label"))
 
     def apply(self, ins: dict) -> dict:
         return {"out": tagged_union(ins["left"], ins["right"], self.label or self.name)}
@@ -145,6 +160,10 @@ class ProjectNode(Node):
     name: str
     fields: tuple
 
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        return cls(nd["name"], tuple(nd["fields"]))
+
     def apply(self, ins: dict) -> dict:
         return {"out": lossless_project(ins["in"], self.fields)}
 
@@ -153,6 +172,10 @@ class ProjectNode(Node):
 class RenameNode(Node):
     name: str
     mapping: dict
+
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        return cls(nd["name"], dict(nd["map"]))
 
     def apply(self, ins: dict) -> dict:
         return {"out": rename(ins["in"], self.mapping)}
@@ -189,6 +212,13 @@ class MapNode(Node):
         if missing:
             raise ValueError(f"map node {self.name!r} lacks sems for {missing}")
 
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        additions = {k: decode_expr(v) for k, v in nd["add"].items()}
+        units = dict(nd["units"]) if nd.get("units") else None
+        return cls(nd["name"], additions, dict(nd.get("sems") or {}),
+                   kind=nd["op"], units=units)
+
     def apply(self, ins: dict) -> dict:
         rel = ins["in"]
         if self.kind == "emap":
@@ -205,6 +235,10 @@ class ErrorizeNode(Node):
     name: str
     reason: str
 
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        return cls(nd["name"], str(nd["reason"]))
+
     def apply(self, ins: dict) -> dict:
         return {"out": as_errors(ins["in"], self.name, self.reason)}
 
@@ -220,6 +254,11 @@ class JoinNode(Node):
     in_ports = ("left", "right")
     out_ports = ("inner", "left_only", "right_only")
 
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        pairs = tuple(tuple(p) for p in nd.get("keys", ()))
+        return cls(nd["name"], pairs, bool(nd.get("missing_matches", False)))
+
     def apply(self, ins: dict) -> dict:
         inner, left_only, right_only = outer_join(
             ins["left"], ins["right"], self.on, missing_matches=self.missing_matches
@@ -232,6 +271,11 @@ class AggregateNode(Node):
     name: str
     group_by: tuple
     specs: tuple
+
+    @classmethod
+    def from_doc(cls, nd: dict) -> Node:
+        specs = tuple(AggSpec(s["field"], s["op"]) for s in nd.get("specs", ()))
+        return cls(nd["name"], tuple(nd.get("by", ())), specs)
 
     def apply(self, ins: dict) -> dict:
         return {"out": aggregate(ins["in"], self.group_by, self.specs)}
@@ -471,7 +515,7 @@ class PipelineGraph:
         violations = self.validate()
         if violations:
             head = "; ".join(f"{x.kind}@{x.where}" for x in violations[:5])
-            raise InvalidGraph(f"graph {self.name!r} is not runnable: {head}")
+            raise InvalidGraph(f"graph {self.name!r} is not runnable: {head}", violations)
         for s in self.sources.values():
             if s.name not in inputs:
                 raise MissingInput(f"no input relation for source {s.name!r}")
@@ -593,7 +637,7 @@ def add_lookup(g: PipelineGraph, name: str, on, report: str,
     return {"inner": f"{name}.inner", "left": f"{name}.left", "right": f"{name}.right"}
 
 
-# op-name registry for builders that construct nodes from documents
+# The one map from a pipeline document's op name to its stage class.
 NODE_TYPES = {
     "partition": PartitionNode,
     "tee": TeeNode,

@@ -10,24 +10,7 @@ from __future__ import annotations
 
 import yaml
 
-from .exprs import decode_expr, decode_pred
-from .ops import AggSpec
-from .pipeline import (
-    AggregateNode,
-    DedupNode,
-    ErrorizeNode,
-    JoinNode,
-    MapNode,
-    Node,
-    PartitionNode,
-    PipelineGraph,
-    ProjectNode,
-    RenameNode,
-    StripTagsNode,
-    TaggedUnionNode,
-    TeeNode,
-    UntagNode,
-)
+from .pipeline import NODE_TYPES, Node, PipelineGraph
 
 
 def load_doc(path: str) -> dict:
@@ -56,37 +39,9 @@ def _make_node(nd: dict) -> Node:
     name = nd.get("name")
     if not op or not name:
         raise ValueError(f"every node needs op and name: {nd!r}")
-    if op == "partition":
-        return PartitionNode(name, decode_pred(nd["when"]),
-                             bool(nd.get("rejected_to_errors", False)))
-    if op == "tee":
-        return TeeNode(name)
-    if op == "tagged_union":
-        return TaggedUnionNode(name, nd.get("label"))
-    if op == "untag":
-        return UntagNode(name)
-    if op == "strip_tags":
-        return StripTagsNode(name)
-    if op == "project":
-        return ProjectNode(name, tuple(nd["fields"]))
-    if op == "rename":
-        return RenameNode(name, dict(nd["map"]))
-    if op == "dedup":
-        return DedupNode(name)
-    if op in ("fmap", "emap"):
-        additions = {k: decode_expr(v) for k, v in nd["add"].items()}
-        sems = dict(nd.get("sems") or {})
-        units = dict(nd["units"]) if nd.get("units") else None
-        return MapNode(name, additions, sems, kind=op, units=units)
-    if op == "errorize":
-        return ErrorizeNode(name, str(nd["reason"]))
-    if op == "join":
-        pairs = tuple(tuple(p) for p in nd.get("keys", ()))
-        return JoinNode(name, pairs, bool(nd.get("missing_matches", False)))
-    if op == "aggregate":
-        specs = tuple(AggSpec(s["field"], s["op"]) for s in nd.get("specs", ()))
-        return AggregateNode(name, tuple(nd.get("by", ())), specs)
-    raise ValueError(f"unknown node op {op!r}")
+    if not isinstance(op, str) or op not in NODE_TYPES:
+        raise ValueError(f"unknown node op {op!r}")
+    return NODE_TYPES[op].from_doc(nd)
 
 
 def build_graph(doc: dict, schemas: dict) -> PipelineGraph:

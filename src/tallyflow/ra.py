@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .audit import conservation_check
-from .errors import ExprTypeError, TallyError
+from .errors import ExprTypeError, InvalidGraph, TallyError
 from .exprs import (
     All,
     Always,
@@ -961,12 +961,11 @@ def equivalence_check(expr: RAExpr, inputs: dict, graph: PipelineGraph | None = 
     try:
         expected = reference_eval(expr, inputs)
         g = graph if graph is not None else translate(expr, catalog)
-        bad = g.validate()
-        if bad:
-            head = "; ".join(f"{v.kind}@{v.where}" for v in bad[:3])
-            return Verdict(False, f"graph does not validate: {head}",
-                           len(expected.rows), 0, False)
         result = g.run({n: inputs[n] for n in g.sources})
+    except InvalidGraph as exc:
+        head = "; ".join(f"{v.kind}@{v.where}" for v in exc.violations[:3])
+        return Verdict(False, f"graph does not validate: {head}",
+                       len(expected.rows), 0, False)
     except TallyError as exc:
         return Verdict(False, f"{type(exc).__name__}: {exc}", 0, 0, False)
 

@@ -175,14 +175,6 @@ def empty(sch: "Schema | SumSchema") -> Relation:
     return Relation(sch, ())
 
 
-@dataclass(frozen=True)
-class Stream:
-    """Paired rails: the correct-path relation and the error-path relation."""
-
-    correct: Relation
-    errors: Relation
-
-
 def error_schema(base: Schema) -> Schema:
     """The base schema extended with the standard error metadata columns."""
     extra = (FieldSpec(ERROR_STAGE, "text"), FieldSpec(ERROR_REASON, "text"))

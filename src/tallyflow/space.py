@@ -40,7 +40,6 @@ class DataSpace:
     monoid: InformationMonoid
     per_record: Callable[[Record], MonoidElement]
     requires: tuple[str, ...] = ()
-    components: "tuple[DataSpace, DataSpace] | None" = None
 
     def measure(self, rel: Relation) -> MonoidElement:
         self._check_schema(rel)
@@ -48,9 +47,6 @@ class DataSpace:
         for rec in rel.rows:
             acc = self.monoid.fuse(acc, self.per_record(rec))
         return acc
-
-    def measure_record(self, rec: Record) -> MonoidElement:
-        return self.per_record(rec)
 
     def leq(self, a: MonoidElement, b: MonoidElement) -> bool:
         return self.monoid.leq(a, b)
@@ -174,7 +170,6 @@ def _product(a: DataSpace, b: DataSpace, name: str) -> DataSpace:
             f"{a.monoid.name}*{b.monoid.name}", tuple_of(a.monoid.unit, b.monoid.unit)),
         per_record=lambda rec: tuple_of(a.per_record(rec), b.per_record(rec)),
         requires=tuple(dict.fromkeys(a.requires + b.requires)),
-        components=(a, b),
     )
 
 
@@ -189,17 +184,3 @@ def disjoint_product(a: DataSpace, b: DataSpace) -> DataSpace:
 def parallel_product(a: DataSpace, b: DataSpace) -> DataSpace:
     """Two measures over the same records, taken side by side."""
     return _product(a, b, f"({a.name} || {b.name})")
-
-
-def recons_product(a: DataSpace, b: DataSpace) -> DataSpace:
-    """A parallel product that remembers its parts for later projection."""
-    return _product(a, b, f"recons({a.name}, {b.name})")
-
-
-def project_info(space: DataSpace, side: str) -> DataSpace:
-    """Recover one component of a product space ('left' or 'right')."""
-    if space.components is None:
-        raise SchemaMismatch(f"space {space.name} is not a product")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return space.components[0 if side == "left" else 1]

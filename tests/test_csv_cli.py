@@ -2,12 +2,13 @@
 
 import json
 import os
+from collections import Counter
 from decimal import Decimal
 from importlib import resources
 
 import pytest
 
-from tallyflow import Missing, Quantity, SchemaMismatch, SumSchema, schema
+from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
 from tallyflow.audit import Check, ConservationReport
 from tallyflow.cli import main
 from tallyflow.csvio import (
@@ -163,6 +164,19 @@ def test_read_table_error_rail_keeps_raw_text(tmp_path):
                     "error_stage": "text", "error_reason": "text"}
 
 
+def test_read_table_sends_ragged_rows_to_the_error_rail(tmp_path):
+    path = write_table(tmp_path, "a,b\n1,2\n3,4,5,6\n7\n")
+    cols = (ColumnSpec("a", type="integer"), ColumnSpec("b", type="integer"))
+    rel, bad, nxt = read_table(path, cols, name="t")
+    assert [r.fields for r in rel.rows] == [{"a": 1, "b": 2}]
+    assert [(min(r.pids), r.fields["a"], r.fields["b"], r.fields["error_reason"])
+            for r in bad.rows] == [
+        (2, "3", "4", "expected 2 cells, got 4"),
+        (3, "7", "", "expected 2 cells, got 1"),
+    ]
+    assert nxt == 4
+
+
 def test_read_table_stage_defaults_to_file_name(tmp_path):
     path = write_table(tmp_path, "n\noops\n")
     _, bad, _ = read_table(path, (ColumnSpec("n", type="integer"),))
@@ -220,6 +234,17 @@ def test_write_csv_is_deterministic_and_leaves_no_temp_files(tmp_path):
     write_csv(str(out), rel)
     assert out.read_text(encoding="utf-8") == "name,n\na,1\nb,2\n"
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+def test_written_files_honour_the_umask(tmp_path):
+    rel = Relation(schema(FieldSpec("n", "integer")),
+                   (Record(pids=frozenset({1}), fields={"n": 1}),))
+    old = os.umask(0o027)
+    try:
+        write_csv(str(tmp_path / "out.csv"), rel)
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.csv").st_mode & 0o777 == 0o666 & ~0o027
 
 
 def test_write_csv_refuses_tagged_sum_relations(tmp_path):
@@ -328,8 +353,10 @@ sinks:
 """, encoding="utf-8")
     assert main(["run", str(doc), "--data", str(tmp_path),
                  "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "run: UnknownEndpoint at ghost.out" in err
+    assert capsys.readouterr().err == (
+        "run: UnknownEndpoint at ghost.out: no such output port\n"
+        "run: UnconsumedPort at a.out: every output must be wired or sunk\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_signals_broken_conservation_after_writing_outputs(
@@ -345,9 +372,34 @@ def test_run_signals_broken_conservation_after_writing_outputs(
     assert rc == 3
     # outputs land on disk even when the accounting equation fails
     assert (out / "priced.csv").exists()
-    assert (out / "dashboard.json").exists()
+    dash = json.loads((out / "dashboard.json").read_text(encoding="utf-8"))
+    assert dash["conservation_ok"] is False
+    assert "conservation: BROKEN" in (out / "dashboard.txt").read_text(encoding="utf-8")
     err = capsys.readouterr().err
     assert "conservation broken: measure:main:count: sinks 4 != sources 5" in err
+
+
+def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
+    import tallyflow.audit as audit_mod
+    import tallyflow.cli as cli_mod
+    calls = Counter()
+    validate, check = PipelineGraph.validate, audit_mod.conservation_check
+
+    def counted_validate(graph):
+        calls["validate"] += 1
+        return validate(graph)
+
+    def counted_check(audit):
+        calls["conservation_check"] += 1
+        return check(audit)
+
+    monkeypatch.setattr(PipelineGraph, "validate", counted_validate)
+    monkeypatch.setattr(cli_mod, "conservation_check", counted_check)
+    monkeypatch.setattr(audit_mod, "conservation_check", counted_check)
+    d = fixture_dir("lookup")
+    assert main(["run", os.path.join(d, "pipeline.yaml"),
+                 "--data", d, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"validate": 1, "conservation_check": 1}
 
 
 # -- command line: fuzz -------------------------------------------------

@@ -11,9 +11,7 @@ from tallyflow import (
     BinOp,
     Col,
     Compare,
-    DomainPredUnsound,
     FieldDefined,
-    FieldSpec,
     FnNotTotal,
     InSet,
     Lit,
@@ -24,9 +22,6 @@ from tallyflow import (
     UnitOf,
     eval_expr,
     eval_pred,
-    ingest,
-    schema,
-    totalize,
 )
 from tallyflow.exprs import (
     decode_expr,
@@ -149,25 +144,6 @@ def test_expressions_refuse_nonsense_instead_of_guessing():
 def test_describe_reads_like_a_sentence():
     assert describe(FieldDefined("m")) == "m is defined"
     assert describe(Not(InSet("u", ("a", "b")))) == "not (u in {a, b})"
-
-
-# -- totalization -------------------------------------------------------
-
-def test_totalize_routes_by_domain_membership():
-    rel = ingest(schema(FieldSpec("x", "integer")),
-                 [{"x": 2}, {"x": Missing("gone")}])
-    fn = totalize(lambda rec: rec.fields["x"] * 10, FieldDefined("x"))
-    side1, out1 = fn(rel.rows[0])
-    side2, out2 = fn(rel.rows[1])
-    assert (side1, out1) == ("inr", 20)
-    assert side2 == "inl" and out2 is rel.rows[1]
-
-
-def test_a_lying_domain_predicate_is_called_out():
-    rel = ingest(schema(FieldSpec("x", "integer")), [{"x": 0}])
-    fn = totalize(lambda rec: 1 // rec.fields["x"], FieldDefined("x"))
-    with pytest.raises(DomainPredUnsound):
-        fn(rel.rows[0])
 
 
 # -- serialization ------------------------------------------------------

@@ -18,14 +18,12 @@ from tallyflow import (
     NumOf,
     Quantity,
     SchemaMismatch,
-    Stream,
     UntagMissing,
     aggregate,
     as_errors,
     cartesian,
     dedup,
     drill_down,
-    emap,
     empty,
     field_names,
     fmap,
@@ -106,20 +104,6 @@ def test_fmap_carries_declared_units():
                {"fee": "$"})
     spec = out.schema[-1]
     assert (spec.name, spec.sem, spec.unit) == ("fee", "decimal", "$")
-
-
-def test_fmap_on_a_stream_touches_only_the_correct_rail():
-    st = Stream(people(), as_errors(people(), "intake", "bad"))
-    out = fmap(st, {"tag": Lit("x")}, {"tag": "text"})
-    assert field_names(out.correct.schema)[-1] == "tag"
-    assert "tag" not in field_names(out.errors.schema)
-
-
-def test_emap_enriches_the_error_rail():
-    st = Stream(people(), as_errors(people(), "intake", "bad"))
-    out = emap(st, {"note": Lit("seen")}, {"note": "text"})
-    assert "note" in field_names(out.errors.schema)
-    assert "note" not in field_names(out.correct.schema)
 
 
 def test_as_errors_stamps_stage_and_reason():

@@ -5,20 +5,29 @@ from decimal import Decimal
 import pytest
 
 from tallyflow import (
+    AggregateNode,
+    AggSpec,
     Compare,
+    DedupNode,
+    ErrorizeNode,
     FieldDefined,
     FieldSpec,
     InvalidGraph,
+    JoinNode,
     Lit,
     MapNode,
     Missing,
     MissingInput,
     PartitionNode,
     PipelineGraph,
+    ProjectNode,
     Quantity,
+    RenameNode,
     SchemaMismatch,
+    StripTagsNode,
     TaggedUnionNode,
     TeeNode,
+    UntagNode,
     add_lookup,
     attribution_classes,
     audit_document,
@@ -30,6 +39,9 @@ from tallyflow import (
     schema,
     trace,
 )
+from tallyflow.exprs import encode_expr, encode_pred
+from tallyflow.pipeline import NODE_TYPES
+from tallyflow.pipeline_doc import _make_node
 
 
 D = Decimal
@@ -141,6 +153,61 @@ def test_schema_problems_surface_before_any_data_flows():
     assert "may only add" in violations[0].detail
 
 
+def emap_graph(rejected_to_errors: bool) -> PipelineGraph:
+    g = PipelineGraph("t")
+    g.add_source("src", ORDERS)
+    g.add_node(PartitionNode("has_price", FieldDefined("price"),
+                             rejected_to_errors=rejected_to_errors))
+    g.add_node(MapNode("note", {"note": Lit("seen")}, {"note": "text"}, kind="emap"))
+    g.connect("src", "has_price.in")
+    g.connect("has_price.rejected", "note.in")
+    g.add_sink("ok", "report")
+    g.add_sink("bad", "error")
+    g.connect("has_price.accepted", "ok")
+    g.connect("note.out", "bad")
+    return g
+
+
+def test_emap_stage_enriches_the_error_rail_and_refuses_ordinary_rows():
+    res = emap_graph(rejected_to_errors=True).run({"src": orders()})
+    [rec] = res.sinks["bad"].rows
+    assert rec.fields["note"] == "seen"
+    assert rec.fields["error_stage"] == "has_price"
+    violations = emap_graph(rejected_to_errors=False).validate()
+    assert [(v.kind, v.where) for v in violations] == [("SchemaMismatch", "note")]
+    assert "needs error-rail input" in violations[0].detail
+
+
+def test_each_document_op_decodes_to_its_stage():
+    cases = {
+        "partition": ({"when": encode_pred(FieldDefined("price")),
+                       "rejected_to_errors": True},
+                      PartitionNode("s", FieldDefined("price"), True)),
+        "tee": ({}, TeeNode("s")),
+        "tagged_union": ({"label": "both"}, TaggedUnionNode("s", "both")),
+        "untag": ({}, UntagNode("s")),
+        "strip_tags": ({}, StripTagsNode("s")),
+        "project": ({"fields": ["item"]}, ProjectNode("s", ("item",))),
+        "rename": ({"map": {"item": "thing"}}, RenameNode("s", {"item": "thing"})),
+        "dedup": ({}, DedupNode("s")),
+        "fmap": ({"add": {"fee": encode_expr(Lit(D(1)))}, "sems": {"fee": "decimal"},
+                  "units": {"fee": "$"}},
+                 MapNode("s", {"fee": Lit(D(1))}, {"fee": "decimal"}, units={"fee": "$"})),
+        "emap": ({"add": {"note": encode_expr(Lit("x"))}, "sems": {"note": "text"}},
+                 MapNode("s", {"note": Lit("x")}, {"note": "text"}, kind="emap")),
+        "errorize": ({"reason": "bad"}, ErrorizeNode("s", "bad")),
+        "join": ({"keys": [["a", "b"]], "missing_matches": True},
+                 JoinNode("s", (("a", "b"),), True)),
+        "aggregate": ({"by": ["item"], "specs": [{"field": "price", "op": "sum"}]},
+                      AggregateNode("s", ("item",), (AggSpec("price", "sum"),))),
+    }
+    assert set(cases) == set(NODE_TYPES)
+    for op, (entry, node) in cases.items():
+        assert _make_node({"op": op, "name": "s", **entry}) == node, op
+    with pytest.raises(ValueError, match="unknown node op 'filter'"):
+        _make_node({"op": "filter", "name": "s"})
+
+
 def test_duplicate_names_are_claimed_once():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
@@ -152,8 +219,9 @@ def test_run_refuses_an_invalid_graph():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
     g.add_sink("a", "report")
-    with pytest.raises(InvalidGraph):
+    with pytest.raises(InvalidGraph) as info:
         g.run({"src": orders()})
+    assert [v.kind for v in info.value.violations] == ["UnconsumedPort", "UnwiredInput"]
 
 
 def test_run_checks_inputs_against_declared_schemas():
@@ -211,7 +279,7 @@ def test_trace_follows_one_pid_through_the_graph():
 
 def test_audit_document_is_json_friendly_and_timeless():
     res = priced_graph().run({"orders": orders()})
-    doc = audit_document(res.audit)
+    doc = audit_document(res.audit, conservation_check(res.audit))
     assert set(doc) == {"sources", "stages", "sinks", "reports",
                         "trace", "conservation"}
     assert "timings" not in doc
@@ -220,9 +288,10 @@ def test_audit_document_is_json_friendly_and_timeless():
 
 def test_dashboard_reads_as_stable_text():
     res = priced_graph().run({"orders": orders()})
-    doc = dashboard_document(priced_graph(), res)
+    report = conservation_check(res.audit)
+    doc = dashboard_document(priced_graph(), res, report)
     text = render_dashboard(doc)
-    assert text == render_dashboard(dashboard_document(priced_graph(), res))
+    assert text == render_dashboard(dashboard_document(priced_graph(), res, report))
     assert "conservation: balanced" in text
     assert "priced: 2 rows" in text
 

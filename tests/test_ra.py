@@ -21,6 +21,7 @@ from tallyflow import (
     Minus,
     Missing,
     NaturalJoin,
+    PipelineGraph,
     NumOf,
     OuterJoin,
     Project,
@@ -270,6 +271,26 @@ def test_the_checker_can_see_a_divergence():
     v = equivalence_check(expr, {"items": items()}, graph=wrong)
     assert not v.ok
     assert v.expected_rows == 4 and v.got_rows == 8
+
+
+def test_the_checker_validates_each_graph_once(monkeypatch):
+    calls = []
+    validate = PipelineGraph.validate
+
+    def counted_validate(graph):
+        calls.append(graph.name)
+        return validate(graph)
+
+    monkeypatch.setattr(PipelineGraph, "validate", counted_validate)
+    assert equivalence_check(BaseRelation("items"), inputs()).ok
+    assert len(calls) == 1
+    unwired = PipelineGraph("unwired")
+    unwired.add_source("items", ITEMS)
+    v = equivalence_check(BaseRelation("items"), inputs(), graph=unwired)
+    assert len(calls) == 2
+    assert not v.ok
+    assert v.detail == "graph does not validate: UnconsumedPort@items.out"
+    assert (v.expected_rows, v.got_rows) == (4, 0)
 
 
 def test_translation_reports_every_input_pid_somewhere():

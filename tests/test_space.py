@@ -23,7 +23,6 @@ from tallyflow import (
     schema,
     Compare,
 )
-from tallyflow.space import project_info
 
 
 D = Decimal
@@ -112,9 +111,3 @@ def test_disjoint_product_combines_separate_columns():
     assert e.payload[1].payload == D(7)
 
 
-def test_projection_recovers_a_product_component():
-    both = parallel_product(count_space(), decimal_sum_space("amount", "$"))
-    left = project_info(both, "left")
-    assert left.measure(ledger()).payload == 3
-    with pytest.raises(SchemaMismatch):
-        project_info(count_space(), "left")

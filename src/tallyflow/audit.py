@@ -192,22 +192,46 @@ def conservation_document(report: ConservationReport) -> dict:
     }
 
 
+def pid_ranges(pids) -> str:
+    """Write a set of pids as ascending comma-separated runs.
+
+    A run of two or more consecutive pids is "a-b" (inclusive), a lone pid
+    "a", and the empty set "": {1, 2, 3, 7, 9, 10, 11, 12} is "1-3,7,9-12".
+    """
+    ordered = sorted(pids)
+    starts = [i for i in range(len(ordered))
+              if i == 0 or ordered[i] != ordered[i - 1] + 1]
+    ends = starts[1:] + [len(ordered)]
+    return ",".join(
+        str(ordered[a]) if b - a == 1 else f"{ordered[a]}-{ordered[b - 1]}"
+        for a, b in zip(starts, ends))
+
+
 def audit_document(audit, report: ConservationReport) -> dict:
     """Deterministic, serializable view of a run audit (no timings).
 
+    Every pid set is a pid_ranges string.  "paths" holds one entry per
+    distinct (owner, port) visit sequence, ordered by its smallest pid:
+    its "steps" are what trace() returns for each of its "pids", repeats
+    included, and every pid of the run is in exactly one entry.  The size
+    follows the number of distinct paths and pid runs, not of visits.
+
     report is conservation_check(audit), computed once by the caller.
     """
+    paths: dict[tuple, list] = {}
+    for pid in sorted(audit.visits):
+        paths.setdefault(tuple(audit.visits[pid]), []).append(pid)
     return {
-        "sources": {k: sorted(v) for k, v in sorted(audit.source_pids.items())},
+        "sources": {k: pid_ranges(v) for k, v in sorted(audit.source_pids.items())},
         "stages": [
             {
                 "stage": sv.stage,
-                "in": {p: sorted(s) for p, s in sorted(sv.ins.items())},
-                "out": {p: sorted(s) for p, s in sorted(sv.outs.items())},
+                "in": {p: pid_ranges(s) for p, s in sorted(sv.ins.items())},
+                "out": {p: pid_ranges(s) for p, s in sorted(sv.outs.items())},
             }
             for sv in audit.stage_visits
         ],
-        "sinks": {k: sorted(v) for k, v in sorted(audit.sink_pids.items())},
+        "sinks": {k: pid_ranges(v) for k, v in sorted(audit.sink_pids.items())},
         "reports": {
             label: {
                 "sinks": list(audit.sink_order[label]),
@@ -215,10 +239,12 @@ def audit_document(audit, report: ConservationReport) -> dict:
             }
             for label in sorted(audit.sink_order)
         },
-        "trace": {
-            str(pid): [[owner, port] for owner, port in audit.visits.get(pid, [])]
-            for pid in sorted(audit.visits)
-        },
+        # json writes each (owner, port) tuple as an array, so no list is
+        # built per step: a join can give one path tens of thousands of steps
+        "paths": [
+            {"steps": list(steps), "pids": pid_ranges(pids)}
+            for steps, pids in paths.items()
+        ],
         "conservation": conservation_document(report),
     }
 

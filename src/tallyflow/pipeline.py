@@ -610,7 +610,7 @@ class PipelineGraph:
 
 def trace(audit: RunAudit, pid: int) -> tuple:
     """The (stage, port) path one source row took through the run."""
-    if pid not in audit.all_source_pids():
+    if not any(pid in s for s in audit.source_pids.values()):
         raise UnknownPid(f"pid {pid} was never issued by a source")
     return tuple(audit.visits.get(pid, ()))
 

@@ -1,10 +1,14 @@
 """CSV ingestion, emission, and the command-line front end."""
 
+import csv
+import hashlib
 import json
 import os
+import shutil
 from collections import Counter
 from decimal import Decimal
 from importlib import resources
+from random import Random
 
 import pytest
 
@@ -21,6 +25,7 @@ from tallyflow.csvio import (
     write_csv,
 )
 from tallyflow.monoid import count
+from tallyflow.pipeline import trace
 from tallyflow.relation import FieldSpec, Record, Relation
 
 
@@ -400,6 +405,147 @@ def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
     assert main(["run", os.path.join(d, "pipeline.yaml"),
                  "--data", d, "--out", str(tmp_path / "out")]) == 0
     assert calls == {"validate": 1, "conservation_check": 1}
+
+
+# -- command line: run outputs ------------------------------------------
+
+# sha256 of every deterministic `run` output except audit.json, whose layout
+# may change: sinks, dashboards and stdout must not change by accident.
+PINNED_DIGESTS = {
+    "ship": {
+        "iv_closed.csv": "b4f3ec06132c933a030d2896071124c9144bf9395445f5a23ba094ef763a8550",
+        "iv_insured.csv": "7b3a632754e7d2e74ed305782f190eb9d92f4e31102eec5962778fa2a642f160",
+        "iv_no_commodity.csv": "f77ea4cd3d6c635eb8f215f841dcde053d60648d52f3b7d7e3f5d11d93cf7a3e",
+        "iv_purchased.csv": "1332e37ce5b40186983cbfd30ca8ad7e87f9da4ae0a9b162d737551b74c8b51f",
+        "iv_quoted.csv": "959dd68a93f3c156b04d79dd7f5ca216d8e60762160b892d325569e4827f8c65",
+        "iv_unquoted_sink.csv": "72fc183bfc93e4467e4ac8cbb3869bfaaf826c42a2aa176ab0caac96b9be4c9a",
+        "iv_unused_sink.csv": "678af6df01b3abca77005dac7addec010bf875c6cf05b54f3463c830d2fda1d0",
+        "rc_closed.csv": "5cab60453a36a580daf204330c945924b75ce658af1ca139afdf927487e7fedb",
+        "rc_proxy.csv": "58fcb795ce1790a3bbe2e433c9511a5306b825c6346fd883af5c174f92bdab4f",
+        "rc_purchased.csv": "3097a9a965c97b989038107b702f870a31dc90ea29563ca5cf1c0d7d9ff8739b",
+        "rc_quoted.csv": "bd289faef7372a1467faabd8e43afbf39358cd646bb4382adddf1b6e0b2cbb62",
+        "rc_unpriced.csv": "c8105306e941830f4c3358cd1b95ac99cf0b692190e0471b2c13ccd5e09e41b8",
+        "rc_unused_sink.csv": "678af6df01b3abca77005dac7addec010bf875c6cf05b54f3463c830d2fda1d0",
+        "wt_animate.csv": "2eaeedcc50bb2d8b14f115ee9a07def9729d3e1b0996b69704be4d355a8b6a91",
+        "wt_summary.csv": "9d52053cad21ab08a874a02c2bb72769f85503462a8096bc8b9bd875de9cdfa5",
+        "dashboard.txt": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
+        "dashboard.json": "f8e84c2a1e17c1597439e767450a766f79ba4f61e5904e18afd7e14f069682eb",
+        "stdout text": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
+        "stdout structured": "f8e84c2a1e17c1597439e767450a766f79ba4f61e5904e18afd7e14f069682eb",
+    },
+    "lookup": {
+        "missing_products.csv": "6e926ad1218e5508c038e2fc4f758640cc8fd9728af69a60cc1450ccf8abfb05",
+        "priced.csv": "d05bcfcc83e4fcbe3bfeb0e6de8b5ec83107eebf3497417bd5db5b104b3f74b7",
+        "unused_references.csv": "d9de3e50bf0ce959b465cfa8576b4ffb8f5694197c3864aa225355e443069047",
+        "dashboard.txt": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
+        "dashboard.json": "7e6f9b2d2aa106cdfe9b5f83e34863e5c208f65bd0825a9766450fc6d25ed2c7",
+        "stdout text": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
+        "stdout structured": "7e6f9b2d2aa106cdfe9b5f83e34863e5c208f65bd0825a9766450fc6d25ed2c7",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_DIGESTS))
+def test_sinks_dashboards_and_stdout_match_their_pinned_digests(fixture, tmp_path, capsys):
+    d = fixture_dir(fixture)
+    stdout, files = {}, {}
+    for fmt in ("text", "structured"):
+        out = tmp_path / fmt
+        assert main(["run", os.path.join(d, "pipeline.yaml"), "--data", d,
+                     "--out", str(out), "--format", fmt]) == 0
+        stdout[f"stdout {fmt}"] = hashlib.sha256(
+            capsys.readouterr().out.encode("utf-8")).hexdigest()
+        files[fmt] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in out.iterdir() if p.name != "audit.json"}
+    assert files["text"] == files["structured"]
+    assert files["text"] | stdout == PINNED_DIGESTS[fixture]
+
+
+def _decode_pid_ranges(text: str) -> set:
+    """Read "1-3,7,9-12"; refuse anything but ascending, maximal runs."""
+    pids: set = set()
+    last = None
+    for part in text.split(",") if text else ():
+        lo, dash, hi = part.partition("-")
+        lo, hi = int(lo), int(hi) if dash else int(lo)
+        assert hi > lo or not dash, part
+        assert last is None or lo > last + 1, text
+        pids.update(range(lo, hi + 1))
+        last = hi
+    return pids
+
+
+def _run_and_capture_audit(monkeypatch, pipeline: str, data: str, out) -> tuple:
+    """Run the CLI; return the in-memory RunAudit and the decoded audit.json."""
+    import tallyflow.cli as cli_mod
+    seen = []
+    real = cli_mod.audit_document
+
+    def capture(audit, report):
+        seen.append(audit)
+        return real(audit, report)
+
+    monkeypatch.setattr(cli_mod, "audit_document", capture)
+    assert main(["run", pipeline, "--data", data, "--out", str(out)]) == 0
+    return seen[0], json.loads((out / "audit.json").read_text(encoding="utf-8"))
+
+
+def _scaled_ship(tmp_path, rows: int) -> str:
+    """The ship fixture with items.csv copied to `rows` shuffled rows."""
+    src = fixture_dir("ship")
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in os.listdir(src):
+        if name not in ("items.csv", "pipeline.yaml"):
+            shutil.copyfile(os.path.join(src, name), data / name)
+    with open(os.path.join(src, "items.csv"), newline="", encoding="utf-8") as fh:
+        header, *template = list(csv.reader(fh))
+    order = [i % len(template) for i in range(rows)]
+    Random(300).shuffle(order)
+    desc = header.index("Description")
+    with open(data / "items.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for n, i in enumerate(order):
+            row = list(template[i])
+            row[desc] = f"{row[desc]} {n:03d}"
+            w.writerow(row)
+    return str(data)
+
+
+@pytest.mark.parametrize("case", ["ship", "lookup", "ship x300 shuffled"])
+def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
+    fixture = case.split()[0]
+    pipeline = os.path.join(fixture_dir(fixture), "pipeline.yaml")
+    data = _scaled_ship(tmp_path, 300) if "x300" in case else fixture_dir(fixture)
+    audit, doc = _run_and_capture_audit(monkeypatch, pipeline, data, tmp_path / "out")
+
+    assert {k: _decode_pid_ranges(v) for k, v in doc["sources"].items()} == \
+        {k: set(v) for k, v in audit.source_pids.items()}
+    assert {k: _decode_pid_ranges(v) for k, v in doc["sinks"].items()} == \
+        {k: set(v) for k, v in audit.sink_pids.items()}
+    assert [(s["stage"], {p: _decode_pid_ranges(r) for p, r in s["in"].items()},
+             {p: _decode_pid_ranges(r) for p, r in s["out"].items()})
+            for s in doc["stages"]] == \
+        [(sv.stage, {p: set(x) for p, x in sv.ins.items()},
+          {p: set(x) for p, x in sv.outs.items()})
+         for sv in audit.stage_visits]
+
+    path_of: dict = {}
+    smallest = []
+    for entry in doc["paths"]:
+        pids = _decode_pid_ranges(entry["pids"])
+        assert pids and not pids & path_of.keys(), "a pid is in two paths"
+        steps = tuple((owner, port) for owner, port in entry["steps"])
+        path_of.update(dict.fromkeys(pids, steps))
+        smallest.append(min(pids))
+    assert smallest == sorted(smallest)
+    assert path_of.keys() == audit.all_source_pids()
+    for pid, steps in path_of.items():
+        assert steps == trace(audit, pid), pid
+    if "x300" in case:
+        assert len(path_of) == 304
+        assert any("," in entry["pids"] for entry in doc["paths"])
 
 
 # -- command line: fuzz -------------------------------------------------

@@ -27,6 +27,7 @@ from tallyflow import (
     StripTagsNode,
     TaggedUnionNode,
     TeeNode,
+    UnknownPid,
     UntagNode,
     add_lookup,
     attribution_classes,
@@ -39,6 +40,7 @@ from tallyflow import (
     schema,
     trace,
 )
+from tallyflow.audit import pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
 from tallyflow.pipeline import NODE_TYPES
 from tallyflow.pipeline_doc import _make_node
@@ -277,13 +279,30 @@ def test_trace_follows_one_pid_through_the_graph():
     assert "has_price" in owners
 
 
+def test_trace_refuses_a_pid_no_source_issued():
+    res = priced_graph().run({"orders": orders()})
+    for pid in (0, 4, 99):
+        with pytest.raises(UnknownPid, match=f"pid {pid} was never issued by a source"):
+            trace(res.audit, pid)
+
+
 def test_audit_document_is_json_friendly_and_timeless():
     res = priced_graph().run({"orders": orders()})
     doc = audit_document(res.audit, conservation_check(res.audit))
     assert set(doc) == {"sources", "stages", "sinks", "reports",
-                        "trace", "conservation"}
+                        "paths", "conservation"}
     assert "timings" not in doc
     assert doc["conservation"]["ok"] is True
+
+
+def test_pid_ranges_writes_runs_of_consecutive_pids():
+    assert pid_ranges(set()) == ""
+    assert pid_ranges([5]) == "5"
+    assert pid_ranges({5, 6}) == "5-6"
+    assert pid_ranges({1, 2, 3, 7, 9, 10, 11, 12}) == "1-3,7,9-12"
+    assert pid_ranges([12, 3, 1, 10, 7, 2, 11, 9]) == "1-3,7,9-12"
+    assert pid_ranges(frozenset({4, 2, 8, 6})) == "2,4,6,8"
+    assert pid_ranges(frozenset(range(1, 25_001))) == "1-25000"
 
 
 def test_dashboard_reads_as_stable_text():

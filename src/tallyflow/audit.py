@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SchemaMismatch
-from .monoid import MonoidElement, fuse
+from .monoid import MonoidElement, fuse, fuse_all
 from .relation import SumSchema, field_names
 from .space import (
     DataSpace,
@@ -24,7 +24,6 @@ from .space import (
     quantity_units,
 )
 
-ERROR = "error"
 REPORT = "report"
 
 
@@ -61,7 +60,7 @@ def build_charges(graph, audit, inputs: dict) -> None:
     """
     for space in _concrete_spaces(graph, inputs):
         per_pid: dict[int, MonoidElement] = {}
-        unit = space.monoid.unit
+        unit = space.unit
         for name, rel in inputs.items():
             if name not in graph.sources:
                 continue
@@ -166,11 +165,9 @@ def conservation_check(audit) -> ConservationReport:
             charge = audit.charges[space]
             lhs = unit
             for sink_name in audit.sink_order[label]:
-                for pid in sorted(classes[sink_name]):
-                    lhs = fuse(lhs, charge.get(pid, unit))
-            rhs = unit
-            for pid in sorted(src):
-                rhs = fuse(rhs, charge.get(pid, unit))
+                lhs = fuse(lhs, fuse_all(
+                    (charge.get(p, unit) for p in sorted(classes[sink_name])), unit))
+            rhs = fuse_all((charge.get(p, unit) for p in sorted(src)), unit)
             m_ok = lhs == rhs
             detail = f"sinks {lhs.render()} == sources {rhs.render()}"
             if not m_ok:
@@ -292,7 +289,7 @@ def dashboard_document(graph, result, report: ConservationReport) -> dict:
         entry["checks"] = [
             {"name": c.name, "ok": c.ok}
             for c in report.checks
-            if c.name.endswith(f":{label}") or f":{label}:" in c.name
+            if c.name == f"coverage:{label}" or c.name.startswith(f"measure:{label}:")
         ]
         by_label[label] = entry
     return {

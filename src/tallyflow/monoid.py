@@ -1,10 +1,12 @@
 """Information-fusion monoids: the elements summaries are made of.
 
-Each element kind carries a unit element and a binary fuse, plus a partial
-order under which fusing is monotone.  Count/Sum/Avg/Set/Paccioli use growth
-orders (fusing moves up); Min and Max use orders derived from fuse itself,
-so fuse(a, b) sits below both a and b.  Max's order is reversed-numeric for
-exactly that reason.
+Each element kind carries a unit element and a combine rule, plus a partial
+order under which fusing is monotone.  fuse_all folds any number of
+elements onto a start in one pass and is the only code that knows the
+combine rules; fuse is its two-element case.  Count/Sum/Avg/Set/Paccioli
+use growth orders (fusing moves up); Min and Max use orders derived from
+fuse itself, so fuse(a, b) sits below both a and b.  Max's order is
+reversed-numeric for exactly that reason.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
+from operator import add
 
 from .errors import KindMismatch
 from .values import NEG_INF, POS_INF, cell_key, plain
@@ -190,32 +194,35 @@ def _check_compatible(a: MonoidElement, b: MonoidElement) -> None:
         raise KindMismatch(f"tuple arity mismatch: {len(a.payload)} vs {len(b.payload)}")
 
 
+def fuse_all(elements, start: MonoidElement) -> MonoidElement:
+    """Left-fold elements onto start, checking each against start.
+
+    The only place each kind's combine rule lives.  Payloads are folded in
+    order and one element is built at the end, with start's unit label.
+    """
+    payloads = [start.payload]
+    for e in elements:
+        _check_compatible(start, e)
+        payloads.append(e.payload)
+    k = start.kind
+    if k is Kind.COUNT or k is Kind.SUM:
+        total: object = reduce(add, payloads)
+    elif k is Kind.MIN:
+        total = min(payloads)
+    elif k is Kind.MAX:
+        total = max(payloads)
+    elif k is Kind.AVG or k is Kind.PACCIOLI:
+        total = tuple(reduce(add, leg) for leg in zip(*payloads))
+    elif k is Kind.SET:
+        total = frozenset().union(*payloads)
+    else:
+        total = tuple(fuse_all(part[1:], part[0]) for part in zip(*payloads))
+    return MonoidElement(k, total, start.unit)
+
+
 def fuse(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     """Combine two summaries of the same kind and unit."""
-    _check_compatible(a, b)
-    k = a.kind
-    if k is Kind.COUNT or k is Kind.SUM:
-        return MonoidElement(k, a.payload + b.payload, a.unit)
-    if k is Kind.MIN:
-        return MonoidElement(k, min(a.payload, b.payload), a.unit)
-    if k is Kind.MAX:
-        return MonoidElement(k, max(a.payload, b.payload), a.unit)
-    if k is Kind.AVG:
-        (s1, c1), (s2, c2) = a.payload, b.payload
-        return MonoidElement(k, (s1 + s2, c1 + c2), a.unit)
-    if k is Kind.SET:
-        return MonoidElement(k, a.payload | b.payload)
-    if k is Kind.PACCIOLI:
-        (d1, c1), (d2, c2) = a.payload, b.payload
-        return MonoidElement(k, (d1 + d2, c1 + c2), a.unit)
-    return MonoidElement(k, tuple(fuse(x, y) for x, y in zip(a.payload, b.payload)))
-
-
-def fuse_all(elements, start: MonoidElement) -> MonoidElement:
-    acc = start
-    for e in elements:
-        acc = fuse(acc, e)
-    return acc
+    return fuse_all((b,), a)
 
 
 def leq(a: MonoidElement, b: MonoidElement) -> bool:
@@ -233,24 +240,3 @@ def leq(a: MonoidElement, b: MonoidElement) -> bool:
     if k is Kind.SET:
         return a.payload <= b.payload
     return all(leq(x, y) for x, y in zip(a.payload, b.payload))
-
-
-@dataclass(frozen=True)
-class InformationMonoid:
-    """A named monoid instance: its unit element fixes kind and unit label."""
-
-    name: str
-    unit: MonoidElement
-
-    @property
-    def kind(self) -> Kind:
-        return self.unit.kind
-
-    def fuse(self, a: MonoidElement, b: MonoidElement) -> MonoidElement:
-        return fuse(a, b)
-
-    def fuse_all(self, elements) -> MonoidElement:
-        return fuse_all(elements, self.unit)
-
-    def leq(self, a: MonoidElement, b: MonoidElement) -> bool:
-        return leq(a, b)

@@ -20,18 +20,7 @@ from .errors import (
     UntagMissing,
 )
 from .exprs import Pred, Truth, describe, eval_expr, eval_pred
-from .monoid import (
-    Kind,
-    MonoidElement,
-    avg_of,
-    count,
-    fuse,
-    max_of,
-    min_of,
-    set_of,
-    sum_of,
-    unit_for,
-)
+from .monoid import Kind, MonoidElement, count, fuse_all, set_of, unit_for
 from .relation import (
     ERROR_REASON,
     ERROR_STAGE,
@@ -354,7 +343,10 @@ def fmap(rel: Relation, additions: dict, sems: dict | None = None,
 
 # -- aggregation --------------------------------------------------------
 
-AGG_OPS = ("sum", "min", "max", "avg", "set")
+# the only map from aggregation op names to summary kinds
+_AGG_KINDS = {"sum": Kind.SUM, "min": Kind.MIN, "max": Kind.MAX, "avg": Kind.AVG,
+              "set": Kind.SET}
+AGG_OPS = tuple(_AGG_KINDS)
 
 _NUMERIC_SEMS = ("integer", "decimal", "quantity")
 
@@ -373,24 +365,14 @@ class AggSpec:
 
 def _agg_cell(op: str, values, unit: str | None) -> MonoidElement:
     """Fold one group's non-missing values for one spec."""
-    if op == "set":
-        return set_of(v for v in values if not isinstance(v, Missing))
-    acc = unit_for({"sum": Kind.SUM, "min": Kind.MIN, "max": Kind.MAX,
-                    "avg": Kind.AVG}[op], unit)
-    for v in values:
-        if isinstance(v, Missing):
-            continue
-        n = v.amount if isinstance(v, Quantity) else Decimal(v)
-        if op == "sum":
-            elem = sum_of(n, unit)
-        elif op == "min":
-            elem = min_of(n, unit)
-        elif op == "max":
-            elem = max_of(n, unit)
-        else:
-            elem = avg_of(n, 1, unit)
-        acc = fuse(acc, elem)
-    return acc
+    present = [v for v in values if not isinstance(v, Missing)]
+    kind = _AGG_KINDS[op]
+    if kind is Kind.SET:
+        return set_of(present)
+    nums = (v.amount if isinstance(v, Quantity) else Decimal(v) for v in present)
+    if kind is Kind.AVG:
+        nums = ((n, 1) for n in nums)
+    return fuse_all((MonoidElement(kind, n, unit) for n in nums), unit_for(kind, unit))
 
 
 def _agg_plan(sch: Schema, group_by, specs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .audit import build_charges
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
 from .exprs import Pred, decode_expr, decode_pred
 from .ops import (
@@ -568,7 +569,6 @@ class PipelineGraph:
         return RunResult(sinks=sinks, audit=audit)
 
     def _setup_audit(self, audit: RunAudit, inputs: dict) -> None:
-        from .audit import build_charges
         for name in self.sources:
             audit.source_pids[name] = rel_pids(inputs[name])
         build_charges(self, audit, inputs)

@@ -9,7 +9,7 @@ as immutable once constructed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import SchemaMismatch, UnknownField
@@ -223,7 +223,3 @@ def triples(rel: Relation):
                 for pid in part.pids:
                     out.append((name, k, pid))
     return out
-
-
-def with_fields(rec: Record, new_fields: dict) -> Record:
-    return replace(rec, fields=new_fields)

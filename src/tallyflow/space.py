@@ -1,8 +1,9 @@
 """Data spaces: a relation carrier plus a measure into an information monoid.
 
 A space says how to summarize: measure maps any subrelation to one monoid
-element, and the measure of a whole equals the fuse of the measures of any
-partition of it.  Products pair spaces so composite relations are measured
+element, the fuse_all of its records' elements from the space's unit, and
+the measure of a whole equals the fuse of the measures of any partition of
+it.  Products pair spaces so composite relations are measured
 componentwise.
 """
 
@@ -14,10 +15,10 @@ from typing import Callable
 
 from .errors import SchemaMismatch
 from .monoid import (
-    InformationMonoid,
     Kind,
     MonoidElement,
     count,
+    fuse_all,
     paccioli_of_signed,
     set_of,
     sum_of,
@@ -30,29 +31,21 @@ from .values import Missing, Quantity, cell_key
 
 @dataclass(frozen=True)
 class DataSpace:
-    """A named measure over records, fused by the given monoid.
+    """A named measure over records, folded from its unit element.
 
-    requires lists the field names per_record reads; measure() checks them
-    against the relation's schema before folding.
+    unit fixes the monoid's kind and unit label.  requires lists the field
+    names per_record reads; measure() checks them against the relation's
+    schema before folding.
     """
 
     name: str
-    monoid: InformationMonoid
+    unit: MonoidElement
     per_record: Callable[[Record], MonoidElement]
     requires: tuple[str, ...] = ()
 
     def measure(self, rel: Relation) -> MonoidElement:
         self._check_schema(rel)
-        acc = self.monoid.unit
-        for rec in rel.rows:
-            acc = self.monoid.fuse(acc, self.per_record(rec))
-        return acc
-
-    def leq(self, a: MonoidElement, b: MonoidElement) -> bool:
-        return self.monoid.leq(a, b)
-
-    def fuse(self, a: MonoidElement, b: MonoidElement) -> MonoidElement:
-        return self.monoid.fuse(a, b)
+        return fuse_all(map(self.per_record, rel.rows), self.unit)
 
     def _check_schema(self, rel: Relation) -> None:
         if not self.requires:
@@ -69,7 +62,7 @@ def count_space(name: str = "count") -> DataSpace:
     """Counts provenance ids, so merged duplicates still count fully."""
     return DataSpace(
         name=name,
-        monoid=InformationMonoid("count", unit_for(Kind.COUNT)),
+        unit=unit_for(Kind.COUNT),
         per_record=lambda rec: count(len(rec.pids)),
     )
 
@@ -86,7 +79,7 @@ def identity_space(name: str = "identity") -> DataSpace:
 
     return DataSpace(
         name=name,
-        monoid=InformationMonoid("record-set", unit_for(Kind.SET)),
+        unit=unit_for(Kind.SET),
         per_record=per_record,
     )
 
@@ -103,7 +96,7 @@ def decimal_sum_space(fld: str, unit: str | None = None, name: str | None = None
 
     return DataSpace(
         name=name or f"sum[{fld}]",
-        monoid=InformationMonoid("sum", unit_for(Kind.SUM, unit)),
+        unit=unit_for(Kind.SUM, unit),
         per_record=per_record,
         requires=(fld,),
     )
@@ -125,7 +118,7 @@ def quantity_sum_space(fld: str, unit: str, name: str | None = None) -> DataSpac
 
     return DataSpace(
         name=name or f"sum[{fld}:{unit}]",
-        monoid=InformationMonoid("sum", unit_for(Kind.SUM, unit)),
+        unit=unit_for(Kind.SUM, unit),
         per_record=per_record,
         requires=(fld,),
     )
@@ -147,7 +140,7 @@ def paccioli_space(fld: str, unit: str | None = None, name: str | None = None) -
 
     return DataSpace(
         name=name or f"paccioli[{fld}]",
-        monoid=InformationMonoid("paccioli", unit_for(Kind.PACCIOLI, unit)),
+        unit=unit_for(Kind.PACCIOLI, unit),
         per_record=per_record,
         requires=(fld,),
     )
@@ -166,8 +159,7 @@ def quantity_units(rel: Relation, fld: str) -> tuple[str, ...]:
 def _product(a: DataSpace, b: DataSpace, name: str) -> DataSpace:
     return DataSpace(
         name=name,
-        monoid=InformationMonoid(
-            f"{a.monoid.name}*{b.monoid.name}", tuple_of(a.monoid.unit, b.monoid.unit)),
+        unit=tuple_of(a.unit, b.unit),
         per_record=lambda rec: tuple_of(a.per_record(rec), b.per_record(rec)),
         requires=tuple(dict.fromkeys(a.requires + b.requires)),
     )

@@ -409,8 +409,9 @@ def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
 
 # -- command line: run outputs ------------------------------------------
 
-# sha256 of every deterministic `run` output except audit.json, whose layout
-# may change: sinks, dashboards and stdout must not change by accident.
+# sha256 of every deterministic `run` output: sinks, dashboards, audit.json
+# (with the rendered `measure:*` balances of its conservation section) and
+# stdout must not change by accident.
 PINNED_DIGESTS = {
     "ship": {
         "iv_closed.csv": "b4f3ec06132c933a030d2896071124c9144bf9395445f5a23ba094ef763a8550",
@@ -428,6 +429,7 @@ PINNED_DIGESTS = {
         "rc_unused_sink.csv": "678af6df01b3abca77005dac7addec010bf875c6cf05b54f3463c830d2fda1d0",
         "wt_animate.csv": "2eaeedcc50bb2d8b14f115ee9a07def9729d3e1b0996b69704be4d355a8b6a91",
         "wt_summary.csv": "9d52053cad21ab08a874a02c2bb72769f85503462a8096bc8b9bd875de9cdfa5",
+        "audit.json": "fdffb3b3d01938444dd67a1a3e38946ad603ac05b89efe8eb3c28cf1db4c734d",
         "dashboard.txt": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
         "dashboard.json": "f8e84c2a1e17c1597439e767450a766f79ba4f61e5904e18afd7e14f069682eb",
         "stdout text": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
@@ -437,6 +439,7 @@ PINNED_DIGESTS = {
         "missing_products.csv": "6e926ad1218e5508c038e2fc4f758640cc8fd9728af69a60cc1450ccf8abfb05",
         "priced.csv": "d05bcfcc83e4fcbe3bfeb0e6de8b5ec83107eebf3497417bd5db5b104b3f74b7",
         "unused_references.csv": "d9de3e50bf0ce959b465cfa8576b4ffb8f5694197c3864aa225355e443069047",
+        "audit.json": "9370aa5da8da0490f3df031ec3e351b204fa07b5fd63583a33f991e1b13e46c9",
         "dashboard.txt": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
         "dashboard.json": "7e6f9b2d2aa106cdfe9b5f83e34863e5c208f65bd0825a9766450fc6d25ed2c7",
         "stdout text": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
@@ -456,7 +459,7 @@ def test_sinks_dashboards_and_stdout_match_their_pinned_digests(fixture, tmp_pat
         stdout[f"stdout {fmt}"] = hashlib.sha256(
             capsys.readouterr().out.encode("utf-8")).hexdigest()
         files[fmt] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                      for p in out.iterdir() if p.name != "audit.json"}
+                      for p in out.iterdir()}
     assert files["text"] == files["structured"]
     assert files["text"] | stdout == PINNED_DIGESTS[fixture]
 

@@ -7,6 +7,7 @@ import pytest
 from tallyflow import (
     Kind,
     KindMismatch,
+    MonoidElement,
     avg_of,
     count,
     fuse,
@@ -77,11 +78,15 @@ def test_tuple_fuses_componentwise():
 def test_cross_kind_fuse_is_rejected():
     with pytest.raises(KindMismatch):
         fuse(count(1), sum_of(D(1)))
+    with pytest.raises(KindMismatch, match="cannot combine count with sum"):
+        fuse_all([count(1), count(2), sum_of(D(1))], count(0))
 
 
 def test_unit_clash_is_rejected():
     with pytest.raises(KindMismatch):
         fuse(sum_of(D(1), "kg"), sum_of(D(1), "lb"))
+    with pytest.raises(KindMismatch, match="unit mismatch: 'kg' vs 'lb'"):
+        fuse_all([sum_of(D(1), "kg"), sum_of(D(1), "lb")], sum_of(D(0), "kg"))
     with pytest.raises(KindMismatch):
         leq(min_of(D(1), "kg"), min_of(D(1), "lb"))
 
@@ -89,6 +94,8 @@ def test_unit_clash_is_rejected():
 def test_tuple_length_clash_is_rejected():
     with pytest.raises(KindMismatch):
         fuse(tuple_of(count(1)), tuple_of(count(1), count(2)))
+    with pytest.raises(KindMismatch, match="tuple arity mismatch: 1 vs 2"):
+        fuse_all([tuple_of(count(1)), tuple_of(count(1), count(2))], tuple_of(count(0)))
 
 
 @pytest.mark.parametrize("element", [
@@ -99,6 +106,7 @@ def test_tuple_length_clash_is_rejected():
     avg_of(D(7), 2),
     set_of({"a"}),
     paccioli(D(3), D(1), "$"),
+    MonoidElement(Kind.SET, frozenset({"a"}), "ids"),
 ])
 def test_unit_element_is_neutral_on_both_sides(element):
     e = unit_for(element.kind, element.unit)
@@ -107,8 +115,23 @@ def test_unit_element_is_neutral_on_both_sides(element):
 
 
 def test_fuse_all_folds_from_a_start():
-    total = fuse_all([count(1), count(2), count(3)], count(0))
-    assert total.payload == 6
+    for elements, start, payload in [
+        ([], sum_of(D("1.5"), "kg"), D("1.5")),
+        ([count(1), count(2), count(3)], count(0), 6),
+        ([sum_of(D("1.5"), "kg"), sum_of(D("-0.25"), "kg")], sum_of(D(1), "kg"), D("2.25")),
+        ([min_of(D(4)), min_of(D(-2)), min_of(D(7))], unit_for(Kind.MIN), D(-2)),
+        ([max_of(D(4)), max_of(D(-2)), max_of(D(7))], unit_for(Kind.MAX), D(7)),
+        ([avg_of(D(10), 2), avg_of(D(2), 1)], avg_of(D(3), 1), (D(15), 4)),
+        ([MonoidElement(Kind.SET, frozenset({1, 2}), "ids"),
+          MonoidElement(Kind.SET, frozenset({2, 3}), "ids")],
+         MonoidElement(Kind.SET, frozenset({5}), "ids"), frozenset({1, 2, 3, 5})),
+        ([paccioli(D(10), D(0), "$"), paccioli(D(0), D(4), "$")], paccioli(D(1), D(1), "$"),
+         (D(11), D(5))),
+        ([tuple_of(count(2), sum_of(D(1))), tuple_of(count(3), sum_of(D(-4)))],
+         tuple_of(count(1), sum_of(D(0))), (count(6), sum_of(D(-3)))),
+    ]:
+        total = fuse_all(iter(elements), start)
+        assert (total.kind, total.payload, total.unit) == (start.kind, payload, start.unit)
 
 
 @pytest.mark.parametrize("a, b, c", [

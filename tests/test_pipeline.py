@@ -63,19 +63,19 @@ def orders():
     ])
 
 
-def priced_graph():
+def priced_graph(stage="has_price"):
     g = PipelineGraph("priced")
     g.add_source("orders", ORDERS)
     g.add_conservation("count")
     g.add_conservation("sum_by_unit", "qty")
     g.add_conservation("paccioli", "price")
-    g.add_node(PartitionNode("has_price", FieldDefined("price"),
+    g.add_node(PartitionNode(stage, FieldDefined("price"),
                              rejected_to_errors=True))
-    g.connect("orders", "has_price.in")
+    g.connect("orders", f"{stage}.in")
     g.add_sink("priced", "report")
     g.add_sink("unpriced", "error")
-    g.connect("has_price.accepted", "priced")
-    g.connect("has_price.rejected", "unpriced")
+    g.connect(f"{stage}.accepted", "priced")
+    g.connect(f"{stage}.rejected", "unpriced")
     return g
 
 
@@ -313,6 +313,17 @@ def test_dashboard_reads_as_stable_text():
     assert text == render_dashboard(dashboard_document(priced_graph(), res, report))
     assert "conservation: balanced" in text
     assert "priced: 2 rows" in text
+
+
+def test_a_report_lists_only_its_own_checks_on_the_dashboard():
+    g = priced_graph(stage="main")  # named like the sinks' default report
+    res = g.run({"orders": orders()})
+    report = conservation_check(res.audit)
+    assert "stage:main" in [c.name for c in report.checks]
+    doc = dashboard_document(g, res, report)
+    assert [c["name"] for c in doc["reports"]["main"]["checks"]] == [
+        "coverage:main", "measure:main:count", "measure:main:sum[qty:kg]",
+        "measure:main:sum[qty:lb]", "measure:main:paccioli[price]"]
 
 
 # -- the lookup helper --------------------------------------------------

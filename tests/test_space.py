@@ -13,6 +13,7 @@ from tallyflow import (
     count_space,
     decimal_sum_space,
     disjoint_product,
+    fuse,
     identity_space,
     ingest,
     paccioli_space,
@@ -69,7 +70,7 @@ def test_measure_is_additive_over_a_partition():
     rel = ledger()
     space = decimal_sum_space("amount", "$")
     acc, rej = partition(rel, Compare("gt", "amount", D(0)))
-    fused = space.fuse(space.measure(acc), space.measure(rej))
+    fused = fuse(space.measure(acc), space.measure(rej))
     assert fused == space.measure(rel)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import SchemaMismatch
 from .monoid import MonoidElement, fuse, fuse_all
-from .relation import SumSchema, field_names
+from .relation import field_names
 from .space import (
     DataSpace,
     count_space,
@@ -64,7 +64,7 @@ def build_charges(graph, audit, inputs: dict) -> None:
         for name, rel in inputs.items():
             if name not in graph.sources:
                 continue
-            names = set(field_names(rel.schema)) if not isinstance(rel.schema, SumSchema) else set()
+            names = set(field_names(rel.schema))
             has = all(f in names for f in space.requires)
             for rec in rel.rows:
                 main = min(rec.pids)

@@ -17,7 +17,7 @@ from decimal import Decimal
 
 import yaml
 
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, malformed
 from .monoid import MonoidElement
 from .relation import (
     ERROR_REASON,
@@ -62,14 +62,15 @@ def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
         raise ValueError(f"{path}: expected a mapping with a 'columns' list")
     cols = []
     for c in doc["columns"]:
-        cols.append(ColumnSpec(
-            name=c["name"],
-            type=c.get("type", "text"),
-            unit=c.get("unit"),
-            unit_from=c.get("unit_from"),
-            sentinels=tuple(str(s) for s in c.get("sentinels", ())),
-            empty=str(c.get("empty", "missing")),
-        ))
+        with malformed(f"column entry {c!r} in {path}"):
+            cols.append(ColumnSpec(
+                name=c["name"],
+                type=c.get("type", "text"),
+                unit=c.get("unit"),
+                unit_from=c.get("unit_from"),
+                sentinels=tuple(str(s) for s in c.get("sentinels", ())),
+                empty=str(c.get("empty", "missing")),
+            ))
     names = [c.name for c in cols]
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate column names")

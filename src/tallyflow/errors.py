@@ -7,6 +7,8 @@ reported as data (see pipeline.Violation), not exceptions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class TallyError(Exception):
     """Base class for all errors raised by this package."""
@@ -70,3 +72,13 @@ class InvalidGraph(TallyError):
 
 class ExprTypeError(TallyError, TypeError):
     """A relational expression is ill-typed; message carries the node path."""
+
+
+@contextmanager
+def malformed(entry: str):
+    """Turn a missing key or a wrong shape in one document entry into a ValueError."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"malformed {entry}: {detail}") from exc

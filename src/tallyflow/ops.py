@@ -31,6 +31,7 @@ from .relation import (
     Relation,
     Schema,
     SumSchema,
+    check_cell,
     error_schema,
     field_names,
     has_field,
@@ -294,49 +295,26 @@ def cartesian(r1: Relation, r2: Relation) -> Relation:
 
 # -- enrichment ---------------------------------------------------------
 
-def _infer_sem(values) -> str:
-    kinds = set()
-    for v in values:
-        if isinstance(v, Missing):
-            continue
-        if isinstance(v, Decimal):
-            kinds.add("decimal")
-        elif isinstance(v, bool):
-            raise SchemaMismatch("boolean is not a field value")
-        elif isinstance(v, int):
-            kinds.add("integer")
-        elif isinstance(v, str):
-            kinds.add("text")
-        elif isinstance(v, Quantity):
-            kinds.add("quantity")
-        elif isinstance(v, MonoidElement):
-            kinds.add("summary")
-    if len(kinds) > 1:
-        raise SchemaMismatch(f"computed column has mixed types: {sorted(kinds)}")
-    return kinds.pop() if kinds else "text"
-
-
-def fmap(rel: Relation, additions: dict, sems: dict | None = None,
+def fmap(rel: Relation, additions: dict, sems: dict,
          units: dict | None = None) -> Relation:
-    """Enrich every row with computed fields; existing fields stay untouchable."""
+    """Enrich every row with computed fields; existing fields stay untouchable.
+
+    Each computed cell is checked against the sem that sems declares for it.
+    """
     sch = _plain_schema(rel, "fmap")
     for name in additions:
         if has_field(sch, name):
             raise ForbiddenFieldWrite(f"fmap may only add fields, {name!r} exists")
-    computed = {name: [] for name in additions}
-    for rec in rel.rows:
-        for name, expr in additions.items():
-            computed[name].append(eval_expr(expr, rec.value))
-    new_specs = []
-    for name in additions:
-        sem = (sems or {}).get(name) or _infer_sem(computed[name])
-        new_specs.append(FieldSpec(name, sem, (units or {}).get(name)))
-    new_schema = schema(*(sch + tuple(new_specs)))
+    new_specs = tuple(FieldSpec(name, sems[name], (units or {}).get(name))
+                      for name in additions)
+    new_schema = schema(*(sch + new_specs))
     rows = []
-    for i, rec in enumerate(rel.rows):
+    for rec in rel.rows:
         fields = dict(rec.fields)
-        for name in additions:
-            fields[name] = computed[name][i]
+        for spec, expr in zip(new_specs, additions.values()):
+            v = eval_expr(expr, rec.value)
+            check_cell(spec, v)
+            fields[spec.name] = v
         rows.append(replace(rec, fields=fields))
     return Relation(new_schema, tuple(rows))
 

@@ -34,6 +34,7 @@ from .relation import (
     Relation,
     Schema,
     SumSchema,
+    check_rows,
     empty,
     has_field,
 )
@@ -302,6 +303,9 @@ class Sink:
     def __post_init__(self) -> None:
         if self.kind not in (REPORT, ERROR):
             raise ValueError(f"sink kind must be report or error, not {self.kind!r}")
+        if self.report == "all":
+            raise ValueError(f"sink {self.name!r}: the report label 'all' is reserved "
+                             "for the run-wide check coverage:all")
 
 
 @dataclass(frozen=True)
@@ -390,6 +394,8 @@ class PipelineGraph:
             raise ValueError(f"bad owner name {name!r}")
 
     def add_source(self, name: str, schema: Schema) -> None:
+        if isinstance(schema, SumSchema):
+            raise SchemaMismatch(f"source {name!r} needs a plain schema, not a tagged sum")
         self._claim(name)
         self.sources[name] = Source(name, schema)
 
@@ -512,7 +518,10 @@ class PipelineGraph:
     # -- execution ------------------------------------------------------
 
     def run(self, inputs: dict) -> RunResult:
-        """Execute over the given source relations, producing sinks and audit."""
+        """Execute over the given source relations, producing sinks and audit.
+
+        Input rows are checked here (check_rows); stage outputs are not.
+        """
         violations = self.validate()
         if violations:
             head = "; ".join(f"{x.kind}@{x.where}" for x in violations[:5])
@@ -522,6 +531,7 @@ class PipelineGraph:
                 raise MissingInput(f"no input relation for source {s.name!r}")
             if inputs[s.name].schema != s.schema:
                 raise SchemaMismatch(f"input for {s.name!r} does not match its declared schema")
+            check_rows(s.schema, inputs[s.name].rows)
 
         audit = RunAudit()
         self._setup_audit(audit, inputs)

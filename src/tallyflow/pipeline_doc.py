@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import yaml
 
+from .errors import malformed
 from .pipeline import NODE_TYPES, Node, PipelineGraph
 
 
@@ -35,13 +36,13 @@ def source_files(doc: dict) -> dict:
 
 
 def _make_node(nd: dict) -> Node:
-    op = nd.get("op")
-    name = nd.get("name")
-    if not op or not name:
+    if not isinstance(nd, dict) or not nd.get("op") or not nd.get("name"):
         raise ValueError(f"every node needs op and name: {nd!r}")
+    op = nd["op"]
     if not isinstance(op, str) or op not in NODE_TYPES:
         raise ValueError(f"unknown node op {op!r}")
-    return NODE_TYPES[op].from_doc(nd)
+    with malformed(f"{op} node {nd['name']!r}"):
+        return NODE_TYPES[op].from_doc(nd)
 
 
 def build_graph(doc: dict, schemas: dict) -> PipelineGraph:
@@ -52,23 +53,27 @@ def build_graph(doc: dict, schemas: dict) -> PipelineGraph:
             raise ValueError(f"no schema for source {name!r}")
         g.add_source(name, schemas[name])
     for c in doc.get("conservation", ()):
-        g.add_conservation(c["scheme"], c.get("field"))
+        with malformed(f"conservation entry {c!r}"):
+            g.add_conservation(c["scheme"], c.get("field"))
     for nd in doc.get("nodes", ()):
         node = _make_node(nd)
         g.add_node(node)
-        # input wiring sugar: from: for the first port, or one key per port
-        if "from" in nd:
-            g.connect(str(nd["from"]), f"{node.name}.{node.in_ports[0]}")
-        for port in node.in_ports:
-            if port in nd:
-                g.connect(str(nd[port]), f"{node.name}.{port}")
-        for port, src in (nd.get("inputs") or {}).items():
-            g.connect(str(src), f"{node.name}.{port}")
+        with malformed(f"{nd['op']} node {node.name!r}"):
+            # input wiring sugar: from: for the first port, or one key per port
+            if "from" in nd:
+                g.connect(str(nd["from"]), f"{node.name}.{node.in_ports[0]}")
+            for port in node.in_ports:
+                if port in nd:
+                    g.connect(str(nd[port]), f"{node.name}.{port}")
+            for port, src in (nd.get("inputs") or {}).items():
+                g.connect(str(src), f"{node.name}.{port}")
     for name, sd in doc["sinks"].items():
-        sd = sd or {}
-        g.add_sink(name, sd.get("kind", "report"), sd.get("report", "main"))
-        if "from" in sd:
-            g.connect(str(sd["from"]), name)
+        with malformed(f"sink {name!r}"):
+            sd = sd or {}
+            g.add_sink(name, sd.get("kind", "report"), sd.get("report", "main"))
+            if "from" in sd:
+                g.connect(str(sd["from"]), name)
     for w in doc.get("wires", ()):
-        g.connect(str(w["from"]), str(w["to"]))
+        with malformed(f"wire {w!r}"):
+            g.connect(str(w["from"]), str(w["to"]))
     return g

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .audit import conservation_check
-from .errors import ExprTypeError, InvalidGraph, TallyError
+from .errors import ExprTypeError, InvalidGraph, TallyError, malformed
 from .exprs import (
     All,
     Always,
@@ -1049,10 +1049,8 @@ def decode_query(doc: dict) -> RAExpr:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"a query document has exactly one key: {doc!r}")
     kind, body = next(iter(doc.items()))
-    try:
+    with malformed(f"{kind!r} query document"):
         return _dec_node(kind, body)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed {kind!r} query document: {exc}") from exc
 
 
 def _dec_node(kind: str, body) -> RAExpr:

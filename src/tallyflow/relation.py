@@ -3,7 +3,9 @@
 A record never exists without provenance ids (pids).  Projection does not
 delete fields, it moves them into the record's irrelevant payload; tagged
 unions push path tags instead of blending rows.  Treat all of these values
-as immutable once constructed.
+as immutable once constructed.  Rows are checked where they enter a run
+(check_rows, called by ingest() and PipelineGraph.run); operators only
+move checked rows, so Relation(...) trusts the rows it is given.
 """
 
 from __future__ import annotations
@@ -131,41 +133,33 @@ _SEM_CHECKS = {
 }
 
 
-def check_value(spec: FieldSpec, v: FieldValue) -> bool:
-    if isinstance(v, Missing):
-        return True
-    return _SEM_CHECKS[spec.sem](v)
+def check_cell(spec: FieldSpec, v: FieldValue) -> None:
+    """Raise SchemaMismatch unless v is Missing or a value of spec's sem."""
+    if not isinstance(v, Missing) and not _SEM_CHECKS[spec.sem](v):
+        raise SchemaMismatch(f"field {spec.name!r}: {v!r} is not {spec.sem}")
 
 
-def _check_against(sch: "Schema | SumSchema", rec: Record, depth: int) -> None:
-    if isinstance(sch, SumSchema):
-        if depth >= len(rec.tags):
-            raise SchemaMismatch("record lacks a tag for a sum-schema branch")
-        tag = rec.tags[-1 - depth]
-        branch = sch.left if tag.side == "inl" else sch.right
-        _check_against(branch, rec, depth + 1)
-        return
-    names = field_names(sch)
-    if set(rec.fields.keys()) != set(names):
-        raise SchemaMismatch(
-            f"record fields {sorted(rec.fields.keys())} do not match schema {names}")
-    for spec in sch:
-        if not check_value(spec, rec.fields[spec.name]):
-            raise SchemaMismatch(
-                f"field {spec.name!r}: {rec.fields[spec.name]!r} is not {spec.sem}")
+def check_rows(sch: Schema, rows) -> None:
+    """Raise SchemaMismatch unless every row has exactly sch's fields and
+    each cell fits its field's sem (check_cell)."""
+    names = set(field_names(sch))
+    for rec in rows:
+        if rec.fields.keys() != names:
+            raise SchemaMismatch(f"record fields {sorted(rec.fields)} do not match "
+                                 f"schema {field_names(sch)}")
+        for spec in sch:
+            check_cell(spec, rec.fields[spec.name])
 
 
 @dataclass(frozen=True)
 class Relation:
-    """An ordered multiset of records sharing one schema."""
+    """An ordered multiset of records sharing one schema; rows are trusted."""
 
     schema: "Schema | SumSchema"
     rows: tuple[Record, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        for rec in self.rows:
-            _check_against(self.schema, rec, 0)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -182,7 +176,7 @@ def error_schema(base: Schema) -> Schema:
 
 
 def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
-    """Build a relation from plain dicts, issuing one fresh pid per row."""
+    """Build a checked relation from plain dicts, one fresh pid per row."""
     records = []
     for pid, raw in zip(itertools.count(first_pid), rows):
         fields = {}
@@ -194,6 +188,7 @@ def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
             extra = set(raw) - set(field_names(sch))
             raise SchemaMismatch(f"row {pid}: undeclared fields {sorted(extra)}")
         records.append(Record(pids=frozenset({pid}), fields=fields))
+    check_rows(sch, records)
     return Relation(sch, tuple(records))
 
 

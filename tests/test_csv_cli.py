@@ -11,6 +11,7 @@ from importlib import resources
 from random import Random
 
 import pytest
+import yaml
 
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
 from tallyflow.audit import Check, ConservationReport
@@ -405,6 +406,89 @@ def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
     assert main(["run", os.path.join(d, "pipeline.yaml"),
                  "--data", d, "--out", str(tmp_path / "out")]) == 0
     assert calls == {"validate": 1, "conservation_check": 1}
+
+
+def test_run_checks_each_source_row_once(tmp_path, monkeypatch):
+    import tallyflow.ops as ops_mod
+    import tallyflow.pipeline as pipeline_mod
+    import tallyflow.relation as relation_mod
+    checked, computed = [], Counter()
+    check_rows, check_cell = relation_mod.check_rows, ops_mod.check_cell
+
+    def counted_rows(sch, rows):
+        checked.extend(min(rec.pids) for rec in rows)
+        check_rows(sch, rows)
+
+    def counted_cell(spec, v):
+        computed[spec.name] += 1
+        check_cell(spec, v)
+
+    monkeypatch.setattr(pipeline_mod, "check_rows", counted_rows)
+    monkeypatch.setattr(relation_mod, "check_rows", counted_rows)
+    monkeypatch.setattr(ops_mod, "check_cell", counted_cell)
+    d = fixture_dir("lookup")
+    assert main(["run", os.path.join(d, "pipeline.yaml"),
+                 "--data", d, "--out", str(tmp_path / "out")]) == 0
+    # 8 order lines and 5 products are pids 1-13; fmap computes one
+    # value for each of the 5 priced rows
+    assert sorted(checked) == list(range(1, 14))
+    assert computed == {"value": 5}
+
+
+def lookup_copy(tmp_path, fname: str, edit) -> str:
+    """A copy of the lookup fixture with one of its documents edited."""
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("lookup"), data)
+    path = data / fname
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return str(data)
+
+
+# each entry: the document edited, the edit, and the error line after "run: "
+BAD_ENTRIES = {
+    "errorize without reason": (
+        "pipeline.yaml", lambda doc: doc["nodes"][2].pop("reason"),
+        "malformed errorize node 'unknown_product': missing key 'reason'"),
+    "conservation without scheme": (
+        "pipeline.yaml", lambda doc: doc["conservation"][1].pop("scheme"),
+        "malformed conservation entry {'field': 'quantity'}: missing key 'scheme'"),
+    "column without name": (
+        "products.csv.yaml", lambda doc: doc["columns"][1].pop("name"),
+        "malformed column entry {'type': 'text'} in DATA/products.csv.yaml: "
+        "missing key 'name'"),
+    "report label all": (
+        "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report="all"),
+        "sink 'priced': the report label 'all' is reserved for the run-wide "
+        "check coverage:all"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ENTRIES))
+def test_bad_document_entries_exit_2_naming_the_entry(tmp_path, capsys, case):
+    fname, edit, message = BAD_ENTRIES[case]
+    data = lookup_copy(tmp_path, fname, edit)
+    message = message.replace("DATA", data)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    assert main(["run", pipeline, "--data", data,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().err == f"check: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):
+    def declare_integer(doc):
+        doc["nodes"][1]["sems"]["value"] = "integer"
+
+    data = lookup_copy(tmp_path, "pipeline.yaml", declare_integer)
+    assert main(["run", os.path.join(data, "pipeline.yaml"), "--data", data,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run: field 'value': Decimal('20.00000000') is not integer\n")
+    assert not (tmp_path / "out").exists()
 
 
 # -- command line: run outputs ------------------------------------------

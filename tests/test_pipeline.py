@@ -22,9 +22,12 @@ from tallyflow import (
     PipelineGraph,
     ProjectNode,
     Quantity,
+    Record,
+    Relation,
     RenameNode,
     SchemaMismatch,
     StripTagsNode,
+    SumSchema,
     TaggedUnionNode,
     TeeNode,
     UnknownPid,
@@ -233,6 +236,21 @@ def test_run_checks_inputs_against_declared_schemas():
     other = ingest(schema(FieldSpec("item", "text")), [{"item": "x"}])
     with pytest.raises(SchemaMismatch):
         g.run({"orders": other})
+    # Relation(...) trusts its rows, so run() is where they are checked
+    typo = Record(pids=frozenset({1}),
+                  fields={"item": "bolt", "qty": Quantity(D(4), "kg"), "price": "two"})
+    with pytest.raises(SchemaMismatch, match="field 'price': 'two' is not decimal"):
+        g.run({"orders": Relation(ORDERS, (typo,))})
+    short = Record(pids=frozenset({1}), fields={"item": "bolt", "price": D(2)})
+    with pytest.raises(SchemaMismatch, match="do not match schema"):
+        g.run({"orders": Relation(ORDERS, (short,))})
+
+
+def test_a_source_needs_a_plain_schema():
+    g = PipelineGraph("t")
+    with pytest.raises(SchemaMismatch, match="source 'src' needs a plain schema"):
+        g.add_source("src", SumSchema(ORDERS, ORDERS))
+    assert g.sources == {}
 
 
 # -- execution and audit ------------------------------------------------

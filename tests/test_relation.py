@@ -9,6 +9,7 @@ from tallyflow import (
     FieldSpec,
     Missing,
     Quantity,
+    Record,
     Relation,
     SchemaMismatch,
     UnknownField,
@@ -23,6 +24,7 @@ from tallyflow import (
     schema,
     triples,
 )
+from tallyflow.relation import check_rows
 
 
 D = Decimal
@@ -62,6 +64,16 @@ def test_ingest_numbers_rows_and_checks_cells():
         ingest(SCH, [{"name": "a", "n": "one", "price": D(1)}])
     with pytest.raises(SchemaMismatch):
         ingest(SCH, [{"name": "a", "n": 1}])
+
+
+def test_relation_trusts_its_rows_and_check_rows_checks_them():
+    typo = Record(pids=frozenset({1}), fields={"name": "a", "n": "one", "price": D(1)})
+    short = Record(pids=frozenset({2}), fields={"name": "a", "n": 1})
+    assert len(Relation(SCH, (typo, short))) == 2
+    with pytest.raises(SchemaMismatch, match="field 'n': 'one' is not integer"):
+        check_rows(SCH, [typo])
+    with pytest.raises(SchemaMismatch, match="do not match schema"):
+        check_rows(SCH, [short])
 
 
 def test_missing_is_welcome_in_any_column():

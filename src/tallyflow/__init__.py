@@ -59,10 +59,7 @@ from .space import (
     DataSpace,
     count_space,
     decimal_sum_space,
-    disjoint_product,
-    identity_space,
     paccioli_space,
-    parallel_product,
     quantity_sum_space,
     quantity_units,
 )
@@ -89,13 +86,11 @@ from .ops import (
     aggregate,
     aggregate_schema,
     as_errors,
-    cartesian,
     dedup,
     drill_down,
     fmap,
     lossless_project,
     outer_join,
-    partition,
     partition_detailed,
     rename,
     strip_tags,
@@ -119,7 +114,6 @@ from .pipeline import (
     TaggedUnionNode,
     TeeNode,
     UntagNode,
-    add_lookup,
     trace,
 )
 from .audit import (

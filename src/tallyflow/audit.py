@@ -11,6 +11,7 @@ report sinks before error sinks, so fan-out never double-counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import SchemaMismatch
 from .monoid import MonoidElement, fuse, fuse_all
@@ -122,12 +123,8 @@ def conservation_check(audit) -> ConservationReport:
     checks: list[Check] = []
 
     for sv in audit.stage_visits:
-        ins: set[int] = set()
-        for p in sv.ins.values():
-            ins |= p
-        outs: set[int] = set()
-        for p in sv.outs.values():
-            outs |= p
+        ins = frozenset().union(*sv.ins.values())
+        outs = frozenset().union(*sv.outs.values())
         ok = ins == outs
         detail = "no pid lost or invented"
         if not ok:
@@ -135,10 +132,8 @@ def conservation_check(audit) -> ConservationReport:
         checks.append(Check(f"stage:{sv.stage}", ok, detail))
 
     all_src = audit.all_source_pids()
-    all_snk: set[int] = set()
-    for p in audit.sink_pids.values():
-        all_snk |= p
-    ok = all_src == frozenset(all_snk)
+    all_snk = frozenset().union(*audit.sink_pids.values())
+    ok = all_src == all_snk
     detail = "every source pid reached a sink"
     if not ok:
         detail = (f"missing from sinks {_fmt_pids(all_src - all_snk)}, "
@@ -146,12 +141,9 @@ def conservation_check(audit) -> ConservationReport:
     checks.append(Check("coverage:all", ok, detail))
 
     for label in audit.sink_order:
-        group: set[int] = set()
-        for s in audit.sink_order[label]:
-            group |= audit.sink_pids[s]
-        src: set[int] = set()
-        for s in audit.report_sources.get(label, ()):
-            src |= audit.source_pids[s]
+        group = frozenset().union(*(audit.sink_pids[s] for s in audit.sink_order[label]))
+        src = frozenset().union(
+            *(audit.source_pids[s] for s in audit.report_sources.get(label, ())))
         cov_ok = group == src
         detail = "report covers its sources"
         if not cov_ok:
@@ -204,31 +196,63 @@ def pid_ranges(pids) -> str:
         for a, b in zip(starts, ends))
 
 
+def path_classes(audit) -> list:
+    """Group the run's pids by path: [(steps, pids)], by smallest pid.
+
+    A step is (owner, port, n): n rows carried each of the pids at that
+    port, and the steps follow audit.ports in run order, so a path has at
+    most one step per port.  The classes are refined port by port with set
+    operations; no per-pid path is built.
+    """
+    classes: dict[tuple, frozenset] = {}
+    for e in audit.ports:
+        refined: dict[tuple, frozenset] = {}
+        reached = []  # (steps so far, pids of that class that e carried)
+        for steps, pids in classes.items():
+            hit = pids & e.pids
+            if len(hit) < len(pids):
+                refined[steps] = pids - hit if hit else pids
+            if hit:
+                reached.append((steps, hit))
+        if sum(len(hit) for _, hit in reached) < len(e.pids):
+            # a source port, or a stage that invented pids
+            reached.append(((), e.pids.difference(*classes.values())))
+        for steps, hit in reached:
+            by_n: dict[int, set] = {}
+            for pid in e.repeats.keys() & hit:
+                by_n.setdefault(e.repeats[pid], set()).add(pid)
+            by_n[1] = hit.difference(*by_n.values()) if by_n else hit
+            for n, group in by_n.items():
+                if group:
+                    refined[steps + ((e.owner, e.port, n),)] = frozenset(group)
+        classes = refined
+    return sorted(classes.items(), key=lambda c: min(c[1]))
+
+
 def audit_document(audit, report: ConservationReport) -> dict:
     """Deterministic, serializable view of a run audit (no timings).
 
     Every pid set is a pid_ranges string.  "paths" holds one entry per
-    distinct (owner, port) visit sequence, ordered by its smallest pid:
-    its "steps" are what trace() returns for each of its "pids", repeats
-    included, and every pid of the run is in exactly one entry.  The size
-    follows the number of distinct paths and pid runs, not of visits.
+    distinct path (path_classes), ordered by its smallest pid: its "steps"
+    are [owner, port, n] runs, and n copies of each (owner, port) give what
+    trace() returns for each of its "pids".  Every pid of the run is in
+    exactly one entry.  The size follows the number of ports, distinct
+    paths and pid runs, not of rows.
 
     report is conservation_check(audit), computed once by the caller.
     """
-    paths: dict[tuple, list] = {}
-    for pid in sorted(audit.visits):
-        paths.setdefault(tuple(audit.visits[pid]), []).append(pid)
+    ranges = cache(pid_ranges)  # a port's set is shared by what it feeds
     return {
-        "sources": {k: pid_ranges(v) for k, v in sorted(audit.source_pids.items())},
+        "sources": {k: ranges(v) for k, v in sorted(audit.source_pids.items())},
         "stages": [
             {
                 "stage": sv.stage,
-                "in": {p: pid_ranges(s) for p, s in sorted(sv.ins.items())},
-                "out": {p: pid_ranges(s) for p, s in sorted(sv.outs.items())},
+                "in": {p: ranges(s) for p, s in sorted(sv.ins.items())},
+                "out": {p: ranges(s) for p, s in sorted(sv.outs.items())},
             }
             for sv in audit.stage_visits
         ],
-        "sinks": {k: pid_ranges(v) for k, v in sorted(audit.sink_pids.items())},
+        "sinks": {k: ranges(v) for k, v in sorted(audit.sink_pids.items())},
         "reports": {
             label: {
                 "sinks": list(audit.sink_order[label]),
@@ -236,11 +260,10 @@ def audit_document(audit, report: ConservationReport) -> dict:
             }
             for label in sorted(audit.sink_order)
         },
-        # json writes each (owner, port) tuple as an array, so no list is
-        # built per step: a join can give one path tens of thousands of steps
+        # json writes each (owner, port, n) tuple as an array
         "paths": [
             {"steps": list(steps), "pids": pid_ranges(pids)}
-            for steps, pids in paths.items()
+            for steps, pids in path_classes(audit)
         ],
         "conservation": conservation_document(report),
     }

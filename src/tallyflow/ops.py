@@ -68,12 +68,6 @@ def partition_detailed(rel: Relation, pred: Pred):
     return Relation(sch, tuple(acc)), Relation(sch, tuple(rej)), tuple(reasons)
 
 
-def partition(rel: Relation, pred: Pred):
-    """Split into (accepted, rejected); together they carry every input pid."""
-    acc, rej, _ = partition_detailed(rel, pred)
-    return acc, rej
-
-
 def as_errors(rel: Relation, stage: str, reasons) -> Relation:
     """Reshape rows onto the error rail, stamping stage and reason columns."""
     base = _plain_schema(rel, "as_errors")
@@ -285,12 +279,6 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
         Relation(sch1, tuple(left_rows)),
         Relation(sch2, right_rows),
     )
-
-
-def cartesian(r1: Relation, r2: Relation) -> Relation:
-    """All pairs; use the join's safety ports when operands can be empty."""
-    inner, _, _ = outer_join(r1, r2, on=())
-    return inner
 
 
 # -- enrichment ---------------------------------------------------------

@@ -3,12 +3,15 @@
 A graph is a DAG of named stages between declared sources and sinks.  The
 no-forget rule is structural: every output port must be consumed exactly
 once (wire it or sink it), so data cannot fall off the edge of the graph.
-Execution records provenance movements for the audit layer.
+Execution records, for every port in run order, the pids it carried
+(RunAudit.ports); stage pid sets, sink pid sets, trace() and the audit
+document's paths are all read off that one record.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .audit import build_charges
@@ -329,9 +332,23 @@ class ConservationSpec:
 # -- the graph ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PortPids:
+    """The pids one port carried during a run.
+
+    repeats is sparse: pid -> number of rows that carried it, only for pids
+    more than one row carried (a join copy, a dedup's merged duplicates).
+    """
+
+    owner: str
+    port: str
+    pids: frozenset
+    repeats: dict
+
+
 @dataclass
 class StageVisit:
-    """Pid movement through one stage during a run."""
+    """Pid movement through one stage during a run (sets shared with ports)."""
 
     stage: str
     ins: dict
@@ -340,12 +357,18 @@ class StageVisit:
 
 @dataclass
 class RunAudit:
-    """Everything a run leaves behind for auditing, minus wall-clock noise."""
+    """Everything a run leaves behind for auditing, minus wall-clock noise.
+
+    ports is the one record of pid movement: a PortPids per source output,
+    stage output and sink input, in run order (sources, then stage outputs
+    in topological order, then sinks).  source_pids, stage_visits and
+    sink_pids index the same frozensets by owner; no set is computed twice.
+    """
 
     source_pids: dict = field(default_factory=dict)
     stage_visits: list = field(default_factory=list)
     sink_pids: dict = field(default_factory=dict)
-    visits: dict = field(default_factory=dict)       # pid -> [(owner, port)]
+    ports: list = field(default_factory=list)        # PortPids in run order
     charges: dict = field(default_factory=dict)      # space -> pid -> element
     space_units: dict = field(default_factory=dict)  # space -> unit element
     sink_order: dict = field(default_factory=dict)   # report -> (sinks, canonical)
@@ -353,10 +376,21 @@ class RunAudit:
     timings: dict = field(default_factory=dict)      # in-memory only
 
     def all_source_pids(self) -> frozenset:
-        out: set[int] = set()
-        for p in self.source_pids.values():
-            out |= p
-        return frozenset(out)
+        return frozenset().union(*self.source_pids.values())
+
+    @property
+    def visits(self) -> dict:
+        """pid -> [(owner, port)], one entry per row that carried the pid.
+
+        Derived from ports on every read, for the benchmark tracer only; the
+        next change to the benchmark makes the tracer read ports and drops
+        this property.
+        """
+        out: dict = {}
+        for e in self.ports:
+            for pid in e.pids:
+                out.setdefault(pid, []).extend([(e.owner, e.port)] * e.repeats.get(pid, 1))
+        return out
 
 
 @dataclass
@@ -534,22 +568,31 @@ class PipelineGraph:
             check_rows(s.schema, inputs[s.name].rows)
 
         audit = RunAudit()
-        self._setup_audit(audit, inputs)
-
         values: dict[PortRef, Relation] = {}
         incoming = self._incoming()
+        carried: dict[int, tuple] = {}  # id(relation) -> (pids, repeats)
 
-        def note_visits(owner: str, port: str, rel: Relation) -> None:
-            at = (owner, port)
-            for rec in rel.rows:
-                for pid in rec.pids:
-                    audit.visits.setdefault(pid, []).append(at)
+        def pids_of(rel: Relation) -> tuple:
+            """Scan each relation once; a tee or a sink reuses what it is fed."""
+            if id(rel) not in carried:
+                pids, n = rel_pids(rel), Counter()
+                if sum(len(rec.pids) for rec in rel.rows) > len(pids):
+                    n = Counter(pid for rec in rel.rows for pid in rec.pids)
+                carried[id(rel)] = (pids, {pid: k for pid, k in n.items() if k > 1})
+            return carried[id(rel)]
+
+        def record(owner: str, port: str, rel: Relation) -> frozenset:
+            pids, repeats = pids_of(rel)
+            audit.ports.append(PortPids(owner, port, pids, repeats))
+            return pids
 
         for name, rel in inputs.items():
             if name not in self.sources:
                 raise MissingInput(f"input {name!r} does not name a source")
             values[PortRef(name, "out")] = rel
-            note_visits(name, "out", rel)
+            record(name, "out", rel)
+        audit.source_pids = {name: pids_of(inputs[name])[0] for name in self.sources}
+        self._setup_audit(audit, inputs)
 
         order, _ = self._topo_order()
         for name in order:
@@ -561,26 +604,23 @@ class PipelineGraph:
             t0 = time.perf_counter()
             outs = node.apply(ins)
             audit.timings[name] = time.perf_counter() - t0
-            audit.stage_visits.append(StageVisit(
-                stage=name,
-                ins={p: rel_pids(r) for p, r in ins.items()},
-                outs={p: rel_pids(r) for p, r in outs.items()},
-            ))
             for p in node.out_ports:
                 values[PortRef(name, p)] = outs[p]
-                note_visits(name, p, outs[p])
+                record(name, p, outs[p])
+            audit.stage_visits.append(StageVisit(
+                stage=name,
+                ins={p: pids_of(r)[0] for p, r in ins.items()},
+                outs={p: pids_of(r)[0] for p, r in outs.items()},
+            ))
 
         sinks: dict[str, Relation] = {}
         for sink in self.sinks.values():
             rel = values[incoming[PortRef(sink.name, "in")]]
             sinks[sink.name] = rel
-            audit.sink_pids[sink.name] = rel_pids(rel)
-            note_visits(sink.name, "in", rel)
+            audit.sink_pids[sink.name] = record(sink.name, "in", rel)
         return RunResult(sinks=sinks, audit=audit)
 
     def _setup_audit(self, audit: RunAudit, inputs: dict) -> None:
-        for name in self.sources:
-            audit.source_pids[name] = rel_pids(inputs[name])
         build_charges(self, audit, inputs)
         reports: dict[str, list] = {}
         for sink in self.sinks.values():
@@ -619,32 +659,15 @@ class PipelineGraph:
 
 
 def trace(audit: RunAudit, pid: int) -> tuple:
-    """The (stage, port) path one source row took through the run."""
+    """The (owner, port) path one source row took through the run.
+
+    Ports come in run order (sources, stage outputs in topological order,
+    sinks), each repeated once per row that carried the pid there.
+    """
     if not any(pid in s for s in audit.source_pids.values()):
         raise UnknownPid(f"pid {pid} was never issued by a source")
-    return tuple(audit.visits.get(pid, ()))
-
-
-def add_lookup(g: PipelineGraph, name: str, on, report: str,
-               missing_reason: str = "missing", unused_reason: str = "unused") -> dict:
-    """Install the lookup pattern: a join whose failures become error sinks.
-
-    Left rows with no partner are errors ("missing"), right rows nobody
-    needed are errors ("unused").  Returns the addresses to wire: feed
-    f"{name}.left" / f"{name}.right", consume the returned "inner".
-    """
-    g.add_node(JoinNode(name=name, on=tuple(on)))
-    miss = f"{name}_missing"
-    unused = f"{name}_unused"
-    g.add_node(ErrorizeNode(name=miss, reason=missing_reason))
-    g.add_node(ErrorizeNode(name=unused, reason=unused_reason))
-    g.add_sink(f"{miss}_sink", ERROR, report)
-    g.add_sink(f"{unused}_sink", ERROR, report)
-    g.connect(f"{name}.left_only", f"{miss}.in")
-    g.connect(f"{name}.right_only", f"{unused}.in")
-    g.connect(f"{miss}.out", f"{miss}_sink")
-    g.connect(f"{unused}.out", f"{unused}_sink")
-    return {"inner": f"{name}.inner", "left": f"{name}.left", "right": f"{name}.right"}
+    return tuple(step for e in audit.ports if pid in e.pids
+                 for step in [(e.owner, e.port)] * e.repeats.get(pid, 1))
 
 
 # The one map from a pipeline document's op name to its stage class.

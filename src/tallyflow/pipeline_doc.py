@@ -14,6 +14,10 @@ from .errors import malformed
 from .pipeline import NODE_TYPES, Node, PipelineGraph
 
 
+SECTION_SHAPES = {"sources": dict, "sinks": dict,
+                  "conservation": list, "nodes": list, "wires": list}
+
+
 def load_doc(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
@@ -22,6 +26,10 @@ def load_doc(path: str) -> dict:
     for key in ("sources", "sinks"):
         if key not in doc:
             raise ValueError(f"{path}: missing {key!r} section")
+    for key, shape in SECTION_SHAPES.items():
+        if key in doc and not isinstance(doc[key], shape):
+            kind = "mapping" if shape is dict else "list"
+            raise ValueError(f"{path}: the {key!r} section must be a {kind}")
     return doc
 
 

@@ -193,10 +193,7 @@ def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
 
 
 def pids(rel: Relation) -> frozenset[int]:
-    out: set[int] = set()
-    for rec in rel.rows:
-        out |= rec.pids
-    return frozenset(out)
+    return frozenset().union(*(rec.pids for rec in rel.rows))
 
 
 def triples(rel: Relation):

@@ -3,8 +3,7 @@
 A space says how to summarize: measure maps any subrelation to one monoid
 element, the fuse_all of its records' elements from the space's unit, and
 the measure of a whole equals the fuse of the measures of any partition of
-it.  Products pair spaces so composite relations are measured
-componentwise.
+it.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from .monoid import (
     count,
     fuse_all,
     paccioli_of_signed,
-    set_of,
     sum_of,
-    tuple_of,
     unit_for,
 )
 from .relation import Record, Relation, SumSchema, field_names
-from .values import Missing, Quantity, cell_key
+from .values import Missing, Quantity
 
 
 @dataclass(frozen=True)
@@ -64,23 +61,6 @@ def count_space(name: str = "count") -> DataSpace:
         name=name,
         unit=unit_for(Kind.COUNT),
         per_record=lambda rec: count(len(rec.pids)),
-    )
-
-
-def identity_space(name: str = "identity") -> DataSpace:
-    """The identity measure: a subrelation maps to the set of its records."""
-    def per_record(rec: Record) -> MonoidElement:
-        ident = (
-            tuple(sorted(rec.pids)),
-            tuple(sorted(((n, cell_key(v)) for n, v in rec.fields.items()), key=repr)),
-            tuple((t.side, t.label) for t in rec.tags),
-        )
-        return set_of({ident})
-
-    return DataSpace(
-        name=name,
-        unit=unit_for(Kind.SET),
-        per_record=per_record,
     )
 
 
@@ -154,25 +134,3 @@ def quantity_units(rel: Relation, fld: str) -> tuple[str, ...]:
         if isinstance(rec.fields[fld], Quantity)
     }
     return tuple(sorted(units))
-
-
-def _product(a: DataSpace, b: DataSpace, name: str) -> DataSpace:
-    return DataSpace(
-        name=name,
-        unit=tuple_of(a.unit, b.unit),
-        per_record=lambda rec: tuple_of(a.per_record(rec), b.per_record(rec)),
-        requires=tuple(dict.fromkeys(a.requires + b.requires)),
-    )
-
-
-def disjoint_product(a: DataSpace, b: DataSpace) -> DataSpace:
-    """Product of spaces over disjoint field sets (composite records)."""
-    overlap = set(a.requires) & set(b.requires)
-    if overlap:
-        raise SchemaMismatch(f"disjoint product components share fields {sorted(overlap)}")
-    return _product(a, b, f"({a.name} x {b.name})")
-
-
-def parallel_product(a: DataSpace, b: DataSpace) -> DataSpace:
-    """Two measures over the same records, taken side by side."""
-    return _product(a, b, f"({a.name} || {b.name})")

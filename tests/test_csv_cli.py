@@ -479,6 +479,52 @@ def test_bad_document_entries_exit_2_naming_the_entry(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+# each entry: how the section is given the wrong shape, and the shape it needs
+BAD_SECTIONS = {
+    "sources": (lambda doc: list(doc["sources"]), "mapping"),
+    "sinks": (lambda doc: [{"name": k, **v} for k, v in doc["sinks"].items()], "mapping"),
+    "conservation": (lambda doc: doc["conservation"][0], "list"),
+    "nodes": (lambda doc: 3, "list"),
+    "wires": (lambda doc: "orders.out", "list"),
+}
+
+
+@pytest.mark.parametrize("section", list(BAD_SECTIONS))
+def test_sections_of_the_wrong_shape_exit_2(tmp_path, capsys, section):
+    reshape, shape = BAD_SECTIONS[section]
+
+    def edit(doc):
+        doc[section] = reshape(doc)
+
+    data = lookup_copy(tmp_path, "pipeline.yaml", edit)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = f"{pipeline}: the {section!r} section must be a {shape}"
+    assert main(["run", pipeline, "--data", data,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().err == f"check: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_scans_each_relation_once_for_its_pids(tmp_path, monkeypatch):
+    import tallyflow.pipeline as pipeline_mod
+    scanned = []
+    real = pipeline_mod.rel_pids
+
+    def counted(rel):
+        scanned.append(rel)
+        return real(rel)
+
+    monkeypatch.setattr(pipeline_mod, "rel_pids", counted)
+    d = fixture_dir("lookup")
+    assert main(["run", os.path.join(d, "pipeline.yaml"),
+                 "--data", d, "--out", str(tmp_path / "out")]) == 0
+    # 2 sources and 7 stage outputs; stage inputs and sinks reuse the set
+    # of the port that feeds them
+    assert len(scanned) == len({id(rel) for rel in scanned}) == 9
+
+
 def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):
     def declare_integer(doc):
         doc["nodes"][1]["sems"]["value"] = "integer"
@@ -513,7 +559,7 @@ PINNED_DIGESTS = {
         "rc_unused_sink.csv": "678af6df01b3abca77005dac7addec010bf875c6cf05b54f3463c830d2fda1d0",
         "wt_animate.csv": "2eaeedcc50bb2d8b14f115ee9a07def9729d3e1b0996b69704be4d355a8b6a91",
         "wt_summary.csv": "9d52053cad21ab08a874a02c2bb72769f85503462a8096bc8b9bd875de9cdfa5",
-        "audit.json": "fdffb3b3d01938444dd67a1a3e38946ad603ac05b89efe8eb3c28cf1db4c734d",
+        "audit.json": "f74b6aa2a138d3cd54a9d58ac911039f469181c2872c532dc3dedbb92eec9cca",
         "dashboard.txt": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
         "dashboard.json": "f8e84c2a1e17c1597439e767450a766f79ba4f61e5904e18afd7e14f069682eb",
         "stdout text": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
@@ -523,7 +569,7 @@ PINNED_DIGESTS = {
         "missing_products.csv": "6e926ad1218e5508c038e2fc4f758640cc8fd9728af69a60cc1450ccf8abfb05",
         "priced.csv": "d05bcfcc83e4fcbe3bfeb0e6de8b5ec83107eebf3497417bd5db5b104b3f74b7",
         "unused_references.csv": "d9de3e50bf0ce959b465cfa8576b4ffb8f5694197c3864aa225355e443069047",
-        "audit.json": "9370aa5da8da0490f3df031ec3e351b204fa07b5fd63583a33f991e1b13e46c9",
+        "audit.json": "4286556acd476e0c81ea57c3ed9806b0bbf6c2e91b69febd95960122bcb9022d",
         "dashboard.txt": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
         "dashboard.json": "7e6f9b2d2aa106cdfe9b5f83e34863e5c208f65bd0825a9766450fc6d25ed2c7",
         "stdout text": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
@@ -600,11 +646,30 @@ def _scaled_ship(tmp_path, rows: int) -> str:
     return str(data)
 
 
-@pytest.mark.parametrize("case", ["ship", "lookup", "ship x300 shuffled"])
+def _scaled_lookup(tmp_path, rows: int) -> str:
+    """The lookup fixture with order_details.csv cycled to `rows` rows."""
+    src = fixture_dir("lookup")
+    data = tmp_path / "data"
+    shutil.copytree(src, data)
+    with open(os.path.join(src, "order_details.csv"), newline="", encoding="utf-8") as fh:
+        header, *template = list(csv.reader(fh))
+    with open(data / "order_details.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for n in range(rows):
+            w.writerow([str(n + 1)] + template[n % len(template)][1:])
+    return str(data)
+
+
+SCALED = {"ship x300 shuffled": lambda tmp_path: _scaled_ship(tmp_path, 300),
+          "lookup x2000": lambda tmp_path: _scaled_lookup(tmp_path, 2000)}
+
+
+@pytest.mark.parametrize("case", ["ship", "lookup", "ship x300 shuffled", "lookup x2000"])
 def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
     fixture = case.split()[0]
     pipeline = os.path.join(fixture_dir(fixture), "pipeline.yaml")
-    data = _scaled_ship(tmp_path, 300) if "x300" in case else fixture_dir(fixture)
+    data = SCALED[case](tmp_path) if case in SCALED else fixture_dir(fixture)
     audit, doc = _run_and_capture_audit(monkeypatch, pipeline, data, tmp_path / "out")
 
     assert {k: _decode_pid_ranges(v) for k, v in doc["sources"].items()} == \
@@ -623,7 +688,11 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
     for entry in doc["paths"]:
         pids = _decode_pid_ranges(entry["pids"])
         assert pids and not pids & path_of.keys(), "a pid is in two paths"
-        steps = tuple((owner, port) for owner, port in entry["steps"])
+        runs = [tuple(step) for step in entry["steps"]]
+        assert all(n >= 1 for _, _, n in runs)
+        assert all(a[:2] != b[:2] for a, b in zip(runs, runs[1:])), "runs are maximal"
+        assert len(runs) <= len(audit.ports)
+        steps = tuple((owner, port) for owner, port, n in runs for _ in range(n))
         path_of.update(dict.fromkeys(pids, steps))
         smallest.append(min(pids))
     assert smallest == sorted(smallest)
@@ -633,6 +702,17 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
     if "x300" in case:
         assert len(path_of) == 304
         assert any("," in entry["pids"] for entry in doc["paths"])
+    if "x2000" in case:
+        # a path has at most one step per port, however many rows a join
+        # copied a product into: 2 sources, 7 stage outputs, 3 sinks
+        assert len(audit.ports) == 12
+        products = audit.source_pids["products"]
+        priced = [entry for entry in doc["paths"]
+                  if _decode_pid_ranges(entry["pids"]) <= products
+                  and any(owner == "priced" for owner, _, _ in entry["steps"])]
+        assert priced
+        for entry in priced:
+            assert max(n for _, _, n in entry["steps"]) > 1, entry
 
 
 # -- command line: fuzz -------------------------------------------------

@@ -1,5 +1,6 @@
 """Pipeline graphs: wiring rules, execution, audit and dashboards."""
 
+from dataclasses import dataclass
 from decimal import Decimal
 
 import pytest
@@ -32,7 +33,6 @@ from tallyflow import (
     TeeNode,
     UnknownPid,
     UntagNode,
-    add_lookup,
     attribution_classes,
     audit_document,
     conservation_check,
@@ -43,9 +43,9 @@ from tallyflow import (
     schema,
     trace,
 )
-from tallyflow.audit import pid_ranges
+from tallyflow.audit import path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
-from tallyflow.pipeline import NODE_TYPES
+from tallyflow.pipeline import NODE_TYPES, Node
 from tallyflow.pipeline_doc import _make_node
 
 
@@ -344,31 +344,68 @@ def test_a_report_lists_only_its_own_checks_on_the_dashboard():
         "measure:main:sum[qty:lb]", "measure:main:paccioli[price]"]
 
 
-# -- the lookup helper --------------------------------------------------
+# -- negative controls: stages that break the pid bookkeeping ----------
 
-def test_add_lookup_wires_the_three_way_outcome():
-    left = schema(FieldSpec("sku", "text"), FieldSpec("n", "integer"))
-    right = schema(FieldSpec("sku", "text"), FieldSpec("price", "decimal"))
-    g = PipelineGraph("lk")
-    g.add_source("orders", left)
-    g.add_source("prices", right)
-    ends = add_lookup(g, "match", [("sku", "sku")], "main")
-    g.add_sink("ok", "report")
-    g.connect(ends["inner"], "ok")
-    g.connect("orders", "match.left")
-    g.connect("prices", "match.right")
-    assert g.validate() == []
-    res = g.run({
-        "orders": ingest(left, [{"sku": "a", "n": 1}, {"sku": "x", "n": 2}]),
-        "prices": ingest(right, [{"sku": "a", "price": D(5)},
-                                 {"sku": "z", "price": D(9)}], 10),
-    })
-    assert ends == {"inner": "match.inner", "left": "match.left",
-                    "right": "match.right"}
-    assert [r.fields["sku"] for r in res.sinks["ok"].rows] == ["a"]
-    missing = res.sinks["match_missing_sink"]
-    unused = res.sinks["match_unused_sink"]
-    assert [r.fields["sku"] for r in missing.rows] == ["x"]
-    assert [r.fields["error_reason"] for r in missing.rows] == ["missing"]
-    assert [r.fields["sku"] for r in unused.rows] == ["z"]
-    assert [r.fields["error_reason"] for r in unused.rows] == ["unused"]
+
+@dataclass(frozen=True)
+class RewriteNode(Node):
+    """A stage that rewrites its input's rows with a fixed function."""
+
+    name: str
+    rows: object  # rows of the input -> rows of the output
+
+    def apply(self, ins: dict) -> dict:
+        rel = ins["in"]
+        return {"out": Relation(rel.schema, self.rows(rel.rows))}
+
+
+def rewrite_graph(rows) -> PipelineGraph:
+    g = PipelineGraph("rewrite")
+    g.add_source("orders", ORDERS)
+    g.add_conservation("count")
+    g.add_node(RewriteNode("bad", rows))
+    g.connect("orders", "bad.in")
+    g.add_sink("kept", "report")
+    g.connect("bad.out", "kept")
+    return g
+
+
+def verdicts(res) -> dict:
+    return {c.name: (c.ok, c.detail) for c in conservation_check(res.audit).checks}
+
+
+def test_a_stage_that_drops_a_row_is_caught():
+    res = rewrite_graph(lambda rows: rows[1:]).run({"orders": orders()})
+    got = verdicts(res)
+    assert got["stage:bad"] == (False, "lost {1}, invented {}")
+    assert got["coverage:all"] == (False, "missing from sinks {1}, unknown in sinks {}")
+    assert got["coverage:main"] == (False, "missing {1}, foreign {}")
+    assert trace(res.audit, 1) == (("orders", "out"),)
+
+
+def test_a_stage_that_invents_a_pid_is_caught():
+    def invent(rows):
+        return rows + tuple(Record(frozenset({99}), r.fields) for r in rows[:1])
+
+    res = rewrite_graph(invent).run({"orders": orders()})
+    got = verdicts(res)
+    assert got["stage:bad"] == (False, "lost {}, invented {99}")
+    assert got["coverage:all"] == (False, "missing from sinks {}, unknown in sinks {99}")
+    with pytest.raises(UnknownPid):
+        trace(res.audit, 99)
+    # the audit document still gives the invented pid its path
+    assert path_classes(res.audit)[-1] == (
+        (("bad", "out", 1), ("kept", "in", 1)), frozenset({99}))
+
+
+def test_a_stage_that_copies_a_row_stays_balanced():
+    res = rewrite_graph(lambda rows: rows + rows[:1]).run({"orders": orders()})
+    report = conservation_check(res.audit)
+    assert report.ok, report.checks
+    assert trace(res.audit, 1) == (("orders", "out"), ("bad", "out"), ("bad", "out"),
+                                   ("kept", "in"), ("kept", "in"))
+    assert trace(res.audit, 2) == (("orders", "out"), ("bad", "out"), ("kept", "in"))
+    assert path_classes(res.audit) == [
+        ((("orders", "out", 1), ("bad", "out", 2), ("kept", "in", 2)), frozenset({1})),
+        ((("orders", "out", 1), ("bad", "out", 1), ("kept", "in", 1)), frozenset({2, 3})),
+    ]

@@ -6,23 +6,19 @@ import pytest
 
 from tallyflow import (
     FieldSpec,
-    Kind,
     Missing,
     Quantity,
     SchemaMismatch,
     count_space,
     decimal_sum_space,
-    disjoint_product,
     fuse,
-    identity_space,
     ingest,
     paccioli_space,
-    parallel_product,
-    partition,
     quantity_sum_space,
     quantity_units,
     schema,
     Compare,
+    partition_detailed,
 )
 
 
@@ -69,7 +65,7 @@ def test_paccioli_space_keeps_both_legs():
 def test_measure_is_additive_over_a_partition():
     rel = ledger()
     space = decimal_sum_space("amount", "$")
-    acc, rej = partition(rel, Compare("gt", "amount", D(0)))
+    acc, rej, _ = partition_detailed(rel, Compare("gt", "amount", D(0)))
     fused = fuse(space.measure(acc), space.measure(rej))
     assert fused == space.measure(rel)
 
@@ -78,37 +74,3 @@ def test_space_refuses_a_relation_without_its_field():
     bare = ingest(schema(FieldSpec("x", "integer")), [{"x": 1}])
     with pytest.raises(SchemaMismatch):
         decimal_sum_space("amount").measure(bare)
-
-
-def test_identity_space_tells_relations_apart():
-    ident = identity_space()
-    a = ident.measure(ledger())
-    other = ingest(LEDGER, [
-        {"who": "ann", "amount": D("10.5"), "load": Quantity(D(2), "kg")},
-    ])
-    assert a != ident.measure(other)
-    assert ident.measure(ledger()) == a
-
-
-def test_parallel_product_measures_side_by_side():
-    both = parallel_product(count_space(), decimal_sum_space("amount", "$"))
-    e = both.measure(ledger())
-    assert e.kind is Kind.TUPLE
-    assert e.payload[0].payload == 3
-    assert e.payload[1].payload == D("7.5")
-
-
-def test_disjoint_product_rejects_shared_fields():
-    with pytest.raises(SchemaMismatch):
-        disjoint_product(
-            decimal_sum_space("amount"), paccioli_space("amount"))
-
-
-def test_disjoint_product_combines_separate_columns():
-    space = disjoint_product(
-        decimal_sum_space("amount", "$"), quantity_sum_space("load", "kg"))
-    e = space.measure(ledger())
-    assert e.payload[0].payload == D("7.5")
-    assert e.payload[1].payload == D(7)
-
-

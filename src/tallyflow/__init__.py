@@ -79,7 +79,6 @@ from .exprs import (
     UnitOf,
     eval_expr,
     eval_pred,
-    holds,
 )
 from .ops import (
     AggSpec,

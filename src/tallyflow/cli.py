@@ -31,6 +31,15 @@ def _err(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _read_sidecar(name: str, csv_path: str) -> tuple:
+    """The columns described beside csv_path, and the schema they declare."""
+    sidecar = csv_path + ".yaml"
+    if not os.path.exists(sidecar):
+        raise FileNotFoundError(f"source {name!r}: no column description {sidecar}")
+    cols = load_sidecar(sidecar)
+    return cols, table_schema(cols)
+
+
 def _load_sources(doc: dict, data_dir: str):
     """Read every source CSV; pids run in one sequence across sources."""
     schemas: dict = {}
@@ -39,13 +48,9 @@ def _load_sources(doc: dict, data_dir: str):
     pid = 1
     for name, fname in source_files(doc).items():
         csv_path = os.path.join(data_dir, fname)
-        sidecar = csv_path + ".yaml"
         if not os.path.exists(csv_path):
             raise FileNotFoundError(f"source {name!r}: no such file {csv_path}")
-        if not os.path.exists(sidecar):
-            raise FileNotFoundError(f"source {name!r}: no column description {sidecar}")
-        cols = load_sidecar(sidecar)
-        schemas[name] = table_schema(cols)
+        cols, schemas[name] = _read_sidecar(name, csv_path)
         rel, bad, pid = read_table(csv_path, cols, first_pid=pid, name=name)
         inputs[name] = rel
         if len(bad):
@@ -103,16 +108,10 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         doc = load_doc(args.pipeline)
-        if args.data:
-            schemas = {}
-            for name, fname in source_files(doc).items():
-                sidecar = os.path.join(args.data, fname) + ".yaml"
-                if not os.path.exists(sidecar):
-                    raise FileNotFoundError(
-                        f"source {name!r}: no column description {sidecar}")
-                schemas[name] = table_schema(load_sidecar(sidecar))
-        else:
+        if not args.data:
             raise ValueError("check needs --data to find the column descriptions")
+        schemas = {name: _read_sidecar(name, os.path.join(args.data, fname))[1]
+                   for name, fname in source_files(doc).items()}
         graph = build_graph(doc, schemas)
     except (OSError, ValueError, TallyError) as exc:
         _err(f"check: {exc}")

@@ -190,11 +190,6 @@ def eval_pred(p: Pred, lookup) -> Truth:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def holds(p: Pred, lookup) -> bool:
-    """Collapsed two-valued view: unknown counts as not holding."""
-    return eval_pred(p, lookup).state == "t"
-
-
 # -- row expression AST -------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from .ra import (
     _children,
     encode_query,
     equivalence_check,
+    infer_schema,
 )
 from .exprs import (
     All,
@@ -45,7 +46,7 @@ from .exprs import (
     NumOf,
     UnitOf,
 )
-from .relation import FieldSpec, Relation, field_names, ingest, schema
+from .relation import FieldSpec, Relation, field_names, ingest, schema, schema_field
 from .values import Missing, Quantity
 
 OPERATOR_KINDS = (Project, Select, Rename, CrossProduct, NaturalJoin, OuterJoin,
@@ -183,11 +184,7 @@ class _Gen:
     def b_renamed(self, depth: int):
         """The small table with every field renamed fresh, for disjointness."""
         mapping = tuple((s.name, self.fresh("rn")) for s in self.sch_b)
-        renamed = schema(*(
-            FieldSpec(new, schema_of(self.sch_b, old).sem,
-                      schema_of(self.sch_b, old).unit)
-            for old, new in mapping))
-        return Rename(self.b_side(depth), mapping), dict(mapping), renamed
+        return Rename(self.b_side(depth), mapping), dict(mapping)
 
     def any_expr(self, depth: int, mult: int) -> RAExpr:
         r = self.rng
@@ -216,7 +213,7 @@ class _Gen:
             return Rename(sub, tuple((n, self.fresh("rn")) for n in take))
         if kind is CrossProduct:
             left = self.samesch(depth - 1)
-            right, _, _ = self.b_renamed(depth - 1)
+            right, _ = self.b_renamed(depth - 1)
             return CrossProduct(left, right)
         if kind is NaturalJoin:
             if r.random() < 0.25:
@@ -224,11 +221,11 @@ class _Gen:
             return NaturalJoin(self.samesch(depth - 1), self.b_side(depth - 1))
         if kind is OuterJoin:
             left = self.samesch(depth - 1)
-            right, mapping, _ = self.b_renamed(depth - 1)
+            right, mapping = self.b_renamed(depth - 1)
             pairs = []
             for s in self.sch_a:
                 for old, new in mapping.items():
-                    if schema_of(self.sch_b, old).sem == s.sem:
+                    if schema_field(self.sch_b, old).sem == s.sem:
                         pairs.append((s.name, new))
             take = r.sample(pairs, min(len(pairs), r.randint(1, 2)))
             return OuterJoin(left, right, tuple(take))
@@ -279,15 +276,7 @@ class _Gen:
         return Aggregate(sub, tuple(group_by), tuple(specs))
 
     def _sch(self, sub: RAExpr):
-        from .ra import infer_schema
         return infer_schema(sub, {n: t.schema for n, t in self.tables.items()})
-
-
-def schema_of(sch, name: str) -> FieldSpec:
-    for s in sch:
-        if s.name == name:
-            return s
-    raise KeyError(name)
 
 
 def make_case(seed: int, index: int):

@@ -527,27 +527,29 @@ class PipelineGraph:
     def _incoming(self) -> dict:
         return {w.dst: w.src for w in self.wires}
 
+    def _apply(self, name: str, values: dict, incoming: dict) -> tuple:
+        """One stage step: gather its inputs from values, apply, store its outputs."""
+        node = self.nodes[name]
+        ins = {p: values[incoming[PortRef(name, p)]] for p in node.in_ports}
+        outs = node.apply(ins)
+        for p in node.out_ports:
+            values[PortRef(name, p)] = outs[p]
+        return ins, outs
+
     def _dry_run(self, order) -> list[Violation]:
-        """Push empty relations through to surface schema problems early."""
-        v: list[Violation] = []
-        values: dict[PortRef, Relation] = {}
-        for s in self.sources.values():
-            values[PortRef(s.name, "out")] = empty(s.schema)
+        """Push empty relations through _apply to surface schema problems early.
+
+        validate() dry-runs only a graph with no structural violation, so
+        every input port is fed by a source or by an earlier stage.
+        """
+        values = {PortRef(s.name, "out"): empty(s.schema) for s in self.sources.values()}
         incoming = self._incoming()
         for name in order:
-            node = self.nodes[name]
             try:
-                ins = {p: values[incoming[PortRef(name, p)]] for p in node.in_ports}
-            except KeyError:
-                return v  # unwired input already reported
-            try:
-                outs = node.apply(ins)
+                self._apply(name, values, incoming)
             except TallyError as exc:
-                v.append(Violation("SchemaMismatch", name, str(exc)))
-                return v
-            for p in node.out_ports:
-                values[PortRef(name, p)] = outs[p]
-        return v
+                return [Violation("SchemaMismatch", name, str(exc))]
+        return []
 
     # -- execution ------------------------------------------------------
 
@@ -555,6 +557,8 @@ class PipelineGraph:
         """Execute over the given source relations, producing sinks and audit.
 
         Input rows are checked here (check_rows); stage outputs are not.
+        Each stage runs through _apply, as in the dry run, and
+        audit.timings[stage] holds the seconds of that call.
         """
         violations = self.validate()
         if violations:
@@ -596,16 +600,10 @@ class PipelineGraph:
 
         order, _ = self._topo_order()
         for name in order:
-            node = self.nodes[name]
-            ins = {}
-            for p in node.in_ports:
-                src = incoming[PortRef(name, p)]
-                ins[p] = values[src]
             t0 = time.perf_counter()
-            outs = node.apply(ins)
+            ins, outs = self._apply(name, values, incoming)
             audit.timings[name] = time.perf_counter() - t0
-            for p in node.out_ports:
-                values[PortRef(name, p)] = outs[p]
+            for p in self.nodes[name].out_ports:
                 record(name, p, outs[p])
             audit.stage_visits.append(StageVisit(
                 stage=name,

@@ -44,8 +44,10 @@ from .pipeline import (
     REPORT,
     AggregateNode,
     DedupNode,
+    ErrorizeNode,
     JoinNode,
     MapNode,
+    Node,
     PartitionNode,
     PipelineGraph,
     ProjectNode,
@@ -397,6 +399,13 @@ def _infer(expr: RAExpr, catalog: dict, path: str) -> Schema:
 # -- translation to a pipeline graph -----------------------------------
 
 class _Translator:
+    """Compiles one query into self.g.
+
+    stage() is the one place a compiled stage is added and wired.  Every
+    build step builds a node's operands before it names the node with
+    fresh(), so stage names number the stages in declaration order.
+    """
+
     def __init__(self, catalog: dict, uses: Counter):
         self.catalog = catalog
         self.g = PipelineGraph("query")
@@ -406,9 +415,7 @@ class _Translator:
             self.g.add_source(name, catalog[name])
             outs, cur = [], name
             for _ in range(k - 1):
-                t = self.fresh("tee")
-                self.g.add_node(TeeNode(t))
-                self.g.connect(cur, f"{t}.in")
+                t = self.stage(TeeNode(self.fresh("tee")), cur)
                 outs.append(f"{t}.left")
                 cur = f"{t}.right"
             outs.append(cur)
@@ -418,6 +425,13 @@ class _Translator:
         self.seq += 1
         return f"{slug}_{self.seq}"
 
+    def stage(self, node: Node, *feeds: str) -> str:
+        """Add node and wire feeds to its in_ports in declared order; its name."""
+        self.g.add_node(node)
+        for feed, port in zip(feeds, node.in_ports, strict=True):
+            self.g.connect(feed, f"{node.name}.{port}")
+        return node.name
+
     def drain(self, addr: str) -> None:
         """Sink an already-errorized output."""
         name = addr.replace(".", "_") + "_sink"
@@ -426,11 +440,33 @@ class _Translator:
 
     def drain_mark(self, addr: str, slug: str, reason: str) -> None:
         """Errorize a plain output with a fixed reason, then sink it."""
-        from .pipeline import ErrorizeNode
-        m = self.fresh(slug)
-        self.g.add_node(ErrorizeNode(m, reason))
-        self.g.connect(addr, f"{m}.in")
+        m = self.stage(ErrorizeNode(self.fresh(slug), reason), addr)
         self.drain(f"{m}.out")
+
+    def require(self, addr: str, keys, to_errors: bool = True) -> str:
+        """Partition on every key being defined; rejects drain if to_errors."""
+        q = self.stage(PartitionNode(
+            self.fresh("require"), All(tuple(FieldDefined(k) for k in keys)),
+            rejected_to_errors=to_errors), addr)
+        if to_errors:
+            self.drain(f"{q}.rejected")
+        return q
+
+    def merge(self, a: str, b: str, slug: str, distinct: bool = False) -> str:
+        """Tagged union of two streams, deduplicated if distinct, tags stripped."""
+        out = f"{self.stage(TaggedUnionNode(self.fresh(slug)), a, b)}.out"
+        if distinct:
+            out = f"{self.stage(DedupNode(self.fresh('distinct')), out)}.out"
+        return f"{self.stage(StripTagsNode(self.fresh('untag')), out)}.out"
+
+    def pad(self, addr: str, specs) -> str:
+        """Add each field of specs, missing for "no match"."""
+        p = self.stage(MapNode(
+            self.fresh("pad"),
+            {s.name: Lit(Missing("no match")) for s in specs},
+            {s.name: s.sem for s in specs},
+            units={s.name: s.unit for s in specs}), addr)
+        return f"{p}.out"
 
     def sch(self, expr: RAExpr) -> Schema:
         return infer_schema(expr, self.catalog)
@@ -442,29 +478,21 @@ class _Translator:
             return self.base_outputs[expr.name].pop(0)
         if isinstance(expr, Project):
             src = self.build(expr.of)
-            n = self.fresh("narrow")
-            self.g.add_node(ProjectNode(n, tuple(expr.fields)))
-            self.g.connect(src, f"{n}.in")
+            n = self.stage(ProjectNode(self.fresh("narrow"), tuple(expr.fields)), src)
             return f"{n}.out"
         if isinstance(expr, Select):
             src = self.build(expr.of)
-            n = self.fresh("select")
-            self.g.add_node(PartitionNode(n, expr.pred, rejected_to_errors=True))
-            self.g.connect(src, f"{n}.in")
+            n = self.stage(PartitionNode(
+                self.fresh("select"), expr.pred, rejected_to_errors=True), src)
             self.drain(f"{n}.rejected")
             return f"{n}.accepted"
         if isinstance(expr, Rename):
             src = self.build(expr.of)
-            n = self.fresh("relabel")
-            self.g.add_node(RenameNode(n, dict(expr.mapping)))
-            self.g.connect(src, f"{n}.in")
+            n = self.stage(RenameNode(self.fresh("relabel"), dict(expr.mapping)), src)
             return f"{n}.out"
         if isinstance(expr, CrossProduct):
             l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-            j = self.fresh("pair")
-            self.g.add_node(JoinNode(j, on=()))
-            self.g.connect(l_addr, f"{j}.left")
-            self.g.connect(r_addr, f"{j}.right")
+            j = self.stage(JoinNode(self.fresh("pair"), on=()), l_addr, r_addr)
             self.drain_mark(f"{j}.left_only", "alone", "no partner rows")
             self.drain_mark(f"{j}.right_only", "alone", "no partner rows")
             return f"{j}.inner"
@@ -472,44 +500,18 @@ class _Translator:
             return self._build_natural(expr)
         if isinstance(expr, OuterJoin):
             return self._build_outer(expr)
-        if isinstance(expr, Union):
+        if isinstance(expr, (Union, UnionAll)):
             l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-            u = self.fresh("merge")
-            self.g.add_node(TaggedUnionNode(u))
-            self.g.connect(l_addr, f"{u}.left")
-            self.g.connect(r_addr, f"{u}.right")
-            d = self.fresh("distinct")
-            self.g.add_node(DedupNode(d))
-            self.g.connect(f"{u}.out", f"{d}.in")
-            s = self.fresh("untag")
-            self.g.add_node(StripTagsNode(s))
-            self.g.connect(f"{d}.out", f"{s}.in")
-            return f"{s}.out"
-        if isinstance(expr, UnionAll):
-            l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-            u = self.fresh("merge")
-            self.g.add_node(TaggedUnionNode(u))
-            self.g.connect(l_addr, f"{u}.left")
-            self.g.connect(r_addr, f"{u}.right")
-            s = self.fresh("untag")
-            self.g.add_node(StripTagsNode(s))
-            self.g.connect(f"{u}.out", f"{s}.in")
-            return f"{s}.out"
+            return self.merge(l_addr, r_addr, "merge", distinct=isinstance(expr, Union))
         if isinstance(expr, (Minus, Intersect)):
             return self._build_membership(expr)
         if isinstance(expr, Aggregate):
             src = self.build(expr.of)
-            referenced = list(dict.fromkeys(
+            q = self.require(src, dict.fromkeys(
                 tuple(expr.group_by) + tuple(s.field for s in expr.specs)))
-            q = self.fresh("require")
-            self.g.add_node(PartitionNode(
-                q, All(tuple(FieldDefined(f) for f in referenced)),
-                rejected_to_errors=True))
-            self.g.connect(src, f"{q}.in")
-            self.drain(f"{q}.rejected")
-            a = self.fresh("summarize")
-            self.g.add_node(AggregateNode(a, tuple(expr.group_by), tuple(expr.specs)))
-            self.g.connect(f"{q}.accepted", f"{a}.in")
+            a = self.stage(AggregateNode(
+                self.fresh("summarize"), tuple(expr.group_by), tuple(expr.specs)),
+                f"{q}.accepted")
             return f"{a}.out"
         if isinstance(expr, Map):
             src = self.build(expr.of)
@@ -517,33 +519,19 @@ class _Translator:
             sems, units = {}, {}
             for name, e in expr.additions:
                 sems[name], units[name] = infer_expr_sem(e, sch)
-            m = self.fresh("derive")
-            self.g.add_node(MapNode(m, dict(expr.additions), sems, units=units))
-            self.g.connect(src, f"{m}.in")
+            m = self.stage(MapNode(
+                self.fresh("derive"), dict(expr.additions), sems, units=units), src)
             return f"{m}.out"
         raise ExprTypeError(f"not a query node: {expr!r}")
-
-    def _require_defined(self, addr: str, keys, to_errors: bool) -> str:
-        q = self.fresh("require")
-        self.g.add_node(PartitionNode(
-            q, All(tuple(FieldDefined(k) for k in keys)),
-            rejected_to_errors=to_errors))
-        self.g.connect(addr, f"{q}.in")
-        if to_errors:
-            self.drain(f"{q}.rejected")
-        return q
 
     def _build_natural(self, expr: NaturalJoin) -> str:
         ls, rs = self.sch(expr.left), self.sch(expr.right)
         rnames = set(field_names(rs))
         shared = [s.name for s in ls if s.name in rnames]
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        lq = self._require_defined(l_addr, shared, to_errors=True)
-        rq = self._require_defined(r_addr, shared, to_errors=True)
-        j = self.fresh("join")
-        self.g.add_node(JoinNode(j, on=tuple((c, c) for c in shared)))
-        self.g.connect(f"{lq}.accepted", f"{j}.left")
-        self.g.connect(f"{rq}.accepted", f"{j}.right")
+        lq, rq = self.require(l_addr, shared), self.require(r_addr, shared)
+        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)),
+                       f"{lq}.accepted", f"{rq}.accepted")
         self.drain_mark(f"{j}.left_only", "unmatched", "no match")
         self.drain_mark(f"{j}.right_only", "unmatched", "no match")
         return f"{j}.inner"
@@ -553,68 +541,29 @@ class _Translator:
         on = tuple(expr.on)
         merged = {rf for lf, rf in on if lf == rf}
         kept = tuple(s for s in rs if s.name not in merged)
+        rest = tuple(s for s in ls if s.name not in merged)
         inner_names = field_names(ls) + tuple(s.name for s in kept)
 
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        lq = self._require_defined(l_addr, [lf for lf, _ in on], to_errors=False)
-        rq = self._require_defined(r_addr, [rf for _, rf in on], to_errors=False)
-        j = self.fresh("join")
-        self.g.add_node(JoinNode(j, on=on))
-        self.g.connect(f"{lq}.accepted", f"{j}.left")
-        self.g.connect(f"{rq}.accepted", f"{j}.right")
-
-        def gather(a: str, b: str) -> str:
-            u = self.fresh("gather")
-            self.g.add_node(TaggedUnionNode(u))
-            self.g.connect(a, f"{u}.left")
-            self.g.connect(b, f"{u}.right")
-            s = self.fresh("untag")
-            self.g.add_node(StripTagsNode(s))
-            self.g.connect(f"{u}.out", f"{s}.in")
-            return f"{s}.out"
-
+        lq = self.require(l_addr, [lf for lf, _ in on], to_errors=False)
+        rq = self.require(r_addr, [rf for _, rf in on], to_errors=False)
+        j = self.stage(JoinNode(self.fresh("join"), on=on),
+                       f"{lq}.accepted", f"{rq}.accepted")
         # rows with an undefined key and rows with no partner both surface
         # in the outer result, padded on the other side
-        left_in = gather(f"{j}.left_only", f"{lq}.rejected")
-        lp = self.fresh("pad")
-        self.g.add_node(MapNode(
-            lp,
-            {s.name: Lit(Missing("no match")) for s in kept},
-            {s.name: s.sem for s in kept},
-            units={s.name: s.unit for s in kept}))
-        self.g.connect(left_in, f"{lp}.in")
-
-        right_in = gather(f"{j}.right_only", f"{rq}.rejected")
-        rest = tuple(s for s in ls if s.name not in merged)
-        rp = self.fresh("pad")
-        self.g.add_node(MapNode(
-            rp,
-            {s.name: Lit(Missing("no match")) for s in rest},
-            {s.name: s.sem for s in rest},
-            units={s.name: s.unit for s in rest}))
-        self.g.connect(right_in, f"{rp}.in")
-        ro = self.fresh("reorder")
-        self.g.add_node(ProjectNode(ro, inner_names))
-        self.g.connect(f"{rp}.out", f"{ro}.in")
-
-        merged_out = gather(f"{j}.inner", f"{lp}.out")
-        return gather(merged_out, f"{ro}.out")
+        left = self.pad(self.merge(f"{j}.left_only", f"{lq}.rejected", "gather"), kept)
+        right = self.pad(self.merge(f"{j}.right_only", f"{rq}.rejected", "gather"), rest)
+        ro = self.stage(ProjectNode(self.fresh("reorder"), inner_names), right)
+        return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
 
     def _build_membership(self, expr) -> str:
-        ls = self.sch(expr.left)
-        names = field_names(ls)
+        names = field_names(self.sch(expr.left))
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        da = self.fresh("distinct")
-        self.g.add_node(DedupNode(da))
-        self.g.connect(l_addr, f"{da}.in")
-        db = self.fresh("distinct")
-        self.g.add_node(DedupNode(db))
-        self.g.connect(r_addr, f"{db}.in")
-        j = self.fresh("member")
-        self.g.add_node(JoinNode(
-            j, on=tuple((n, n) for n in names), missing_matches=True))
-        self.g.connect(f"{da}.out", f"{j}.left")
-        self.g.connect(f"{db}.out", f"{j}.right")
+        da = self.stage(DedupNode(self.fresh("distinct")), l_addr)
+        db = self.stage(DedupNode(self.fresh("distinct")), r_addr)
+        j = self.stage(JoinNode(
+            self.fresh("member"), on=tuple((n, n) for n in names), missing_matches=True),
+            f"{da}.out", f"{db}.out")
         if isinstance(expr, Minus):
             self.drain_mark(f"{j}.inner", "shared", "present in both operands")
             self.drain_mark(f"{j}.right_only", "unmatched", "only in right operand")
@@ -638,20 +587,14 @@ def translate(expr: RAExpr, catalog: dict) -> PipelineGraph:
     tr.g.add_sink("result", REPORT)
     tr.g.connect(out, "result")
     tr.g.add_conservation("count")
-    qty, dec, seen = [], [], set()
+    sems: dict = {}
     for name in uses:
         for s in catalog[name]:
-            if s.name in seen:
-                continue
-            seen.add(s.name)
-            if s.sem == "quantity":
-                qty.append(s.name)
-            elif s.sem == "decimal":
-                dec.append(s.name)
-    for f in qty:
-        tr.g.add_conservation("sum_by_unit", f)
-    for f in dec:
-        tr.g.add_conservation("paccioli", f)
+            sems.setdefault(s.name, s.sem)
+    for scheme, sem in (("sum_by_unit", "quantity"), ("paccioli", "decimal")):
+        for f, fsem in sems.items():
+            if fsem == sem:
+                tr.g.add_conservation(scheme, f)
     return tr.g
 
 

@@ -1,5 +1,8 @@
 """The typed query layer: static checks, compilation and the cross-check."""
 
+import dataclasses
+import hashlib
+import json
 from decimal import Decimal
 
 import pytest
@@ -36,10 +39,12 @@ from tallyflow import (
     field_names,
     infer_schema,
     ingest,
+    make_case,
     reference_eval,
     schema,
     translate,
 )
+from tallyflow.fuzz import OPERATOR_KINDS
 from tallyflow.ra import base_names
 
 
@@ -301,6 +306,53 @@ def test_translation_reports_every_input_pid_somewhere():
                                for rel in res.sinks.values()))
     assert seen == frozenset({1, 2, 3, 4})
 
+
+
+def _canonical(value):
+    """JSON data for a compiled parameter; no repr, so no text that a
+    Python version could print differently."""
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [
+            [f.name, _canonical(getattr(value, f.name))] for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [[_canonical(k), _canonical(v)] for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, Decimal):
+        return {"decimal": str(value)}
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def _graph_document(g) -> dict:
+    return {
+        "sources": list(g.sources),
+        "nodes": [_canonical(n) for n in g.nodes.values()],  # type, name, parameters
+        "wires": [[str(w.src), str(w.dst)] for w in g.wires],
+        "sinks": [[s.name, s.kind, s.report] for s in g.sinks.values()],
+        "conservation": [[c.scheme, c.fld] for c in g.conservation],
+    }
+
+
+# sha256 of the compiled graphs of make_case(seed, i), seeds 0 and 1, i < 300
+COMPILED_GRAPHS_DIGEST = "76b019d55888661578a1ec3a1421681e6ee8fbe11fc5384c00561a94b4e65b49"
+
+
+def test_compiled_graphs_match_their_pinned_digest():
+    """Query results cannot show a renamed stage or a reordered wire; this
+    pins what translate() builds: stage names and parameters in declaration
+    order, wires in order, sinks and conservation specs."""
+    digest = hashlib.sha256()
+    roots = set()
+    for seed in (0, 1):
+        for i in range(300):
+            expr, tables = make_case(seed, i)
+            roots.add(type(expr))
+            g = translate(expr, {name: t.schema for name, t in tables.items()})
+            digest.update(json.dumps(_graph_document(g)).encode() + b"\n")
+    assert roots == set(OPERATOR_KINDS)
+    assert digest.hexdigest() == COMPILED_GRAPHS_DIGEST
 
 # -- query documents ----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Conservation audits and dashboards for pipeline runs.
 
-At ingestion every source row's measure contributions are recorded per pid
-(its charges).  After a run, checks confirm that no stage lost or invented
-a pid, that every source pid of a report reached one of its sinks, and
-that the fused sink-side charges balance the source-side charges exactly.
+At ingestion each source row's contribution to every measure its source
+carries is recorded per pid (its charges).  After a run, checks confirm
+that no stage lost or invented a pid, that every source pid of a report
+reached one of its sinks, and that the fused sink-side charges balance
+the source-side charges exactly.
 Sink-side fusing attributes each pid to the first sink that carries it,
 report sinks before error sinks, so fan-out never double-counts.
 """
@@ -13,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import SchemaMismatch
 from .monoid import MonoidElement, fuse, fuse_all
-from .relation import field_names
 from .space import (
-    DataSpace,
+    carries,
     count_space,
     decimal_sum_space,
     paccioli_space,
@@ -28,55 +27,48 @@ from .space import (
 REPORT = "report"
 
 
-def _concrete_spaces(graph, inputs: dict) -> list[DataSpace]:
-    spaces: list[DataSpace] = []
+def measure_carriers(graph, spec) -> dict:
+    """The sources whose schema carries spec's measure (space.carries), in
+    source order, each with the unit it declares for spec's field."""
+    return {name: next((f.unit for f in s.schema if f.name == spec.fld), None)
+            for name, s in graph.sources.items() if carries(s.schema, spec.scheme, spec.fld)}
+
+
+def _concrete_spaces(graph, inputs: dict) -> list:
+    """(space, carriers) for each measure; a sum takes its carriers' unit.
+
+    validate() has refused a sum whose carriers declare different units.
+    """
+    spaces: list = []
     for spec in graph.conservation:
+        carriers = measure_carriers(graph, spec)
         if spec.scheme == "count":
-            spaces.append(count_space())
+            spaces.append((count_space(), carriers))
         elif spec.scheme == "sum":
-            unit = None
-            for s in graph.sources.values():
-                for f in s.schema:
-                    if f.name == spec.fld and f.unit:
-                        unit = f.unit
-            spaces.append(decimal_sum_space(spec.fld, unit))
+            unit = next(iter(carriers.values()), None)
+            spaces.append((decimal_sum_space(spec.fld, unit), carriers))
         elif spec.scheme == "paccioli":
-            spaces.append(paccioli_space(spec.fld))
+            spaces.append((paccioli_space(spec.fld), carriers))
         else:  # sum_by_unit
-            units: set[str] = set()
-            for name, rel in inputs.items():
-                src = graph.sources.get(name)
-                if src is not None and any(f.name == spec.fld for f in src.schema):
-                    units.update(quantity_units(rel, spec.fld))
-            for unit in sorted(units):
-                spaces.append(quantity_sum_space(spec.fld, unit))
+            units = set().union(*(quantity_units(inputs[n], spec.fld) for n in carriers))
+            spaces.extend((quantity_sum_space(spec.fld, u), carriers) for u in sorted(units))
     return spaces
 
 
 def build_charges(graph, audit, inputs: dict) -> None:
     """Record each source pid's contribution to every declared measure.
 
-    A source that lacks a measure's fields contributes the unit element;
-    multi-pid source rows charge their smallest pid and zero the rest.
+    Only a measure's carriers are read: pids of other sources get no entry,
+    which conservation_check reads as the unit element.  Multi-pid source
+    rows charge their smallest pid and zero the rest.
     """
-    for space in _concrete_spaces(graph, inputs):
+    for space, carriers in _concrete_spaces(graph, inputs):
         per_pid: dict[int, MonoidElement] = {}
         unit = space.unit
-        for name, rel in inputs.items():
-            if name not in graph.sources:
-                continue
-            names = set(field_names(rel.schema))
-            has = all(f in names for f in space.requires)
-            for rec in rel.rows:
+        for name in carriers:
+            for rec in inputs[name].rows:
                 main = min(rec.pids)
-                if has:
-                    # same field name can carry another sem in another source
-                    try:
-                        elem = space.per_record(rec)
-                    except SchemaMismatch:
-                        elem = unit
-                else:
-                    elem = unit
+                elem = space.per_record(rec)
                 for pid in rec.pids:
                     per_pid[pid] = elem if pid == main else unit
         audit.charges[space.name] = per_pid

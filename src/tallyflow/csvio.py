@@ -26,6 +26,7 @@ from .relation import (
     Record,
     Relation,
     Schema,
+    SumSchema,
     error_schema,
     field_names,
     schema,
@@ -195,7 +196,7 @@ def render_cell(v) -> str:
 
 def write_csv(path: str, rel: Relation) -> None:
     """Emit a relation deterministically; whole-file replace, never partial."""
-    if hasattr(rel.schema, "left"):
+    if isinstance(rel.schema, SumSchema):
         raise SchemaMismatch("cannot write a tagged-sum relation to CSV")
     names = list(field_names(rel.schema))
     _atomic_write(path, _csv_text(names, rel))

@@ -314,7 +314,7 @@ _AGG_KINDS = {"sum": Kind.SUM, "min": Kind.MIN, "max": Kind.MAX, "avg": Kind.AVG
               "set": Kind.SET}
 AGG_OPS = tuple(_AGG_KINDS)
 
-_NUMERIC_SEMS = ("integer", "decimal", "quantity")
+NUMERIC_SEMS = ("integer", "decimal", "quantity")
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def _agg_plan(sch: Schema, group_by, specs):
         if spec.op == "set":
             if fspec.sem not in ("integer", "text"):
                 raise SchemaMismatch(f"set aggregation needs an id-like field, got {fspec.sem}")
-        elif fspec.sem not in _NUMERIC_SEMS:
+        elif fspec.sem not in NUMERIC_SEMS:
             raise SchemaMismatch(f"{spec.op} aggregation needs a numeric field, got {fspec.sem}")
         if fspec.sem == "quantity" and spec.field not in qty_fields:
             qty_fields.append(spec.field)

@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .audit import build_charges
+from .audit import build_charges, measure_carriers
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
 from .exprs import Pred, decode_expr, decode_pred
 from .ops import (
@@ -42,6 +42,7 @@ from .relation import (
     has_field,
 )
 from .relation import pids as rel_pids
+from .space import SCHEMES
 
 REPORT = "report"
 ERROR = "error"
@@ -313,20 +314,18 @@ class Sink:
 
 @dataclass(frozen=True)
 class ConservationSpec:
-    """Which measure families the audit must balance.
-
-    scheme: "count", "sum" (decimal field), "sum_by_unit" (quantity field,
-    one balance per unit label), or "paccioli" (signed decimal field).
-    """
+    """Which measure family the audit must balance: a scheme of
+    space.SCHEMES, over a field exactly when the scheme reads one."""
 
     scheme: str
     fld: str | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("count", "sum", "sum_by_unit", "paccioli"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown conservation scheme {self.scheme!r}")
-        if self.scheme != "count" and not self.fld:
-            raise ValueError(f"{self.scheme} conservation needs a field")
+        if bool(SCHEMES[self.scheme]) != bool(self.fld):
+            need = "needs a field" if SCHEMES[self.scheme] else "takes no field"
+            raise ValueError(f"{self.scheme} conservation {need}")
 
 
 # -- the graph ----------------------------------------------------------
@@ -471,7 +470,11 @@ class PipelineGraph:
         return ports
 
     def validate(self) -> list[Violation]:
-        """Structural and schema checks; returns violations, raises nothing."""
+        """Structural, schema and measure checks; returns violations, raises nothing.
+
+        A measure over a field needs a carrier (audit.measure_carriers), and
+        a sum's carriers must share one unit.
+        """
         v: list[Violation] = []
         outs = self._out_ports()
         ins = self._in_ports()
@@ -503,6 +506,15 @@ class PipelineGraph:
             v.append(Violation("Cycle", name, "stage participates in a cycle"))
         if not v:
             v.extend(self._dry_run(order))
+        for spec in (c for c in self.conservation if c.fld):
+            where = f"{spec.scheme}[{spec.fld}]"
+            carriers = measure_carriers(self, spec)
+            if not carriers:
+                v.append(Violation("UnmeasuredField", where, f"no source has a "
+                                   f"{SCHEMES[spec.scheme]} field {spec.fld!r}"))
+            elif spec.scheme == "sum" and len(set(carriers.values())) > 1:
+                v.append(Violation("MixedUnits", where, "carriers declare " + ", ".join(
+                    f"{n}: {u or 'no unit'}" for n, u in carriers.items())))
         return v
 
     def _topo_order(self):

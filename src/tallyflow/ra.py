@@ -38,7 +38,7 @@ from .exprs import (
     encode_pred,
 )
 from .monoid import MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
-from .ops import AGG_OPS, AggSpec, aggregate_schema
+from .ops import AGG_OPS, NUMERIC_SEMS, AggSpec, aggregate_schema
 from .pipeline import (
     ERROR,
     REPORT,
@@ -66,6 +66,7 @@ from .relation import (
     schema,
     schema_field,
 )
+from .space import SCHEMES
 from .values import Missing, Quantity, cell_key
 
 
@@ -216,9 +217,6 @@ def _pred_fields(p: Pred) -> list[str]:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-_NUMERIC = ("integer", "decimal", "quantity")
-
-
 def infer_expr_sem(e: Expr, sch: Schema, path: str = "Expr"):
     """(sem, unit) a row expression produces over this schema."""
     def fail(msg: str):
@@ -245,7 +243,7 @@ def infer_expr_sem(e: Expr, sch: Schema, path: str = "Expr"):
         fail(f"literal {v!r} has no field type")
     if isinstance(e, NumOf):
         sem, _ = infer_expr_sem(e.inner, sch, path)
-        if sem not in _NUMERIC:
+        if sem not in NUMERIC_SEMS:
             fail(f"num applied to a {sem} value")
         return "decimal", None
     if isinstance(e, UnitOf):
@@ -256,7 +254,7 @@ def infer_expr_sem(e: Expr, sch: Schema, path: str = "Expr"):
     if isinstance(e, BinOp):
         for side in (e.left, e.right):
             sem, _ = infer_expr_sem(side, sch, path)
-            if sem not in _NUMERIC:
+            if sem not in NUMERIC_SEMS:
                 fail(f"{e.op} applied to a {sem} value")
         return "decimal", None
     fail(f"not a row expression: {e!r}")
@@ -591,9 +589,9 @@ def translate(expr: RAExpr, catalog: dict) -> PipelineGraph:
     for name in uses:
         for s in catalog[name]:
             sems.setdefault(s.name, s.sem)
-    for scheme, sem in (("sum_by_unit", "quantity"), ("paccioli", "decimal")):
+    for scheme in ("sum_by_unit", "paccioli"):
         for f, fsem in sems.items():
-            if fsem == sem:
+            if fsem == SCHEMES[scheme]:
                 tr.g.add_conservation(scheme, f)
     return tr.g
 

@@ -22,108 +22,85 @@ from .monoid import (
     sum_of,
     unit_for,
 )
-from .relation import Record, Relation, SumSchema, field_names
-from .values import Missing, Quantity
+from .relation import Record, Relation, Schema, SumSchema
+from .values import FieldValue, Missing, Quantity
+
+# the one list of conservation schemes, each with the sem of the field it reads
+SCHEMES = {"count": None, "sum": "decimal", "sum_by_unit": "quantity", "paccioli": "decimal"}
+
+
+def carries(sch: "Schema | SumSchema", scheme: str, fld: str | None) -> bool:
+    """Whether sch has fld with scheme's sem; a fieldless scheme reads any schema.
+
+    Checked rows then hold that sem or Missing in fld: measures need no type test.
+    """
+    sem = SCHEMES[scheme]
+    return sem is None or (not isinstance(sch, SumSchema)
+                           and any(f.name == fld and f.sem == sem for f in sch))
 
 
 @dataclass(frozen=True)
 class DataSpace:
     """A named measure over records, folded from its unit element.
 
-    unit fixes the monoid's kind and unit label.  requires lists the field
-    names per_record reads; measure() checks them against the relation's
-    schema before folding.
+    unit fixes the monoid's kind and unit label.  requires is the
+    (scheme, field) per_record reads; measure() refuses a relation whose
+    schema does not carry it (carries) before folding.
     """
 
     name: str
     unit: MonoidElement
     per_record: Callable[[Record], MonoidElement]
-    requires: tuple[str, ...] = ()
+    requires: tuple[str, str | None] = ("count", None)
 
     def measure(self, rel: Relation) -> MonoidElement:
-        self._check_schema(rel)
+        if not carries(rel.schema, *self.requires):
+            scheme, fld = self.requires
+            raise SchemaMismatch(f"space {self.name} needs a {SCHEMES[scheme]} field {fld!r}")
         return fuse_all(map(self.per_record, rel.rows), self.unit)
 
-    def _check_schema(self, rel: Relation) -> None:
-        if not self.requires:
-            return
-        if isinstance(rel.schema, SumSchema):
-            raise SchemaMismatch(f"space {self.name} cannot measure a tagged-sum relation")
-        names = set(field_names(rel.schema))
-        missing = [n for n in self.requires if n not in names]
-        if missing:
-            raise SchemaMismatch(f"space {self.name} needs fields {missing}")
 
-
-def count_space(name: str = "count") -> DataSpace:
+def count_space() -> DataSpace:
     """Counts provenance ids, so merged duplicates still count fully."""
-    return DataSpace(
-        name=name,
-        unit=unit_for(Kind.COUNT),
-        per_record=lambda rec: count(len(rec.pids)),
-    )
+    return DataSpace("count", unit_for(Kind.COUNT), lambda rec: count(len(rec.pids)))
 
 
-def decimal_sum_space(fld: str, unit: str | None = None, name: str | None = None) -> DataSpace:
-    """Sums a decimal column; Missing cells contribute the unit element."""
+def _field_space(name: str, requires: tuple, zero: MonoidElement,
+                 of_cell: Callable[[FieldValue], MonoidElement]) -> DataSpace:
+    """A space over requires' field: Missing contributes zero, a value of_cell."""
+    fld = requires[1]
+
     def per_record(rec: Record) -> MonoidElement:
         v = rec.fields[fld]
-        if isinstance(v, Missing):
-            return sum_of(Decimal(0), unit)
-        if not isinstance(v, Decimal):
-            raise SchemaMismatch(f"field {fld!r} is not decimal: {v!r}")
-        return sum_of(v, unit)
+        return zero if isinstance(v, Missing) else of_cell(v)
 
-    return DataSpace(
-        name=name or f"sum[{fld}]",
-        unit=unit_for(Kind.SUM, unit),
-        per_record=per_record,
-        requires=(fld,),
-    )
+    return DataSpace(name, zero, per_record, requires)
 
 
-def quantity_sum_space(fld: str, unit: str, name: str | None = None) -> DataSpace:
+def decimal_sum_space(fld: str, unit: str | None = None) -> DataSpace:
+    """Sums a decimal column; Missing cells contribute the unit element."""
+    return _field_space(f"sum[{fld}]", ("sum", fld), unit_for(Kind.SUM, unit),
+                        lambda v: sum_of(v, unit))
+
+
+def quantity_sum_space(fld: str, unit: str) -> DataSpace:
     """Sums a quantity column for one unit label; other units contribute zero.
 
     One space per unit label keeps unlike units from ever being added; the
     family over all labels present is the full measure of the column.
     """
-    def per_record(rec: Record) -> MonoidElement:
-        v = rec.fields[fld]
-        if isinstance(v, Quantity) and v.unit == unit:
-            return sum_of(v.amount, unit)
-        if isinstance(v, (Quantity, Missing)):
-            return sum_of(Decimal(0), unit)
-        raise SchemaMismatch(f"field {fld!r} is not a quantity: {v!r}")
-
-    return DataSpace(
-        name=name or f"sum[{fld}:{unit}]",
-        unit=unit_for(Kind.SUM, unit),
-        per_record=per_record,
-        requires=(fld,),
-    )
+    return _field_space(f"sum[{fld}:{unit}]", ("sum_by_unit", fld), unit_for(Kind.SUM, unit),
+                        lambda v: sum_of(v.amount if v.unit == unit else Decimal(0), unit))
 
 
-def paccioli_space(fld: str, unit: str | None = None, name: str | None = None) -> DataSpace:
+def paccioli_space(fld: str, unit: str | None = None) -> DataSpace:
     """Sums a signed decimal column as (debit, credit) legs, never netting.
 
     Positive amounts land on the debit leg, negatives on the credit leg;
     debit minus credit recovers the plain signed sum.
     """
-    def per_record(rec: Record) -> MonoidElement:
-        v = rec.fields[fld]
-        if isinstance(v, Missing):
-            return unit_for(Kind.PACCIOLI, unit)
-        if not isinstance(v, Decimal):
-            raise SchemaMismatch(f"field {fld!r} is not decimal: {v!r}")
-        return paccioli_of_signed(v, unit)
-
-    return DataSpace(
-        name=name or f"paccioli[{fld}]",
-        unit=unit_for(Kind.PACCIOLI, unit),
-        per_record=per_record,
-        requires=(fld,),
-    )
+    return _field_space(f"paccioli[{fld}]", ("paccioli", fld), unit_for(Kind.PACCIOLI, unit),
+                        lambda v: paccioli_of_signed(v, unit))
 
 
 def quantity_units(rel: Relation, fld: str) -> tuple[str, ...]:

@@ -537,6 +537,21 @@ def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
+    # a sum reads decimal fields; the lookup fixture's quantity is a quantity
+    def sum_quantity(doc):
+        doc["conservation"][1] = {"scheme": "sum", "field": "quantity"}
+
+    data = lookup_copy(tmp_path, "pipeline.yaml", sum_quantity)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = "UnmeasuredField at sum[quantity]: no source has a decimal field 'quantity'"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # -- command line: run outputs ------------------------------------------
 
 # sha256 of every deterministic `run` output: sinks, dashboards, audit.json
@@ -713,6 +728,15 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
         assert priced
         for entry in priced:
             assert max(n for _, _, n in entry["steps"]) > 1, entry
+
+
+def test_charges_come_from_the_sources_that_carry_each_measure(tmp_path, monkeypatch):
+    d = fixture_dir("ship")
+    audit, _ = _run_and_capture_audit(
+        monkeypatch, os.path.join(d, "pipeline.yaml"), d, tmp_path / "out")
+    assert audit.charges["paccioli[Price]"].keys() == audit.source_pids["prices"]
+    assert audit.charges["paccioli[Insurance]"].keys() == audit.source_pids["items"]
+    assert audit.charges["count"].keys() == audit.all_source_pids()
 
 
 # -- command line: fuzz -------------------------------------------------

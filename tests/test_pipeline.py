@@ -45,7 +45,7 @@ from tallyflow import (
 )
 from tallyflow.audit import path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
-from tallyflow.pipeline import NODE_TYPES, Node
+from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node
 from tallyflow.pipeline_doc import _make_node
 
 
@@ -251,6 +251,68 @@ def test_a_source_needs_a_plain_schema():
     with pytest.raises(SchemaMismatch, match="source 'src' needs a plain schema"):
         g.add_source("src", SumSchema(ORDERS, ORDERS))
     assert g.sources == {}
+
+
+def measured_graph(scheme, fld, *schemas):
+    """Sources s0, s1, ... each sunk whole, balancing one measure."""
+    g = PipelineGraph("m")
+    for i, sch in enumerate(schemas):
+        g.add_source(f"s{i}", sch)
+        g.add_sink(f"k{i}", "report")
+        g.connect(f"s{i}", f"k{i}")
+    g.add_conservation(scheme, fld)
+    return g
+
+
+@pytest.mark.parametrize("scheme, fld, sem", [
+    ("sum", "ghost", "decimal"),      # no such field
+    ("paccioli", "item", "decimal"),  # a text field
+    ("sum", "qty", "decimal"),        # a quantity field
+    ("sum_by_unit", "price", "quantity"),
+])
+def test_a_measure_no_source_carries_is_a_violation(scheme, fld, sem):
+    g = measured_graph(scheme, fld, ORDERS)
+    assert [(v.kind, v.where, v.detail) for v in g.validate()] == [
+        ("UnmeasuredField", f"{scheme}[{fld}]", f"no source has a {sem} field {fld!r}")]
+    with pytest.raises(InvalidGraph):
+        g.run({"s0": orders()})
+
+
+def amounts(unit):
+    return schema(FieldSpec("amt", "decimal", unit))
+
+
+@pytest.mark.parametrize("units, detail", [
+    (("$", "EUR"), "carriers declare s0: $, s1: EUR"),
+    (("$", None), "carriers declare s0: $, s1: no unit"),
+], ids=["dollars-euros", "dollars-no-unit"])
+def test_a_sum_over_unlike_units_is_a_violation(units, detail):
+    g = measured_graph("sum", "amt", *(amounts(u) for u in units))
+    assert [(v.kind, v.where, v.detail) for v in g.validate()] == [
+        ("MixedUnits", "sum[amt]", detail)]
+    with pytest.raises(InvalidGraph):
+        g.run({"s0": ingest(amounts(units[0]), [{"amt": D(5)}]),
+               "s1": ingest(amounts(units[1]), [{"amt": D(7)}], first_pid=2)})
+
+
+def test_a_sum_reads_only_its_carriers():
+    # s1's amt is text, so s1 carries no sum[amt] and its unit does not count
+    g = measured_graph("sum", "amt", amounts("$"), schema(FieldSpec("amt", "text")))
+    assert g.validate() == []
+    res = g.run({"s0": ingest(amounts("$"), [{"amt": D(5)}]),
+                 "s1": ingest(schema(FieldSpec("amt", "text")), [{"amt": "7"}], first_pid=2)})
+    assert res.audit.space_units["sum[amt]"].unit == "$"
+    assert res.audit.charges["sum[amt]"].keys() == {1}
+    assert conservation_check(res.audit).ok
+
+
+def test_a_conservation_spec_names_a_field_exactly_when_its_scheme_reads_one():
+    with pytest.raises(ValueError, match="count conservation takes no field"):
+        ConservationSpec("count", "x")
+    with pytest.raises(ValueError, match="sum conservation needs a field"):
+        ConservationSpec("sum")
+    with pytest.raises(ValueError, match="unknown conservation scheme"):
+        ConservationSpec("average", "x")
 
 
 # -- execution and audit ------------------------------------------------

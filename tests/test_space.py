@@ -74,3 +74,7 @@ def test_space_refuses_a_relation_without_its_field():
     bare = ingest(schema(FieldSpec("x", "integer")), [{"x": 1}])
     with pytest.raises(SchemaMismatch):
         decimal_sum_space("amount").measure(bare)
+    # the field is there, but not with the sem the scheme reads
+    text = ingest(schema(FieldSpec("amount", "text")), [])
+    with pytest.raises(SchemaMismatch, match="needs a decimal field 'amount'"):
+        decimal_sum_space("amount").measure(text)

@@ -12,7 +12,6 @@ report sinks before error sinks, so fan-out never double-counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .monoid import MonoidElement, fuse, fuse_all
 from .space import (
@@ -37,7 +36,8 @@ def measure_carriers(graph, spec) -> dict:
 def _concrete_spaces(graph, inputs: dict) -> list:
     """(space, carriers) for each measure; a sum takes its carriers' unit.
 
-    validate() has refused a sum whose carriers declare different units.
+    validate() has refused a sum or paccioli whose carriers declare different
+    units.
     """
     spaces: list = []
     for spec in graph.conservation:
@@ -224,27 +224,17 @@ def path_classes(audit) -> list:
 def audit_document(audit, report: ConservationReport) -> dict:
     """Deterministic, serializable view of a run audit (no timings).
 
-    Every pid set is a pid_ranges string.  "paths" holds one entry per
-    distinct path (path_classes), ordered by its smallest pid: its "steps"
-    are [owner, port, n] runs, and n copies of each (owner, port) give what
-    trace() returns for each of its "pids".  Every pid of the run is in
-    exactly one entry.  The size follows the number of ports, distinct
-    paths and pid runs, not of rows.
+    "paths" is the whole pid record: one entry per distinct path
+    (path_classes), ordered by smallest pid.  Its "pids" is a pid_ranges
+    string, and n copies of each [owner, port, n] step give what trace()
+    returns for each of those pids.  Each pid of the run is written once;
+    a port's pids are the union of the entries with a step at it.  The
+    size follows the number of ports, distinct paths and pid runs, not of
+    rows.
 
     report is conservation_check(audit), computed once by the caller.
     """
-    ranges = cache(pid_ranges)  # a port's set is shared by what it feeds
     return {
-        "sources": {k: ranges(v) for k, v in sorted(audit.source_pids.items())},
-        "stages": [
-            {
-                "stage": sv.stage,
-                "in": {p: ranges(s) for p, s in sorted(sv.ins.items())},
-                "out": {p: ranges(s) for p, s in sorted(sv.outs.items())},
-            }
-            for sv in audit.stage_visits
-        ],
-        "sinks": {k: ranges(v) for k, v in sorted(audit.sink_pids.items())},
         "reports": {
             label: {
                 "sinks": list(audit.sink_order[label]),

@@ -512,7 +512,7 @@ class PipelineGraph:
             if not carriers:
                 v.append(Violation("UnmeasuredField", where, f"no source has a "
                                    f"{SCHEMES[spec.scheme]} field {spec.fld!r}"))
-            elif spec.scheme == "sum" and len(set(carriers.values())) > 1:
+            elif SCHEMES[spec.scheme] == "decimal" and len(set(carriers.values())) > 1:
                 v.append(Violation("MixedUnits", where, "carriers declare " + ", ".join(
                     f"{n}: {u or 'no unit'}" for n, u in carriers.items())))
         return v

@@ -66,7 +66,7 @@ from .relation import (
     schema,
     schema_field,
 )
-from .space import SCHEMES
+from .space import carries
 from .values import Missing, Quantity, cell_key
 
 
@@ -176,9 +176,6 @@ class Map:
 RAExpr = (BaseRelation | Project | Select | Rename | CrossProduct | NaturalJoin
           | OuterJoin | Union | UnionAll | Minus | Intersect | Aggregate | Map)
 
-NODE_KINDS = (BaseRelation, Project, Select, Rename, CrossProduct, NaturalJoin,
-              OuterJoin, Union, UnionAll, Minus, Intersect, Aggregate, Map)
-
 
 def _label(e) -> str:
     return type(e).__name__
@@ -265,12 +262,16 @@ def infer_schema(expr: RAExpr, catalog: dict) -> Schema:
     return _infer(expr, catalog, _label(expr))
 
 
-def _infer(expr: RAExpr, catalog: dict, path: str) -> Schema:
+def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict | None = None) -> Schema:
+    """Type expr; schemas, if given, gets id(node) -> schema for every subquery."""
     def fail(msg: str):
         raise ExprTypeError(f"{path}: {msg}")
 
     def child(edge: str, e) -> Schema:
-        return _infer(e, catalog, f"{path}/{edge}/{_label(e)}")
+        sch = _infer(e, catalog, f"{path}/{edge}/{_label(e)}", schemas)
+        if schemas is not None:
+            schemas[id(e)] = sch
+        return sch
 
     if isinstance(expr, BaseRelation):
         sch = catalog.get(expr.name)
@@ -402,10 +403,11 @@ class _Translator:
     stage() is the one place a compiled stage is added and wired.  Every
     build step builds a node's operands before it names the node with
     fresh(), so stage names number the stages in declaration order.
+    schemas maps id(subquery) to the schema translate() inferred for it.
     """
 
-    def __init__(self, catalog: dict, uses: Counter):
-        self.catalog = catalog
+    def __init__(self, catalog: dict, uses: Counter, schemas: dict):
+        self.schemas = schemas
         self.g = PipelineGraph("query")
         self.seq = 0
         self.base_outputs: dict[str, list[str]] = {}
@@ -466,9 +468,6 @@ class _Translator:
             units={s.name: s.unit for s in specs}), addr)
         return f"{p}.out"
 
-    def sch(self, expr: RAExpr) -> Schema:
-        return infer_schema(expr, self.catalog)
-
     # each build method returns the address of the correct-stream output
 
     def build(self, expr: RAExpr) -> str:
@@ -513,7 +512,7 @@ class _Translator:
             return f"{a}.out"
         if isinstance(expr, Map):
             src = self.build(expr.of)
-            sch = self.sch(expr.of)
+            sch = self.schemas[id(expr.of)]
             sems, units = {}, {}
             for name, e in expr.additions:
                 sems[name], units[name] = infer_expr_sem(e, sch)
@@ -523,7 +522,7 @@ class _Translator:
         raise ExprTypeError(f"not a query node: {expr!r}")
 
     def _build_natural(self, expr: NaturalJoin) -> str:
-        ls, rs = self.sch(expr.left), self.sch(expr.right)
+        ls, rs = self.schemas[id(expr.left)], self.schemas[id(expr.right)]
         rnames = set(field_names(rs))
         shared = [s.name for s in ls if s.name in rnames]
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
@@ -535,7 +534,7 @@ class _Translator:
         return f"{j}.inner"
 
     def _build_outer(self, expr: OuterJoin) -> str:
-        ls, rs = self.sch(expr.left), self.sch(expr.right)
+        ls, rs = self.schemas[id(expr.left)], self.schemas[id(expr.right)]
         on = tuple(expr.on)
         merged = {rf for lf, rf in on if lf == rf}
         kept = tuple(s for s in rs if s.name not in merged)
@@ -555,7 +554,7 @@ class _Translator:
         return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
 
     def _build_membership(self, expr) -> str:
-        names = field_names(self.sch(expr.left))
+        names = field_names(self.schemas[id(expr.left)])
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
         da = self.stage(DedupNode(self.fresh("distinct")), l_addr)
         db = self.stage(DedupNode(self.fresh("distinct")), r_addr)
@@ -578,20 +577,19 @@ def translate(expr: RAExpr, catalog: dict) -> PipelineGraph:
     classical semantics would drop drains to error sinks, so the run's
     conservation checks cover the whole input.
     """
-    infer_schema(expr, catalog)
+    schemas: dict = {}
+    _infer(expr, catalog, _label(expr), schemas)
     uses = Counter(base_names(expr))
-    tr = _Translator(catalog, uses)
+    tr = _Translator(catalog, uses, schemas)
     out = tr.build(expr)
     tr.g.add_sink("result", REPORT)
     tr.g.connect(out, "result")
     tr.g.add_conservation("count")
-    sems: dict = {}
-    for name in uses:
-        for s in catalog[name]:
-            sems.setdefault(s.name, s.sem)
+    # one spec per (scheme, field) that some used table carries
+    names = dict.fromkeys(s.name for name in uses for s in catalog[name])
     for scheme in ("sum_by_unit", "paccioli"):
-        for f, fsem in sems.items():
-            if fsem == SCHEMES[scheme]:
+        for f in names:
+            if any(carries(catalog[name], scheme, f) for name in uses):
                 tr.g.add_conservation(scheme, f)
     return tr.g
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 from collections import Counter
 from decimal import Decimal
@@ -556,7 +557,10 @@ def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
 
 # sha256 of every deterministic `run` output: sinks, dashboards, audit.json
 # (with the rendered `measure:*` balances of its conservation section) and
-# stdout must not change by accident.
+# stdout must not change by accident.  The audit.json digests were last
+# recomputed when its `sources`, `stages` and `sinks` sections were dropped
+# (the path table holds every pid once); its `paths`, `reports` and
+# `conservation` did not change.
 PINNED_DIGESTS = {
     "ship": {
         "iv_closed.csv": "b4f3ec06132c933a030d2896071124c9144bf9395445f5a23ba094ef763a8550",
@@ -574,7 +578,7 @@ PINNED_DIGESTS = {
         "rc_unused_sink.csv": "678af6df01b3abca77005dac7addec010bf875c6cf05b54f3463c830d2fda1d0",
         "wt_animate.csv": "2eaeedcc50bb2d8b14f115ee9a07def9729d3e1b0996b69704be4d355a8b6a91",
         "wt_summary.csv": "9d52053cad21ab08a874a02c2bb72769f85503462a8096bc8b9bd875de9cdfa5",
-        "audit.json": "f74b6aa2a138d3cd54a9d58ac911039f469181c2872c532dc3dedbb92eec9cca",
+        "audit.json": "9ea6cf78cc7bd86f4beddc525e5eed88891ff38f5a38e5a6dfde008338392730",
         "dashboard.txt": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
         "dashboard.json": "f8e84c2a1e17c1597439e767450a766f79ba4f61e5904e18afd7e14f069682eb",
         "stdout text": "f2db630e8ac2d8aeafd30d59da963e37eac1c6d8450fd7c78b3b71fac3398420",
@@ -584,7 +588,7 @@ PINNED_DIGESTS = {
         "missing_products.csv": "6e926ad1218e5508c038e2fc4f758640cc8fd9728af69a60cc1450ccf8abfb05",
         "priced.csv": "d05bcfcc83e4fcbe3bfeb0e6de8b5ec83107eebf3497417bd5db5b104b3f74b7",
         "unused_references.csv": "d9de3e50bf0ce959b465cfa8576b4ffb8f5694197c3864aa225355e443069047",
-        "audit.json": "4286556acd476e0c81ea57c3ed9806b0bbf6c2e91b69febd95960122bcb9022d",
+        "audit.json": "21e4282eb861d0d0efd6b371c77772bb2c6474c7e45004a80e80922a7f6c41f5",
         "dashboard.txt": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
         "dashboard.json": "7e6f9b2d2aa106cdfe9b5f83e34863e5c208f65bd0825a9766450fc6d25ed2c7",
         "stdout text": "65cdb47e61481a13076a77f5c46058f5a9806777758c206a27af4a61cbbfef87",
@@ -621,6 +625,22 @@ def _decode_pid_ranges(text: str) -> set:
         pids.update(range(lo, hi + 1))
         last = hi
     return pids
+
+
+PID_RANGES = re.compile(r"\d+(-\d+)?(,\d+(-\d+)?)*")
+
+
+def _strings(node):
+    """Every string of a decoded JSON document, keys included."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _strings(v)
+    elif isinstance(node, str):
+        yield node
 
 
 def _run_and_capture_audit(monkeypatch, pipeline: str, data: str, out) -> tuple:
@@ -685,18 +705,42 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
     fixture = case.split()[0]
     pipeline = os.path.join(fixture_dir(fixture), "pipeline.yaml")
     data = SCALED[case](tmp_path) if case in SCALED else fixture_dir(fixture)
+    import tallyflow.cli as cli_mod
+    graphs = []
+    real_dashboard = cli_mod.dashboard_document
+
+    def capture(graph, result, report):
+        graphs.append(graph)
+        return real_dashboard(graph, result, report)
+
+    monkeypatch.setattr(cli_mod, "dashboard_document", capture)
     audit, doc = _run_and_capture_audit(monkeypatch, pipeline, data, tmp_path / "out")
 
-    assert {k: _decode_pid_ranges(v) for k, v in doc["sources"].items()} == \
-        {k: set(v) for k, v in audit.source_pids.items()}
-    assert {k: _decode_pid_ranges(v) for k, v in doc["sinks"].items()} == \
-        {k: set(v) for k, v in audit.sink_pids.items()}
-    assert [(s["stage"], {p: _decode_pid_ranges(r) for p, r in s["in"].items()},
-             {p: _decode_pid_ranges(r) for p, r in s["out"].items()})
-            for s in doc["stages"]] == \
-        [(sv.stage, {p: set(x) for p, x in sv.ins.items()},
-          {p: set(x) for p, x in sv.outs.items()})
-         for sv in audit.stage_visits]
+    # the paths are the whole pid record: each pid is written once, and
+    # every port's set is the union of the paths with a step at that port
+    assert set(doc) == {"reports", "paths", "conservation"}
+    assert sorted(s for s in _strings(doc) if PID_RANGES.fullmatch(s)) == \
+        sorted(entry["pids"] for entry in doc["paths"])
+    at_port: dict = {}
+    for entry in doc["paths"]:
+        for owner, port, _ in entry["steps"]:
+            at_port.setdefault((owner, port), set()).update(
+                _decode_pid_ranges(entry["pids"]))
+
+    def port_set(owner, port):
+        return at_port.get((owner, port), set())
+
+    assert at_port.keys() <= {(e.owner, e.port) for e in audit.ports}
+    for e in audit.ports:
+        assert port_set(e.owner, e.port) == e.pids, (e.owner, e.port)
+    assert {k: port_set(k, "out") for k in audit.source_pids} == audit.source_pids
+    assert {k: port_set(k, "in") for k in audit.sink_pids} == audit.sink_pids
+    feeder = {(w.dst.owner, w.dst.port): (w.src.owner, w.src.port)
+              for w in graphs[0].wires}
+    assert [(sv.stage, {p: port_set(*feeder[sv.stage, p]) for p in sv.ins},
+             {p: port_set(sv.stage, p) for p in sv.outs})
+            for sv in audit.stage_visits] == \
+        [(sv.stage, sv.ins, sv.outs) for sv in audit.stage_visits]
 
     path_of: dict = {}
     smallest = []

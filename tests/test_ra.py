@@ -45,7 +45,8 @@ from tallyflow import (
     translate,
 )
 from tallyflow.fuzz import OPERATOR_KINDS
-from tallyflow.ra import base_names
+import tallyflow.ra as ra_mod
+from tallyflow.ra import _children, base_names
 
 
 D = Decimal
@@ -353,6 +354,40 @@ def test_compiled_graphs_match_their_pinned_digest():
             digest.update(json.dumps(_graph_document(g)).encode() + b"\n")
     assert roots == set(OPERATOR_KINDS)
     assert digest.hexdigest() == COMPILED_GRAPHS_DIGEST
+
+
+def _ast_nodes(expr) -> int:
+    return 1 + sum(_ast_nodes(child) for _, child in _children(expr))
+
+
+def test_translate_types_each_query_node_once(monkeypatch):
+    calls = 0
+    real = ra_mod._infer
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ra_mod, "_infer", counted)
+    for i in range(500):
+        expr, tables = make_case(0, i)
+        before = calls
+        translate(expr, {name: t.schema for name, t in tables.items()})
+        assert calls - before <= _ast_nodes(expr), i
+
+
+def test_a_field_name_of_two_types_gets_a_measure_for_each():
+    # b's quantity x is renamed away, but its source still carries it
+    a = schema(FieldSpec("x", "decimal", "$"))
+    b = schema(FieldSpec("x", "quantity"))
+    q = CrossProduct(BaseRelation("a"), Rename(BaseRelation("b"), (("x", "y"),)))
+    g = translate(q, {"a": a, "b": b})
+    assert [(c.scheme, c.fld) for c in g.conservation] == [
+        ("count", None), ("sum_by_unit", "x"), ("paccioli", "x")]
+    tables = {"a": ingest(a, [{"x": D("1.5")}, {"x": D(-2)}]),
+              "b": ingest(b, [{"x": Quantity(D(3), "kg")}, {"x": Quantity(D(4), "t")}], 10)}
+    assert equivalence_check(q, tables).ok
 
 # -- query documents ----------------------------------------------------
 

@@ -61,7 +61,6 @@ from .space import (
     decimal_sum_space,
     paccioli_space,
     quantity_sum_space,
-    quantity_units,
 )
 from .exprs import (
     All,

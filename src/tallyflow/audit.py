@@ -1,27 +1,24 @@
 """Conservation audits and dashboards for pipeline runs.
 
-At ingestion each source row's contribution to every measure its source
-carries is recorded per pid (its charges).  After a run, checks confirm
-that no stage lost or invented a pid, that every source pid of a report
-reached one of its sinks, and that the fused sink-side charges balance
-the source-side charges exactly.
+At ingestion each carrier row's payload in every measure space its source
+carries is recorded per pid (the ledger, RunAudit.charges), and each
+carrier's payloads are folded once into its total per space
+(RunAudit.totals).  After a run, checks confirm that no stage lost or
+invented a pid, that every source pid of a report reached one of its sinks,
+and that the ledger payloads of the pids attributed to the report's sinks
+fuse to exactly the totals of its carrier sources.
 Sink-side fusing attributes each pid to the first sink that carries it,
 report sinks before error sinks, so fan-out never double-counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 
-from .monoid import MonoidElement, fuse, fuse_all
-from .space import (
-    carries,
-    count_space,
-    decimal_sum_space,
-    paccioli_space,
-    quantity_sum_space,
-    quantity_units,
-)
+from .monoid import fold_payloads, fuse
+from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
+from .values import Quantity
 
 REPORT = "report"
 
@@ -33,46 +30,76 @@ def measure_carriers(graph, spec) -> dict:
             for name, s in graph.sources.items() if carries(s.schema, spec.scheme, spec.fld)}
 
 
-def _concrete_spaces(graph, inputs: dict) -> list:
-    """(space, carriers) for each measure; a sum takes its carriers' unit.
+def _ledger(rows, payload, zero) -> dict:
+    """pid -> payload(rec) for each row's smallest pid, zero for its others."""
+    mine: dict = {}
+    for rec in rows:
+        pids = rec.pids
+        if len(pids) > 1:
+            mine.update(dict.fromkeys(pids, zero))
+        mine[min(pids)] = payload(rec)
+    return mine
 
-    validate() has refused a sum or paccioli whose carriers declare different
-    units.
+
+def _unit_ledgers(fld: str, rows_of: dict) -> list:
+    """(space, {carrier: ledger}) per unit label of a quantity field, sorted.
+
+    Each carrier's cells are read once.  A quantity's amount is charged in
+    its unit's space and zero in the others (quantity_sum_space); a Missing
+    cell, and a multi-pid row's other pids, are zero in every space.
     """
-    spaces: list = []
-    for spec in graph.conservation:
-        carriers = measure_carriers(graph, spec)
-        if spec.scheme == "count":
-            spaces.append((count_space(), carriers))
-        elif spec.scheme == "sum":
-            unit = next(iter(carriers.values()), None)
-            spaces.append((decimal_sum_space(spec.fld, unit), carriers))
-        elif spec.scheme == "paccioli":
-            spaces.append((paccioli_space(spec.fld), carriers))
-        else:  # sum_by_unit
-            units = set().union(*(quantity_units(inputs[n], spec.fld) for n in carriers))
-            spaces.extend((quantity_sum_space(spec.fld, u), carriers) for u in sorted(units))
-    return spaces
+    cells = {name: _ledger(rows, lambda rec: rec.fields[fld], None)
+             for name, rows in rows_of.items()}
+    amounts: dict = {}  # unit -> carrier -> pid -> amount
+    for name, mine in cells.items():
+        for pid, v in mine.items():
+            if isinstance(v, Quantity):
+                amounts.setdefault(v.unit, {}).setdefault(name, {})[pid] = v.amount
+    ledgers = []
+    for u in sorted(amounts):
+        space = quantity_sum_space(fld, u)
+        zero = space.unit.payload
+        ledgers.append((space, {name: {**dict.fromkeys(mine, zero), **amounts[u].get(name, {})}
+                                for name, mine in cells.items()}))
+    return ledgers
 
 
 def build_charges(graph, audit, inputs: dict) -> None:
-    """Record each source pid's contribution to every declared measure.
+    """Record each carrier pid's payload in every declared measure space.
 
-    Only a measure's carriers are read: pids of other sources get no entry,
-    which conservation_check reads as the unit element.  Multi-pid source
-    rows charge their smallest pid and zero the rest.
+    Each carrier's rows are read once per measure; a sum_by_unit field is
+    read once for all of its unit labels.  A multi-pid row charges its
+    smallest pid and gives the rest the unit payload.  Every carrier pid
+    gets an entry in each of its measure's spaces; pids of other sources
+    get none, which conservation_check reads as the unit payload.  Each
+    carrier's total per space is folded here, once per run.  validate() has
+    refused a sum or paccioli whose carriers declare different units.
     """
-    for space, carriers in _concrete_spaces(graph, inputs):
-        per_pid: dict[int, MonoidElement] = {}
-        unit = space.unit
-        for name in carriers:
-            for rec in inputs[name].rows:
-                main = min(rec.pids)
-                elem = space.per_record(rec)
-                for pid in rec.pids:
-                    per_pid[pid] = elem if pid == main else unit
-        audit.charges[space.name] = per_pid
-        audit.space_units[space.name] = unit
+    for spec in graph.conservation:
+        carriers = measure_carriers(graph, spec)
+        rows_of = {name: inputs[name].rows for name in carriers}
+        if spec.scheme == "sum_by_unit":
+            ledgers = _unit_ledgers(spec.fld, rows_of)
+        else:
+            if spec.scheme == "count":
+                space = count_space()
+            elif spec.scheme == "sum":
+                space = decimal_sum_space(spec.fld, next(iter(carriers.values()), None))
+            else:
+                space = paccioli_space(spec.fld)
+            zero = space.unit.payload
+            ledgers = [(space, {name: _ledger(rows, space.payload, zero)
+                                for name, rows in rows_of.items()})]
+        for space, by_carrier in ledgers:
+            unit = space.unit
+            charge: dict = {}
+            audit.totals[space.name] = {}
+            for name, mine in by_carrier.items():
+                audit.totals[space.name][name] = fold_payloads(
+                    unit.kind, mine.values(), unit.payload)
+                charge = {**charge, **mine} if charge else mine
+            audit.charges[space.name] = charge
+            audit.space_units[space.name] = unit
 
 
 @dataclass(frozen=True)
@@ -145,13 +172,16 @@ def conservation_check(audit) -> ConservationReport:
         if not cov_ok:
             continue
         classes = attribution_classes(audit, label)
+        sources = audit.report_sources.get(label, ())
         for space, unit in audit.space_units.items():
-            charge = audit.charges[space]
+            charge, kind, zero = audit.charges[space], unit.kind, unit.payload
             lhs = unit
             for sink_name in audit.sink_order[label]:
-                lhs = fuse(lhs, fuse_all(
-                    (charge.get(p, unit) for p in sorted(classes[sink_name])), unit))
-            rhs = fuse_all((charge.get(p, unit) for p in sorted(src)), unit)
+                lhs = fuse(lhs, replace(unit, payload=fold_payloads(
+                    kind, map(charge.get, classes[sink_name], repeat(zero)), zero)))
+            totals = audit.totals[space]
+            rhs = replace(unit, payload=fold_payloads(
+                kind, (totals[s] for s in sources if s in totals), zero))
             m_ok = lhs == rhs
             detail = f"sinks {lhs.render()} == sources {rhs.render()}"
             if not m_ok:

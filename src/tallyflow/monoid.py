@@ -1,9 +1,10 @@
 """Information-fusion monoids: the elements summaries are made of.
 
 Each element kind carries a unit element and a combine rule, plus a partial
-order under which fusing is monotone.  fuse_all folds any number of
-elements onto a start in one pass and is the only code that knows the
-combine rules; fuse is its two-element case.  Count/Sum/Avg/Set/Paccioli
+order under which fusing is monotone.  fold_payloads is the only code
+that knows the combine rules: it folds bare payloads of one kind onto a
+start.  fuse_all checks elements against a start and folds their payloads;
+fuse is its two-element case.  Count/Sum/Avg/Set/Paccioli
 use growth orders (fusing moves up); Min and Max use orders derived from
 fuse itself, so fuse(a, b) sits below both a and b.  Max's order is
 reversed-numeric for exactly that reason.
@@ -14,8 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import reduce
-from operator import add
+from itertools import chain
+from operator import itemgetter
 
 from .errors import KindMismatch
 from .values import NEG_INF, POS_INF, cell_key, plain
@@ -126,6 +127,9 @@ def _pair(p: object, what: str) -> tuple:
 
 # -- constructors -------------------------------------------------------
 
+ZERO = Decimal(0)
+
+
 def count(n: int = 1) -> MonoidElement:
     return MonoidElement(Kind.COUNT, n)
 
@@ -154,11 +158,14 @@ def paccioli(debit: Decimal, credit: Decimal, unit: str | None = None) -> Monoid
     return MonoidElement(Kind.PACCIOLI, (debit, credit), unit)
 
 
+def signed_legs(value: Decimal) -> tuple:
+    """A signed amount as a (debit, credit) payload: debit if >= 0, else credit."""
+    return (value, ZERO) if value >= 0 else (ZERO, -value)
+
+
 def paccioli_of_signed(value: Decimal, unit: str | None = None) -> MonoidElement:
     """Embed a signed amount as a debit (if >= 0) or a credit (if < 0)."""
-    if value >= 0:
-        return paccioli(value, Decimal(0), unit)
-    return paccioli(Decimal(0), -value, unit)
+    return MonoidElement(Kind.PACCIOLI, signed_legs(value), unit)
 
 
 def tuple_of(*elements: MonoidElement) -> MonoidElement:
@@ -167,12 +174,12 @@ def tuple_of(*elements: MonoidElement) -> MonoidElement:
 
 _UNITS = {
     Kind.COUNT: 0,
-    Kind.SUM: Decimal(0),
+    Kind.SUM: ZERO,
     Kind.MIN: POS_INF,
     Kind.MAX: NEG_INF,
-    Kind.AVG: (Decimal(0), 0),
+    Kind.AVG: (ZERO, 0),
     Kind.SET: frozenset(),
-    Kind.PACCIOLI: (Decimal(0), Decimal(0)),
+    Kind.PACCIOLI: (ZERO, ZERO),
 }
 
 
@@ -194,30 +201,39 @@ def _check_compatible(a: MonoidElement, b: MonoidElement) -> None:
         raise KindMismatch(f"tuple arity mismatch: {len(a.payload)} vs {len(b.payload)}")
 
 
+def fold_payloads(kind: Kind, payloads, start: object) -> object:
+    """Left-fold bare payloads of kind onto the payload start.
+
+    The only place each kind's combine rule lives.  Nothing is checked: the
+    caller vouches that every payload has kind's shape and one unit label.
+    """
+    if kind is Kind.COUNT or kind is Kind.SUM:
+        return sum(payloads, start)
+    if kind is Kind.MIN:
+        return min(chain((start,), payloads))
+    if kind is Kind.MAX:
+        return max(chain((start,), payloads))
+    if kind is Kind.AVG or kind is Kind.PACCIOLI:
+        pairs = list(payloads)
+        return (sum(map(itemgetter(0), pairs), start[0]),
+                sum(map(itemgetter(1), pairs), start[1]))
+    if kind is Kind.SET:
+        return start.union(*payloads)
+    return tuple(fuse_all(part[1:], part[0]) for part in zip(start, *payloads))
+
+
 def fuse_all(elements, start: MonoidElement) -> MonoidElement:
     """Left-fold elements onto start, checking each against start.
 
-    The only place each kind's combine rule lives.  Payloads are folded in
-    order and one element is built at the end, with start's unit label.
+    The payloads are folded by fold_payloads and one element is built at
+    the end, with start's unit label.
     """
-    payloads = [start.payload]
+    payloads = []
     for e in elements:
         _check_compatible(start, e)
         payloads.append(e.payload)
-    k = start.kind
-    if k is Kind.COUNT or k is Kind.SUM:
-        total: object = reduce(add, payloads)
-    elif k is Kind.MIN:
-        total = min(payloads)
-    elif k is Kind.MAX:
-        total = max(payloads)
-    elif k is Kind.AVG or k is Kind.PACCIOLI:
-        total = tuple(reduce(add, leg) for leg in zip(*payloads))
-    elif k is Kind.SET:
-        total = frozenset().union(*payloads)
-    else:
-        total = tuple(fuse_all(part[1:], part[0]) for part in zip(*payloads))
-    return MonoidElement(k, total, start.unit)
+    return MonoidElement(start.kind, fold_payloads(start.kind, payloads, start.payload),
+                         start.unit)
 
 
 def fuse(a: MonoidElement, b: MonoidElement) -> MonoidElement:

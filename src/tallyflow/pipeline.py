@@ -368,7 +368,8 @@ class RunAudit:
     stage_visits: list = field(default_factory=list)
     sink_pids: dict = field(default_factory=dict)
     ports: list = field(default_factory=list)        # PortPids in run order
-    charges: dict = field(default_factory=dict)      # space -> pid -> element
+    charges: dict = field(default_factory=dict)      # space -> pid -> payload
+    totals: dict = field(default_factory=dict)       # space -> carrier -> payload
     space_units: dict = field(default_factory=dict)  # space -> unit element
     sink_order: dict = field(default_factory=dict)   # report -> (sinks, canonical)
     report_sources: dict = field(default_factory=dict)

@@ -1,29 +1,21 @@
 """Data spaces: a relation carrier plus a measure into an information monoid.
 
-A space says how to summarize: measure maps any subrelation to one monoid
-element, the fuse_all of its records' elements from the space's unit, and
-the measure of a whole equals the fuse of the measures of any partition of
-it.
+A space says how to summarize: payload gives one record's bare payload in
+the space's monoid, and measure maps any subrelation to one element, its
+records' payloads folded onto the space's unit (monoid.fold_payloads).  The
+measure of a whole equals the fuse of the measures of any partition of it.
+The run ledger (audit.build_charges) reads the same payloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import SchemaMismatch
-from .monoid import (
-    Kind,
-    MonoidElement,
-    count,
-    fuse_all,
-    paccioli_of_signed,
-    sum_of,
-    unit_for,
-)
+from .monoid import ZERO, Kind, MonoidElement, fold_payloads, signed_legs, unit_for
 from .relation import Record, Relation, Schema, SumSchema
-from .values import FieldValue, Missing, Quantity
+from .values import FieldValue, Missing
 
 # the one list of conservation schemes, each with the sem of the field it reads
 SCHEMES = {"count": None, "sum": "decimal", "sum_by_unit": "quantity", "paccioli": "decimal"}
@@ -43,44 +35,51 @@ def carries(sch: "Schema | SumSchema", scheme: str, fld: str | None) -> bool:
 class DataSpace:
     """A named measure over records, folded from its unit element.
 
-    unit fixes the monoid's kind and unit label.  requires is the
-    (scheme, field) per_record reads; measure() refuses a relation whose
-    schema does not carry it (carries) before folding.
+    unit fixes the monoid's kind and unit label; payload is one record's
+    payload of that kind, the one definition per_record, measure() and the
+    run ledger share.  requires is the (scheme, field) payload reads;
+    measure() refuses a relation whose schema does not carry it (carries)
+    before folding.
     """
 
     name: str
     unit: MonoidElement
-    per_record: Callable[[Record], MonoidElement]
+    payload: Callable[[Record], object]
     requires: tuple[str, str | None] = ("count", None)
+
+    def per_record(self, rec: Record) -> MonoidElement:
+        return replace(self.unit, payload=self.payload(rec))
 
     def measure(self, rel: Relation) -> MonoidElement:
         if not carries(rel.schema, *self.requires):
             scheme, fld = self.requires
             raise SchemaMismatch(f"space {self.name} needs a {SCHEMES[scheme]} field {fld!r}")
-        return fuse_all(map(self.per_record, rel.rows), self.unit)
+        u = self.unit
+        return replace(u, payload=fold_payloads(u.kind, map(self.payload, rel.rows), u.payload))
 
 
 def count_space() -> DataSpace:
     """Counts provenance ids, so merged duplicates still count fully."""
-    return DataSpace("count", unit_for(Kind.COUNT), lambda rec: count(len(rec.pids)))
+    return DataSpace("count", unit_for(Kind.COUNT), lambda rec: len(rec.pids))
 
 
-def _field_space(name: str, requires: tuple, zero: MonoidElement,
-                 of_cell: Callable[[FieldValue], MonoidElement]) -> DataSpace:
-    """A space over requires' field: Missing contributes zero, a value of_cell."""
+def _field_space(name: str, requires: tuple, unit: MonoidElement,
+                 of_cell: Callable[[FieldValue], object]) -> DataSpace:
+    """A space over requires' field: Missing contributes unit's payload, a
+    value of_cell's."""
     fld = requires[1]
+    zero = unit.payload
 
-    def per_record(rec: Record) -> MonoidElement:
+    def payload(rec: Record) -> object:
         v = rec.fields[fld]
         return zero if isinstance(v, Missing) else of_cell(v)
 
-    return DataSpace(name, zero, per_record, requires)
+    return DataSpace(name, unit, payload, requires)
 
 
 def decimal_sum_space(fld: str, unit: str | None = None) -> DataSpace:
     """Sums a decimal column; Missing cells contribute the unit element."""
-    return _field_space(f"sum[{fld}]", ("sum", fld), unit_for(Kind.SUM, unit),
-                        lambda v: sum_of(v, unit))
+    return _field_space(f"sum[{fld}]", ("sum", fld), unit_for(Kind.SUM, unit), lambda v: v)
 
 
 def quantity_sum_space(fld: str, unit: str) -> DataSpace:
@@ -90,7 +89,7 @@ def quantity_sum_space(fld: str, unit: str) -> DataSpace:
     family over all labels present is the full measure of the column.
     """
     return _field_space(f"sum[{fld}:{unit}]", ("sum_by_unit", fld), unit_for(Kind.SUM, unit),
-                        lambda v: sum_of(v.amount if v.unit == unit else Decimal(0), unit))
+                        lambda v: v.amount if v.unit == unit else ZERO)
 
 
 def paccioli_space(fld: str, unit: str | None = None) -> DataSpace:
@@ -100,14 +99,5 @@ def paccioli_space(fld: str, unit: str | None = None) -> DataSpace:
     debit minus credit recovers the plain signed sum.
     """
     return _field_space(f"paccioli[{fld}]", ("paccioli", fld), unit_for(Kind.PACCIOLI, unit),
-                        lambda v: paccioli_of_signed(v, unit))
+                        signed_legs)
 
-
-def quantity_units(rel: Relation, fld: str) -> tuple[str, ...]:
-    """Sorted unit labels present in a quantity column."""
-    units = {
-        rec.fields[fld].unit
-        for rec in rel.rows
-        if isinstance(rec.fields[fld], Quantity)
-    }
-    return tuple(sorted(units))

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
-from tallyflow.audit import Check, ConservationReport
+from tallyflow.audit import Check, ConservationReport, build_charges
 from tallyflow.cli import main
 from tallyflow.csvio import (
     ColumnSpec,
@@ -27,7 +27,7 @@ from tallyflow.csvio import (
     write_csv,
 )
 from tallyflow.monoid import count
-from tallyflow.pipeline import trace
+from tallyflow.pipeline import RunAudit, trace
 from tallyflow.relation import FieldSpec, Record, Relation
 
 
@@ -775,12 +775,69 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
 
 
 def test_charges_come_from_the_sources_that_carry_each_measure(tmp_path, monkeypatch):
+    runs = []
+    real_run = PipelineGraph.run
+
+    def run(graph, inputs):
+        runs.append((graph, inputs))
+        return real_run(graph, inputs)
+
+    monkeypatch.setattr(PipelineGraph, "run", run)
     d = fixture_dir("ship")
     audit, _ = _run_and_capture_audit(
         monkeypatch, os.path.join(d, "pipeline.yaml"), d, tmp_path / "out")
     assert audit.charges["paccioli[Price]"].keys() == audit.source_pids["prices"]
     assert audit.charges["paccioli[Insurance]"].keys() == audit.source_pids["items"]
     assert audit.charges["count"].keys() == audit.all_source_pids()
+
+    # perfbench/tracer.py times build_charges on a fresh RunAudit after the
+    # run and counts its entries: that call must rebuild the run's ledger
+    [(graph, inputs)] = runs
+    fresh = RunAudit()
+    build_charges(graph, fresh, inputs)
+    assert list(fresh.charges) == list(audit.charges) == list(audit.space_units)
+    assert {s: c.keys() for s, c in fresh.charges.items()} == \
+        {s: c.keys() for s, c in audit.charges.items()}
+    assert fresh.totals == audit.totals
+    assert fresh.space_units == audit.space_units
+
+
+@pytest.mark.parametrize("space, pid, corrupt, failed", [
+    ("count", 1, lambda p: p + 1, {
+        "measure:insured_value:count": "sinks 12 != sources 11",
+        "measure:replacement_cost:count": "sinks 12 != sources 11",
+        "measure:weight:count": "sinks 8 != sources 7"}),
+    ("sum[Quantity:tonne]", 3, lambda p: p + 1, {
+        f"measure:{label}:sum[Quantity:tonne]": "sinks 201 tonne != sources 200 tonne"
+        for label in ("insured_value", "replacement_cost", "weight")}),
+    # prices pids reach no weight sink, so weight's check stays green
+    ("paccioli[Price]", 8, lambda p: (p[0] + 1, p[1]), {
+        f"measure:{label}:paccioli[Price]":
+            "sinks dr 47.1356 / cr 0 != sources dr 46.1356 / cr 0"
+        for label in ("insured_value", "replacement_cost")}),
+], ids=["count", "sum_by_unit", "paccioli"])
+def test_a_corrupted_ledger_payload_breaks_its_measure(
+        tmp_path, capsys, monkeypatch, space, pid, corrupt, failed):
+    # the sink side reads the ledger and the source side the carriers'
+    # totals, so one wrong payload after the run turns its measure red
+    import tallyflow.cli as cli_mod
+    reports = []
+    check = cli_mod.conservation_check
+
+    def corrupted_check(audit):
+        audit.charges[space][pid] = corrupt(audit.charges[space][pid])
+        reports.append(check(audit))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_mod, "conservation_check", corrupted_check)
+    d = fixture_dir("ship")
+    assert main(["run", os.path.join(d, "pipeline.yaml"),
+                 "--data", d, "--out", str(tmp_path / "out")]) == 3
+    [report] = reports
+    assert not report.ok
+    assert {c.name: c.detail for c in report.checks if not c.ok} == failed
+    assert capsys.readouterr().err == "".join(
+        f"run: conservation broken: {name}: {detail}\n" for name, detail in failed.items())
 
 
 # -- command line: fuzz -------------------------------------------------

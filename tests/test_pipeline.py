@@ -1,5 +1,6 @@
 """Pipeline graphs: wiring rules, execution, audit and dashboards."""
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -39,13 +40,14 @@ from tallyflow import (
     dashboard_document,
     ingest,
     pids,
+    quantity_sum_space,
     render_dashboard,
     schema,
     trace,
 )
-from tallyflow.audit import path_classes, pid_ranges
+from tallyflow.audit import build_charges, path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
-from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node
+from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node, RunAudit
 from tallyflow.pipeline_doc import _make_node
 
 
@@ -305,6 +307,70 @@ def test_a_sum_reads_only_its_carriers():
     assert res.audit.space_units["sum[amt]"].unit == "$"
     assert res.audit.charges["sum[amt]"].keys() == {1}
     assert conservation_check(res.audit).ok
+
+
+def test_a_multi_pid_source_row_charges_its_smallest_pid():
+    # one row carrying pids {3, 4}, fanned out to two sinks of one report
+    g = PipelineGraph("m")
+    g.add_source("s", amounts("$"))
+    g.add_node(TeeNode("fan"))
+    g.connect("s", "fan.in")
+    for i, port in enumerate(("left", "right")):
+        g.add_sink(f"k{i}", "report")
+        g.connect(f"fan.{port}", f"k{i}")
+    for scheme, fld in (("count", None), ("sum", "amt"), ("paccioli", "amt")):
+        g.add_conservation(scheme, fld)
+    res = g.run({"s": Relation(amounts("$"), (Record(frozenset({3, 4}), {"amt": D("-2.5")}),))})
+    assert res.audit.charges == {
+        "count": {3: 2, 4: 0},
+        "sum[amt]": {3: D("-2.5"), 4: D(0)},
+        "paccioli[amt]": {3: (D(0), D("2.5")), 4: (D(0), D(0))},
+    }
+    got = verdicts(res)
+    assert got["measure:main:count"] == (True, "sinks 2 == sources 2")
+    assert got["measure:main:sum[amt]"] == (True, "sinks -2.5 $ == sources -2.5 $")
+    assert got["measure:main:paccioli[amt]"] == (
+        True, "sinks dr 0 / cr 2.5 == sources dr 0 / cr 2.5")
+
+
+def test_sum_by_unit_reads_each_carrier_once_for_every_unit():
+    qty = schema(FieldSpec("item", "text"), FieldSpec("qty", "quantity"))
+    # the unit labels first appear in the order lb, kg, t
+    s0 = ingest(qty, [{"item": "a", "qty": Quantity(D(1), "lb")},
+                      {"item": "b", "qty": Missing("empty")},
+                      {"item": "c", "qty": Quantity(D("4.5"), "kg")}])
+    s1 = ingest(qty, [{"item": "d", "qty": Quantity(D(2), "t")},
+                      {"item": "e", "qty": Quantity(D("0.25"), "lb")},
+                      {"item": "f", "qty": Quantity(D(3), "kg")}], first_pid=4)
+    g = measured_graph("sum_by_unit", "qty", qty, qty)
+    reads = Counter()
+
+    class Fields(dict):
+        def __getitem__(self, key):
+            reads[key] += 1
+            return super().__getitem__(key)
+
+    def counted(rel):
+        return Relation(rel.schema, tuple(Record(r.pids, Fields(r.fields)) for r in rel.rows))
+
+    inputs = {"s0": counted(s0), "s1": counted(s1)}
+    res = g.run(inputs)
+    reads.clear()
+    build_charges(g, RunAudit(), inputs)
+    assert reads == {"qty": 6}  # one read per carrier row, for all three units
+    assert [(c.name, c.ok, c.detail) for c in conservation_check(res.audit).checks
+            if c.name.startswith("measure:")] == [
+        ("measure:main:sum[qty:kg]", True, "sinks 7.5 kg == sources 7.5 kg"),
+        ("measure:main:sum[qty:lb]", True, "sinks 1.25 lb == sources 1.25 lb"),
+        ("measure:main:sum[qty:t]", True, "sinks 2 t == sources 2 t"),
+    ]
+    # every carrier pid has an entry in every unit's space
+    assert all(c.keys() == set(range(1, 7)) for c in res.audit.charges.values())
+    # each carrier's total is what its unit's space measures
+    for unit in ("kg", "lb", "t"):
+        space = quantity_sum_space("qty", unit)
+        assert res.audit.totals[space.name] == {
+            "s0": space.measure(s0).payload, "s1": space.measure(s1).payload}
 
 
 def test_a_conservation_spec_names_a_field_exactly_when_its_scheme_reads_one():

@@ -12,10 +12,10 @@ from tallyflow import (
     count_space,
     decimal_sum_space,
     fuse,
+    fuse_all,
     ingest,
     paccioli_space,
     quantity_sum_space,
-    quantity_units,
     schema,
     Compare,
     partition_detailed,
@@ -52,7 +52,6 @@ def test_decimal_sum_space_sums_and_skips_missing():
 
 def test_quantity_sum_space_is_per_unit():
     rel = ledger()
-    assert quantity_units(rel, "load") == ("kg", "lb")
     assert quantity_sum_space("load", "kg").measure(rel).payload == D(7)
     assert quantity_sum_space("load", "lb").measure(rel).payload == D(1)
 
@@ -68,6 +67,20 @@ def test_measure_is_additive_over_a_partition():
     acc, rej, _ = partition_detailed(rel, Compare("gt", "amount", D(0)))
     fused = fuse(space.measure(acc), space.measure(rej))
     assert fused == space.measure(rel)
+
+
+@pytest.mark.parametrize("space", [
+    count_space(),
+    decimal_sum_space("amount", "$"),
+    quantity_sum_space("load", "kg"),
+    paccioli_space("amount", "$"),
+], ids=lambda sp: sp.name)
+def test_measure_folds_the_payloads_per_record_checks(space):
+    # measure() folds bare payloads; per_record builds (and so validates)
+    # each record's element, and fuse_all checks and folds those
+    rel = ledger()
+    assert space.measure(rel) == fuse_all(map(space.per_record, rel.rows), space.unit)
+    assert [space.per_record(r).payload for r in rel.rows] == list(map(space.payload, rel.rows))
 
 
 def test_space_refuses_a_relation_without_its_field():

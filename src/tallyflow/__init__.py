@@ -5,6 +5,8 @@ merges, and a run's audit proves that each source row reached exactly the
 sinks it is charged to, for every declared measure.
 """
 
+from importlib import import_module
+
 from .errors import (
     CollisionAfterRename,
     ExprTypeError,
@@ -121,27 +123,24 @@ from .audit import (
     dashboard_document,
     render_dashboard,
 )
-from .ra import (
-    Aggregate,
-    BaseRelation,
-    CrossProduct,
-    Intersect,
-    Map,
-    Minus,
-    NaturalJoin,
-    OuterJoin,
-    Project,
-    Rename,
-    Select,
-    Union,
-    UnionAll,
-    decode_query,
-    encode_query,
-    equivalence_check,
-    infer_schema,
-    reference_eval,
-    translate,
-)
-from .fuzz import make_case, run_fuzz
+
+# The query compiler and the fuzzer load on first access (PEP 562), so
+# `run` and `check` never import them.
+_LAZY = {
+    "ra": ("Aggregate", "BaseRelation", "CrossProduct", "Intersect", "Map", "Minus",
+           "NaturalJoin", "OuterJoin", "Project", "Rename", "Select", "Union",
+           "UnionAll", "decode_query", "encode_query", "equivalence_check",
+           "infer_schema", "reference_eval", "translate"),
+    "fuzz": ("make_case", "run_fuzz"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

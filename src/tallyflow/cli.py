@@ -19,7 +19,6 @@ import sys
 from .audit import audit_document, conservation_check, dashboard_document, render_dashboard
 from .csvio import load_sidecar, read_table, table_schema, write_csv, write_text
 from .errors import InvalidGraph, TallyError
-from .fuzz import run_fuzz
 from .pipeline_doc import build_graph, load_doc, source_files
 
 
@@ -127,6 +126,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import run_fuzz  # only fuzz loads the query compiler
+
     report = run_fuzz(args.seed, args.iterations)
     if args.format == "structured":
         _out(json.dumps({

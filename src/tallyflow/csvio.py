@@ -55,10 +55,23 @@ class ColumnSpec:
         object.__setattr__(self, "sentinels", tuple(self.sentinels))
 
 
+def read_yaml(path: str):
+    """The YAML document at path, read with PyYAML's safe loader.
+
+    libyaml parses it when PyYAML was built with it (CSafeLoader); either
+    loader gives the same document.  A syntax error is a ValueError that
+    names the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not a YAML document: {exc}") from None
+
+
 def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
     """Read a table description document: {columns: [{name, type, ...}]}."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(path)
     if not isinstance(doc, dict) or "columns" not in doc:
         raise ValueError(f"{path}: expected a mapping with a 'columns' list")
     cols = []
@@ -91,30 +104,28 @@ def table_schema(cols) -> Schema:
     return schema(*(FieldSpec(c.name, c.type, c.unit) for c in cols))
 
 
-def _parse_cell(raw: str, col: ColumnSpec):
-    """One cell to a value, units resolved later; raises ValueError on junk."""
-    if raw == "":
-        if col.empty == "missing":
-            return Missing("empty")
-        if col.empty == "keep":
-            if col.type != "text":
-                return Missing("empty")
-            return ""
-        raw = col.empty
-    if raw in col.sentinels:
-        return Missing(raw)
-    if col.type == "text":
-        return raw
-    if col.type == "integer":
+def _cell_parser(col: ColumnSpec):
+    """One column's cell parse, units resolved later; raises ValueError on junk."""
+    sentinels = frozenset(col.sentinels)
+    convert, what = {"text": (str, ""), "integer": (int, "an integer")}.get(
+        col.type, (dec4, "a number"))  # decimal and quantity amounts share dec4
+    if col.empty == "missing" or (col.empty == "keep" and col.type != "text"):
+        on_empty = Missing("empty")
+    else:
+        on_empty = "" if col.empty == "keep" else None  # None: parse col.empty
+
+    def parse(raw: str):
+        if raw == "":
+            if on_empty is not None:
+                return on_empty
+            raw = col.empty
+        if raw in sentinels:
+            return Missing(raw)
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError:
-            raise ValueError(f"column {col.name!r}: not an integer: {raw!r}")
-    # decimal and quantity amounts share the exact-decimal parse
-    try:
-        return dec4(raw)
-    except ValueError:
-        raise ValueError(f"column {col.name!r}: not a number: {raw!r}")
+            raise ValueError(f"column {col.name!r}: not {what}: {raw!r}") from None
+    return parse
 
 
 def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None):
@@ -139,25 +150,21 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
             raise SchemaMismatch(
                 f"{csv_path}: header {header} does not match described "
                 f"columns {expected}")
+        parsers = [(c.name, header.index(c.name), _cell_parser(c)) for c in cols]
+        quantities = [c for c in cols if c.type == "quantity"]
         for cells in reader:
             if not cells:
                 continue  # a blank line is not a row
-            raw_row = dict(zip(header, cells))
             problem = None
-            fields: dict = {}
             if len(cells) != len(header):
                 problem = f"expected {len(header)} cells, got {len(cells)}"
             else:
-                for c in cols:
-                    try:
-                        fields[c.name] = _parse_cell(raw_row[c.name], c)
-                    except ValueError as exc:
-                        problem = str(exc)
-                        break
+                try:
+                    fields = {name: parse(cells[i]) for name, i, parse in parsers}
+                except ValueError as exc:
+                    problem = str(exc)
             if problem is None:
-                for c in cols:
-                    if c.type != "quantity":
-                        continue
+                for c in quantities:
                     amount = fields[c.name]
                     if isinstance(amount, Missing):
                         continue
@@ -172,6 +179,7 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
             if problem is None:
                 good.append(Record(pids=frozenset({pid}), fields=fields))
             else:
+                raw_row = dict(zip(header, cells))
                 row = {c.name: raw_row.get(c.name, "") for c in cols}
                 row[ERROR_STAGE] = stage
                 row[ERROR_REASON] = problem
@@ -207,7 +215,8 @@ def _csv_text(names: list, rel: Relation) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(names)
     for rec in rel.rows:
-        w.writerow([render_cell(rec.fields[n]) for n in names])
+        w.writerow([v if type(v) is str else render_cell(v)
+                    for v in map(rec.fields.__getitem__, names)])
     return buf.getvalue()
 
 

@@ -12,11 +12,13 @@ counterexamples can be serialized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import FnNotTotal, UnknownField
 from .monoid import Kind, MonoidElement
+from .relation import SumSchema, field_names, has_field
 from .values import FieldValue, Missing, Quantity, cell_key, dec4
 
 # -- predicate AST ------------------------------------------------------
@@ -94,6 +96,9 @@ class Truth:
         return cls("u", reason)
 
 
+_TRUE = Truth.true()  # compiled predicates share it; nothing mutates a Truth
+
+
 def describe(p: Pred) -> str:
     if isinstance(p, Always):
         return "always true" if p.value else "always false"
@@ -116,7 +121,7 @@ def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) ->
     if op in ("eq", "ne"):
         same = cell_key(left) == cell_key(right)
         ok = same if op == "eq" else not same
-        return Truth.true() if ok else Truth.false(f"{field} {op} {right} failed for {left}")
+        return _TRUE if ok else Truth.false(f"{field} {op} {right} failed for {left}")
     # ordered comparison: numbers with numbers, quantities within one unit,
     # text with text; anything else yields no fact
     if isinstance(left, Quantity) and isinstance(right, Quantity):
@@ -131,63 +136,107 @@ def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) ->
         return Truth.unknown(f"{field}: {left!r} not comparable with {right!r}")
     c = 0 if lv == rv else (-1 if lv < rv else 1)
     if _OPS[op](c):
-        return Truth.true()
+        return _TRUE
     return Truth.false(f"{field} {op} {right} failed for {left}")
+
+
+class _Lookup:
+    """A lookup function seen as a row: row[name] calls it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, name: str) -> FieldValue:
+        v = self.fn(name)
+        if v is None:
+            raise UnknownField(f"no field {name!r}")
+        return v
+
+
+def _resolve(sch, name: str) -> str:
+    """name, once sch (each branch of a tagged sum) is known to declare it."""
+    if isinstance(sch, SumSchema):
+        _resolve(sch.left, name)
+        _resolve(sch.right, name)
+    elif sch is not None and not has_field(sch, name):
+        raise UnknownField(f"no field {name!r} in schema {field_names(sch)}")
+    return name
+
+
+def compile_pred(p: Pred, sch=None):
+    """p as a closure from a row's fields dict to its Truth.
+
+    Field names are resolved against sch (raising UnknownField) and InSet
+    key sets are built here, once; sch None resolves nothing.
+    """
+    if isinstance(p, Always):
+        t = _TRUE if p.value else Truth.false("always false")
+        return lambda row: t
+    if isinstance(p, (FieldDefined, Compare, InSet)):
+        name = _resolve(sch, p.field)
+        if isinstance(p, FieldDefined):
+            def defined(row):
+                v = row[name]
+                return Truth.false(f"{name} missing: {v.reason}") if isinstance(v, Missing) else _TRUE
+            return defined
+        if isinstance(p, Compare):
+            op, want = p.op, p.value
+            test = lambda v: _compare_values(op, v, want, name)
+        else:
+            keys = frozenset(cell_key(x) for x in p.values)
+            test = lambda v: (_TRUE if cell_key(v) in keys
+                              else Truth.false(f"{name} value {v} not in allowed set"))
+
+        def known(row):
+            v = row[name]
+            if isinstance(v, Missing):
+                return Truth.unknown(f"{name} missing: {v.reason}")
+            return test(v)
+        return known
+    if isinstance(p, Not):
+        inner = compile_pred(p.inner, sch)
+        negated = Truth.false(f"negation of: {describe(p.inner)}")
+
+        def negate(row):
+            t = inner(row)
+            return negated if t.state == "t" else _TRUE if t.state == "f" else t
+        return negate
+    if isinstance(p, All):
+        parts = [compile_pred(q, sch) for q in p.parts]
+
+        def conjoin(row):
+            pending = None
+            for part in parts:
+                t = part(row)
+                if t.state == "f":
+                    return t
+                if t.state == "u" and pending is None:
+                    pending = t
+            return pending or _TRUE
+        return conjoin
+    if isinstance(p, AnyOf):
+        parts = [compile_pred(q, sch) for q in p.parts]
+
+        def disjoin(row):
+            pending, reasons = None, []
+            for part in parts:
+                t = part(row)
+                if t.state == "t":
+                    return t
+                if t.state == "u" and pending is None:
+                    pending = t
+                if t.state == "f":
+                    reasons.append(t.reason)
+            return pending or Truth.false("; ".join(reasons) or "always false")
+        return disjoin
+    raise TypeError(f"not a predicate: {p!r}")
 
 
 def eval_pred(p: Pred, lookup) -> Truth:
     """Three-valued evaluation; lookup maps a field name to its value."""
-    if isinstance(p, Always):
-        return Truth.true() if p.value else Truth.false("always false")
-    if isinstance(p, FieldDefined):
-        v = lookup(p.field)
-        if isinstance(v, Missing):
-            return Truth.false(f"{p.field} missing: {v.reason}")
-        return Truth.true()
-    if isinstance(p, Compare):
-        v = lookup(p.field)
-        if isinstance(v, Missing):
-            return Truth.unknown(f"{p.field} missing: {v.reason}")
-        return _compare_values(p.op, v, p.value, p.field)
-    if isinstance(p, InSet):
-        v = lookup(p.field)
-        if isinstance(v, Missing):
-            return Truth.unknown(f"{p.field} missing: {v.reason}")
-        keys = {cell_key(x) for x in p.values}
-        if cell_key(v) in keys:
-            return Truth.true()
-        return Truth.false(f"{p.field} value {v} not in allowed set")
-    if isinstance(p, Not):
-        t = eval_pred(p.inner, lookup)
-        if t.state == "t":
-            return Truth.false(f"negation of: {describe(p.inner)}")
-        if t.state == "f":
-            return Truth.true()
-        return t
-    if isinstance(p, All):
-        pending = None
-        for q in p.parts:
-            t = eval_pred(q, lookup)
-            if t.state == "f":
-                return t
-            if t.state == "u" and pending is None:
-                pending = t
-        return pending or Truth.true()
-    if isinstance(p, AnyOf):
-        pending = None
-        reasons = []
-        for q in p.parts:
-            t = eval_pred(q, lookup)
-            if t.state == "t":
-                return t
-            if t.state == "u" and pending is None:
-                pending = t
-            if t.state == "f":
-                reasons.append(t.reason)
-        if pending is not None:
-            return pending
-        return Truth.false("; ".join(reasons) or "always false")
-    raise TypeError(f"not a predicate: {p!r}")
+    return compile_pred(p)(_Lookup(lookup))
 
 
 # -- row expression AST -------------------------------------------------
@@ -242,44 +291,59 @@ def _as_number(v: FieldValue, where: str) -> Decimal:
     raise FnNotTotal(f"{where}: {v!r} is not numeric")
 
 
+_BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def compile_expr(e: Expr, sch=None):
+    """e as a closure from a row's fields dict to a value.
+
+    Missing operands propagate, never crash; field names are resolved
+    against sch, as in compile_pred.
+    """
+    if isinstance(e, Col):
+        return operator.itemgetter(_resolve(sch, e.name))
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda row: value
+    if isinstance(e, NumOf):
+        inner = compile_expr(e.inner, sch)
+
+        def num(row):
+            v = inner(row)
+            return v if isinstance(v, Missing) else _as_number(v, "num")
+        return num
+    if isinstance(e, UnitOf):
+        inner = compile_expr(e.inner, sch)
+
+        def unit_of(row):
+            v = inner(row)
+            if isinstance(v, Quantity):
+                return v.unit
+            if isinstance(v, Missing):
+                return v
+            raise FnNotTotal(f"unit_of: {v!r} has no unit")
+        return unit_of
+    if isinstance(e, BinOp):
+        if e.op not in _BINOPS:
+            raise FnNotTotal(f"unknown operator {e.op!r}")
+        op, fn = e.op, _BINOPS[e.op]
+        left, right = compile_expr(e.left, sch), compile_expr(e.right, sch)
+
+        def binop(row):
+            lv = left(row)
+            if isinstance(lv, Missing):
+                return lv
+            rv = right(row)
+            if isinstance(rv, Missing):
+                return rv
+            return fn(_as_number(lv, op), _as_number(rv, op))
+        return binop
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def eval_expr(e: Expr, lookup) -> FieldValue:
     """Evaluate against a row; Missing operands propagate, never crash."""
-    if isinstance(e, Col):
-        v = lookup(e.name)
-        if v is None:
-            raise UnknownField(f"no field {e.name!r}")
-        return v
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, NumOf):
-        v = eval_expr(e.inner, lookup)
-        if isinstance(v, Missing):
-            return v
-        return _as_number(v, "num")
-    if isinstance(e, UnitOf):
-        v = eval_expr(e.inner, lookup)
-        if isinstance(v, Missing):
-            return v
-        if isinstance(v, Quantity):
-            return v.unit
-        raise FnNotTotal(f"unit_of: {v!r} has no unit")
-    if isinstance(e, BinOp):
-        lv = eval_expr(e.left, lookup)
-        if isinstance(lv, Missing):
-            return lv
-        rv = eval_expr(e.right, lookup)
-        if isinstance(rv, Missing):
-            return rv
-        ln = _as_number(lv, e.op)
-        rn = _as_number(rv, e.op)
-        if e.op == "add":
-            return ln + rn
-        if e.op == "sub":
-            return ln - rn
-        if e.op == "mul":
-            return ln * rn
-        raise FnNotTotal(f"unknown operator {e.op!r}")
-    raise TypeError(f"not an expression: {e!r}")
+    return compile_expr(e)(_Lookup(lookup))
 
 
 # -- dict (de)serialization --------------------------------------------

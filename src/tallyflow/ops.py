@@ -7,7 +7,7 @@ Operations that can reject rows return the rejects as first-class output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     UnknownGroup,
     UntagMissing,
 )
-from .exprs import Pred, Truth, describe, eval_expr, eval_pred
+from .exprs import Pred, Truth, compile_expr, compile_pred, describe
 from .monoid import Kind, MonoidElement, count, fuse_all, set_of, unit_for
 from .relation import (
     ERROR_REASON,
@@ -57,9 +57,10 @@ def partition_detailed(rel: Relation, pred: Pred):
     rejected rows; unknown outcomes reject with the missing-value reason.
     """
     sch = rel.schema
+    test = compile_pred(pred, sch)
     acc, rej, reasons = [], [], []
     for rec in rel.rows:
-        t: Truth = eval_pred(pred, rec.value)
+        t: Truth = test(rec.fields)
         if t.state == "t":
             acc.append(rec)
         else:
@@ -75,13 +76,9 @@ def as_errors(rel: Relation, stage: str, reasons) -> Relation:
         reasons = [reasons] * len(rel.rows)
     if len(reasons) != len(rel.rows):
         raise ValueError("reasons must align with rows")
-    out = []
-    for rec, reason in zip(rel.rows, reasons):
-        fields = dict(rec.fields)
-        fields[ERROR_STAGE] = stage
-        fields[ERROR_REASON] = reason
-        out.append(replace(rec, fields=fields))
-    return Relation(error_schema(base), tuple(out))
+    out = tuple(Record(rec.pids, {**rec.fields, ERROR_STAGE: stage, ERROR_REASON: reason},
+                       rec.irrelevant, rec.tags) for rec, reason in zip(rel.rows, reasons))
+    return Relation(error_schema(base), out)
 
 
 # -- tagged unions ------------------------------------------------------
@@ -93,8 +90,8 @@ def tagged_union(r1: Relation, r2: Relation, label: str = "union") -> Relation:
     two, and untag() is the exact inverse either way.
     """
     tag_l, tag_r = PathTag("inl", label), PathTag("inr", label)
-    rows = [replace(rec, tags=rec.tags + (tag_l,)) for rec in r1.rows]
-    rows += [replace(rec, tags=rec.tags + (tag_r,)) for rec in r2.rows]
+    rows = [Record(rec.pids, rec.fields, rec.irrelevant, rec.tags + (tag,))
+            for rel, tag in ((r1, tag_l), (r2, tag_r)) for rec in rel.rows]
     out_schema = r1.schema if r1.schema == r2.schema else SumSchema(r1.schema, r2.schema)
     return Relation(out_schema, tuple(rows))
 
@@ -109,9 +106,8 @@ def untag(rel: Relation):
     for rec in rel.rows:
         if not rec.tags:
             raise UntagMissing("record has no tag to pop")
-        tag = rec.tags[-1]
-        popped = replace(rec, tags=rec.tags[:-1])
-        (left if tag.side == "inl" else right).append(popped)
+        popped = Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1])
+        (left if rec.tags[-1].side == "inl" else right).append(popped)
     return Relation(sch_l, tuple(left)), Relation(sch_r, tuple(right))
 
 
@@ -127,7 +123,7 @@ def strip_tags(rel: Relation) -> Relation:
     for rec in rel.rows:
         if not rec.tags:
             raise UntagMissing("record has no tag to pop")
-        rows.append(replace(rec, tags=rec.tags[:-1]))
+        rows.append(Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1]))
     return Relation(sch, tuple(rows))
 
 
@@ -154,7 +150,7 @@ def lossless_project(rel: Relation, fields) -> Relation:
         if drop:
             sliced = {n: rec.fields[n] for n in drop}
             irr = irr + (IrrelevantPart(rec.pids, sliced),)
-        rows.append(replace(rec, fields=kept, irrelevant=irr))
+        rows.append(Record(rec.pids, kept, irr, rec.tags))
     return Relation(new_schema, tuple(rows))
 
 
@@ -173,7 +169,7 @@ def rename(rel: Relation, mapping: dict) -> Relation:
     rows = []
     for rec in rel.rows:
         fields = {mapping.get(n, n): v for n, v in rec.fields.items()}
-        rows.append(replace(rec, fields=fields))
+        rows.append(Record(rec.pids, fields, rec.irrelevant, rec.tags))
     return Relation(new_schema, tuple(rows))
 
 
@@ -204,7 +200,7 @@ def dedup(rel: Relation) -> Relation:
             continue
         pids = frozenset().union(*(m.pids for m in members))
         irr = tuple(p for m in members for p in m.irrelevant)
-        rows.append(replace(first, pids=pids, irrelevant=irr))
+        rows.append(Record(pids, first.fields, irr, first.tags))
     return Relation(sch, tuple(rows))
 
 
@@ -247,10 +243,12 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     right_cols = [rf for _, rf in pairs]
     left_cols = [lf for lf, _ in pairs]
     index: dict = {}
+    kept = []  # each right row's fields that an inner row copies
     for j, rec in enumerate(r2.rows):
         k = key_of(rec, right_cols)
         if k is not None:
             index.setdefault(k, []).append(j)
+        kept.append({s.name: rec.fields[s.name] for s in kept_right})
 
     inner_rows = []
     left_rows = []
@@ -264,15 +262,8 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
         for j in hits:
             right_matched[j] = True
             y = r2.rows[j]
-            fields = dict(x.fields)
-            for s in kept_right:
-                fields[s.name] = y.fields[s.name]
-            inner_rows.append(Record(
-                pids=x.pids | y.pids,
-                fields=fields,
-                irrelevant=x.irrelevant + y.irrelevant,
-                tags=x.tags + y.tags,
-            ))
+            inner_rows.append(Record(x.pids | y.pids, {**x.fields, **kept[j]},
+                                     x.irrelevant + y.irrelevant, x.tags + y.tags))
     right_rows = tuple(rec for j, rec in enumerate(r2.rows) if not right_matched[j])
     return (
         Relation(inner_schema, tuple(inner_rows)),
@@ -296,14 +287,15 @@ def fmap(rel: Relation, additions: dict, sems: dict,
     new_specs = tuple(FieldSpec(name, sems[name], (units or {}).get(name))
                       for name in additions)
     new_schema = schema(*(sch + new_specs))
+    compiled = [(spec, compile_expr(e, sch)) for spec, e in zip(new_specs, additions.values())]
     rows = []
     for rec in rel.rows:
         fields = dict(rec.fields)
-        for spec, expr in zip(new_specs, additions.values()):
-            v = eval_expr(expr, rec.value)
+        for spec, fn in compiled:
+            v = fn(rec.fields)
             check_cell(spec, v)
             fields[spec.name] = v
-        rows.append(replace(rec, fields=fields))
+        rows.append(Record(rec.pids, fields, rec.irrelevant, rec.tags))
     return Relation(new_schema, tuple(rows))
 
 
@@ -395,30 +387,24 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
     specs = tuple(specs)
     out_schema, qty_fields = _agg_plan(sch, keys, specs)
 
-    def unit_label(rec: Record, f: str):
-        v = rec.fields[f]
-        if isinstance(v, Quantity):
-            return v.unit
-        return Missing("empty")
-
-    groups: dict = {}
-    order = []
+    no_unit = Missing("empty")
+    gnames = keys + tuple(f"{f}_unit" for f in qty_fields)
+    groups: dict = {}  # group key -> (key cells, members), in first-seen order
     for rec in rel.rows:
-        gvals = {n: rec.fields[n] for n in keys}
-        for f in qty_fields:
-            gvals[f"{f}_unit"] = unit_label(rec, f)
-        gkey = tuple(cell_key(gvals[n]) for n in gvals)
-        if gkey not in groups:
-            groups[gkey] = (gvals, [])
-            order.append(gkey)
-        groups[gkey][1].append(rec)
+        f = rec.fields
+        gvals = [f[n] for n in keys]
+        gvals += [f[q].unit if isinstance(f[q], Quantity) else no_unit for q in qty_fields]
+        gkey = tuple(map(cell_key, gvals))
+        group = groups.get(gkey)
+        if group is None:
+            group = groups[gkey] = (dict(zip(gnames, gvals)), [])
+        group[1].append(rec)
 
+    plans = [(spec, schema_field(sch, spec.field)) for spec in specs]
     rows = []
-    for gkey in order:
-        gvals, members = groups[gkey]
+    for gvals, members in groups.values():
         fields = dict(gvals)
-        for spec in specs:
-            fspec = schema_field(sch, spec.field)
+        for spec, fspec in plans:
             unit = None
             if fspec.sem == "quantity":
                 ul = fields[f"{spec.field}_unit"]

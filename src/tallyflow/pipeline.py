@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .audit import build_charges, measure_carriers
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
@@ -609,6 +610,11 @@ class PipelineGraph:
             values[PortRef(name, "out")] = rel
             record(name, "out", rel)
         audit.source_pids = {name: pids_of(inputs[name])[0] for name in self.sources}
+        if sum(map(len, audit.source_pids.values())) > len(audit.all_source_pids()):
+            a, b = next((a, b) for a, b in combinations(audit.source_pids, 2)
+                        if not audit.source_pids[a].isdisjoint(audit.source_pids[b]))
+            raise TallyError(f"sources {a!r} and {b!r} share pids; each source needs "
+                             "its own pids (ingest's first_pid)")
         self._setup_audit(audit, inputs)
 
         order, _ = self._topo_order()

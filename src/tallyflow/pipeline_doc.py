@@ -8,8 +8,7 @@ booleans (on, yes, no) are avoided in the format.
 
 from __future__ import annotations
 
-import yaml
-
+from .csvio import read_yaml
 from .errors import malformed
 from .pipeline import NODE_TYPES, Node, PipelineGraph
 
@@ -19,8 +18,7 @@ SECTION_SHAPES = {"sources": dict, "sinks": dict,
 
 
 def load_doc(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a pipeline document is a mapping")
     for key in ("sources", "sinks"):

@@ -143,12 +143,14 @@ def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
     each cell fits its field's sem (check_cell)."""
     names = set(field_names(sch))
+    tests = [(spec, _SEM_CHECKS[spec.sem]) for spec in sch]
     for rec in rows:
         if rec.fields.keys() != names:
             raise SchemaMismatch(f"record fields {sorted(rec.fields)} do not match "
                                  f"schema {field_names(sch)}")
-        for spec in sch:
-            check_cell(spec, rec.fields[spec.name])
+        for spec, ok in tests:
+            if not ok(rec.fields[spec.name]):
+                check_cell(spec, rec.fields[spec.name])
 
 
 @dataclass(frozen=True)

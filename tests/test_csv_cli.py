@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 from importlib import resources
@@ -14,20 +16,24 @@ from random import Random
 import pytest
 import yaml
 
+import tallyflow
+
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
 from tallyflow.audit import Check, ConservationReport, build_charges
 from tallyflow.cli import main
 from tallyflow.csvio import (
     ColumnSpec,
-    _parse_cell,
+    _cell_parser,
     load_sidecar,
     read_table,
+    read_yaml,
     render_cell,
     table_schema,
     write_csv,
 )
 from tallyflow.monoid import count
 from tallyflow.pipeline import RunAudit, trace
+from tallyflow.pipeline_doc import load_doc
 from tallyflow.relation import FieldSpec, Record, Relation
 
 
@@ -105,6 +111,10 @@ def test_sidecar_must_be_a_mapping_with_columns(tmp_path):
 
 
 # -- cell parsing -------------------------------------------------------
+
+
+def _parse_cell(raw: str, col: ColumnSpec):
+    return _cell_parser(col)(raw)
 
 
 def test_sentinel_text_becomes_absent_with_that_reason():
@@ -436,15 +446,19 @@ def test_run_checks_each_source_row_once(tmp_path, monkeypatch):
     assert computed == {"value": 5}
 
 
-def lookup_copy(tmp_path, fname: str, edit) -> str:
-    """A copy of the lookup fixture with one of its documents edited."""
+def fixture_copy(tmp_path, fixture: str, fname: str, edit) -> str:
+    """A copy of a fixture with one of its documents edited."""
     data = tmp_path / "data"
-    shutil.copytree(fixture_dir("lookup"), data)
+    shutil.copytree(fixture_dir(fixture), data)
     path = data / fname
     doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     edit(doc)
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(data)
+
+
+def lookup_copy(tmp_path, fname: str, edit) -> str:
+    return fixture_copy(tmp_path, "lookup", fname, edit)
 
 
 # each entry: the document edited, the edit, and the error line after "run: "
@@ -551,6 +565,136 @@ def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
     assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"run: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# each entry: the fixture, the edit, the stage that names the field, the field
+UNKNOWN_COLUMNS = {
+    "fmap column": (
+        "lookup", lambda doc: doc["nodes"][1]["add"]["value"]["mul"][1]["num"].update(
+            col="qty_typo"), "valued", "qty_typo"),
+    "partition field": (
+        "ship", lambda doc: doc["nodes"][3]["when"].update(defined="Insurence"),
+        "iv_by_insurance", "Insurence"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN_COLUMNS))
+def test_an_unknown_column_is_caught_before_any_row_runs(tmp_path, capsys, case):
+    fixture, edit, stage, field = UNKNOWN_COLUMNS[case]
+    data = fixture_copy(tmp_path, fixture, "pipeline.yaml", edit)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = f"SchemaMismatch at {stage}: no field {field!r} in schema ("
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().out.startswith(message)
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"run: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fname,text", [("pipeline.yaml", "sources: {orders: [\n"),
+                                        ("products.csv.yaml", "columns: [\n")])
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys, fname, text):
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("lookup"), data)
+    (data / fname).write_text(text, encoding="utf-8")
+    pipeline = str(data / "pipeline.yaml")
+    message = f"{data / fname}: not a YAML document: "
+    assert main(["run", pipeline, "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"run: {message}")
+    assert main(["check", pipeline, "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith(f"check: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def fixture_yaml() -> list:
+    return sorted(os.path.join(fixture_dir(f), name) for f in ("lookup", "ship")
+                  for name in os.listdir(fixture_dir(f)) if name.endswith(".yaml"))
+
+
+def test_the_c_and_python_loaders_read_every_fixture_alike():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert len(fixture_yaml()) == 6
+    for path in fixture_yaml():
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader) == read_yaml(path)
+
+
+def test_read_yaml_falls_back_to_the_python_loader(monkeypatch):
+    loaders = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    for path in fixture_yaml():
+        with open(path, encoding="utf-8") as fh:
+            assert read_yaml(path) == yaml.safe_load(fh)
+    assert set(loaders) == {yaml.SafeLoader}
+
+
+# a run or a check through the CLI, then which optional modules it loaded
+LAZY_PROBE = """
+import sys
+from tallyflow.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(repr([m for m in ("tallyflow.ra", "tallyflow.fuzz") if m in sys.modules]))
+sys.exit(code)
+"""
+
+
+def test_run_and_check_never_load_the_compiler_or_the_fuzzer(tmp_path):
+    d = fixture_dir("lookup")
+    pipeline = os.path.join(d, "pipeline.yaml")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tallyflow.__file__))}
+    for argv in (["run", pipeline, "--data", d, "--out", str(tmp_path / "out")],
+                 ["check", pipeline, "--data", d]):
+        proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "[]")
+
+
+def test_the_compiler_and_the_fuzzer_load_on_first_access():
+    from tallyflow import make_case, run_fuzz, translate
+    from tallyflow.fuzz import make_case as fuzz_make_case
+    from tallyflow.ra import translate as ra_translate
+
+    assert (translate, make_case) == (ra_translate, fuzz_make_case)
+    assert callable(run_fuzz) and tallyflow.ra.translate is translate
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        tallyflow.no_such_name
+
+
+@pytest.mark.parametrize("fixture", ["lookup", "ship"])
+def test_run_compiles_each_predicate_and_expression_once_per_apply(
+        tmp_path, monkeypatch, fixture):
+    import tallyflow.ops as ops_mod
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(ops_mod, name)
+
+        def counted(tree, sch):
+            calls[name] += 1
+            return real(tree, sch)
+        return counted
+
+    for name in ("compile_pred", "compile_expr"):
+        monkeypatch.setattr(ops_mod, name, counting(name))
+    d = fixture_dir(fixture)
+    pipeline = os.path.join(d, "pipeline.yaml")
+    nodes = load_doc(pipeline)["nodes"]
+    assert main(["run", pipeline, "--data", d, "--out", str(tmp_path / "out")]) == 0
+    # each stage applies twice, in the dry run and in the run, however
+    # many rows it sees
+    assert (calls["compile_pred"], calls["compile_expr"]) == (
+        2 * sum(nd["op"] == "partition" for nd in nodes),
+        2 * sum(len(nd["add"]) for nd in nodes if nd["op"] == "fmap"))
 
 
 # -- command line: run outputs ------------------------------------------

@@ -12,6 +12,7 @@ from tallyflow import (
     Col,
     Compare,
     FieldDefined,
+    FieldSpec,
     FnNotTotal,
     InSet,
     Lit,
@@ -19,11 +20,15 @@ from tallyflow import (
     Not,
     NumOf,
     Quantity,
+    SumSchema,
     UnitOf,
+    UnknownField,
     eval_expr,
     eval_pred,
 )
 from tallyflow.exprs import (
+    compile_expr,
+    compile_pred,
     decode_expr,
     decode_pred,
     decode_value,
@@ -139,6 +144,26 @@ def test_expressions_refuse_nonsense_instead_of_guessing():
         eval_expr(NumOf(Col("t")), ROW)
     with pytest.raises(FnNotTotal):
         eval_expr(UnitOf(Col("i")), ROW)
+
+
+# -- compiled against a schema -----------------------------------------
+
+def test_compiling_resolves_every_field_against_the_schema():
+    sch = (FieldSpec("i", "integer"), FieldSpec("t", "text"))
+    assert compile_pred(InSet("t", ("a", "b")), sch)({"i": 1, "t": "b"}).state == "t"
+    assert compile_expr(BinOp("add", Col("i"), Lit(1)), sch)({"i": 1, "t": "b"}) == 2
+    with pytest.raises(UnknownField, match="no field 'x'"):
+        compile_pred(Not(All((FieldDefined("i"), FieldDefined("x")))), sch)
+    with pytest.raises(UnknownField, match="no field 'x'"):
+        compile_expr(NumOf(Col("x")), sch)
+
+
+def test_a_tagged_sum_must_declare_the_field_in_every_branch():
+    both = SumSchema((FieldSpec("i", "integer"), FieldSpec("t", "text")),
+                     (FieldSpec("t", "text"),))
+    assert compile_pred(FieldDefined("t"), both)({"t": "b"}).state == "t"
+    with pytest.raises(UnknownField, match="no field 'i' in schema \\('t',\\)"):
+        compile_pred(FieldDefined("i"), both)
 
 
 def test_describe_reads_like_a_sentence():

@@ -31,6 +31,7 @@ from tallyflow import (
     StripTagsNode,
     SumSchema,
     TaggedUnionNode,
+    TallyError,
     TeeNode,
     UnknownPid,
     UntagNode,
@@ -246,6 +247,19 @@ def test_run_checks_inputs_against_declared_schemas():
     short = Record(pids=frozenset({1}), fields={"item": "bolt", "price": D(2)})
     with pytest.raises(SchemaMismatch, match="do not match schema"):
         g.run({"orders": Relation(ORDERS, (short,))})
+
+
+def test_run_refuses_sources_that_share_pids():
+    g = PipelineGraph("t")
+    for name in ("a", "b"):
+        g.add_source(name, ORDERS)
+        g.add_sink(f"{name}_out", "report")
+        g.connect(name, f"{name}_out")
+    # two ingest() calls without first_pid both issue pids 1-3
+    with pytest.raises(TallyError, match="sources 'a' and 'b' share pids"):
+        g.run({"a": orders(), "b": orders()})
+    own = ingest(ORDERS, [rec.fields for rec in orders().rows], first_pid=4)
+    assert g.run({"a": orders(), "b": own}).audit.source_pids["b"] == {4, 5, 6}
 
 
 def test_a_source_needs_a_plain_schema():

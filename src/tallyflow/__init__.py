@@ -35,7 +35,6 @@ from .monoid import (
     max_of,
     min_of,
     paccioli,
-    paccioli_of_signed,
     set_of,
     sum_of,
     tuple_of,
@@ -78,8 +77,6 @@ from .exprs import (
     NumOf,
     Truth,
     UnitOf,
-    eval_expr,
-    eval_pred,
 )
 from .ops import (
     AggSpec,

@@ -1,8 +1,8 @@
 """Conservation audits and dashboards for pipeline runs.
 
-At ingestion each carrier row's payload in every measure space its source
-carries is recorded per pid (the ledger, RunAudit.charges), and each
-carrier's payloads are folded once into its total per space
+At ingestion each carrier row's payload in every measure space it is
+charged in is recorded at its smallest pid (the ledger, RunAudit.charges),
+and each carrier's payloads are folded once into its total per space
 (RunAudit.totals).  After a run, checks confirm that no stage lost or
 invented a pid, that every source pid of a report reached one of its sinks,
 and that the ledger payloads of the pids attributed to the report's sinks
@@ -30,48 +30,32 @@ def measure_carriers(graph, spec) -> dict:
             for name, s in graph.sources.items() if carries(s.schema, spec.scheme, spec.fld)}
 
 
-def _ledger(rows, payload, zero) -> dict:
-    """pid -> payload(rec) for each row's smallest pid, zero for its others."""
-    mine: dict = {}
-    for rec in rows:
-        pids = rec.pids
-        if len(pids) > 1:
-            mine.update(dict.fromkeys(pids, zero))
-        mine[min(pids)] = payload(rec)
-    return mine
-
-
 def _unit_ledgers(fld: str, rows_of: dict) -> list:
     """(space, {carrier: ledger}) per unit label of a quantity field, sorted.
 
-    Each carrier's cells are read once.  A quantity's amount is charged in
-    its unit's space and zero in the others (quantity_sum_space); a Missing
-    cell, and a multi-pid row's other pids, are zero in every space.
+    Each carrier's cells are read once.  A row with a quantity is charged
+    its amount in its unit's space only, at its smallest pid; a Missing
+    cell is charged nowhere.
     """
-    cells = {name: _ledger(rows, lambda rec: rec.fields[fld], None)
-             for name, rows in rows_of.items()}
     amounts: dict = {}  # unit -> carrier -> pid -> amount
-    for name, mine in cells.items():
-        for pid, v in mine.items():
+    for name, rows in rows_of.items():
+        for rec in rows:
+            v = rec.fields[fld]
             if isinstance(v, Quantity):
-                amounts.setdefault(v.unit, {}).setdefault(name, {})[pid] = v.amount
-    ledgers = []
-    for u in sorted(amounts):
-        space = quantity_sum_space(fld, u)
-        zero = space.unit.payload
-        ledgers.append((space, {name: {**dict.fromkeys(mine, zero), **amounts[u].get(name, {})}
-                                for name, mine in cells.items()}))
-    return ledgers
+                amounts.setdefault(v.unit, {}).setdefault(name, {})[min(rec.pids)] = v.amount
+    return [(quantity_sum_space(fld, u), {name: amounts[u].get(name, {}) for name in rows_of})
+            for u in sorted(amounts)]
 
 
 def build_charges(graph, audit, inputs: dict) -> None:
-    """Record each carrier pid's payload in every declared measure space.
+    """Record each carrier row's payload in every measure space it is charged in.
 
     Each carrier's rows are read once per measure; a sum_by_unit field is
-    read once for all of its unit labels.  A multi-pid row charges its
-    smallest pid and gives the rest the unit payload.  Every carrier pid
-    gets an entry in each of its measure's spaces; pids of other sources
-    get none, which conservation_check reads as the unit payload.  Each
+    read once for all of its unit labels.  A row is charged at its smallest
+    pid: in every space of a count, sum or paccioli measure, and in its
+    quantity's unit space of a sum_by_unit measure.  A pid with no entry
+    (a multi-pid row's other pids, a Missing quantity, another source's
+    pids) is read by conservation_check as the unit payload.  Each
     carrier's total per space is folded here, once per run.  validate() has
     refused a sum or paccioli whose carriers declare different units.
     """
@@ -87,8 +71,7 @@ def build_charges(graph, audit, inputs: dict) -> None:
                 space = decimal_sum_space(spec.fld, next(iter(carriers.values()), None))
             else:
                 space = paccioli_space(spec.fld)
-            zero = space.unit.payload
-            ledgers = [(space, {name: _ledger(rows, space.payload, zero)
+            ledgers = [(space, {name: {min(rec.pids): space.payload(rec) for rec in rows}
                                 for name, rows in rows_of.items()})]
         for space, by_carrier in ledgers:
             unit = space.unit

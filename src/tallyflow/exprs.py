@@ -140,36 +140,21 @@ def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) ->
     return Truth.false(f"{field} {op} {right} failed for {left}")
 
 
-class _Lookup:
-    """A lookup function seen as a row: row[name] calls it."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, name: str) -> FieldValue:
-        v = self.fn(name)
-        if v is None:
-            raise UnknownField(f"no field {name!r}")
-        return v
-
-
 def _resolve(sch, name: str) -> str:
     """name, once sch (each branch of a tagged sum) is known to declare it."""
     if isinstance(sch, SumSchema):
         _resolve(sch.left, name)
         _resolve(sch.right, name)
-    elif sch is not None and not has_field(sch, name):
+    elif not has_field(sch, name):
         raise UnknownField(f"no field {name!r} in schema {field_names(sch)}")
     return name
 
 
-def compile_pred(p: Pred, sch=None):
+def compile_pred(p: Pred, sch):
     """p as a closure from a row's fields dict to its Truth.
 
     Field names are resolved against sch (raising UnknownField) and InSet
-    key sets are built here, once; sch None resolves nothing.
+    key sets are built here, once.  Every rejecting Truth carries a reason.
     """
     if isinstance(p, Always):
         t = _TRUE if p.value else Truth.false("always false")
@@ -234,11 +219,6 @@ def compile_pred(p: Pred, sch=None):
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def eval_pred(p: Pred, lookup) -> Truth:
-    """Three-valued evaluation; lookup maps a field name to its value."""
-    return compile_pred(p)(_Lookup(lookup))
-
-
 # -- row expression AST -------------------------------------------------
 
 
@@ -294,7 +274,7 @@ def _as_number(v: FieldValue, where: str) -> Decimal:
 _BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def compile_expr(e: Expr, sch=None):
+def compile_expr(e: Expr, sch):
     """e as a closure from a row's fields dict to a value.
 
     Missing operands propagate, never crash; field names are resolved
@@ -339,11 +319,6 @@ def compile_expr(e: Expr, sch=None):
             return fn(_as_number(lv, op), _as_number(rv, op))
         return binop
     raise TypeError(f"not an expression: {e!r}")
-
-
-def eval_expr(e: Expr, lookup) -> FieldValue:
-    """Evaluate against a row; Missing operands propagate, never crash."""
-    return compile_expr(e)(_Lookup(lookup))
 
 
 # -- dict (de)serialization --------------------------------------------

@@ -163,16 +163,12 @@ def signed_legs(value: Decimal) -> tuple:
     return (value, ZERO) if value >= 0 else (ZERO, -value)
 
 
-def paccioli_of_signed(value: Decimal, unit: str | None = None) -> MonoidElement:
-    """Embed a signed amount as a debit (if >= 0) or a credit (if < 0)."""
-    return MonoidElement(Kind.PACCIOLI, signed_legs(value), unit)
-
-
 def tuple_of(*elements: MonoidElement) -> MonoidElement:
     return MonoidElement(Kind.TUPLE, tuple(elements))
 
 
-_UNITS = {
+# each scalar kind's unit payload
+UNITS = {
     Kind.COUNT: 0,
     Kind.SUM: ZERO,
     Kind.MIN: POS_INF,
@@ -187,7 +183,7 @@ def unit_for(kind: Kind, unit: str | None = None) -> MonoidElement:
     """The identity element of a scalar kind (tuple units are built from parts)."""
     if kind is Kind.TUPLE:
         raise KindMismatch("tuple unit is built from component units")
-    return MonoidElement(kind, _UNITS[kind], unit)
+    return MonoidElement(kind, UNITS[kind], unit)
 
 
 # -- fuse and order -----------------------------------------------------

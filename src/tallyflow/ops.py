@@ -19,8 +19,8 @@ from .errors import (
     UnknownGroup,
     UntagMissing,
 )
-from .exprs import Pred, Truth, compile_expr, compile_pred, describe
-from .monoid import Kind, MonoidElement, count, fuse_all, set_of, unit_for
+from .exprs import Pred, Truth, compile_expr, compile_pred
+from .monoid import UNITS, Kind, MonoidElement, count, fold_payloads, set_of
 from .relation import (
     ERROR_REASON,
     ERROR_STAGE,
@@ -65,7 +65,7 @@ def partition_detailed(rel: Relation, pred: Pred):
             acc.append(rec)
         else:
             rej.append(rec)
-            reasons.append(t.reason or f"not satisfied: {describe(pred)}")
+            reasons.append(t.reason)
     return Relation(sch, tuple(acc)), Relation(sch, tuple(rej)), tuple(reasons)
 
 
@@ -322,7 +322,8 @@ class AggSpec:
 
 
 def _agg_cell(op: str, values, unit: str | None) -> MonoidElement:
-    """Fold one group's non-missing values for one spec."""
+    """Fold one group's non-missing values for one spec: bare payloads onto
+    the kind's unit payload, then one element."""
     present = [v for v in values if not isinstance(v, Missing)]
     kind = _AGG_KINDS[op]
     if kind is Kind.SET:
@@ -330,7 +331,7 @@ def _agg_cell(op: str, values, unit: str | None) -> MonoidElement:
     nums = (v.amount if isinstance(v, Quantity) else Decimal(v) for v in present)
     if kind is Kind.AVG:
         nums = ((n, 1) for n in nums)
-    return fuse_all((MonoidElement(kind, n, unit) for n in nums), unit_for(kind, unit))
+    return MonoidElement(kind, fold_payloads(kind, nums, UNITS[kind]), unit)
 
 
 def _agg_plan(sch: Schema, group_by, specs):

@@ -554,7 +554,8 @@ class PipelineGraph:
         """Push empty relations through _apply to surface schema problems early.
 
         validate() dry-runs only a graph with no structural violation, so
-        every input port is fed by a source or by an earlier stage.
+        every input port is fed by a source or by an earlier stage.  A sink
+        is written as one CSV table, so it must not receive a tagged sum.
         """
         values = {PortRef(s.name, "out"): empty(s.schema) for s in self.sources.values()}
         incoming = self._incoming()
@@ -563,7 +564,10 @@ class PipelineGraph:
                 self._apply(name, values, incoming)
             except TallyError as exc:
                 return [Violation("SchemaMismatch", name, str(exc))]
-        return []
+        return [Violation("SchemaMismatch", name, "a tagged-sum relation cannot be written "
+                          "to CSV; strip_tags or untag it first")
+                for name in self.sinks
+                if isinstance(values[incoming[PortRef(name, "in")]].schema, SumSchema)]
 
     # -- execution ------------------------------------------------------
 

@@ -126,7 +126,7 @@ def record_key(rec: Record, names: tuple[str, ...]) -> tuple:
 
 _SEM_CHECKS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "decimal": lambda v: isinstance(v, Decimal),
+    "decimal": lambda v: isinstance(v, Decimal) and v.is_finite(),
     "text": lambda v: isinstance(v, str),
     "quantity": lambda v: isinstance(v, Quantity),
     "summary": lambda v: isinstance(v, MonoidElement),

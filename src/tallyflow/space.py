@@ -36,8 +36,8 @@ class DataSpace:
     """A named measure over records, folded from its unit element.
 
     unit fixes the monoid's kind and unit label; payload is one record's
-    payload of that kind, the one definition per_record, measure() and the
-    run ledger share.  requires is the (scheme, field) payload reads;
+    payload of that kind, the one definition measure() and the run ledger
+    share.  requires is the (scheme, field) payload reads;
     measure() refuses a relation whose schema does not carry it (carries)
     before folding.
     """
@@ -46,9 +46,6 @@ class DataSpace:
     unit: MonoidElement
     payload: Callable[[Record], object]
     requires: tuple[str, str | None] = ("count", None)
-
-    def per_record(self, rec: Record) -> MonoidElement:
-        return replace(self.unit, payload=self.payload(rec))
 
     def measure(self, rel: Relation) -> MonoidElement:
         if not carries(rel.schema, *self.requires):

@@ -17,12 +17,17 @@ NEG_INF = Decimal("-Infinity")
 
 
 def dec4(value: int | str | Decimal) -> Decimal:
-    """Parse/convert to a Decimal quantized to four fractional digits."""
+    """Parse/convert to a Decimal quantized to four fractional digits.
+
+    NaN, Infinity and values too large for four places (1e400) are refused.
+    """
     try:
         d = value if isinstance(value, Decimal) else Decimal(value)
-        return d.quantize(DEC4)
-    except (InvalidOperation, ValueError) as exc:
-        raise ValueError(f"not a decimal: {value!r}") from exc
+        if d.is_finite():
+            return d.quantize(DEC4)
+    except (InvalidOperation, ValueError):
+        pass
+    raise ValueError(f"not a decimal: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,8 @@ class Quantity:
     def __post_init__(self) -> None:
         if not isinstance(self.amount, Decimal):
             raise TypeError("Quantity.amount must be a Decimal")
+        if not self.amount.is_finite():
+            raise ValueError(f"Quantity.amount must be finite, not {self.amount}")
         if not self.unit:
             raise ValueError("Quantity.unit must be a nonempty label")
 
@@ -70,10 +77,13 @@ FieldValue = int | str | Decimal | Quantity | Missing
 
 
 def plain(d: Decimal) -> str:
-    """Canonical text for a Decimal: trailing zeros dropped, -0 folded to 0."""
+    """Canonical text for a Decimal: trailing zeros dropped, -0 folded to 0.
+
+    Every digit of d is kept; nothing here rounds.
+    """
     if d.is_infinite():
         return "inf" if d > 0 else "-inf"
-    text = format(d + Decimal(0), "f")
+    text = format(d if d else d.copy_abs(), "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text

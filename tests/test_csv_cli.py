@@ -19,7 +19,7 @@ import yaml
 import tallyflow
 
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
-from tallyflow.audit import Check, ConservationReport, build_charges
+from tallyflow.audit import Check, ConservationReport, build_charges, measure_carriers
 from tallyflow.cli import main
 from tallyflow.csvio import (
     ColumnSpec,
@@ -138,6 +138,13 @@ def test_numeric_cells_parse_exactly():
     assert _parse_cell("2.5", ColumnSpec("d", type="decimal")) == Decimal("2.5000")
     assert _parse_cell("6.0575", ColumnSpec("q", type="quantity")) \
         == Decimal("6.0575")
+
+
+def test_a_nan_cell_is_not_a_number():
+    for raw in ("NaN", "-NaN"):
+        for col in (ColumnSpec("d", type="decimal"), ColumnSpec("q", type="quantity")):
+            with pytest.raises(ValueError, match=f"column '{col.name}': not a number: '{raw}'"):
+                _parse_cell(raw, col)
 
 
 def test_junk_cells_raise_with_column_context():
@@ -306,6 +313,26 @@ sinks:
     out = capsys.readouterr().out
     assert "UnknownEndpoint at ghost.out" in out
     assert "UnconsumedPort at a.out" in out
+
+
+def test_a_tagged_sum_at_a_sink_is_caught_before_any_row_moves(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("lookup"), data)
+    doc = data / "sumsink.yaml"
+    doc.write_text("""
+name: sumsink
+sources: {orders: {file: order_details.csv}, products: {file: products.csv}}
+conservation: [{scheme: count}]
+nodes: [{op: tagged_union, name: both, left: orders, right: products}]
+sinks: {everything: {kind: report, from: both.out}}
+""", encoding="utf-8")
+    line = ("SchemaMismatch at everything: a tagged-sum relation cannot be written "
+            "to CSV; strip_tags or untag it first")
+    assert main(["check", str(doc), "--data", str(data)]) == 2
+    assert capsys.readouterr().out == line + "\n"
+    assert main(["run", str(doc), "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {line}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_rejects_malformed_documents(tmp_path, capsys):
@@ -549,6 +576,32 @@ def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "run: field 'value': Decimal('20.00000000') is not integer\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_price_lands_in_the_ingest_errors(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("ship"), data)
+    items = data / "items.csv"
+    text = items.read_text(encoding="utf-8")
+    assert text.count("\nNutella,10,") == 1
+    items.write_text(text.replace("\nNutella,10,", "\nNutella,NaN,"), encoding="utf-8")
+    assert main(["run", str(data / "pipeline.yaml"), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "items_ingest_errors.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["Description"], r["Purchase price"], r["error_reason"]) for r in rows] == [
+        ("Nutella", "NaN", "column 'Purchase price': not a number: 'NaN'")]
+
+
+def test_a_nan_literal_in_a_pipeline_document_exits_2(tmp_path, capsys):
+    def nan_value(doc):
+        doc["nodes"][1]["add"]["value"] = {"lit": {"dec": "NaN"}}
+
+    data = lookup_copy(tmp_path, "pipeline.yaml", nan_value)
+    assert main(["run", os.path.join(data, "pipeline.yaml"), "--data", data,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "run: not a decimal: 'NaN'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -944,6 +997,34 @@ def test_charges_come_from_the_sources_that_carry_each_measure(tmp_path, monkeyp
         {s: c.keys() for s, c in audit.charges.items()}
     assert fresh.totals == audit.totals
     assert fresh.space_units == audit.space_units
+
+
+@pytest.mark.parametrize("fixture", ["lookup", "ship"])
+def test_the_ledger_holds_one_entry_per_carrier_row_per_charged_space(
+        fixture, tmp_path, monkeypatch):
+    runs = []
+    real_run = PipelineGraph.run
+    monkeypatch.setattr(PipelineGraph, "run",
+                        lambda graph, inputs: runs.append((graph, inputs)) or real_run(graph, inputs))
+    d = fixture_dir(fixture)
+    assert main(["run", os.path.join(d, "pipeline.yaml"), "--data", d,
+                 "--out", str(tmp_path / "out")]) == 0
+    [(graph, inputs)] = runs
+    audit = RunAudit()
+    build_charges(graph, audit, inputs)
+    # a row is charged at its smallest pid; a quantity only in its unit's space
+    want: dict = {}
+    for spec in graph.conservation:
+        for rec in (r for name in measure_carriers(graph, spec) for r in inputs[name].rows):
+            if spec.scheme != "sum_by_unit":
+                space = spec.scheme if spec.fld is None else f"{spec.scheme}[{spec.fld}]"
+            elif isinstance(rec.fields[spec.fld], Quantity):
+                space = f"sum[{spec.fld}:{rec.fields[spec.fld].unit}]"
+            else:
+                continue
+            want.setdefault(space, []).append(min(rec.pids))
+    assert {s: sorted(c) for s, c in audit.charges.items()} == {
+        s: sorted(p) for s, p in want.items()}
 
 
 @pytest.mark.parametrize("space, pid, corrupt, failed", [

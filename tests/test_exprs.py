@@ -23,8 +23,7 @@ from tallyflow import (
     SumSchema,
     UnitOf,
     UnknownField,
-    eval_expr,
-    eval_pred,
+    schema,
 )
 from tallyflow.exprs import (
     compile_expr,
@@ -41,17 +40,33 @@ from tallyflow.exprs import (
 
 D = Decimal
 
+SCH = schema(
+    FieldSpec("i", "integer"),
+    FieldSpec("d", "decimal"),
+    FieldSpec("t", "text"),
+    FieldSpec("q", "quantity"),
+    FieldSpec("m", "integer"),
+)
+
 ROW = {
     "i": 1,
     "d": D("1.5"),
     "t": "b",
     "q": Quantity(D(2), "kg"),
     "m": Missing("empty"),
-}.__getitem__
+}
+
+
+def truth(p):
+    return compile_pred(p, SCH)(ROW)
 
 
 def state(p):
-    return eval_pred(p, ROW).state
+    return truth(p).state
+
+
+def value(e):
+    return compile_expr(e, SCH)(ROW)
 
 
 # -- three-valued evaluation -------------------------------------------
@@ -63,7 +78,7 @@ def test_defined_is_two_valued():
 
 def test_comparing_a_missing_cell_is_unknown_not_false():
     assert state(Compare("eq", "m", 1)) == "u"
-    assert eval_pred(Compare("eq", "m", 1), ROW).reason == "m missing: empty"
+    assert truth(Compare("eq", "m", 1)).reason == "m missing: empty"
 
 
 def test_equality_is_strict_about_types():
@@ -127,23 +142,23 @@ def test_always_is_constant():
 # -- expressions --------------------------------------------------------
 
 def test_expressions_compute_numbers_and_units():
-    assert eval_expr(NumOf(Col("q")), ROW) == D(2)
-    assert eval_expr(UnitOf(Col("q")), ROW) == "kg"
-    assert eval_expr(BinOp("add", NumOf(Col("q")), Lit(1)), ROW) == D(3)
-    assert eval_expr(BinOp("sub", Col("d"), Col("i")), ROW) == D("0.5")
-    assert eval_expr(BinOp("mul", Col("i"), Lit(4)), ROW) == D(4)
+    assert value(NumOf(Col("q"))) == D(2)
+    assert value(UnitOf(Col("q"))) == "kg"
+    assert value(BinOp("add", NumOf(Col("q")), Lit(1))) == D(3)
+    assert value(BinOp("sub", Col("d"), Col("i"))) == D("0.5")
+    assert value(BinOp("mul", Col("i"), Lit(4))) == D(4)
 
 
 def test_missing_poisons_an_expression_quietly():
-    out = eval_expr(BinOp("mul", Col("m"), Lit(2)), ROW)
+    out = value(BinOp("mul", Col("m"), Lit(2)))
     assert isinstance(out, Missing)
 
 
 def test_expressions_refuse_nonsense_instead_of_guessing():
     with pytest.raises(FnNotTotal):
-        eval_expr(NumOf(Col("t")), ROW)
+        value(NumOf(Col("t")))
     with pytest.raises(FnNotTotal):
-        eval_expr(UnitOf(Col("i")), ROW)
+        value(UnitOf(Col("i")))
 
 
 # -- compiled against a schema -----------------------------------------

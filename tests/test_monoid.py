@@ -16,12 +16,11 @@ from tallyflow import (
     max_of,
     min_of,
     paccioli,
-    paccioli_of_signed,
     set_of,
     sum_of,
     tuple_of,
 )
-from tallyflow.monoid import unit_for
+from tallyflow.monoid import signed_legs, unit_for
 
 
 D = Decimal
@@ -63,8 +62,9 @@ def test_paccioli_adds_legs_without_netting():
 
 
 def test_paccioli_of_signed_routes_by_sign():
-    assert paccioli_of_signed(D(7)).payload == (D(7), D(0))
-    assert paccioli_of_signed(D(-7)).payload == (D(0), D(7))
+    assert signed_legs(D(7)) == (D(7), D(0))
+    assert signed_legs(D(-7)) == (D(0), D(7))
+    assert paccioli(*signed_legs(D(0))).payload == (D(0), D(0))
 
 
 def test_tuple_fuses_componentwise():

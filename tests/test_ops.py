@@ -14,6 +14,7 @@ from tallyflow import (
     Kind,
     Lit,
     Missing,
+    MonoidElement,
     NumOf,
     Quantity,
     SchemaMismatch,
@@ -265,6 +266,24 @@ def test_aggregate_keeps_all_pids_for_drill_down():
     out = aggregate(sales(), ["shop"], [AggSpec("price", "sum")])
     assert pids(out) == frozenset({1, 2, 3, 4})
     assert drill_down(out, {"shop": "n"}) == frozenset({1, 2, 3})
+
+
+def test_an_aggregate_builds_one_element_per_summary_cell(monkeypatch):
+    # a cell's values are folded as bare payloads, not one element each
+    rel = sales()
+    rel = ingest(rel.schema, [r.fields for r in rel.rows] * 25)
+    built = []
+    check = MonoidElement.__post_init__
+    monkeypatch.setattr(MonoidElement, "__post_init__", lambda e: built.append(e) or check(e))
+    specs = [AggSpec("price", op) for op in ("sum", "min", "max", "avg")]
+    out = aggregate(rel, [], specs + [AggSpec("qty", "sum"), AggSpec("shop", "set")])
+    # one group per qty unit, each with six summaries and a count
+    assert len(rel) == 100 and len(out) == 2
+    cells = [v for r in out.rows for v in r.fields.values() if isinstance(v, MonoidElement)]
+    assert len(cells) == 14 and list(map(id, built)) == list(map(id, cells))
+    kg = next(r.fields for r in out.rows if r.fields["qty_unit"] == "kg")
+    assert (kg["price_sum"].payload, kg["qty_sum"].payload, kg["count"].payload) == (
+        D(175), D(150), 75)
 
 
 def test_aggregate_validates_fields_and_ops():

@@ -21,6 +21,7 @@ from tallyflow import (
     ingest,
     lossless_project,
     pids,
+    plain,
     schema,
     triples,
 )
@@ -98,6 +99,25 @@ def test_dec4_pins_the_scale():
     assert dec4("1.00015") == D("1.0002")
     with pytest.raises(ValueError):
         dec4("soup")
+
+
+def test_nan_is_not_a_number_at_any_entry():
+    for value in ("NaN", "-NaN", "nan", "sNaN", "Infinity", "1e400", D("NaN"), D("-NaN")):
+        with pytest.raises(ValueError, match="not a decimal"):
+            dec4(value)
+    with pytest.raises(SchemaMismatch, match="field 'price': Decimal\\('NaN'\\) is not decimal"):
+        ingest(SCH, [{"name": "a", "n": 1, "price": D("NaN")}])
+    with pytest.raises(ValueError, match="Quantity.amount must be finite"):
+        Quantity(D("NaN"), "kg")
+
+
+def test_plain_and_cell_key_never_round():
+    big, near = D("1234567890123456789012345678.9"), D("1234567890123456789012345679")
+    assert plain(big) == "1234567890123456789012345678.9"
+    assert plain(D("-0.000")) == plain(D("0E+3")) == "0"
+    assert cell_key(big) != cell_key(near)
+    r = dedup(ingest(schema(FieldSpec("x", "decimal")), [{"x": big}, {"x": near}]))
+    assert [rec.pids for rec in r.rows] == [frozenset({1}), frozenset({2})]
 
 
 def test_triples_list_every_field_value_pid_fact():

@@ -1,5 +1,6 @@
 """Measures over relations: per-record charges fused by a monoid."""
 
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -76,11 +77,11 @@ def test_measure_is_additive_over_a_partition():
     paccioli_space("amount", "$"),
 ], ids=lambda sp: sp.name)
 def test_measure_folds_the_payloads_per_record_checks(space):
-    # measure() folds bare payloads; per_record builds (and so validates)
-    # each record's element, and fuse_all checks and folds those
+    # measure() folds bare payloads; building each record's element from
+    # payload validates it, and fuse_all checks and folds those
     rel = ledger()
-    assert space.measure(rel) == fuse_all(map(space.per_record, rel.rows), space.unit)
-    assert [space.per_record(r).payload for r in rel.rows] == list(map(space.payload, rel.rows))
+    elements = [replace(space.unit, payload=space.payload(r)) for r in rel.rows]
+    assert space.measure(rel) == fuse_all(elements, space.unit)
 
 
 def test_space_refuses_a_relation_without_its_field():

@@ -18,7 +18,7 @@ from decimal import Decimal
 
 from .errors import FnNotTotal, UnknownField
 from .monoid import Kind, MonoidElement
-from .relation import SumSchema, field_names, has_field
+from .relation import SumSchema, field_names, has_field, schema_field
 from .values import FieldValue, Missing, Quantity, cell_key, dec4
 
 # -- predicate AST ------------------------------------------------------
@@ -253,61 +253,96 @@ class BinOp:
 Expr = Col | Lit | NumOf | UnitOf | BinOp
 
 
-def _as_number(v: FieldValue, where: str) -> Decimal:
-    if isinstance(v, Decimal):
-        return v
-    if isinstance(v, bool):
-        raise FnNotTotal(f"{where}: boolean is not a number")
+def _summary_number(v: MonoidElement) -> Decimal:
+    """The number a summary cell stands for: a count, or a sum, min or max
+    that folded at least one value (the min or max of none is infinite)."""
+    if v.kind is Kind.COUNT:
+        return Decimal(v.payload)
+    if v.kind not in (Kind.SUM, Kind.MIN, Kind.MAX):
+        raise FnNotTotal(f"no numeric view of a {v.kind.value} summary")
+    if not v.payload.is_finite():
+        raise FnNotTotal(f"the {v.kind.value} of no values is not a number")
+    return v.payload
+
+
+def _same(v):
+    return v
+
+
+# how num and arithmetic read a present value of each sem; None is the sem of
+# a bare Missing literal, whose value never reaches a view
+_NUMBER_VIEWS = {"integer": Decimal, "decimal": _same, "quantity": operator.attrgetter("amount"),
+                 "summary": _summary_number, None: _same}
+
+
+def _number_view(sem: str | None, where: str):
+    if sem not in _NUMBER_VIEWS:
+        raise FnNotTotal(f"{where} applied to a {sem} value")
+    return _NUMBER_VIEWS[sem]
+
+
+def _literal_type(v) -> tuple:
+    """(sem, unit) of a literal value; a bare Missing fits any sem (None)."""
+    if isinstance(v, Missing):
+        return None, None
+    if isinstance(v, bool):  # before int: bool is an int subtype
+        raise FnNotTotal("boolean literals are not field values")
     if isinstance(v, int):
-        return Decimal(v)
+        return "integer", None
+    if isinstance(v, Decimal) and v.is_finite():
+        return "decimal", None
+    if isinstance(v, str):
+        return "text", None
     if isinstance(v, Quantity):
-        return v.amount
-    if isinstance(v, MonoidElement):
-        if v.kind in (Kind.SUM, Kind.MIN, Kind.MAX):
-            return v.payload
-        if v.kind is Kind.COUNT:
-            return Decimal(v.payload)
-        raise FnNotTotal(f"{where}: no numeric view of a {v.kind.value} summary")
-    raise FnNotTotal(f"{where}: {v!r} is not numeric")
+        return "quantity", v.unit
+    raise FnNotTotal(f"literal {v!r} has no field type")
 
 
 _BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def compile_expr(e: Expr, sch):
-    """e as a closure from a row's fields dict to a value.
+    """e as (closure from a row's fields dict to a value, sem, unit).
 
-    Missing operands propagate, never crash; field names are resolved
-    against sch, as in compile_pred.
+    This is the one place expressions are typed: (sem, unit) is what e
+    computes over the plain schema sch, decided before any row is seen.  A
+    column has its own type, a literal its value's (a bare Missing literal
+    has sem None and fits any sem), num and arithmetic give decimal over
+    integer, decimal, quantity or summary operands, and unit_of gives text
+    over a quantity.  An unknown field raises UnknownField, any other
+    ill-typed expression FnNotTotal.  Missing operands propagate, never crash.
     """
     if isinstance(e, Col):
-        return operator.itemgetter(_resolve(sch, e.name))
+        spec = schema_field(sch, e.name)
+        return operator.itemgetter(spec.name), spec.sem, spec.unit
     if isinstance(e, Lit):
         value = e.value
-        return lambda row: value
+        sem, unit = _literal_type(value)
+        return (lambda row: value), sem, unit
     if isinstance(e, NumOf):
-        inner = compile_expr(e.inner, sch)
+        inner, sem, _ = compile_expr(e.inner, sch)
+        view = _number_view(sem, "num")
 
         def num(row):
             v = inner(row)
-            return v if isinstance(v, Missing) else _as_number(v, "num")
-        return num
+            return v if isinstance(v, Missing) else view(v)
+        return num, "decimal", None
     if isinstance(e, UnitOf):
-        inner = compile_expr(e.inner, sch)
+        inner, sem, _ = compile_expr(e.inner, sch)
+        if sem not in ("quantity", None):
+            raise FnNotTotal(f"unit_of applied to a {sem} value")
 
         def unit_of(row):
             v = inner(row)
-            if isinstance(v, Quantity):
-                return v.unit
-            if isinstance(v, Missing):
-                return v
-            raise FnNotTotal(f"unit_of: {v!r} has no unit")
-        return unit_of
+            return v if isinstance(v, Missing) else v.unit
+        return unit_of, "text", None
     if isinstance(e, BinOp):
         if e.op not in _BINOPS:
             raise FnNotTotal(f"unknown operator {e.op!r}")
-        op, fn = e.op, _BINOPS[e.op]
-        left, right = compile_expr(e.left, sch), compile_expr(e.right, sch)
+        fn = _BINOPS[e.op]
+        left, lsem, _ = compile_expr(e.left, sch)
+        right, rsem, _ = compile_expr(e.right, sch)
+        lview, rview = _number_view(lsem, e.op), _number_view(rsem, e.op)
 
         def binop(row):
             lv = left(row)
@@ -316,8 +351,8 @@ def compile_expr(e: Expr, sch):
             rv = right(row)
             if isinstance(rv, Missing):
                 return rv
-            return fn(_as_number(lv, op), _as_number(rv, op))
-        return binop
+            return fn(lview(lv), rview(rv))
+        return binop, "decimal", None
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -31,7 +31,6 @@ from .relation import (
     Relation,
     Schema,
     SumSchema,
-    check_cell,
     error_schema,
     field_names,
     has_field,
@@ -278,7 +277,9 @@ def fmap(rel: Relation, additions: dict, sems: dict,
          units: dict | None = None) -> Relation:
     """Enrich every row with computed fields; existing fields stay untouchable.
 
-    Each computed cell is checked against the sem that sems declares for it.
+    Each addition's type comes from compiling it (exprs.compile_expr) and
+    must be the sem that sems declares for it, so a mismatch is refused
+    before any row moves and no computed cell is checked.
     """
     sch = _plain_schema(rel, "fmap")
     for name in additions:
@@ -287,14 +288,18 @@ def fmap(rel: Relation, additions: dict, sems: dict,
     new_specs = tuple(FieldSpec(name, sems[name], (units or {}).get(name))
                       for name in additions)
     new_schema = schema(*(sch + new_specs))
-    compiled = [(spec, compile_expr(e, sch)) for spec, e in zip(new_specs, additions.values())]
+    compiled = []
+    for spec, e in zip(new_specs, additions.values()):
+        fn, sem, _ = compile_expr(e, sch)
+        if sem not in (None, spec.sem):
+            raise SchemaMismatch(f"field {spec.name!r} is declared {spec.sem} "
+                                 f"but computes {sem}")
+        compiled.append((spec.name, fn))
     rows = []
     for rec in rel.rows:
         fields = dict(rec.fields)
-        for spec, fn in compiled:
-            v = fn(rec.fields)
-            check_cell(spec, v)
-            fields[spec.name] = v
+        for name, fn in compiled:
+            fields[name] = fn(rec.fields)
         rows.append(Record(rec.pids, fields, rec.irrelevant, rec.tags))
     return Relation(new_schema, tuple(rows))
 

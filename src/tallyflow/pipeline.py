@@ -202,8 +202,10 @@ class MapNode(Node):
 
     kind "fmap" runs on ordinary rows; "emap" insists its input is on the
     error rail (has the error columns) but is otherwise the same add-only
-    mapping.  sems must declare the type of every added field so that
-    validation does not depend on data.
+    mapping.  sems must declare the type of every added field, and it must
+    be the type its expression computes over the input schema (decided by
+    exprs.compile_expr), so validation refuses a mismatch whatever the data
+    holds and no computed cell is checked when rows run.
     """
 
     name: str

@@ -48,7 +48,10 @@ def _make_node(nd: dict) -> Node:
     if not isinstance(op, str) or op not in NODE_TYPES:
         raise ValueError(f"unknown node op {op!r}")
     with malformed(f"{op} node {nd['name']!r}"):
-        return NODE_TYPES[op].from_doc(nd)
+        try:
+            return NODE_TYPES[op].from_doc(nd)
+        except ValueError as exc:  # a bad value in the entry, such as {dec: soup}
+            raise ValueError(f"{op} node {nd['name']!r}: {exc}") from exc
 
 
 def build_graph(doc: dict, schemas: dict) -> PipelineGraph:

@@ -32,13 +32,15 @@ from .exprs import (
     NumOf,
     Pred,
     UnitOf,
+    compile_expr,
+    compile_pred,
     decode_expr,
     decode_pred,
     encode_expr,
     encode_pred,
 )
-from .monoid import MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
-from .ops import AGG_OPS, NUMERIC_SEMS, AggSpec, aggregate_schema
+from .monoid import Kind, MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
+from .ops import AGG_OPS, AggSpec, aggregate_schema
 from .pipeline import (
     ERROR,
     REPORT,
@@ -202,61 +204,6 @@ def base_names(expr: RAExpr) -> list[str]:
 
 # -- static typing ------------------------------------------------------
 
-def _pred_fields(p: Pred) -> list[str]:
-    if isinstance(p, Always):
-        return []
-    if isinstance(p, (FieldDefined, Compare, InSet)):
-        return [p.field]
-    if isinstance(p, Not):
-        return _pred_fields(p.inner)
-    if isinstance(p, (All, AnyOf)):
-        return [f for q in p.parts for f in _pred_fields(q)]
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def infer_expr_sem(e: Expr, sch: Schema, path: str = "Expr"):
-    """(sem, unit) a row expression produces over this schema."""
-    def fail(msg: str):
-        raise ExprTypeError(f"{path}: {msg}")
-
-    if isinstance(e, Col):
-        try:
-            spec = schema_field(sch, e.name)
-        except TallyError as exc:
-            fail(str(exc))
-        return spec.sem, spec.unit
-    if isinstance(e, Lit):
-        v = e.value
-        if isinstance(v, bool):
-            fail("boolean literals are not field values")
-        if isinstance(v, int):
-            return "integer", None
-        if isinstance(v, Decimal):
-            return "decimal", None
-        if isinstance(v, str):
-            return "text", None
-        if isinstance(v, Quantity):
-            return "quantity", v.unit
-        fail(f"literal {v!r} has no field type")
-    if isinstance(e, NumOf):
-        sem, _ = infer_expr_sem(e.inner, sch, path)
-        if sem not in NUMERIC_SEMS:
-            fail(f"num applied to a {sem} value")
-        return "decimal", None
-    if isinstance(e, UnitOf):
-        sem, _ = infer_expr_sem(e.inner, sch, path)
-        if sem != "quantity":
-            fail(f"unit_of applied to a {sem} value")
-        return "text", None
-    if isinstance(e, BinOp):
-        for side in (e.left, e.right):
-            sem, _ = infer_expr_sem(side, sch, path)
-            if sem not in NUMERIC_SEMS:
-                fail(f"{e.op} applied to a {sem} value")
-        return "decimal", None
-    fail(f"not a row expression: {e!r}")
-
-
 def infer_schema(expr: RAExpr, catalog: dict) -> Schema:
     """Output schema of a query, or ExprTypeError naming the failing node."""
     return _infer(expr, catalog, _label(expr))
@@ -294,10 +241,10 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict | None = None) 
 
     if isinstance(expr, Select):
         sch = child("of", expr.of)
-        names = set(field_names(sch))
-        for n in _pred_fields(expr.pred):
-            if n not in names:
-                fail(f"predicate references unknown field {n!r}")
+        try:
+            compile_pred(expr.pred, sch)
+        except TallyError as exc:
+            fail(str(exc))
         return sch
 
     if isinstance(expr, Rename):
@@ -388,7 +335,12 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict | None = None) 
             if name in names:
                 fail(f"map would overwrite field {name!r}")
             names.add(name)
-            sem, unit = infer_expr_sem(e, sch, path)
+            try:
+                _, sem, unit = compile_expr(e, sch)
+            except TallyError as exc:
+                fail(str(exc))
+            if sem is None:
+                fail(f"addition {name!r} has no type: a bare missing literal")
             out.append(FieldSpec(name, sem, unit))
         return schema(*out)
 
@@ -515,7 +467,7 @@ class _Translator:
             sch = self.schemas[id(expr.of)]
             sems, units = {}, {}
             for name, e in expr.additions:
-                sems[name], units[name] = infer_expr_sem(e, sch)
+                _, sems[name], units[name] = compile_expr(e, sch)
             m = self.stage(MapNode(
                 self.fresh("derive"), dict(expr.additions), sems, units=units), src)
             return f"{m}.out"
@@ -653,6 +605,11 @@ def _o_num(v) -> Decimal:
         return Decimal(v)
     if isinstance(v, Quantity):
         return v.amount
+    if isinstance(v, MonoidElement):
+        if v.kind is Kind.COUNT:
+            return Decimal(v.payload)
+        if v.kind in (Kind.SUM, Kind.MIN, Kind.MAX) and v.payload.is_finite():
+            return v.payload
     raise TypeError(f"no numeric view of {v!r}")
 
 

@@ -133,15 +133,9 @@ _SEM_CHECKS = {
 }
 
 
-def check_cell(spec: FieldSpec, v: FieldValue) -> None:
-    """Raise SchemaMismatch unless v is Missing or a value of spec's sem."""
-    if not isinstance(v, Missing) and not _SEM_CHECKS[spec.sem](v):
-        raise SchemaMismatch(f"field {spec.name!r}: {v!r} is not {spec.sem}")
-
-
 def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
-    each cell fits its field's sem (check_cell)."""
+    each cell is Missing or a value of its field's sem."""
     names = set(field_names(sch))
     tests = [(spec, _SEM_CHECKS[spec.sem]) for spec in sch]
     for rec in rows:
@@ -149,8 +143,9 @@ def check_rows(sch: Schema, rows) -> None:
             raise SchemaMismatch(f"record fields {sorted(rec.fields)} do not match "
                                  f"schema {field_names(sch)}")
         for spec, ok in tests:
-            if not ok(rec.fields[spec.name]):
-                check_cell(spec, rec.fields[spec.name])
+            v = rec.fields[spec.name]
+            if not ok(v) and not isinstance(v, Missing):
+                raise SchemaMismatch(f"field {spec.name!r}: {v!r} is not {spec.sem}")
 
 
 @dataclass(frozen=True)

@@ -447,30 +447,33 @@ def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
 
 
 def test_run_checks_each_source_row_once(tmp_path, monkeypatch):
-    import tallyflow.ops as ops_mod
     import tallyflow.pipeline as pipeline_mod
     import tallyflow.relation as relation_mod
-    checked, computed = [], Counter()
-    check_rows, check_cell = relation_mod.check_rows, ops_mod.check_cell
+    checked, cells = [], Counter()
+    check_rows = relation_mod.check_rows
 
     def counted_rows(sch, rows):
         checked.extend(min(rec.pids) for rec in rows)
         check_rows(sch, rows)
 
-    def counted_cell(spec, v):
-        computed[spec.name] += 1
-        check_cell(spec, v)
+    def counting(sem, test):
+        def counted(v):
+            cells[sem] += 1
+            return test(v)
+        return counted
 
     monkeypatch.setattr(pipeline_mod, "check_rows", counted_rows)
     monkeypatch.setattr(relation_mod, "check_rows", counted_rows)
-    monkeypatch.setattr(ops_mod, "check_cell", counted_cell)
+    for sem, test in list(relation_mod._SEM_CHECKS.items()):
+        monkeypatch.setitem(relation_mod._SEM_CHECKS, sem, counting(sem, test))
     d = fixture_dir("lookup")
     assert main(["run", os.path.join(d, "pipeline.yaml"),
                  "--data", d, "--out", str(tmp_path / "out")]) == 0
-    # 8 order lines and 5 products are pids 1-13; fmap computes one
-    # value for each of the 5 priced rows
+    # 8 order lines (integer, text, quantity, text) and 5 products (text,
+    # text, decimal) are pids 1-13; fmap's value is typed when the stage
+    # compiles, so none of the 5 values it computes is checked
     assert sorted(checked) == list(range(1, 14))
-    assert computed == {"value": 5}
+    assert cells == {"integer": 8, "text": 8 * 2 + 5 * 2, "quantity": 8, "decimal": 5}
 
 
 def fixture_copy(tmp_path, fixture: str, fname: str, edit) -> str:
@@ -488,29 +491,38 @@ def lookup_copy(tmp_path, fname: str, edit) -> str:
     return fixture_copy(tmp_path, "lookup", fname, edit)
 
 
-# each entry: the document edited, the edit, and the error line after "run: "
+# each entry: the fixture, the document edited, the edit, and the error
+# line after "run: "
 BAD_ENTRIES = {
     "errorize without reason": (
-        "pipeline.yaml", lambda doc: doc["nodes"][2].pop("reason"),
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][2].pop("reason"),
         "malformed errorize node 'unknown_product': missing key 'reason'"),
     "conservation without scheme": (
-        "pipeline.yaml", lambda doc: doc["conservation"][1].pop("scheme"),
+        "lookup", "pipeline.yaml", lambda doc: doc["conservation"][1].pop("scheme"),
         "malformed conservation entry {'field': 'quantity'}: missing key 'scheme'"),
     "column without name": (
-        "products.csv.yaml", lambda doc: doc["columns"][1].pop("name"),
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].pop("name"),
         "malformed column entry {'type': 'text'} in DATA/products.csv.yaml: "
         "missing key 'name'"),
     "report label all": (
-        "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report="all"),
+        "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report="all"),
         "sink 'priced': the report label 'all' is reserved for the run-wide "
         "check coverage:all"),
+    "fmap literal not a decimal": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
+            value={"add": [{"num": {"col": "quantity"}}, {"lit": {"dec": "soup"}}]}),
+        "fmap node 'valued': not a decimal: 'soup'"),
+    "partition literal not a decimal": (
+        "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(
+            when={"cmp": {"op": "ge", "field": "Insurance", "value": {"dec": "soup"}}}),
+        "partition node 'iv_by_insurance': not a decimal: 'soup'"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_ENTRIES))
 def test_bad_document_entries_exit_2_naming_the_entry(tmp_path, capsys, case):
-    fname, edit, message = BAD_ENTRIES[case]
-    data = lookup_copy(tmp_path, fname, edit)
+    fixture, fname, edit, message = BAD_ENTRIES[case]
+    data = fixture_copy(tmp_path, fixture, fname, edit)
     message = message.replace("DATA", data)
     pipeline = os.path.join(data, "pipeline.yaml")
     assert main(["run", pipeline, "--data", data,
@@ -575,7 +587,7 @@ def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):
     assert main(["run", os.path.join(data, "pipeline.yaml"), "--data", data,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        "run: field 'value': Decimal('20.00000000') is not integer\n")
+        "run: SchemaMismatch at valued: field 'value' is declared integer but computes decimal\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -601,7 +613,7 @@ def test_a_nan_literal_in_a_pipeline_document_exits_2(tmp_path, capsys):
     data = lookup_copy(tmp_path, "pipeline.yaml", nan_value)
     assert main(["run", os.path.join(data, "pipeline.yaml"), "--data", data,
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "run: not a decimal: 'NaN'\n"
+    assert capsys.readouterr().err == "run: fmap node 'valued': not a decimal: 'NaN'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -613,6 +625,35 @@ def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
     data = lookup_copy(tmp_path, "pipeline.yaml", sum_quantity)
     pipeline = os.path.join(data, "pipeline.yaml")
     message = "UnmeasuredField at sum[quantity]: no source has a decimal field 'quantity'"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# each entry: an edit of the lookup fixture's valued fmap, and the violation
+# it makes; a computed type is decided when the stage compiles, whatever
+# the data holds
+COMPUTED_TYPE_ERRORS = {
+    "num over text": (
+        lambda nd: nd["add"].update(value={"num": {"col": "description"}}),
+        "num applied to a text value"),
+    "declared sem": (
+        lambda nd: nd["sems"].update(value="integer"),
+        "field 'value' is declared integer but computes decimal"),
+    "unit_of over decimal": (
+        lambda nd: nd["add"].update(value={"unit_of": {"col": "current_price"}}),
+        "unit_of applied to a decimal value"),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPUTED_TYPE_ERRORS))
+def test_a_computed_type_error_is_caught_before_any_row_runs(tmp_path, capsys, case):
+    edit, detail = COMPUTED_TYPE_ERRORS[case]
+    data = lookup_copy(tmp_path, "pipeline.yaml", lambda doc: edit(doc["nodes"][1]))
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = f"SchemaMismatch at valued: {detail}"
     assert main(["check", pipeline, "--data", data]) == 2
     assert capsys.readouterr().out == f"{message}\n"
     assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2

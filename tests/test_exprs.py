@@ -15,14 +15,19 @@ from tallyflow import (
     FieldSpec,
     FnNotTotal,
     InSet,
+    Kind,
     Lit,
     Missing,
+    MonoidElement,
     Not,
     NumOf,
     Quantity,
     SumSchema,
     UnitOf,
     UnknownField,
+    avg_of,
+    count,
+    min_of,
     schema,
 )
 from tallyflow.exprs import (
@@ -66,7 +71,7 @@ def state(p):
 
 
 def value(e):
-    return compile_expr(e, SCH)(ROW)
+    return compile_expr(e, SCH)[0](ROW)
 
 
 # -- three-valued evaluation -------------------------------------------
@@ -166,11 +171,38 @@ def test_expressions_refuse_nonsense_instead_of_guessing():
 def test_compiling_resolves_every_field_against_the_schema():
     sch = (FieldSpec("i", "integer"), FieldSpec("t", "text"))
     assert compile_pred(InSet("t", ("a", "b")), sch)({"i": 1, "t": "b"}).state == "t"
-    assert compile_expr(BinOp("add", Col("i"), Lit(1)), sch)({"i": 1, "t": "b"}) == 2
+    assert compile_expr(BinOp("add", Col("i"), Lit(1)), sch)[0]({"i": 1, "t": "b"}) == 2
     with pytest.raises(UnknownField, match="no field 'x'"):
         compile_pred(Not(All((FieldDefined("i"), FieldDefined("x")))), sch)
     with pytest.raises(UnknownField, match="no field 'x'"):
         compile_expr(NumOf(Col("x")), sch)
+
+
+def test_compiling_decides_the_type_of_every_expression():
+    sch = SCH + (FieldSpec("s", "summary", "$"),)
+
+    def typed(e):
+        return compile_expr(e, sch)[1:]
+
+    assert typed(Col("s")) == ("summary", "$")
+    assert typed(Lit(Quantity(D(1), "kg"))) == ("quantity", "kg")
+    assert typed(Lit(Missing("none"))) == (None, None)  # fits any sem
+    assert typed(NumOf(Col("s"))) == ("decimal", None)
+    assert typed(BinOp("mul", Col("i"), Col("s"))) == ("decimal", None)
+    assert typed(UnitOf(Col("q"))) == ("text", None)
+    for bad in (Lit(D("NaN")), Lit(1.5), Lit(True), NumOf(Col("t")),
+                UnitOf(Col("d")), BinOp("add", Col("t"), Lit(1)), BinOp("div", Col("i"), Lit(1))):
+        with pytest.raises(FnNotTotal):
+            compile_expr(bad, sch)
+
+
+def test_num_reads_a_count_or_a_fold_of_some_values():
+    num = compile_expr(NumOf(Col("s")), (FieldSpec("s", "summary"),))[0]
+    assert num({"s": count(3)}) == D(3)
+    assert num({"s": min_of(D("2.5"))}) == D("2.5")
+    for bad in (avg_of(D(4), 2), MonoidElement(Kind.MIN, D("Infinity"))):
+        with pytest.raises(FnNotTotal):
+            num({"s": bad})
 
 
 def test_a_tagged_sum_must_declare_the_field_in_every_branch():

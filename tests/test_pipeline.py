@@ -9,6 +9,7 @@ import pytest
 from tallyflow import (
     AggregateNode,
     AggSpec,
+    Col,
     Compare,
     DedupNode,
     ErrorizeNode,
@@ -20,6 +21,7 @@ from tallyflow import (
     MapNode,
     Missing,
     MissingInput,
+    NumOf,
     PartitionNode,
     PipelineGraph,
     ProjectNode,
@@ -159,6 +161,27 @@ def test_schema_problems_surface_before_any_data_flows():
     violations = g.validate()
     assert [v.kind for v in violations] == ["SchemaMismatch"]
     assert "may only add" in violations[0].detail
+
+
+def test_num_over_the_min_of_no_values_is_refused_before_a_row_is_sunk():
+    # typing cannot see this one: a group whose prices are all missing has
+    # no minimum (its payload is +Infinity), so num refuses it when the row
+    # is computed, and run() returns no sink at all
+    g = PipelineGraph("t")
+    g.add_source("orders", ORDERS)
+    g.add_node(AggregateNode("cheapest", ("item",), (AggSpec("price", "min"),)))
+    g.add_node(MapNode("floor", {"floor": NumOf(Col("price_min"))}, {"floor": "decimal"}))
+    g.connect("orders", "cheapest.in")
+    g.connect("cheapest.out", "floor.in")
+    g.add_sink("floors", "report")
+    g.connect("floor.out", "floors")
+    assert g.validate() == []
+    unpriced = ingest(ORDERS, [
+        {"item": "bolt", "qty": Quantity(D(4), "kg"), "price": D(2)},
+        {"item": "nut", "qty": Quantity(D(1), "kg"), "price": Missing("empty")},
+    ])
+    with pytest.raises(TallyError):
+        g.run({"orders": unpriced})
 
 
 def emap_graph(rejected_to_errors: bool) -> PipelineGraph:

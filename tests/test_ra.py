@@ -131,6 +131,7 @@ def test_type_errors_are_type_errors():
     Aggregate(BaseRelation("items"), (), (AggSpec("name", "sum"),)),
     Map(BaseRelation("items"), (("name", Lit(1)),)),
     Map(BaseRelation("items"), (("v", NumOf(Col("name"))),)),
+    Map(BaseRelation("items"), (("v", Lit(Missing("none"))),)),
 ])
 def test_ill_typed_queries_are_rejected_up_front(bad):
     with pytest.raises(ExprTypeError):
@@ -257,6 +258,18 @@ def test_map_matches_reference():
     q = Map(BaseRelation("quotes"),
             (("cents", BinOp("mul", NumOf(Col("price")), Lit(100))),))
     check(q)
+
+
+def test_map_over_summaries_matches_reference():
+    # the query twin of a pipeline document's {num: {col: Price_min}}
+    summary = Aggregate(BaseRelation("quotes"), ("commodity",),
+                        (AggSpec("price", "sum"), AggSpec("price", "min")))
+    q = Map(summary, (("total", NumOf(Col("price_sum"))),
+                      ("floor", BinOp("mul", NumOf(Col("price_min")), Col("count"))),
+                      ("rows", NumOf(Col("count")))))
+    assert [s.sem for s in infer_schema(q, CATALOG)[-3:]] == ["decimal"] * 3
+    v = check(q)
+    assert v.got_rows == 2
 
 
 def test_deep_compositions_match_reference():

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 from .monoid import fold_payloads, fuse
+from .relation import ERROR_REASON, ERROR_STAGE
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Quantity
 
@@ -290,8 +291,8 @@ def dashboard_document(graph, result, report: ConservationReport) -> dict:
                 unaccounted += len(classes[sink_name])
                 groups: dict[tuple, int] = {}
                 for rec in rel.rows:
-                    key = (str(rec.fields.get("error_stage", "")),
-                           str(rec.fields.get("error_reason", "")))
+                    key = (str(rec.fields.get(ERROR_STAGE, "")),
+                           str(rec.fields.get(ERROR_REASON, "")))
                     groups[key] = groups.get(key, 0) + 1
                 entry["error_sinks"].append({
                     "name": sink_name,

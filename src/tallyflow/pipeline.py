@@ -4,14 +4,15 @@ A graph is a DAG of named stages between declared sources and sinks.  The
 no-forget rule is structural: every output port must be consumed exactly
 once (wire it or sink it), so data cannot fall off the edge of the graph.
 Execution records, for every port in run order, the pids it carried
-(RunAudit.ports); stage pid sets, sink pid sets, trace() and the audit
-document's paths are all read off that one record.
+(RunAudit.ports), each the pid record of the relation at that port
+(Relation.pid_record); stage pid sets, sink pid sets, trace() and the audit
+document's paths are all read off that one record.  The sources each
+report reaches come from a reverse sweep of the run's topological order.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -42,7 +43,6 @@ from .relation import (
     empty,
     has_field,
 )
-from .relation import pids as rel_pids
 from .space import SCHEMES
 
 REPORT = "report"
@@ -364,7 +364,8 @@ class RunAudit:
     ports is the one record of pid movement: a PortPids per source output,
     stage output and sink input, in run order (sources, then stage outputs
     in topological order, then sinks).  source_pids, stage_visits and
-    sink_pids index the same frozensets by owner; no set is computed twice.
+    sink_pids index the same frozensets by owner: each is the pid record of
+    the relation at that port, scanned once per relation.
     """
 
     source_pids: dict = field(default_factory=dict)
@@ -455,24 +456,6 @@ class PipelineGraph:
 
     # -- validation -----------------------------------------------------
 
-    def _out_ports(self) -> dict:
-        ports = {}
-        for s in self.sources.values():
-            ports[PortRef(s.name, "out")] = True
-        for n in self.nodes.values():
-            for p in n.out_ports:
-                ports[PortRef(n.name, p)] = True
-        return ports
-
-    def _in_ports(self) -> dict:
-        ports = {}
-        for n in self.nodes.values():
-            for p in n.in_ports:
-                ports[PortRef(n.name, p)] = True
-        for s in self.sinks.values():
-            ports[PortRef(s.name, "in")] = True
-        return ports
-
     def validate(self) -> list[Violation]:
         """Structural, schema and measure checks; returns violations, raises nothing.
 
@@ -480,8 +463,14 @@ class PipelineGraph:
         a sum's carriers must share one unit.
         """
         v: list[Violation] = []
-        outs = self._out_ports()
-        ins = self._in_ports()
+        # the port tables, in declaration order: sources then stages for
+        # outputs, stages then sinks for inputs
+        outs = dict.fromkeys([PortRef(s, "out") for s in self.sources]
+                             + [PortRef(n.name, p) for n in self.nodes.values()
+                                for p in n.out_ports])
+        ins = dict.fromkeys([PortRef(n.name, p) for n in self.nodes.values()
+                             for p in n.in_ports]
+                            + [PortRef(s, "in") for s in self.sinks])
         seen_src: dict[PortRef, int] = {}
         seen_dst: dict[PortRef, int] = {}
         for w in self.wires:
@@ -578,62 +567,55 @@ class PipelineGraph:
 
         Input rows are checked here (check_rows); stage outputs are not.
         Each stage runs through _apply, as in the dry run, and
-        audit.timings[stage] holds the seconds of that call.
+        audit.timings[stage] holds the seconds of that call.  A stage that
+        fails on rows raises its error again, of the same class, with the
+        stage named.
         """
         violations = self.validate()
         if violations:
             head = "; ".join(f"{x.kind}@{x.where}" for x in violations[:5])
             raise InvalidGraph(f"graph {self.name!r} is not runnable: {head}", violations)
-        for s in self.sources.values():
-            if s.name not in inputs:
-                raise MissingInput(f"no input relation for source {s.name!r}")
-            if inputs[s.name].schema != s.schema:
-                raise SchemaMismatch(f"input for {s.name!r} does not match its declared schema")
-            check_rows(s.schema, inputs[s.name].rows)
 
         audit = RunAudit()
         values: dict[PortRef, Relation] = {}
         incoming = self._incoming()
-        carried: dict[int, tuple] = {}  # id(relation) -> (pids, repeats)
-
-        def pids_of(rel: Relation) -> tuple:
-            """Scan each relation once; a tee or a sink reuses what it is fed."""
-            if id(rel) not in carried:
-                pids, n = rel_pids(rel), Counter()
-                if sum(len(rec.pids) for rec in rel.rows) > len(pids):
-                    n = Counter(pid for rec in rel.rows for pid in rec.pids)
-                carried[id(rel)] = (pids, {pid: k for pid, k in n.items() if k > 1})
-            return carried[id(rel)]
 
         def record(owner: str, port: str, rel: Relation) -> frozenset:
-            pids, repeats = pids_of(rel)
+            pids, repeats = rel.pid_record
             audit.ports.append(PortPids(owner, port, pids, repeats))
             return pids
 
-        for name, rel in inputs.items():
-            if name not in self.sources:
-                raise MissingInput(f"input {name!r} does not name a source")
+        for name, s in self.sources.items():
+            if name not in inputs:
+                raise MissingInput(f"no input relation for source {name!r}")
+            rel = inputs[name]
+            if rel.schema != s.schema:
+                raise SchemaMismatch(f"input for {name!r} does not match its declared schema")
+            check_rows(s.schema, rel.rows)
             values[PortRef(name, "out")] = rel
-            record(name, "out", rel)
-        audit.source_pids = {name: pids_of(inputs[name])[0] for name in self.sources}
+            audit.source_pids[name] = record(name, "out", rel)
+        stray = next((name for name in inputs if name not in self.sources), None)
+        if stray is not None:
+            raise MissingInput(f"input {stray!r} does not name a source")
         if sum(map(len, audit.source_pids.values())) > len(audit.all_source_pids()):
             a, b = next((a, b) for a, b in combinations(audit.source_pids, 2)
                         if not audit.source_pids[a].isdisjoint(audit.source_pids[b]))
             raise TallyError(f"sources {a!r} and {b!r} share pids; each source needs "
                              "its own pids (ingest's first_pid)")
-        self._setup_audit(audit, inputs)
-
         order, _ = self._topo_order()
+        self._setup_audit(audit, inputs, order)
+
         for name in order:
             t0 = time.perf_counter()
-            ins, outs = self._apply(name, values, incoming)
+            try:
+                ins, outs = self._apply(name, values, incoming)
+            except TallyError as exc:
+                raise type(exc)(f"stage {name!r}: {exc}") from exc
             audit.timings[name] = time.perf_counter() - t0
-            for p in self.nodes[name].out_ports:
-                record(name, p, outs[p])
             audit.stage_visits.append(StageVisit(
                 stage=name,
-                ins={p: pids_of(r)[0] for p, r in ins.items()},
-                outs={p: pids_of(r)[0] for p, r in outs.items()},
+                ins={p: r.pid_record[0] for p, r in ins.items()},
+                outs={p: record(name, p, outs[p]) for p in self.nodes[name].out_ports},
             ))
 
         sinks: dict[str, Relation] = {}
@@ -643,7 +625,10 @@ class PipelineGraph:
             audit.sink_pids[sink.name] = record(sink.name, "in", rel)
         return RunResult(sinks=sinks, audit=audit)
 
-    def _setup_audit(self, audit: RunAudit, inputs: dict) -> None:
+    def _setup_audit(self, audit: RunAudit, inputs: dict, order: list) -> None:
+        """Charge the ledger, order each report's sinks, and find each
+        report's sources by a reverse sweep of order, stages then sources:
+        every output port has one consumer, a sink or a stage already swept."""
         build_charges(self, audit, inputs)
         reports: dict[str, list] = {}
         for sink in self.sinks.values():
@@ -652,33 +637,18 @@ class PipelineGraph:
             canonical = [s.name for s in members if s.kind == REPORT]
             canonical += [s.name for s in members if s.kind == ERROR]
             audit.sink_order[label] = tuple(canonical)
-        downstream = self._downstream_map()
+        consumer = {w.src: w.dst.owner for w in self.wires}
+        reach: dict[str, set] = {}
+        owners = [(n, self.nodes[n].out_ports) for n in reversed(order)]
+        owners += [(s, ("out",)) for s in self.sources]
+        for owner, ports in owners:
+            reach[owner] = set()
+            for p in ports:
+                c = consumer[PortRef(owner, p)]
+                reach[owner] |= {c} if c in self.sinks else reach[c]
         for label, members in reports.items():
             names = {s.name for s in members}
-            audit.report_sources[label] = tuple(
-                s for s in self.sources if downstream[s] & names)
-
-    def _downstream_map(self) -> dict:
-        """Owner -> set of sink names reachable from it."""
-        adj: dict[str, set[str]] = {}
-        for w in self.wires:
-            adj.setdefault(w.src.owner, set()).add(w.dst.owner)
-        reach: dict[str, set[str]] = {}
-
-        def go(owner: str) -> set:
-            if owner in reach:
-                return reach[owner]
-            found = set()
-            reach[owner] = found  # cycle guard; graph is validated acyclic
-            for nxt in adj.get(owner, ()):
-                if nxt in self.sinks:
-                    found.add(nxt)
-                found |= go(nxt)
-            return found
-
-        for owner in list(self.sources) + list(self.nodes):
-            go(owner)
-        return reach
+            audit.report_sources[label] = tuple(s for s in self.sources if reach[s] & names)
 
 
 def trace(audit: RunAudit, pid: int) -> tuple:

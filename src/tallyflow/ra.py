@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .audit import conservation_check
-from .errors import ExprTypeError, InvalidGraph, TallyError, malformed
+from .errors import ExprTypeError, FnNotTotal, InvalidGraph, TallyError, malformed
 from .exprs import (
     All,
     Always,
@@ -610,7 +610,7 @@ def _o_num(v) -> Decimal:
             return Decimal(v.payload)
         if v.kind in (Kind.SUM, Kind.MIN, Kind.MAX) and v.payload.is_finite():
             return v.payload
-    raise TypeError(f"no numeric view of {v!r}")
+    raise FnNotTotal(f"no numeric view of {v!r}")
 
 
 def _o_expr(e: Expr, row: dict):

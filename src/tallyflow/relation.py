@@ -11,8 +11,10 @@ move checked rows, so Relation(...) trusts the rows it is given.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
@@ -161,6 +163,19 @@ class Relation:
     def __len__(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pid_record(self) -> tuple:
+        """(pids, repeats): every pid the rows carry, and, sparsely, pid ->
+        number of rows that carry it for pids more than one row carries (a
+        join copy, a dedup's merged duplicates).  Scanned on first read and
+        kept, so a relation fed to several ports is scanned once."""
+        pids = frozenset().union(*(rec.pids for rec in self.rows))
+        repeats: dict = {}
+        if sum(len(rec.pids) for rec in self.rows) > len(pids):
+            n = Counter(pid for rec in self.rows for pid in rec.pids)
+            repeats = {pid: k for pid, k in n.items() if k > 1}
+        return pids, repeats
+
 
 def empty(sch: "Schema | SumSchema") -> Relation:
     return Relation(sch, ())
@@ -190,7 +205,7 @@ def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
 
 
 def pids(rel: Relation) -> frozenset[int]:
-    return frozenset().union(*(rec.pids for rec in rel.rows))
+    return rel.pid_record[0]
 
 
 def triples(rel: Relation):

@@ -562,21 +562,44 @@ def test_sections_of_the_wrong_shape_exit_2(tmp_path, capsys, section):
 
 
 def test_run_scans_each_relation_once_for_its_pids(tmp_path, monkeypatch):
-    import tallyflow.pipeline as pipeline_mod
+    from functools import cached_property
     scanned = []
-    real = pipeline_mod.rel_pids
+    real = Relation.pid_record.func
 
     def counted(rel):
         scanned.append(rel)
         return real(rel)
 
-    monkeypatch.setattr(pipeline_mod, "rel_pids", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(Relation, "pid_record")
+    monkeypatch.setattr(Relation, "pid_record", prop)
     d = fixture_dir("lookup")
     assert main(["run", os.path.join(d, "pipeline.yaml"),
                  "--data", d, "--out", str(tmp_path / "out")]) == 0
-    # 2 sources and 7 stage outputs; stage inputs and sinks reuse the set
-    # of the port that feeds them
+    # 2 sources and 7 stage outputs; stage inputs and sinks read the
+    # record of the relation that feeds them
     assert len(scanned) == len({id(rel) for rel in scanned}) == 9
+
+
+def test_run_names_the_stage_that_fails_on_rows(tmp_path, capsys):
+    # typing sees only "summary" for an avg column, so num over it passes
+    # check and fails on the first row; run names the failing stage
+    def average_then_number(doc):
+        summary = next(n for n in doc["nodes"] if n["name"] == "missing_summary")
+        summary["specs"] = [{"field": "quantity", "op": "avg"}]
+        doc["nodes"].append({"op": "fmap", "name": "avg_number", "from": "missing_summary.out",
+                             "add": {"num": {"num": {"col": "quantity_avg"}}},
+                             "sems": {"num": "decimal"}})
+        doc["sinks"]["missing_products"]["from"] = "avg_number.out"
+
+    data = lookup_copy(tmp_path, "pipeline.yaml", average_then_number)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    assert main(["check", pipeline, "--data", data]) == 0
+    assert capsys.readouterr().out == "check: lookup: graph is runnable (6 stages, 3 sinks)\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run: stage 'avg_number': no numeric view of a avg summary\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_refuses_a_computed_value_of_another_sem(tmp_path, capsys):

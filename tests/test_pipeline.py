@@ -15,6 +15,7 @@ from tallyflow import (
     ErrorizeNode,
     FieldDefined,
     FieldSpec,
+    FnNotTotal,
     InvalidGraph,
     JoinNode,
     Lit,
@@ -180,7 +181,7 @@ def test_num_over_the_min_of_no_values_is_refused_before_a_row_is_sunk():
         {"item": "bolt", "qty": Quantity(D(4), "kg"), "price": D(2)},
         {"item": "nut", "qty": Quantity(D(1), "kg"), "price": Missing("empty")},
     ])
-    with pytest.raises(TallyError):
+    with pytest.raises(FnNotTotal, match="floor"):
         g.run({"orders": unpriced})
 
 
@@ -509,6 +510,45 @@ def test_a_report_lists_only_its_own_checks_on_the_dashboard():
     assert [c["name"] for c in doc["reports"]["main"]["checks"]] == [
         "coverage:main", "measure:main:count", "measure:main:sum[qty:kg]",
         "measure:main:sum[qty:lb]", "measure:main:paccioli[price]"]
+
+
+def test_report_sources_follow_every_port_to_every_sink():
+    # a's tee branches meet again before report A; b feeds only report B;
+    # the join's sources c and d reach A only through right_only ->
+    # errorize.  Reach is per owner, so both count toward both reports.
+    keys = schema(FieldSpec("k", "text"))
+    g = PipelineGraph("reach")
+    g.add_source("a", ORDERS)
+    for name in "bcd":
+        g.add_source(name, keys)
+    for node in (TeeNode("t"), TaggedUnionNode("u"), StripTagsNode("s"),
+                 JoinNode("j", (("k", "k"),)), ErrorizeNode("unused", "unused")):
+        g.add_node(node)
+    for name, kind, label in (("a_rows", "report", "A"), ("c_unused", "error", "A"),
+                              ("b_rows", "report", "B"), ("joined", "report", "B"),
+                              ("unmatched", "error", "B")):
+        g.add_sink(name, kind, label)
+    for src, dst in (("a", "t.in"), ("t.left", "u.left"), ("t.right", "u.right"),
+                     ("u.out", "s.in"), ("s.out", "a_rows"), ("b", "b_rows"),
+                     ("d", "j.left"), ("c", "j.right"), ("j.inner", "joined"),
+                     ("j.left_only", "unmatched"), ("j.right_only", "unused.in"),
+                     ("unused.out", "c_unused")):
+        g.connect(src, dst)
+    res = g.run({"a": orders(), "b": ingest(keys, [{"k": "x"}], 10),
+                 "c": ingest(keys, [{"k": "x"}, {"k": "z"}], 20),
+                 "d": ingest(keys, [{"k": "x"}, {"k": "y"}], 30)})
+    assert res.audit.report_sources == {"A": ("a", "c", "d"), "B": ("b", "c", "d")}
+    report = conservation_check(res.audit)
+    assert audit_document(res.audit, report)["reports"] == {
+        "A": {"sinks": ["a_rows", "c_unused"], "sources": ["a", "c", "d"]},
+        "B": {"sinks": ["b_rows", "joined", "unmatched"], "sources": ["b", "c", "d"]},
+    }
+    dash = dashboard_document(g, res, report)["reports"]
+    assert {label: ([s["name"] for s in e["report_sinks"]], [s["name"] for s in e["error_sinks"]],
+                    e["accounted_pids"], e["unaccounted_pids"]) for label, e in dash.items()} == {
+        "A": (["a_rows"], ["c_unused"], 3, 1),
+        "B": (["b_rows", "joined"], ["unmatched"], 3, 1),
+    }
 
 
 # -- negative controls: stages that break the pid bookkeeping ----------

@@ -272,6 +272,15 @@ def test_map_over_summaries_matches_reference():
     assert v.got_rows == 2
 
 
+def test_num_over_an_average_is_a_refusal_not_a_crash():
+    # typing sees only "summary", so the oracle meets the avg on its first
+    # row; it refuses as the engine does, and the check reports a verdict
+    summary = Aggregate(BaseRelation("quotes"), ("commodity",), (AggSpec("price", "avg"),))
+    v = equivalence_check(Map(summary, (("m", NumOf(Col("price_avg"))),)), inputs())
+    assert not v.ok
+    assert v.detail.startswith("FnNotTotal: no numeric view of ")
+
+
 def test_deep_compositions_match_reference():
     q = Aggregate(
         Select(

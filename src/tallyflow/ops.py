@@ -128,6 +128,28 @@ def strip_tags(rel: Relation) -> Relation:
 
 # -- projection, rename, dedup -----------------------------------------
 
+def project_schema(sch: Schema, fields) -> Schema:
+    """Output schema of lossless_project(): the named fields, in that order."""
+    keep = tuple(fields)
+    for n in keep:
+        schema_field(sch, n)  # raises UnknownField
+    if len(set(keep)) != len(keep):
+        raise SchemaMismatch(f"duplicate fields in projection: {keep}")
+    return schema(*(schema_field(sch, n) for n in keep))
+
+
+def rename_schema(sch: Schema, mapping: dict) -> Schema:
+    """Output schema of rename(): partial maps allowed, collisions refused."""
+    names = field_names(sch)
+    for src in mapping:
+        if src not in names:
+            raise UnknownField(f"cannot rename unknown field {src!r}")
+    new_names = [mapping.get(n, n) for n in names]
+    if len(set(new_names)) != len(new_names):
+        raise CollisionAfterRename(f"rename would collide: {new_names}")
+    return schema(*(FieldSpec(mapping.get(s.name, s.name), s.sem, s.unit) for s in sch))
+
+
 def lossless_project(rel: Relation, fields) -> Relation:
     """Narrow the relevant fields; the complement rides along as payload.
 
@@ -135,13 +157,9 @@ def lossless_project(rel: Relation, fields) -> Relation:
     irrelevant parts, still keyed by the record's pids.
     """
     sch = _plain_schema(rel, "lossless_project")
-    keep = tuple(fields)
-    for n in keep:
-        schema_field(sch, n)  # raises UnknownField
-    if len(set(keep)) != len(keep):
-        raise SchemaMismatch(f"duplicate fields in projection: {keep}")
+    new_schema = project_schema(sch, fields)
+    keep = field_names(new_schema)
     drop = tuple(n for n in field_names(sch) if n not in keep)
-    new_schema = schema(*(schema_field(sch, n) for n in keep))
     rows = []
     for rec in rel.rows:
         kept = {n: rec.fields[n] for n in keep}
@@ -155,16 +173,7 @@ def lossless_project(rel: Relation, fields) -> Relation:
 
 def rename(rel: Relation, mapping: dict) -> Relation:
     """Rename fields; partial maps allowed, collisions refused."""
-    sch = _plain_schema(rel, "rename")
-    names = field_names(sch)
-    for src in mapping:
-        if src not in names:
-            raise UnknownField(f"cannot rename unknown field {src!r}")
-    new_names = [mapping.get(n, n) for n in names]
-    if len(set(new_names)) != len(new_names):
-        raise CollisionAfterRename(f"rename would collide: {new_names}")
-    new_schema = schema(*(
-        FieldSpec(mapping.get(s.name, s.name), s.sem, s.unit) for s in sch))
+    new_schema = rename_schema(_plain_schema(rel, "rename"), mapping)
     rows = []
     for rec in rel.rows:
         fields = {mapping.get(n, n): v for n, v in rec.fields.items()}
@@ -181,18 +190,11 @@ def dedup(rel: Relation) -> Relation:
     """
     sch = _plain_schema(rel, "dedup")
     names = field_names(sch)
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # relevant-field key -> members, in first-seen order
     for rec in rel.rows:
-        key = record_key(rec, names)
-        if key not in groups:
-            groups[key] = [rec]
-            order.append(key)
-        else:
-            groups[key].append(rec)
+        groups.setdefault(record_key(rec, names), []).append(rec)
     rows = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         first = members[0]
         if len(members) == 1:
             rows.append(first)
@@ -204,6 +206,22 @@ def dedup(rel: Relation) -> Relation:
 
 
 # -- joins --------------------------------------------------------------
+
+def join_schema(sch1: Schema, sch2: Schema, on) -> Schema:
+    """Output schema of outer_join()'s inner port: the left fields, then the
+    right fields less each same-named join pair's right copy."""
+    for lf, rf in on:
+        if not has_field(sch1, lf):
+            raise JoinColumnMissing(f"left operand lacks join column {lf!r}")
+        if not has_field(sch2, rf):
+            raise JoinColumnMissing(f"right operand lacks join column {rf!r}")
+    merged_right = [rf for lf, rf in on if lf == rf]
+    kept_right = tuple(s for s in sch2 if s.name not in merged_right)
+    clash = set(field_names(sch1)) & {s.name for s in kept_right}
+    if clash:
+        raise SchemaMismatch(f"non-join name collision: {sorted(clash)}")
+    return schema(*(sch1 + kept_right))
+
 
 def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     """Equi-join with nothing dropped: returns (inner, left_only, right_only).
@@ -218,17 +236,8 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     sch1 = _plain_schema(r1, "outer_join")
     sch2 = _plain_schema(r2, "outer_join")
     pairs = [(lf, rf) for lf, rf in on]
-    for lf, rf in pairs:
-        if not has_field(sch1, lf):
-            raise JoinColumnMissing(f"left operand lacks join column {lf!r}")
-        if not has_field(sch2, rf):
-            raise JoinColumnMissing(f"right operand lacks join column {rf!r}")
-    merged_right = [rf for lf, rf in pairs if lf == rf]
-    kept_right = tuple(s for s in sch2 if s.name not in merged_right)
-    clash = set(field_names(sch1)) & {s.name for s in kept_right}
-    if clash:
-        raise SchemaMismatch(f"non-join name collision: {sorted(clash)}")
-    inner_schema = schema(*(sch1 + kept_right))
+    inner_schema = join_schema(sch1, sch2, pairs)
+    kept_right = inner_schema[len(sch1):]
 
     def key_of(rec: Record, cols) -> tuple | None:
         out = []

@@ -205,7 +205,8 @@ class MapNode(Node):
     mapping.  sems must declare the type of every added field, and it must
     be the type its expression computes over the input schema (decided by
     exprs.compile_expr), so validation refuses a mismatch whatever the data
-    holds and no computed cell is checked when rows run.
+    holds and no computed cell is checked when rows run.  sems and units
+    name added fields only, so a misspelled key cannot silently drop a unit.
     """
 
     name: str
@@ -220,6 +221,11 @@ class MapNode(Node):
         missing = [n for n in self.additions if n not in self.sems]
         if missing:
             raise ValueError(f"map node {self.name!r} lacks sems for {missing}")
+        extra = [n for n in dict.fromkeys([*self.sems, *(self.units or {})])
+                 if n not in self.additions]
+        if extra:
+            raise ValueError(f"map node {self.name!r} has sems or units for fields "
+                             f"it does not add: {extra}")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:

@@ -1,12 +1,16 @@
 """Classical relational queries compiled onto lossless pipelines.
 
 The query AST here covers the textbook operators plus aggregation and
-row-mapping.  translate() turns a well-typed query into a pipeline graph
-whose "result" sink holds the classical answer while every row the
-classical semantics would discard drains to labeled error sinks instead.
-reference_eval() is a deliberately naive evaluator over plain dicts with
-no shared code paths into the pipeline engine; equivalence_check() runs
-both and compares the outcomes as multisets.
+row-mapping.  A query is typed once: each operator's output schema comes
+from its rule in ops, this module adds only the rules that belong to
+queries, and the schema of every node is recorded for the steps below.
+translate() turns a well-typed query into a pipeline graph whose
+"result" sink holds the classical answer while every row the classical
+semantics would discard drains to labeled error sinks instead.
+reference_eval() is a deliberately naive evaluator over plain dicts that
+reads only its operands' recorded schemas and shares no row code with
+the pipeline engine; equivalence_check() runs both and compares the
+outcomes as multisets.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ from .exprs import (
     encode_pred,
 )
 from .monoid import Kind, MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
-from .ops import AGG_OPS, AggSpec, aggregate_schema
+from .ops import (
+    AGG_OPS,
+    AggSpec,
+    aggregate_schema,
+    join_schema,
+    project_schema,
+    rename_schema,
+)
 from .pipeline import (
     ERROR,
     REPORT,
@@ -65,7 +76,7 @@ from .relation import (
     Schema,
     SumSchema,
     field_names,
-    schema,
+    has_field,
     schema_field,
 )
 from .space import carries
@@ -206,72 +217,55 @@ def base_names(expr: RAExpr) -> list[str]:
 
 def infer_schema(expr: RAExpr, catalog: dict) -> Schema:
     """Output schema of a query, or ExprTypeError naming the failing node."""
-    return _infer(expr, catalog, _label(expr))
+    return _infer(expr, catalog, _label(expr), {})
 
 
-def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict | None = None) -> Schema:
-    """Type expr; schemas, if given, gets id(node) -> schema for every subquery."""
+def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
+    """Type expr, recording id(node) -> schema in schemas for it and every subquery.
+
+    Each operator's output schema comes from its rule in ops; only the
+    rules that belong to queries are checked here.
+    """
     def fail(msg: str):
         raise ExprTypeError(f"{path}: {msg}")
 
+    def rule(fn, *args):
+        try:
+            return fn(*args)
+        except TallyError as exc:
+            fail(str(exc))
+
     def child(edge: str, e) -> Schema:
-        sch = _infer(e, catalog, f"{path}/{edge}/{_label(e)}", schemas)
-        if schemas is not None:
-            schemas[id(e)] = sch
-        return sch
+        return _infer(e, catalog, f"{path}/{edge}/{_label(e)}", schemas)
 
     if isinstance(expr, BaseRelation):
-        sch = catalog.get(expr.name)
-        if sch is None:
+        out = catalog.get(expr.name)
+        if out is None:
             fail(f"unknown base relation {expr.name!r}")
-        if isinstance(sch, SumSchema):
+        if isinstance(out, SumSchema):
             fail(f"base relation {expr.name!r} has a tagged-sum schema")
-        return sch
 
-    if isinstance(expr, Project):
+    elif isinstance(expr, Project):
         sch = child("of", expr.of)
         if not expr.fields:
             fail("projection keeps no fields")
-        if len(set(expr.fields)) != len(expr.fields):
-            fail(f"duplicate projection fields: {expr.fields}")
-        for n in expr.fields:
-            if not any(s.name == n for s in sch):
-                fail(f"no field {n!r} to project")
-        return schema(*(schema_field(sch, n) for n in expr.fields))
+        out = rule(project_schema, sch, expr.fields)
 
-    if isinstance(expr, Select):
-        sch = child("of", expr.of)
-        try:
-            compile_pred(expr.pred, sch)
-        except TallyError as exc:
-            fail(str(exc))
-        return sch
+    elif isinstance(expr, Select):
+        out = child("of", expr.of)
+        rule(compile_pred, expr.pred, out)
 
-    if isinstance(expr, Rename):
+    elif isinstance(expr, Rename):
         sch = child("of", expr.of)
-        names = field_names(sch)
         olds = [o for o, _ in expr.mapping]
         if len(set(olds)) != len(olds):
             fail(f"field renamed twice: {olds}")
-        mapping = dict(expr.mapping)
-        for o in mapping:
-            if o not in names:
-                fail(f"cannot rename unknown field {o!r}")
-        new_names = [mapping.get(n, n) for n in names]
-        if len(set(new_names)) != len(new_names):
-            fail(f"rename would collide: {new_names}")
-        return schema(*(
-            FieldSpec(mapping.get(s.name, s.name), s.sem, s.unit) for s in sch))
+        out = rule(rename_schema, sch, dict(expr.mapping))
 
-    if isinstance(expr, CrossProduct):
-        ls = child("left", expr.left)
-        rs = child("right", expr.right)
-        clash = set(field_names(ls)) & set(field_names(rs))
-        if clash:
-            fail(f"operands share field names: {sorted(clash)}")
-        return schema(*(ls + rs))
+    elif isinstance(expr, CrossProduct):
+        out = rule(join_schema, child("left", expr.left), child("right", expr.right), ())
 
-    if isinstance(expr, NaturalJoin):
+    elif isinstance(expr, NaturalJoin):
         ls = child("left", expr.left)
         rs = child("right", expr.right)
         rnames = set(field_names(rs))
@@ -281,70 +275,51 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict | None = None) 
         for n in shared:
             if schema_field(ls, n) != schema_field(rs, n):
                 fail(f"shared field {n!r} differs between operands")
-        rest = tuple(s for s in rs if s.name not in shared)
-        return schema(*(ls + rest))
+        out = rule(join_schema, ls, rs, [(n, n) for n in shared])
 
-    if isinstance(expr, OuterJoin):
+    elif isinstance(expr, OuterJoin):
         ls = child("left", expr.left)
         rs = child("right", expr.right)
         if not expr.on:
             fail("outer join needs at least one key pair")
         if len(set(expr.on)) != len(expr.on):
             fail(f"duplicate key pair in {expr.on}")
-        lnames = set(field_names(ls))
-        rnames = set(field_names(rs))
+        out = rule(join_schema, ls, rs, expr.on)
         for lf, rf in expr.on:
-            if lf not in lnames:
-                fail(f"left operand lacks key field {lf!r}")
-            if rf not in rnames:
-                fail(f"right operand lacks key field {rf!r}")
             lspec, rspec = schema_field(ls, lf), schema_field(rs, rf)
             if lspec.sem != rspec.sem:
                 fail(f"key pair ({lf!r}, {rf!r}) mixes {lspec.sem} with {rspec.sem}")
             if lf == rf and lspec != rspec:
                 fail(f"shared key field {lf!r} differs between operands")
-        merged = {rf for lf, rf in expr.on if lf == rf}
-        kept = tuple(s for s in rs if s.name not in merged)
-        clash = lnames & {s.name for s in kept}
-        if clash:
-            fail(f"non-key field names collide: {sorted(clash)}")
-        return schema(*(ls + kept))
 
-    if isinstance(expr, (Union, UnionAll, Minus, Intersect)):
-        ls = child("left", expr.left)
+    elif isinstance(expr, (Union, UnionAll, Minus, Intersect)):
+        out = child("left", expr.left)
         rs = child("right", expr.right)
-        if ls != rs:
-            fail(f"operand schemas differ: {field_names(ls)} vs {field_names(rs)}")
-        return ls
+        if out != rs:
+            fail(f"operand schemas differ: {field_names(out)} vs {field_names(rs)}")
 
-    if isinstance(expr, Aggregate):
+    elif isinstance(expr, Aggregate):
         sch = child("of", expr.of)
         for spec in expr.specs:
             if not isinstance(spec, AggSpec) or spec.op not in AGG_OPS:
                 fail(f"bad aggregation spec {spec!r}")
-        try:
-            return aggregate_schema(sch, expr.group_by, expr.specs)
-        except TallyError as exc:
-            fail(str(exc))
+        out = rule(aggregate_schema, sch, expr.group_by, expr.specs)
 
-    if isinstance(expr, Map):
+    elif isinstance(expr, Map):
         sch = child("of", expr.of)
-        names = set(field_names(sch))
-        out = list(sch)
+        out = sch
         for name, e in expr.additions:
-            if name in names:
+            if has_field(out, name):
                 fail(f"map would overwrite field {name!r}")
-            names.add(name)
-            try:
-                _, sem, unit = compile_expr(e, sch)
-            except TallyError as exc:
-                fail(str(exc))
+            _, sem, unit = rule(compile_expr, e, sch)
             if sem is None:
                 fail(f"addition {name!r} has no type: a bare missing literal")
-            out.append(FieldSpec(name, sem, unit))
-        return schema(*out)
+            out += (FieldSpec(name, sem, unit),)
 
-    fail(f"not a query node: {expr!r}")
+    else:
+        fail(f"not a query node: {expr!r}")
+    schemas[id(expr)] = out
+    return out
 
 
 # -- translation to a pipeline graph -----------------------------------
@@ -355,7 +330,9 @@ class _Translator:
     stage() is the one place a compiled stage is added and wired.  Every
     build step builds a node's operands before it names the node with
     fresh(), so stage names number the stages in declaration order.
-    schemas maps id(subquery) to the schema translate() inferred for it.
+    schemas maps id(node) to the schema _infer() recorded for it, the
+    root's included; build steps read their operand and output schemas
+    there and derive none.
     """
 
     def __init__(self, catalog: dict, uses: Counter, schemas: dict):
@@ -464,12 +441,10 @@ class _Translator:
             return f"{a}.out"
         if isinstance(expr, Map):
             src = self.build(expr.of)
-            sch = self.schemas[id(expr.of)]
-            sems, units = {}, {}
-            for name, e in expr.additions:
-                _, sems[name], units[name] = compile_expr(e, sch)
+            added = self.schemas[id(expr)][len(self.schemas[id(expr.of)]):]
             m = self.stage(MapNode(
-                self.fresh("derive"), dict(expr.additions), sems, units=units), src)
+                self.fresh("derive"), dict(expr.additions),
+                {s.name: s.sem for s in added}, units={s.name: s.unit for s in added}), src)
             return f"{m}.out"
         raise ExprTypeError(f"not a query node: {expr!r}")
 
@@ -486,12 +461,13 @@ class _Translator:
         return f"{j}.inner"
 
     def _build_outer(self, expr: OuterJoin) -> str:
-        ls, rs = self.schemas[id(expr.left)], self.schemas[id(expr.right)]
+        # the inner schema is the left one, then the right fields it keeps;
+        # the left fields the right operand lacks pad its unmatched rows
+        inner = self.schemas[id(expr)]
+        kept = inner[len(self.schemas[id(expr.left)]):]
+        rnames = set(field_names(self.schemas[id(expr.right)]))
+        rest = tuple(s for s in inner if s.name not in rnames)
         on = tuple(expr.on)
-        merged = {rf for lf, rf in on if lf == rf}
-        kept = tuple(s for s in rs if s.name not in merged)
-        rest = tuple(s for s in ls if s.name not in merged)
-        inner_names = field_names(ls) + tuple(s.name for s in kept)
 
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
         lq = self.require(l_addr, [lf for lf, _ in on], to_errors=False)
@@ -502,7 +478,7 @@ class _Translator:
         # in the outer result, padded on the other side
         left = self.pad(self.merge(f"{j}.left_only", f"{lq}.rejected", "gather"), kept)
         right = self.pad(self.merge(f"{j}.right_only", f"{rq}.rejected", "gather"), rest)
-        ro = self.stage(ProjectNode(self.fresh("reorder"), inner_names), right)
+        ro = self.stage(ProjectNode(self.fresh("reorder"), field_names(inner)), right)
         return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
 
     def _build_membership(self, expr) -> str:
@@ -651,36 +627,35 @@ def _distinct(rows: list) -> list:
     return out
 
 
-def _r_eval(expr: RAExpr, inputs: dict, catalog: dict) -> list:
+def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
     if isinstance(expr, BaseRelation):
         return [dict(rec.fields) for rec in inputs[expr.name].rows]
 
     if isinstance(expr, Project):
-        sub = _r_eval(expr.of, inputs, catalog)
+        sub = _r_eval(expr.of, inputs, schemas)
         return [{n: r[n] for n in expr.fields} for r in sub]
 
     if isinstance(expr, Select):
-        sub = _r_eval(expr.of, inputs, catalog)
+        sub = _r_eval(expr.of, inputs, schemas)
         return [r for r in sub if _o_pred(expr.pred, r) is True]
 
     if isinstance(expr, Rename):
-        sub = _r_eval(expr.of, inputs, catalog)
+        sub = _r_eval(expr.of, inputs, schemas)
         m = dict(expr.mapping)
         return [{m.get(n, n): v for n, v in r.items()} for r in sub]
 
     if isinstance(expr, CrossProduct):
-        xs = _r_eval(expr.left, inputs, catalog)
-        ys = _r_eval(expr.right, inputs, catalog)
+        xs = _r_eval(expr.left, inputs, schemas)
+        ys = _r_eval(expr.right, inputs, schemas)
         return [{**x, **y} for x in xs for y in ys]
 
     if isinstance(expr, NaturalJoin):
-        ls = _infer(expr.left, catalog, "oracle")
-        rs = _infer(expr.right, catalog, "oracle")
+        ls, rs = schemas[id(expr.left)], schemas[id(expr.right)]
         rnames = set(field_names(rs))
         shared = [s.name for s in ls if s.name in rnames]
         rest = [s.name for s in rs if s.name not in shared]
-        xs = _r_eval(expr.left, inputs, catalog)
-        ys = _r_eval(expr.right, inputs, catalog)
+        xs = _r_eval(expr.left, inputs, schemas)
+        ys = _r_eval(expr.right, inputs, schemas)
         out = []
         for x in xs:
             for y in ys:
@@ -693,13 +668,12 @@ def _r_eval(expr: RAExpr, inputs: dict, catalog: dict) -> list:
         return out
 
     if isinstance(expr, OuterJoin):
-        ls = _infer(expr.left, catalog, "oracle")
-        rs = _infer(expr.right, catalog, "oracle")
+        ls, rs = schemas[id(expr.left)], schemas[id(expr.right)]
         on = tuple(expr.on)
         merged = {rf for lf, rf in on if lf == rf}
         kept = [s.name for s in rs if s.name not in merged]
-        xs = _r_eval(expr.left, inputs, catalog)
-        ys = _r_eval(expr.right, inputs, catalog)
+        xs = _r_eval(expr.left, inputs, schemas)
+        ys = _r_eval(expr.right, inputs, schemas)
 
         def match(x, y):
             for lf, rf in on:
@@ -734,27 +708,27 @@ def _r_eval(expr: RAExpr, inputs: dict, catalog: dict) -> list:
         return out
 
     if isinstance(expr, Union):
-        xs = _r_eval(expr.left, inputs, catalog)
-        ys = _r_eval(expr.right, inputs, catalog)
+        xs = _r_eval(expr.left, inputs, schemas)
+        ys = _r_eval(expr.right, inputs, schemas)
         return _distinct(xs + ys)
 
     if isinstance(expr, UnionAll):
-        return (_r_eval(expr.left, inputs, catalog)
-                + _r_eval(expr.right, inputs, catalog))
+        return (_r_eval(expr.left, inputs, schemas)
+                + _r_eval(expr.right, inputs, schemas))
 
     if isinstance(expr, (Minus, Intersect)):
-        xs = _r_eval(expr.left, inputs, catalog)
-        ys = _r_eval(expr.right, inputs, catalog)
+        xs = _r_eval(expr.left, inputs, schemas)
+        ys = _r_eval(expr.right, inputs, schemas)
         there = {row_key(y) for y in ys}
         if isinstance(expr, Minus):
             return [x for x in _distinct(xs) if row_key(x) not in there]
         return [x for x in _distinct(xs) if row_key(x) in there]
 
     if isinstance(expr, Aggregate):
-        return _r_eval_aggregate(expr, inputs, catalog)
+        return _r_eval_aggregate(expr, inputs, schemas)
 
     if isinstance(expr, Map):
-        sub = _r_eval(expr.of, inputs, catalog)
+        sub = _r_eval(expr.of, inputs, schemas)
         out = []
         for r in sub:
             row = dict(r)
@@ -766,11 +740,11 @@ def _r_eval(expr: RAExpr, inputs: dict, catalog: dict) -> list:
     raise TypeError(f"not a query node: {expr!r}")
 
 
-def _r_eval_aggregate(expr: Aggregate, inputs: dict, catalog: dict) -> list:
-    sch = _infer(expr.of, catalog, "oracle")
+def _r_eval_aggregate(expr: Aggregate, inputs: dict, schemas: dict) -> list:
+    sch = schemas[id(expr.of)]
     keys = tuple(expr.group_by)
     referenced = list(dict.fromkeys(keys + tuple(s.field for s in expr.specs)))
-    rows = [r for r in _r_eval(expr.of, inputs, catalog)
+    rows = [r for r in _r_eval(expr.of, inputs, schemas)
             if not any(isinstance(r[f], Missing) for f in referenced)]
     qty_fields = []
     for spec in expr.specs:
@@ -820,12 +794,14 @@ def _o_agg_cell(op: str, values: list, unit) -> MonoidElement:
 def reference_eval(expr: RAExpr, inputs: dict) -> Relation:
     """Evaluate by direct enumeration over plain dicts.
 
-    Shares only the value vocabulary with the pipeline engine, none of its
-    operator code, so the two can check each other.
+    Shares with the pipeline engine only the value vocabulary and the
+    query's schemas, typed once; it builds every row with its own code,
+    none of the engine's operators, so the two can check each other.
     """
+    schemas: dict = {}
     catalog = {name: rel.schema for name, rel in inputs.items()}
-    out_schema = infer_schema(expr, catalog)
-    rows = _r_eval(expr, inputs, catalog)
+    out_schema = _infer(expr, catalog, _label(expr), schemas)
+    rows = _r_eval(expr, inputs, schemas)
     recs = tuple(
         Record(pids=frozenset({i + 1}), fields=dict(r))
         for i, r in enumerate(rows))

@@ -512,6 +512,11 @@ BAD_ENTRIES = {
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
             value={"add": [{"num": {"col": "quantity"}}, {"lit": {"dec": "soup"}}]}),
         "fmap node 'valued': not a decimal: 'soup'"),
+    "fmap sems and units for fields it does not add": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(
+            sems={"value": "decimal", "valeu": "text"}, units={"valu": "$"}),
+        "fmap node 'valued': map node 'valued' has sems or units for fields "
+        "it does not add: ['valeu', 'valu']"),
     "partition literal not a decimal": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(
             when={"cmp": {"op": "ge", "field": "Insurance", "value": {"dec": "soup"}}}),

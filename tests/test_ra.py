@@ -382,21 +382,46 @@ def _ast_nodes(expr) -> int:
     return 1 + sum(_ast_nodes(child) for _, child in _children(expr))
 
 
-def test_translate_types_each_query_node_once(monkeypatch):
-    calls = 0
+def _count_infer_calls(monkeypatch) -> list:
+    """Count every _infer call in calls[0] from now on."""
+    calls = [0]
     real = ra_mod._infer
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ra_mod, "_infer", counted)
+    return calls
+
+
+def test_translate_types_each_query_node_once(monkeypatch):
+    calls = _count_infer_calls(monkeypatch)
     for i in range(500):
         expr, tables = make_case(0, i)
-        before = calls
+        before = calls[0]
         translate(expr, {name: t.schema for name, t in tables.items()})
-        assert calls - before <= _ast_nodes(expr), i
+        assert calls[0] - before <= _ast_nodes(expr), i
+
+
+def test_the_oracle_types_each_query_node_once(monkeypatch):
+    calls = _count_infer_calls(monkeypatch)
+    for i in range(500):
+        expr, tables = make_case(0, i)
+        before = calls[0]
+        reference_eval(expr, tables)
+        assert calls[0] - before <= _ast_nodes(expr), i
+
+
+def test_the_typer_and_the_engine_agree_on_every_result_schema():
+    # the fuzz cross-check compares row values only, so it cannot see a unit
+    for seed in (0, 1):
+        for i in range(300):
+            expr, tables = make_case(seed, i)
+            catalog = {name: t.schema for name, t in tables.items()}
+            g = translate(expr, catalog)
+            got = g.run({n: tables[n] for n in g.sources}).sinks["result"].schema
+            assert got == infer_schema(expr, catalog), (seed, i)
 
 
 def test_a_field_name_of_two_types_gets_a_measure_for_each():

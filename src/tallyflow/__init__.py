@@ -126,8 +126,8 @@ from .audit import (
 _LAZY = {
     "ra": ("Aggregate", "BaseRelation", "CrossProduct", "Intersect", "Map", "Minus",
            "NaturalJoin", "OuterJoin", "Project", "Rename", "Select", "Union",
-           "UnionAll", "decode_query", "encode_query", "equivalence_check",
-           "infer_schema", "reference_eval", "translate"),
+           "UnionAll", "equivalence_check", "infer_schema", "reference_eval",
+           "translate"),
     "fuzz": ("make_case", "run_fuzz"),
 }
 

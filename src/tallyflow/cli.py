@@ -6,7 +6,8 @@ check  validate a pipeline document without running it
 fuzz   drive randomized equivalence checks of the query compiler
 
 Exit codes: run 0 ok / 2 bad input or wiring / 3 conservation broken;
-check 0 ok / 2 violations; fuzz 0 ok / 1 divergence found.
+check 0 ok / 2 violations; fuzz 0 ok / 1 divergence found / 2 bad
+arguments, such as a negative --iterations.
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ def _read_sidecar(name: str, csv_path: str) -> tuple:
     return cols, table_schema(cols)
 
 
+def _ingest_errors_name(source: str) -> str:
+    """The output, beside the sinks, that holds a source's unparseable rows."""
+    return f"{source}_ingest_errors"
+
+
+def _build_graph(doc: dict, schemas: dict):
+    """build_graph, refusing a sink that would overwrite a source's ingest errors."""
+    graph = build_graph(doc, schemas)
+    for source in graph.sources:
+        if _ingest_errors_name(source) in graph.sinks:
+            raise ValueError(f"sink {_ingest_errors_name(source)!r} would overwrite "
+                             f"the ingest errors of source {source!r}")
+    return graph
+
+
 def _load_sources(doc: dict, data_dir: str):
     """Read every source CSV; pids run in one sequence across sources."""
     schemas: dict = {}
@@ -61,7 +77,7 @@ def cmd_run(args) -> int:
     try:
         doc = load_doc(args.pipeline)
         schemas, inputs, ingest_errors = _load_sources(doc, args.data)
-        graph = build_graph(doc, schemas)
+        graph = _build_graph(doc, schemas)
     except (OSError, ValueError, TallyError) as exc:
         _err(f"run: {exc}")
         return 2
@@ -76,20 +92,24 @@ def cmd_run(args) -> int:
         _err(f"run: {exc}")
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
-    for name, rel in sorted(result.sinks.items()):
-        write_csv(os.path.join(args.out, f"{name}.csv"), rel)
-    for name, rel in sorted(ingest_errors.items()):
-        write_csv(os.path.join(args.out, f"{name}_ingest_errors.csv"), rel)
-
     report = conservation_check(result.audit)
     dash = dashboard_document(graph, result, report)
     text = render_dashboard(dash)
-    write_text(os.path.join(args.out, "dashboard.txt"), text)
-    write_text(os.path.join(args.out, "dashboard.json"),
-               json.dumps(dash, indent=2, sort_keys=True) + "\n")
-    write_text(os.path.join(args.out, "audit.json"),
-               json.dumps(audit_document(result.audit, report), indent=2, sort_keys=True) + "\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, rel in sorted(result.sinks.items()):
+            write_csv(os.path.join(args.out, f"{name}.csv"), rel)
+        for name, rel in sorted(ingest_errors.items()):
+            write_csv(os.path.join(args.out, f"{_ingest_errors_name(name)}.csv"), rel)
+        write_text(os.path.join(args.out, "dashboard.txt"), text)
+        write_text(os.path.join(args.out, "dashboard.json"),
+                   json.dumps(dash, indent=2, sort_keys=True) + "\n")
+        write_text(os.path.join(args.out, "audit.json"),
+                   json.dumps(audit_document(result.audit, report), indent=2,
+                              sort_keys=True) + "\n")
+    except OSError as exc:
+        _err(f"run: {exc}")
+        return 2
 
     if args.format == "structured":
         _out(json.dumps(dash, indent=2, sort_keys=True))
@@ -111,7 +131,7 @@ def cmd_check(args) -> int:
             raise ValueError("check needs --data to find the column descriptions")
         schemas = {name: _read_sidecar(name, os.path.join(args.data, fname))[1]
                    for name, fname in source_files(doc).items()}
-        graph = build_graph(doc, schemas)
+        graph = _build_graph(doc, schemas)
     except (OSError, ValueError, TallyError) as exc:
         _err(f"check: {exc}")
         return 2
@@ -123,6 +143,12 @@ def cmd_check(args) -> int:
     _out(f"check: {graph.name}: graph is runnable "
          f"({len(graph.nodes)} stages, {len(graph.sinks)} sinks)")
     return 0
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"needs a count, 0 or more, not {text!r}")
+    return int(text)
 
 
 def cmd_fuzz(args) -> int:
@@ -165,7 +191,7 @@ def main(argv=None) -> int:
 
     fp = sub.add_parser("fuzz", help="randomized compiler cross-checks")
     fp.add_argument("--seed", type=int, default=0)
-    fp.add_argument("--iterations", type=int, default=1000)
+    fp.add_argument("--iterations", type=_count, default=1000)
     fp.add_argument("--format", choices=("text", "structured"), default="text")
     fp.set_defaults(fn=cmd_fuzz)
 

@@ -55,7 +55,7 @@ class JoinColumnMissing(TallyError):
 
 
 class MissingInput(TallyError):
-    """Pipeline execution found a wired port with no upstream value."""
+    """run() got no input relation for a source, or an input that names no source."""
 
 
 class InvalidGraph(TallyError):

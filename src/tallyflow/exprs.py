@@ -6,8 +6,8 @@ unknown to the reject side carrying that reason.  Expressions only ever add
 information to a row; division is deliberately absent (averages divide at
 presentation time, not in the data).
 
-Both ASTs round-trip through plain dicts so pipeline documents and fuzz
-counterexamples can be serialized.
+Both ASTs round-trip through plain dicts, the form they take in pipeline
+documents.
 """
 
 from __future__ import annotations

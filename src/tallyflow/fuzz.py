@@ -29,7 +29,6 @@ from .ra import (
     Union,
     UnionAll,
     _children,
-    encode_query,
     equivalence_check,
     infer_schema,
 )
@@ -316,5 +315,5 @@ def run_fuzz(seed: int, iterations: int) -> FuzzReport:
             failures += 1
             if not first:
                 first = (f"iteration {i} (seed {seed}): {verdict.detail}\n"
-                         f"query: {encode_query(expr)}")
+                         f"query: {expr!r}")
     return FuzzReport(iterations, failures, first, tuple(sorted(seen)))

@@ -434,7 +434,8 @@ class PipelineGraph:
     def _claim(self, name: str) -> None:
         if name in self.sources or name in self.nodes or name in self.sinks:
             raise ValueError(f"name {name!r} already used in this graph")
-        if not name or "." in name:
+        # '.' ends an owner in an address; a sink's name is also its file name
+        if not name or any(c in name for c in "./\\"):
             raise ValueError(f"bad owner name {name!r}")
 
     def add_source(self, name: str, schema: Schema) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .audit import conservation_check
-from .errors import ExprTypeError, FnNotTotal, InvalidGraph, TallyError, malformed
+from .errors import ExprTypeError, FnNotTotal, InvalidGraph, TallyError
 from .exprs import (
     All,
     Always,
@@ -38,10 +38,6 @@ from .exprs import (
     UnitOf,
     compile_expr,
     compile_pred,
-    decode_expr,
-    decode_pred,
-    encode_expr,
-    encode_pred,
 )
 from .monoid import Kind, MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
 from .ops import (
@@ -869,97 +865,3 @@ def equivalence_check(expr: RAExpr, inputs: dict, graph: PipelineGraph | None = 
         return Verdict(False, f"conservation: {first.name}: {first.detail}",
                        len(expected.rows), len(got.rows), False)
     return Verdict(True, "", len(expected.rows), len(got.rows), True)
-
-
-# -- structured documents -----------------------------------------------
-
-def encode_query(expr: RAExpr) -> dict:
-    if isinstance(expr, BaseRelation):
-        return {"base": expr.name}
-    if isinstance(expr, Project):
-        return {"project": {"of": encode_query(expr.of),
-                            "fields": list(expr.fields)}}
-    if isinstance(expr, Select):
-        return {"select": {"of": encode_query(expr.of),
-                           "when": encode_pred(expr.pred)}}
-    if isinstance(expr, Rename):
-        return {"rename": {"of": encode_query(expr.of),
-                           "map": {o: n for o, n in expr.mapping}}}
-    if isinstance(expr, CrossProduct):
-        return {"cross": _enc_pair(expr)}
-    if isinstance(expr, NaturalJoin):
-        return {"natural_join": _enc_pair(expr)}
-    if isinstance(expr, OuterJoin):
-        d = _enc_pair(expr)
-        d["on"] = [list(p) for p in expr.on]
-        return {"outer_join": d}
-    if isinstance(expr, Union):
-        return {"union": _enc_pair(expr)}
-    if isinstance(expr, UnionAll):
-        return {"union_all": _enc_pair(expr)}
-    if isinstance(expr, Minus):
-        return {"minus": _enc_pair(expr)}
-    if isinstance(expr, Intersect):
-        return {"intersect": _enc_pair(expr)}
-    if isinstance(expr, Aggregate):
-        return {"aggregate": {
-            "of": encode_query(expr.of),
-            "by": list(expr.group_by),
-            "specs": [{"field": s.field, "op": s.op} for s in expr.specs]}}
-    if isinstance(expr, Map):
-        return {"map": {"of": encode_query(expr.of),
-                        "add": [{"field": n, "expr": encode_expr(e)}
-                                for n, e in expr.additions]}}
-    raise TypeError(f"not a query node: {expr!r}")
-
-
-def _enc_pair(expr) -> dict:
-    return {"left": encode_query(expr.left), "right": encode_query(expr.right)}
-
-
-def decode_query(doc: dict) -> RAExpr:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValueError(f"a query document has exactly one key: {doc!r}")
-    kind, body = next(iter(doc.items()))
-    with malformed(f"{kind!r} query document"):
-        return _dec_node(kind, body)
-
-
-def _dec_node(kind: str, body) -> RAExpr:
-    if kind == "base":
-        return BaseRelation(body)
-    if kind == "project":
-        return Project(decode_query(body["of"]), tuple(body["fields"]))
-    if kind == "select":
-        return Select(decode_query(body["of"]), decode_pred(body["when"]))
-    if kind == "rename":
-        return Rename(decode_query(body["of"]), tuple(body["map"].items()))
-    if kind == "cross":
-        return CrossProduct(*_dec_pair(body))
-    if kind == "natural_join":
-        return NaturalJoin(*_dec_pair(body))
-    if kind == "outer_join":
-        left, right = _dec_pair(body)
-        return OuterJoin(left, right, tuple(tuple(p) for p in body["on"]))
-    if kind == "union":
-        return Union(*_dec_pair(body))
-    if kind == "union_all":
-        return UnionAll(*_dec_pair(body))
-    if kind == "minus":
-        return Minus(*_dec_pair(body))
-    if kind == "intersect":
-        return Intersect(*_dec_pair(body))
-    if kind == "aggregate":
-        return Aggregate(
-            decode_query(body["of"]),
-            tuple(body.get("by", ())),
-            tuple(AggSpec(s["field"], s["op"]) for s in body.get("specs", ())))
-    if kind == "map":
-        return Map(
-            decode_query(body["of"]),
-            tuple((a["field"], decode_expr(a["expr"])) for a in body["add"]))
-    raise ValueError(f"unknown query node kind {kind!r}")
-
-
-def _dec_pair(body: dict):
-    return decode_query(body["left"]), decode_query(body["right"])

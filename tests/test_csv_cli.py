@@ -538,6 +538,50 @@ def test_bad_document_entries_exit_2_naming_the_entry(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def rename_priced(name: str):
+    """An edit of the lookup pipeline that renames its priced sink."""
+    def edit(doc):
+        doc["sinks"][name] = doc["sinks"].pop("priced")
+    return edit
+
+
+@pytest.mark.parametrize("sink", ["sub/x", "sub\\x", "ABSOLUTE"])
+def test_sink_names_that_leave_the_output_directory_exit_2(tmp_path, capsys, sink):
+    sink = sink.replace("ABSOLUTE", str(tmp_path / "escaped"))
+    data = lookup_copy(tmp_path, "pipeline.yaml", rename_priced(sink))
+    pipeline = os.path.join(data, "pipeline.yaml")
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().err == f"check: bad owner name {sink!r}\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: bad owner name {sink!r}\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "escaped.csv").exists()
+
+
+def test_a_sink_named_like_a_sources_ingest_errors_exits_2(tmp_path, capsys):
+    data = lookup_copy(tmp_path, "pipeline.yaml", rename_priced("orders_ingest_errors"))
+    with open(os.path.join(data, "order_details.csv"), "a", encoding="utf-8") as fh:
+        fh.write("x,Milk,1,each\n")  # an unparseable order number
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = "sink 'orders_ingest_errors' would overwrite the ingest errors of source 'orders'"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().err == f"check: {message}\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("a regular file\n", encoding="utf-8")
+    d = fixture_dir("lookup")
+    assert main(["run", os.path.join(d, "pipeline.yaml"), "--data", d, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run: ") and str(out) in captured.err
+    assert out.read_text(encoding="utf-8") == "a regular file\n"
+
+
 # each entry: how the section is given the wrong shape, and the shape it needs
 BAD_SECTIONS = {
     "sources": (lambda doc: list(doc["sources"]), "mapping"),
@@ -1142,6 +1186,15 @@ def test_fuzz_runs_clean_on_a_small_budget(capsys):
     out = capsys.readouterr().out
     assert "fuzz: 40 iterations, seed 7, 0 failures" in out
     assert "node kinds seen:" in out
+
+
+def test_fuzz_refuses_a_negative_iteration_count(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["fuzz", "--iterations", "-1"])
+    assert exit_.value.code == 2
+    assert "argument --iterations: needs a count, 0 or more, not '-1'" in capsys.readouterr().err
+    assert main(["fuzz", "--iterations", "0"]) == 0
+    assert capsys.readouterr().out.startswith("fuzz: 0 iterations, seed 0, 0 failures\n")
 
 
 def test_fuzz_structured_format(capsys):

@@ -33,8 +33,6 @@ from tallyflow import (
     Select,
     Union,
     UnionAll,
-    decode_query,
-    encode_query,
     equivalence_check,
     field_names,
     infer_schema,
@@ -301,6 +299,25 @@ def test_the_checker_can_see_a_divergence():
     assert v.expected_rows == 4 and v.got_rows == 8
 
 
+def test_the_first_fuzz_failure_names_its_case_and_prints_an_evaluable_query(monkeypatch):
+    import tallyflow.fuzz as fuzz_mod
+    calls = []
+
+    def fail_iterations_2_and_4(expr, tables):
+        calls.append(expr)
+        return ra_mod.Verdict(len(calls) - 1 not in (2, 4), "planted divergence", 1, 2, True)
+
+    monkeypatch.setattr(fuzz_mod, "equivalence_check", fail_iterations_2_and_4)
+    report = fuzz_mod.run_fuzz(4, 6)
+    assert report.failures == 2
+    head, query = report.first_failure.split("\n")
+    assert head == "iteration 2 (seed 4): planted divergence"
+    assert query.startswith("query: ")
+    names: dict = {}
+    exec("from tallyflow.ra import *", names)
+    assert eval(query[len("query: "):], names) == make_case(4, 2)[0]
+
+
 def test_the_checker_validates_each_graph_once(monkeypatch):
     calls = []
     validate = PipelineGraph.validate
@@ -435,27 +452,3 @@ def test_a_field_name_of_two_types_gets_a_measure_for_each():
     tables = {"a": ingest(a, [{"x": D("1.5")}, {"x": D(-2)}]),
               "b": ingest(b, [{"x": Quantity(D(3), "kg")}, {"x": Quantity(D(4), "t")}], 10)}
     assert equivalence_check(q, tables).ok
-
-# -- query documents ----------------------------------------------------
-
-def test_queries_roundtrip_through_documents():
-    q = Aggregate(
-        Select(
-            OuterJoin(BaseRelation("items"),
-                      Rename(BaseRelation("quotes"),
-                             (("commodity", "c"), ("price", "p"))),
-                      (("commodity", "c"),)),
-            FieldDefined("p")),
-        ("c",),
-        (AggSpec("p", "avg"),))
-    assert decode_query(encode_query(q)) == q
-    u = Minus(UnionAll(BaseRelation("a"), BaseRelation("b")),
-              Map(BaseRelation("c"), (("v", Lit(D("1.5"))),)))
-    assert decode_query(encode_query(u)) == u
-
-
-def test_bad_query_documents_are_refused():
-    with pytest.raises(ValueError):
-        decode_query({"frobnicate": {}})
-    with pytest.raises(ValueError):
-        decode_query({"project": {"of": {"base": "x"}}})

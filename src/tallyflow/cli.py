@@ -13,6 +13,7 @@ arguments, such as a negative --iterations.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -196,7 +197,16 @@ def main(argv=None) -> int:
     fp.set_defaults(fn=cmd_fuzz)
 
     args = p.parse_args(argv)
-    return args.fn(args)
+    # A command holds every row of the run as a live object, none of which
+    # can form a reference cycle, so the cyclic collector would only rescan
+    # them: pause it for the one command and give the caller back its setting.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.fn(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -104,17 +104,11 @@ class MonoidElement:
 
     def _cell_key(self) -> object:
         k, p = self.kind, self.payload
-        if k in (Kind.SUM, Kind.MIN, Kind.MAX):
-            body: object = plain(p)
-        elif k is Kind.AVG:
-            body = (plain(p[0]), p[1])
-        elif k is Kind.PACCIOLI:
-            body = (plain(p[0]), plain(p[1]))
-        elif k is Kind.SET:
-            body = tuple(sorted((cell_key(v) for v in p), key=repr))
+        if k is Kind.SET:
+            body: object = frozenset(map(cell_key, p))
         elif k is Kind.TUPLE:
             body = tuple(e._cell_key() for e in p)
-        else:
+        else:  # an int, a Decimal or a pair of them: keyed by value, as in cell_key
             body = p
         return ("elem", k.value, self.unit, body)
 

@@ -428,6 +428,7 @@ class PipelineGraph:
         self.sinks: dict[str, Sink] = {}
         self.wires: list[Wire] = []
         self.conservation: list[ConservationSpec] = []
+        self._order: list[str] = []  # stages in the order the last validate() found
 
     # -- construction ---------------------------------------------------
 
@@ -502,6 +503,7 @@ class PipelineGraph:
             if ref not in seen_dst:
                 v.append(Violation("UnwiredInput", str(ref), "input port never fed"))
         order, cyclic = self._topo_order()
+        self._order = order
         for name in cyclic:
             v.append(Violation("Cycle", name, "stage participates in a cycle"))
         if not v:
@@ -573,10 +575,10 @@ class PipelineGraph:
         """Execute over the given source relations, producing sinks and audit.
 
         Input rows are checked here (check_rows); stage outputs are not.
-        Each stage runs through _apply, as in the dry run, and
-        audit.timings[stage] holds the seconds of that call.  A stage that
-        fails on rows raises its error again, of the same class, with the
-        stage named.
+        Stages run in the topological order that run's one validate() call
+        found, each through _apply, as in the dry run, and audit.timings[stage]
+        holds the seconds of that call.  A stage that fails on rows raises
+        its error again, of the same class, with the stage named.
         """
         violations = self.validate()
         if violations:
@@ -609,7 +611,7 @@ class PipelineGraph:
                         if not audit.source_pids[a].isdisjoint(audit.source_pids[b]))
             raise TallyError(f"sources {a!r} and {b!r} share pids; each source needs "
                              "its own pids (ingest's first_pid)")
-        order, _ = self._topo_order()
+        order = self._order
         self._setup_audit(audit, inputs, order)
 
         for name in order:

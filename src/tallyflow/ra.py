@@ -494,15 +494,23 @@ class _Translator:
         return f"{j}.inner"
 
 
-def translate(expr: RAExpr, catalog: dict) -> PipelineGraph:
+def _typed(expr: RAExpr, catalog: dict, schemas: dict | None) -> dict:
+    """The schema record of expr (see _infer): schemas if given, else a new one."""
+    if schemas is None:
+        schemas = {}
+        _infer(expr, catalog, _label(expr), schemas)
+    return schemas
+
+
+def translate(expr: RAExpr, catalog: dict, schemas: dict | None = None) -> PipelineGraph:
     """Compile a well-typed query into a runnable pipeline graph.
 
     The classical answer lands in the "result" report sink; everything the
     classical semantics would drop drains to error sinks, so the run's
-    conservation checks cover the whole input.
+    conservation checks cover the whole input.  schemas, if given, is the
+    record _infer() made of expr over catalog, and is not typed again.
     """
-    schemas: dict = {}
-    _infer(expr, catalog, _label(expr), schemas)
+    schemas = _typed(expr, catalog, schemas)
     uses = Counter(base_names(expr))
     tr = _Translator(catalog, uses, schemas)
     out = tr.build(expr)
@@ -787,21 +795,20 @@ def _o_agg_cell(op: str, values: list, unit) -> MonoidElement:
     return avg_of(sum(nums, Decimal(0)), len(nums), unit)
 
 
-def reference_eval(expr: RAExpr, inputs: dict) -> Relation:
+def reference_eval(expr: RAExpr, inputs: dict, schemas: dict | None = None) -> Relation:
     """Evaluate by direct enumeration over plain dicts.
 
     Shares with the pipeline engine only the value vocabulary and the
-    query's schemas, typed once; it builds every row with its own code,
-    none of the engine's operators, so the two can check each other.
+    query's schemas, typed once (schemas, as for translate); it builds
+    every row with its own code, none of the engine's operators, so the
+    two can check each other.
     """
-    schemas: dict = {}
-    catalog = {name: rel.schema for name, rel in inputs.items()}
-    out_schema = _infer(expr, catalog, _label(expr), schemas)
+    schemas = _typed(expr, {name: rel.schema for name, rel in inputs.items()}, schemas)
     rows = _r_eval(expr, inputs, schemas)
     recs = tuple(
         Record(pids=frozenset({i + 1}), fields=dict(r))
         for i, r in enumerate(rows))
-    return Relation(out_schema, recs)
+    return Relation(schemas[id(expr)], recs)
 
 
 # -- equivalence verdicts -----------------------------------------------
@@ -822,13 +829,15 @@ def _show_row(fields: dict) -> str:
 def equivalence_check(expr: RAExpr, inputs: dict, graph: PipelineGraph | None = None) -> Verdict:
     """Run the naive evaluator and the compiled pipeline; compare multisets.
 
+    The query is typed once, and both sides read that schema record.
     graph overrides the compiled pipeline, which negative-control tests
     use to prove the checker can see a divergence.
     """
     catalog = {name: rel.schema for name, rel in inputs.items()}
     try:
-        expected = reference_eval(expr, inputs)
-        g = graph if graph is not None else translate(expr, catalog)
+        schemas = _typed(expr, catalog, None)
+        expected = reference_eval(expr, inputs, schemas)
+        g = graph if graph is not None else translate(expr, catalog, schemas)
         result = g.run({n: inputs[n] for n in g.sources})
     except InvalidGraph as exc:
         head = "; ".join(f"{v.kind}@{v.where}" for v in exc.violations[:3])

@@ -3,9 +3,12 @@
 A record never exists without provenance ids (pids).  Projection does not
 delete fields, it moves them into the record's irrelevant payload; tagged
 unions push path tags instead of blending rows.  Treat all of these values
-as immutable once constructed.  Rows are checked where they enter a run
-(check_rows, called by ingest() and PipelineGraph.run); operators only
-move checked rows, so Relation(...) trusts the rows it is given.
+as immutable once constructed: the dataclasses are frozen, and Record, a
+slotted class because a run builds one per row per stage, is immutable by
+convention only; no operator assigns to a record it has been given.  Rows
+are checked where they enter a run (check_rows, called by ingest() and
+PipelineGraph.run); operators only move checked rows, so Relation(...)
+trusts the rows it is given.
 """
 
 from __future__ import annotations
@@ -97,22 +100,36 @@ class IrrelevantPart:
         object.__setattr__(self, "pids", frozenset(self.pids))
 
 
-@dataclass(frozen=True)
 class Record:
     """One row: provenance ids, relevant fields, set-aside fields, tags.
 
     tags is a stack; the last element is the outermost (most recent) tag.
+    A slotted class, not a frozen dataclass, because a run builds one per
+    row per stage: it is immutable by convention, compares by value and,
+    like the dict it holds, cannot be hashed.
     """
 
-    pids: frozenset[int]
-    fields: dict
-    irrelevant: tuple[IrrelevantPart, ...] = ()
-    tags: tuple[PathTag, ...] = ()
+    __slots__ = ("pids", "fields", "irrelevant", "tags")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pids", frozenset(self.pids))
-        if not self.pids:
+    def __init__(self, pids, fields: dict, irrelevant: tuple = (), tags: tuple = ()) -> None:
+        pids = frozenset(pids)
+        if not pids:
             raise ValueError("a record must carry at least one pid")
+        self.pids: frozenset[int] = pids
+        self.fields = fields
+        self.irrelevant: tuple[IrrelevantPart, ...] = irrelevant
+        self.tags: tuple[PathTag, ...] = tags
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pids == other.pids and self.fields == other.fields
+                and self.irrelevant == other.irrelevant and self.tags == other.tags)
+
+    def __repr__(self) -> str:
+        return (f"Record(pids={self.pids!r}, fields={self.fields!r}, "
+                f"irrelevant={self.irrelevant!r}, tags={self.tags!r})")
 
     def value(self, name: str) -> FieldValue:
         try:

@@ -79,7 +79,8 @@ FieldValue = int | str | Decimal | Quantity | Missing
 def plain(d: Decimal) -> str:
     """Canonical text for a Decimal: trailing zeros dropped, -0 folded to 0.
 
-    Every digit of d is kept; nothing here rounds.
+    Every digit of d is kept; nothing here rounds.  Only for rendering:
+    cell_key keys a Decimal by its value.
     """
     if d.is_infinite():
         return "inf" if d > 0 else "-inf"
@@ -92,16 +93,17 @@ def plain(d: Decimal) -> str:
 def cell_key(value: object) -> object:
     """Hashable canonical identity of a cell value.
 
-    Missing cells collapse to one key regardless of reason; Decimals with
-    different scales (4 vs 4.0000) collapse to one key.  Used for duplicate
-    detection, multiset comparison and set-valued aggregation.
+    Missing cells collapse to one key regardless of reason.  Decimals are
+    keyed by value: Decimal == and hash are exact, never rounding, and
+    already equate different scales (4 vs 4.0000) and -0 with 0.  Used for
+    duplicate detection, multiset comparison and set-valued aggregation.
     """
     if isinstance(value, Missing):
         return ("missing",)
     if isinstance(value, Quantity):
-        return ("qty", plain(value.amount), value.unit)
+        return ("qty", value.amount, value.unit)
     if isinstance(value, Decimal):
-        return ("dec", plain(value))
+        return ("dec", value)
     if isinstance(value, bool):  # bool before int: bool is an int subtype
         return ("bool", value)
     if isinstance(value, int):

@@ -1,6 +1,7 @@
 """CSV ingestion, emission, and the command-line front end."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -1205,3 +1206,78 @@ def test_fuzz_structured_format(capsys):
     assert doc["failures"] == 0
     assert doc["first_failure"] == ""
     assert len(doc["kinds_seen"]) >= 3
+
+
+# -- command line: the cyclic collector ---------------------------------
+# main() pauses the cyclic collector for one command; these pin why that is
+# safe (a run's rows make no reference cycles) and that the caller's
+# setting comes back however the command ends.
+
+
+@pytest.fixture
+def collector_paused():
+    """Run the test with the cyclic collector off, as main() runs a command."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_the_caller_back_its_collector_setting(tmp_path, capsys, monkeypatch, enabled):
+    import tallyflow.cli as cli_mod
+    d = fixture_dir("lookup")
+    pipeline = os.path.join(d, "pipeline.yaml")
+    seen = []
+    read = cli_mod.read_table
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return read(*args, **kwargs)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(cli_mod, "read_table", spy)
+        assert main(["run", pipeline, "--data", d, "--out", str(tmp_path / "out")]) == 0
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        assert main(["run", pipeline, "--data", str(tmp_path / "nowhere"),
+                     "--out", str(tmp_path / "out2")]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli_mod, "read_table", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", pipeline, "--data", d, "--out", str(tmp_path / "out3")])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("fixture, scaled, rows", [("lookup", _scaled_lookup, 300),
+                                                   ("ship", _scaled_ship, 40)])
+def test_a_run_makes_no_reference_cycles_that_grow_with_its_rows(
+        fixture, scaled, rows, tmp_path, collector_paused):
+    pipeline = os.path.join(fixture_dir(fixture), "pipeline.yaml")
+    garbage = []
+    for n in (rows, rows, 10 * rows):  # the first run warms up
+        base = tmp_path / str(len(garbage))
+        base.mkdir()
+        data = scaled(base, n)
+        gc.collect()
+        assert main(["run", pipeline, "--data", data, "--out", str(base / "out")]) == 0
+        garbage.append(gc.collect())
+    assert garbage[1] == garbage[2], garbage
+
+
+def test_a_fuzz_makes_no_reference_cycles(collector_paused):
+    from tallyflow.fuzz import run_fuzz
+
+    run_fuzz(0, 50)
+    gc.collect()
+    for iterations in (50, 500):
+        assert run_fuzz(0, iterations).failures == 0
+        assert gc.collect() == 0, iterations

@@ -433,6 +433,32 @@ def test_rows_route_to_the_declared_sinks():
     assert "empty" in unpriced.rows[0].fields["error_reason"]
 
 
+def test_run_orders_the_stages_once(monkeypatch):
+    g = PipelineGraph("two")
+    g.add_source("orders", ORDERS)
+    g.add_node(PartitionNode("priced", FieldDefined("price"), rejected_to_errors=True))
+    g.add_node(PartitionNode("named", FieldDefined("item"), rejected_to_errors=True))
+    g.connect("orders", "named.in")
+    g.connect("named.accepted", "priced.in")
+    for port, sink in (("named.rejected", "nameless"), ("priced.rejected", "unpriced"),
+                       ("priced.accepted", "priced_rows")):
+        g.add_sink(sink, "report" if sink == "priced_rows" else "error")
+        g.connect(port, sink)
+    calls = Counter()
+    topo_order = PipelineGraph._topo_order
+
+    def counted(graph):
+        calls["topo"] += 1
+        return topo_order(graph)
+
+    monkeypatch.setattr(PipelineGraph, "_topo_order", counted)
+    for n in (1, 2):
+        res = g.run({"orders": orders()})
+        assert calls["topo"] == n
+        assert [v.stage for v in res.audit.stage_visits] == ["named", "priced"]
+    assert [r.fields["item"] for r in res.sinks["priced_rows"].rows] == ["bolt", "gear"]
+
+
 def test_no_pid_is_ever_dropped():
     res = priced_graph().run({"orders": orders()})
     seen = frozenset().union(*(pids(rel) for rel in res.sinks.values()))

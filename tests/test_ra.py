@@ -430,6 +430,15 @@ def test_the_oracle_types_each_query_node_once(monkeypatch):
         assert calls[0] - before <= _ast_nodes(expr), i
 
 
+def test_an_equivalence_check_types_each_query_node_once(monkeypatch):
+    calls = _count_infer_calls(monkeypatch)
+    for i in range(300):
+        expr, tables = make_case(0, i)
+        before = calls[0]
+        assert equivalence_check(expr, tables).ok, i
+        assert calls[0] - before <= _ast_nodes(expr), i
+
+
 def test_the_typer_and_the_engine_agree_on_every_result_schema():
     # the fuzz cross-check compares row values only, so it cannot see a unit
     for seed in (0, 1):

@@ -7,7 +7,9 @@ import pytest
 
 from tallyflow import (
     FieldSpec,
+    IrrelevantPart,
     Missing,
+    PathTag,
     Quantity,
     Record,
     Relation,
@@ -23,6 +25,7 @@ from tallyflow import (
     pids,
     plain,
     schema,
+    set_of,
     triples,
 )
 from tallyflow.relation import check_rows
@@ -89,6 +92,35 @@ def test_cell_key_collapses_decimal_scales_and_missing_reasons():
     assert cell_key(Quantity(D(2), "kg")) != cell_key(Quantity(D(2), "lb"))
     assert cell_key(1) != cell_key("1")
     assert cell_key(True) != cell_key(1)
+
+
+def test_cell_key_is_exact_on_decimal_values():
+    assert cell_key(D("-0")) == cell_key(D("0")) == cell_key(D("0.0000"))
+    assert cell_key(Quantity(D("-0.00"), "kg")) == cell_key(Quantity(D(0), "kg"))
+    assert cell_key(1) != cell_key(D(1))
+    assert cell_key(D("0.00001")) != cell_key(D(0))
+    assert cell_key(set_of({"a", "b"})) == cell_key(set_of(["b", "a", "b"]))
+    assert cell_key(set_of({1, 2})) != cell_key(set_of({"1", "2"}))
+    assert cell_key(set_of({1})) != cell_key(set_of({1, 2}))
+
+
+def test_a_record_keeps_the_contract_of_a_frozen_row():
+    part = IrrelevantPart(frozenset({1}), {"x": 1})
+    rec = Record(pids={1, 2}, fields={"a": 1}, irrelevant=(part,), tags=(PathTag("inl", "l"),))
+    assert rec.pids == frozenset({1, 2}) and type(rec.pids) is frozenset
+    assert Record([3], {"a": 1}).pids == frozenset({3})
+    with pytest.raises(ValueError, match="at least one pid"):
+        Record(pids=(), fields={})
+    assert rec == Record(frozenset({1, 2}), {"a": 1}, (part,), (PathTag("inl", "l"),))
+    assert rec != Record(frozenset({1, 2}), {"a": 1}, (part,))
+    assert rec != Record(frozenset({1}), {"a": 1}, (part,), rec.tags)
+    assert rec != Record(rec.pids, {"a": 2}, (part,), rec.tags)
+    assert rec != (rec.pids, rec.fields, rec.irrelevant, rec.tags)
+    with pytest.raises(TypeError):
+        hash(rec)
+    assert repr(Record(pids=frozenset({1}), fields={"a": 1})) == (
+        "Record(pids=frozenset({1}), fields={'a': 1}, irrelevant=(), tags=())")
+    assert not hasattr(rec, "__dict__")
 
 
 def test_dec4_pins_the_scale():

@@ -13,10 +13,10 @@ report sinks before error sinks, so fan-out never double-counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
-from .monoid import fold_payloads, fuse
+from .monoid import MonoidElement, fold_payloads, fuse
 from .relation import ERROR_REASON, ERROR_STAGE
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Quantity
@@ -161,11 +161,11 @@ def conservation_check(audit) -> ConservationReport:
             charge, kind, zero = audit.charges[space], unit.kind, unit.payload
             lhs = unit
             for sink_name in audit.sink_order[label]:
-                lhs = fuse(lhs, replace(unit, payload=fold_payloads(
-                    kind, map(charge.get, classes[sink_name], repeat(zero)), zero)))
+                lhs = fuse(lhs, MonoidElement(kind, fold_payloads(
+                    kind, map(charge.get, classes[sink_name], repeat(zero)), zero), unit.unit))
             totals = audit.totals[space]
-            rhs = replace(unit, payload=fold_payloads(
-                kind, (totals[s] for s in sources if s in totals), zero))
+            rhs = MonoidElement(kind, fold_payloads(
+                kind, (totals[s] for s in sources if s in totals), zero), unit.unit)
             m_ok = lhs == rhs
             detail = f"sinks {lhs.render()} == sources {rhs.render()}"
             if not m_ok:

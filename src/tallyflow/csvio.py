@@ -5,6 +5,12 @@ column parses: its type, an optional unit, which cell texts stand for
 absent values, and what an empty cell means.  Rows that fail to parse are
 never dropped and never abort the load; they land in a separate error
 relation, raw text preserved, with the usual stage and reason columns.
+
+Cells cross this boundary a column at a time, in blocks of BLOCK_ROWS
+rows, through one function chosen per column: a column block with no
+empty cell and no sentinel converts in one pass, any other goes through
+_cell_parser cell by cell, and a sink column renders once.  Source files
+are UTF-8 and may start with a byte-order mark.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import io
 import os
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import islice, repeat
+from operator import itemgetter
 
 import yaml
 
@@ -104,11 +112,18 @@ def table_schema(cols) -> Schema:
     return schema(*(FieldSpec(c.name, c.type, c.unit) for c in cols))
 
 
+# each column type's converter, and what its error message says a cell is not
+_CONVERTERS = {"text": (str, ""), "integer": (int, "an integer"),
+               "decimal": (dec4, "a number"), "quantity": (dec4, "a number")}
+
+# rows parsed per column block: long map() passes, a bounded transposed copy
+BLOCK_ROWS = 4096
+
+
 def _cell_parser(col: ColumnSpec):
     """One column's cell parse, units resolved later; raises ValueError on junk."""
     sentinels = frozenset(col.sentinels)
-    convert, what = {"text": (str, ""), "integer": (int, "an integer")}.get(
-        col.type, (dec4, "a number"))  # decimal and quantity amounts share dec4
+    convert, what = _CONVERTERS[col.type]
     if col.empty == "missing" or (col.empty == "keep" and col.type != "text"):
         on_empty = Missing("empty")
     else:
@@ -128,12 +143,65 @@ def _cell_parser(col: ColumnSpec):
     return parse
 
 
+def _parse_column(col: ColumnSpec, parse, texts: tuple, problems: dict) -> list:
+    """One column block's cells.  A block with no empty cell and no sentinel
+    converts in one pass; any other, or one whose pass raises, goes cell by
+    cell, putting each junk cell's reason in problems (row -> first reason)
+    and None in its place."""
+    if "" not in texts and frozenset(col.sentinels).isdisjoint(texts):
+        convert = _CONVERTERS[col.type][0]
+        if convert is str:
+            return texts
+        try:
+            return list(map(convert, texts))
+        except ValueError:
+            pass
+    cells = []
+    for i, raw in enumerate(texts):
+        try:
+            cells.append(parse(raw))
+        except ValueError as exc:
+            problems.setdefault(i, str(exc))
+            cells.append(None)
+    return cells
+
+
+def _with_units(amounts: list, units) -> list:
+    """Each parsed amount bound to its row's unit label: Missing stays, and
+    an amount without a label becomes Missing('no unit')."""
+    no_unit = Missing("no unit")
+    out = []
+    for amount, unit in zip(amounts, units):
+        if amount.__class__ is Decimal:
+            amount = Quantity(amount, unit) if isinstance(unit, str) and unit else no_unit
+        out.append(amount)
+    return out
+
+
+def _parse_block(cols: tuple, parsers: list, rows: list) -> list:
+    """Each full-width CSV row's fields dict, or the reason it does not
+    parse: the first junk cell in column-description order."""
+    texts = list(zip(*rows))
+    problems: dict = {}
+    columns = {c.name: _parse_column(c, parse, texts[i], problems) for c, i, parse in parsers}
+    for c in cols:
+        if c.type == "quantity":
+            units = repeat(c.unit) if not c.unit_from else columns[c.unit_from]
+            columns[c.name] = _with_units(columns[c.name], units)
+    parsed: list = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    for i, reason in problems.items():
+        parsed[i] = reason
+    return parsed
+
+
 def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None):
     """Load a CSV into (typed relation, error relation, next free pid).
 
     Every data row gets a pid whether it parses or not; rows with junk
     cells, or with more or fewer cells than the header, keep their raw
-    text and move to the error relation instead.
+    text and move to the error relation instead.  Rows are parsed a column
+    at a time, BLOCK_ROWS lines at once.  A UTF-8 byte-order mark is read
+    as one.
     """
     cols = tuple(cols)
     stage = name or os.path.basename(csv_path)
@@ -143,48 +211,33 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
     good: list[Record] = []
     bad: list[Record] = []
     pid = first_pid
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if sorted(header) != sorted(expected):
             raise SchemaMismatch(
                 f"{csv_path}: header {header} does not match described "
                 f"columns {expected}")
-        parsers = [(c.name, header.index(c.name), _cell_parser(c)) for c in cols]
-        quantities = [c for c in cols if c.type == "quantity"]
-        for cells in reader:
-            if not cells:
-                continue  # a blank line is not a row
-            problem = None
-            if len(cells) != len(header):
-                problem = f"expected {len(header)} cells, got {len(cells)}"
-            else:
-                try:
-                    fields = {name: parse(cells[i]) for name, i, parse in parsers}
-                except ValueError as exc:
-                    problem = str(exc)
-            if problem is None:
-                for c in quantities:
-                    amount = fields[c.name]
-                    if isinstance(amount, Missing):
-                        continue
-                    unit = c.unit
-                    if c.unit_from:
-                        label = fields[c.unit_from]
-                        unit = label if isinstance(label, str) else None
-                    if not unit:
-                        fields[c.name] = Missing("no unit")
-                        continue
-                    fields[c.name] = Quantity(amount, unit)
-            if problem is None:
-                good.append(Record(pids=frozenset({pid}), fields=fields))
-            else:
-                raw_row = dict(zip(header, cells))
-                row = {c.name: raw_row.get(c.name, "") for c in cols}
-                row[ERROR_STAGE] = stage
-                row[ERROR_REASON] = problem
-                bad.append(Record(pids=frozenset({pid}), fields=row))
-            pid += 1
+        width = len(header)
+        parsers = [(c, header.index(c.name), _cell_parser(c)) for c in cols]
+        for block in iter(lambda: list(islice(reader, BLOCK_ROWS)), []):
+            lines = [cells for cells in block if cells]  # a blank line is not a row
+            whole = [cells for cells in lines if len(cells) == width]
+            parsed = iter(_parse_block(cols, parsers, whole) if whole else ())
+            for cells in lines:
+                if len(cells) == width:
+                    fields = next(parsed)
+                else:
+                    fields = f"expected {width} cells, got {len(cells)}"
+                if fields.__class__ is dict:
+                    good.append(Record((pid,), fields))
+                else:
+                    raw_row = dict(zip(header, cells))
+                    row = {c.name: raw_row.get(c.name, "") for c in cols}
+                    row[ERROR_STAGE] = stage
+                    row[ERROR_REASON] = fields
+                    bad.append(Record((pid,), row))
+                pid += 1
     return Relation(sch, tuple(good)), Relation(raw_schema, tuple(bad)), pid
 
 
@@ -210,13 +263,27 @@ def write_csv(path: str, rel: Relation) -> None:
     _atomic_write(path, _csv_text(names, rel))
 
 
+# what a column of one cell class renders through; any other column takes render_cell
+_RENDERERS = {int: str, Decimal: plain}
+
+
+def _render_column(cells: list) -> list:
+    """One column's cell texts, each through a function chosen once for the column."""
+    kinds = set(map(type, cells))
+    if kinds <= {str}:
+        return cells
+    if len(kinds) == 1:
+        return list(map(_RENDERERS.get(kinds.pop(), render_cell), cells))
+    return [v if type(v) is str else render_cell(v) for v in cells]
+
+
 def _csv_text(names: list, rel: Relation) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(names)
-    for rec in rel.rows:
-        w.writerow([v if type(v) is str else render_cell(v)
-                    for v in map(rec.fields.__getitem__, names)])
+    fields = [rec.fields for rec in rel.rows]
+    columns = [_render_column(list(map(itemgetter(n), fields))) for n in names]
+    w.writerows(zip(*columns) if columns else ([] for _ in fields))
     return buf.getvalue()
 
 

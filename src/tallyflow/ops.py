@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     CollisionAfterRename,
@@ -404,12 +406,14 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
 
     no_unit = Missing("empty")
     gnames = keys + tuple(f"{f}_unit" for f in qty_fields)
+    row_fields = [rec.fields for rec in rel.rows]
+    gcols = [list(map(itemgetter(n), row_fields)) for n in keys]
+    gcols += [[v.unit if isinstance(v, Quantity) else no_unit
+               for v in map(itemgetter(q), row_fields)] for q in qty_fields]
+    keyed = (zip(rel.rows, zip(*gcols), zip(*[map(cell_key, col) for col in gcols]))
+             if gcols else zip(rel.rows, repeat(()), repeat(())))
     groups: dict = {}  # group key -> (key cells, members), in first-seen order
-    for rec in rel.rows:
-        f = rec.fields
-        gvals = [f[n] for n in keys]
-        gvals += [f[q].unit if isinstance(f[q], Quantity) else no_unit for q in qty_fields]
-        gkey = tuple(map(cell_key, gvals))
+    for rec, gvals, gkey in keyed:
         group = groups.get(gkey)
         if group is None:
             group = groups[gkey] = (dict(zip(gnames, gvals)), [])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .audit import build_charges, measure_carriers
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
@@ -58,8 +59,10 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
+    """A source's, stage's or sink's named port.  A NamedTuple, not a
+    dataclass: every validation and run builds and hashes one per lookup."""
+
     owner: str
     port: str
 
@@ -67,8 +70,7 @@ class PortRef:
         return f"{self.owner}.{self.port}"
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(NamedTuple):
     src: PortRef
     dst: PortRef
 

@@ -9,7 +9,7 @@ The run ledger (audit.build_charges) reads the same payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SchemaMismatch
@@ -52,7 +52,8 @@ class DataSpace:
             scheme, fld = self.requires
             raise SchemaMismatch(f"space {self.name} needs a {SCHEMES[scheme]} field {fld!r}")
         u = self.unit
-        return replace(u, payload=fold_payloads(u.kind, map(self.payload, rel.rows), u.payload))
+        payload = fold_payloads(u.kind, map(self.payload, rel.rows), u.payload)
+        return MonoidElement(u.kind, payload, u.unit)
 
 
 def count_space() -> DataSpace:

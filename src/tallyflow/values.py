@@ -90,6 +90,10 @@ def plain(d: Decimal) -> str:
     return text
 
 
+# the common cell classes, keyed by exact class before the isinstance chain
+_EXACT_TAGS = {str: "str", int: "int", Decimal: "dec"}
+
+
 def cell_key(value: object) -> object:
     """Hashable canonical identity of a cell value.
 
@@ -98,6 +102,9 @@ def cell_key(value: object) -> object:
     already equate different scales (4 vs 4.0000) and -0 with 0.  Used for
     duplicate detection, multiset comparison and set-valued aggregation.
     """
+    tag = _EXACT_TAGS.get(value.__class__)
+    if tag is not None:
+        return (tag, value)
     if isinstance(value, Missing):
         return ("missing",)
     if isinstance(value, Quantity):

@@ -1,8 +1,10 @@
 """CSV ingestion, emission, and the command-line front end."""
 
+import codecs
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -23,6 +25,7 @@ from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchem
 from tallyflow.audit import Check, ConservationReport, build_charges, measure_carriers
 from tallyflow.cli import main
 from tallyflow.csvio import (
+    BLOCK_ROWS,
     ColumnSpec,
     _cell_parser,
     load_sidecar,
@@ -231,6 +234,137 @@ def test_quantity_cells_can_use_a_fixed_unit(tmp_path):
     path = write_table(tmp_path, "q\n3.5\n")
     rel, _, _ = read_table(path, (ColumnSpec("q", type="quantity", unit="kg"),))
     assert rel.rows[0].fields["q"] == Quantity(Decimal("3.5000"), "kg")
+
+
+def reference_read_table(csv_path: str, cols, first_pid: int = 1, name: str = "t"):
+    """read_table's rows, parsed one row at a time with _cell_parser: the
+    (good, bad, next pid) a row-by-row reader gives, for comparison."""
+    good, bad, pid = [], [], first_pid
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        parsers = [(c.name, header.index(c.name), _cell_parser(c)) for c in cols]
+        for cells in reader:
+            if not cells:
+                continue
+            problem = None
+            if len(cells) != len(header):
+                problem = f"expected {len(header)} cells, got {len(cells)}"
+            else:
+                try:
+                    fields = {n: parse(cells[i]) for n, i, parse in parsers}
+                except ValueError as exc:
+                    problem = str(exc)
+            if problem is None:
+                for c in cols:
+                    amount = fields[c.name]
+                    if c.type != "quantity" or isinstance(amount, Missing):
+                        continue
+                    unit = c.unit
+                    if c.unit_from:
+                        label = fields[c.unit_from]
+                        unit = label if isinstance(label, str) else None
+                    fields[c.name] = Quantity(amount, unit) if unit else Missing("no unit")
+                good.append((pid, fields))
+            else:
+                raw = dict(zip(header, cells))
+                bad.append((pid, {c.name: raw.get(c.name, "") for c in cols}
+                            | {"error_stage": name, "error_reason": problem}))
+            pid += 1
+    return good, bad, pid
+
+
+MESSY_COLUMNS = (
+    ColumnSpec("id", type="integer"),
+    ColumnSpec("label", empty="keep"),
+    ColumnSpec("price", type="decimal", sentinels=("n/a", "closed"), empty="0"),
+    ColumnSpec("amount", type="quantity", unit_from="unit", sentinels=("tbd",)),
+    ColumnSpec("unit", sentinels=("?",)),
+    ColumnSpec("weight", type="quantity", unit="kg", empty="keep"),
+    ColumnSpec("note", empty="(none)", sentinels=("-",)),
+    ColumnSpec("volume", type="quantity", unit_from="label"),
+)
+GOOD_CELLS = {"id": ["1", "42", "-7"], "label": ["a", "b c", "d,e"],
+              "price": ["1.5", "20000000", "0.00005"], "amount": ["2", "6.0575", "-3"],
+              "unit": ["each", "kg", "litre"], "weight": ["1", "2.25", "1e3"],
+              "note": ["x", "y", "z"], "volume": ["3", "0.5", "12"]}
+JUNK = ["oops", "1.2.3", "NaN", "Infinity", "1e400"]
+
+
+def messy_table(rng: Random, rows: int) -> tuple:
+    """(header, rows) of a seeded table.  Each column is clean or has junk,
+    empty cells, sentinels or all three, so both ways of parsing a column
+    block run; some rows are blank or ragged."""
+    header = [c.name for c in MESSY_COLUMNS]
+    while header.index("price") > header.index("id"):  # not the described order
+        rng.shuffle(header)
+    modes, start = ("clean", "junk", "empty", "sentinel", "all"), rng.randrange(5)
+    mess = {c.name: modes[(start + k) % 5] for k, c in enumerate(MESSY_COLUMNS)}
+    spec = {c.name: c for c in MESSY_COLUMNS}
+    out = []
+    for _ in range(rows):
+        row = []
+        for n in header:
+            roll = rng.random()
+            if mess[n] in ("junk", "all") and roll < 0.05 and spec[n].type != "text":
+                row.append(rng.choice(JUNK))
+            elif mess[n] in ("empty", "all") and roll < 0.15:
+                row.append("")
+            elif mess[n] in ("sentinel", "all") and roll < 0.25 and spec[n].sentinels:
+                row.append(rng.choice(spec[n].sentinels))
+            else:
+                row.append(rng.choice(GOOD_CELLS[n]))
+        shape = rng.random()
+        if shape < 0.03:
+            row = []  # a blank line
+        elif shape < 0.06:
+            row = row[:rng.randrange(1, len(row))] if rng.random() < 0.5 else row + ["extra"]
+        out.append(row)
+    return header, out
+
+
+def write_rows(tmp_path, header: list, rows: list) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return write_table(tmp_path, buf.getvalue())
+
+
+def assert_reads_like_the_reference(path: str):
+    rel, bad, nxt = read_table(path, MESSY_COLUMNS, first_pid=5, name="t")
+    want_good, want_bad, want_next = reference_read_table(path, MESSY_COLUMNS, first_pid=5)
+    assert [(min(r.pids), r.fields) for r in rel.rows] == want_good
+    assert [(min(r.pids), r.fields) for r in bad.rows] == want_bad
+    assert nxt == want_next
+    return rel, bad
+
+
+def good_row(header: list, **cells) -> list:
+    return [cells.get(n, GOOD_CELLS[n][0]) for n in header]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_read_table_parses_messy_tables_like_a_row_by_row_reader(tmp_path, seed):
+    header, rows = messy_table(Random(seed), 300)
+    rows[7] = good_row(header, price="junk", id="x")  # price is first in the header
+    rows[11] = good_row(header, unit="")
+    rows[12] = good_row(header, unit="?")
+    rows[13] = good_row(header, label="")
+    _, bad = assert_reads_like_the_reference(write_rows(tmp_path, header, rows))
+    assert [r.fields["error_reason"] for r in bad.rows if r.fields["id"] == "x"] == [
+        "column 'id': not an integer: 'x'"]
+
+
+def test_read_table_reads_a_junk_row_in_a_later_block_like_a_row_by_row_reader(tmp_path):
+    header = [c.name for c in MESSY_COLUMNS]
+    rows = [[GOOD_CELLS[n][k % 3] for n in header] for k in range(BLOCK_ROWS + 1)]
+    rows[BLOCK_ROWS][header.index("price")] = "junk"
+    rows.insert(3, [])  # a blank line takes no pid
+    rel, bad = assert_reads_like_the_reference(write_rows(tmp_path, header, rows))
+    assert len(rel) == BLOCK_ROWS
+    assert [(min(r.pids), r.fields["error_reason"]) for r in bad.rows] == [
+        (5 + BLOCK_ROWS, "column 'price': not a number: 'junk'")]
 
 
 # -- emission -----------------------------------------------------------
@@ -609,6 +743,21 @@ def test_sections_of_the_wrong_shape_exit_2(tmp_path, capsys, section):
     assert main(["check", pipeline, "--data", data]) == 2
     assert capsys.readouterr().err == f"check: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_csv_with_a_byte_order_mark_runs_like_one_without(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with one
+    runs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        data = tmp_path / f"data{len(runs)}"
+        shutil.copytree(fixture_dir("lookup"), data)
+        path = data / "order_details.csv"
+        path.write_bytes(bom + path.read_bytes())
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["run", str(data / "pipeline.yaml"), "--data", str(data),
+                     "--out", str(out)]) == 0
+        runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+    assert runs[1] == runs[0]
 
 
 def test_run_scans_each_relation_once_for_its_pids(tmp_path, monkeypatch):

@@ -80,6 +80,40 @@ def test_relation_trusts_its_rows_and_check_rows_checks_them():
         check_rows(SCH, [short])
 
 
+def _row(pid: int, **fields) -> Record:
+    return Record(pids=frozenset({pid}), fields=fields)
+
+
+GOOD = {"name": "a", "n": 1, "price": D(1)}
+
+# each case: the rows, and the error a row-by-row scan meets first
+CHECK_PRECEDENCE = {
+    "a wrong field set before later bad cells": (
+        [_row(1, **GOOD), _row(2, name="a", n=1, cost=D(1)),
+         _row(3, name=7, n="two", price=D(1)), _row(4, name="a", n="four", price=D(1))],
+        "record fields ['cost', 'n', 'name'] do not match schema ('name', 'n', 'price')"),
+    "two bad cells before a wrong field set: the first in schema order": (
+        [_row(1, **GOOD), _row(2, name="a", n="two", price="dear"),
+         _row(3, name="a", n=1), _row(4, name=4, n=1, price=D(1))],
+        "field 'n': 'two' is not integer"),
+    "a row's wrong field set before its own bad cells": (
+        [_row(1, **GOOD), _row(2, name=2, n="two"), _row(3, name="a", n="three", price=D(1))],
+        "record fields ['n', 'name'] do not match schema ('name', 'n', 'price')"),
+    "an earlier row's later field before a later row's earlier field": (
+        [_row(1, **GOOD), _row(2, name="a", n=1, price="dear"),
+         _row(3, name=3, n="three", price=D(1)), _row(4, name="a", n=1)],
+        "field 'price': 'dear' is not decimal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_PRECEDENCE))
+def test_check_rows_names_the_first_bad_row_then_its_first_bad_field(case):
+    rows, message = CHECK_PRECEDENCE[case]
+    with pytest.raises(SchemaMismatch) as err:
+        check_rows(SCH, rows)
+    assert str(err.value) == message
+
+
 def test_missing_is_welcome_in_any_column():
     r = ingest(SCH, [{"name": Missing("n/a"), "n": Missing("n/a"),
                       "price": Missing("n/a")}])

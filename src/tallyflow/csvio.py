@@ -98,6 +98,9 @@ def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
         raise ValueError(f"{path}: duplicate column names")
     by_name = {c.name: c for c in cols}
     for c in cols:
+        if c.type == "quantity" and bool(c.unit) == bool(c.unit_from):
+            raise ValueError(f"{path}: quantity column {c.name!r} needs exactly one "
+                             "of unit and unit_from")
         if c.unit_from:
             ref = by_name.get(c.unit_from)
             if ref is None:

@@ -211,12 +211,21 @@ def dedup(rel: Relation) -> Relation:
 
 def join_schema(sch1: Schema, sch2: Schema, on) -> Schema:
     """Output schema of outer_join()'s inner port: the left fields, then the
-    right fields less each same-named join pair's right copy."""
+    right fields less each same-named join pair's right copy.  A key pair
+    must join cells of one sem (cells of two sems never match), and a
+    same-named pair one unit (the join drops its right copy)."""
     for lf, rf in on:
         if not has_field(sch1, lf):
             raise JoinColumnMissing(f"left operand lacks join column {lf!r}")
         if not has_field(sch2, rf):
             raise JoinColumnMissing(f"right operand lacks join column {rf!r}")
+        lspec, rspec = schema_field(sch1, lf), schema_field(sch2, rf)
+        if lspec.sem != rspec.sem:
+            raise SchemaMismatch(f"join key pair ({lf!r}, {rf!r}) mixes "
+                                 f"{lspec.sem} with {rspec.sem}")
+        if lf == rf and lspec.unit != rspec.unit:
+            raise SchemaMismatch(f"join key {lf!r} has unit {lspec.unit!r} on the left "
+                                 f"but {rspec.unit!r} on the right")
     merged_right = [rf for lf, rf in on if lf == rf]
     kept_right = tuple(s for s in sch2 if s.name not in merged_right)
     clash = set(field_names(sch1)) & {s.name for s in kept_right}

@@ -605,6 +605,9 @@ class PipelineGraph:
             check_rows(s.schema, rel.rows)
             values[PortRef(name, "out")] = rel
             audit.source_pids[name] = record(name, "out", rel)
+            if rel.pid_record[1]:
+                raise TallyError(f"source {name!r} has rows that share pid "
+                                 f"{min(rel.pid_record[1])}; each source row needs its own pid")
         stray = next((name for name in inputs if name not in self.sources), None)
         if stray is not None:
             raise MissingInput(f"input {stray!r} does not name a source")

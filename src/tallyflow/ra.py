@@ -268,9 +268,6 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
         shared = [s.name for s in ls if s.name in rnames]
         if not shared:
             fail("no shared field to join on")
-        for n in shared:
-            if schema_field(ls, n) != schema_field(rs, n):
-                fail(f"shared field {n!r} differs between operands")
         out = rule(join_schema, ls, rs, [(n, n) for n in shared])
 
     elif isinstance(expr, OuterJoin):
@@ -281,12 +278,6 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
         if len(set(expr.on)) != len(expr.on):
             fail(f"duplicate key pair in {expr.on}")
         out = rule(join_schema, ls, rs, expr.on)
-        for lf, rf in expr.on:
-            lspec, rspec = schema_field(ls, lf), schema_field(rs, rf)
-            if lspec.sem != rspec.sem:
-                fail(f"key pair ({lf!r}, {rf!r}) mixes {lspec.sem} with {rspec.sem}")
-            if lf == rf and lspec != rspec:
-                fail(f"shared key field {lf!r} differs between operands")
 
     elif isinstance(expr, (Union, UnionAll, Minus, Intersect)):
         out = child("left", expr.left)

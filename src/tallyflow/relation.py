@@ -7,8 +7,8 @@ as immutable once constructed: the dataclasses are frozen, and Record, a
 slotted class because a run builds one per row per stage, is immutable by
 convention only; no operator assigns to a record it has been given.  Rows
 are checked where they enter a run (check_rows, called by ingest() and
-PipelineGraph.run, tests a column at a time); operators only move checked
-rows, so Relation(...) trusts the rows it is given.
+PipelineGraph.run, is one loop over the rows); operators only move
+checked rows, so Relation(...) trusts the rows it is given.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
@@ -155,28 +154,17 @@ _SEM_CHECKS = {
 
 def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
-    each cell is Missing or a value of its field's sem.
-
-    Cells are tested a column at a time, but the error is the one a
-    row-by-row scan meets first: the first bad row, a wrong field set
-    before its cells, then its first bad cell in schema order.
-    """
+    each cell is Missing or a value of its field's sem."""
     names = set(field_names(sch))
-    fields = [rec.fields for rec in rows]
-    shaped = [f.keys() == names for f in fields]
-    end = shaped.index(False) if False in shaped else len(fields)
-    bad = None  # the field of the first bad cell, which is in row `end`
-    for spec in sch:
-        ok = _SEM_CHECKS[spec.sem]
-        column = map(itemgetter(spec.name), fields[:end])
-        passed = [ok(v) or isinstance(v, Missing) for v in column]
-        if False in passed:  # a later field can only tie or lose at this row
-            bad, end = spec, passed.index(False)
-    if bad is not None:
-        raise SchemaMismatch(f"field {bad.name!r}: {fields[end][bad.name]!r} is not {bad.sem}")
-    if end < len(fields):
-        raise SchemaMismatch(f"record fields {sorted(fields[end])} do not match "
-                             f"schema {field_names(sch)}")
+    tests = [(spec, _SEM_CHECKS[spec.sem]) for spec in sch]
+    for rec in rows:
+        if rec.fields.keys() != names:
+            raise SchemaMismatch(f"record fields {sorted(rec.fields)} do not match "
+                                 f"schema {field_names(sch)}")
+        for spec, ok in tests:
+            v = rec.fields[spec.name]
+            if not ok(v) and not isinstance(v, Missing):
+                raise SchemaMismatch(f"field {spec.name!r}: {v!r} is not {spec.sem}")
 
 
 @dataclass(frozen=True)

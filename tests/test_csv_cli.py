@@ -652,6 +652,14 @@ BAD_ENTRIES = {
             sems={"value": "decimal", "valeu": "text"}, units={"valu": "$"}),
         "fmap node 'valued': map node 'valued' has sems or units for fields "
         "it does not add: ['valeu', 'valu']"),
+    "quantity without a unit source": (
+        "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].pop("unit_from"),
+        "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
+        "of unit and unit_from"),
+    "quantity with two unit sources": (
+        "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].update(unit="$"),
+        "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
+        "of unit and unit_from"),
     "partition literal not a decimal": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(
             when={"cmp": {"op": "ge", "field": "Insurance", "value": {"dec": "soup"}}}),
@@ -876,6 +884,63 @@ def test_a_computed_type_error_is_caught_before_any_row_runs(tmp_path, capsys, c
     data = lookup_copy(tmp_path, "pipeline.yaml", lambda doc: edit(doc["nodes"][1]))
     pipeline = os.path.join(data, "pipeline.yaml")
     message = f"SchemaMismatch at valued: {detail}"
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().out == f"{message}\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def mixed_key_lookup(tmp_path) -> str:
+    """The lookup fixture also joined on (order, current_price), with an
+    order whose number is its product's price: an integer never keys
+    equal to a decimal, so nothing would join."""
+    data = lookup_copy(tmp_path, "pipeline.yaml", lambda doc: doc["nodes"][0].update(
+        keys=[["product", "product"], ["order", "current_price"]]))
+    with open(os.path.join(data, "order_details.csv"), "a", encoding="utf-8") as fh:
+        fh.write("10,Nutella,1,each\n")  # Nutella costs 10
+    return data
+
+
+def unlike_unit_key(tmp_path) -> str:
+    """Two tables joined on a decimal key k, in $ on the left and EUR on
+    the right: the join keeps one copy of k, so one unit would be lost."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, unit in (("a", "$"), ("b", "EUR")):
+        (data / f"{name}.csv").write_text("k\n10\n", encoding="utf-8")
+        (data / f"{name}.csv.yaml").write_text(yaml.safe_dump(
+            {"columns": [{"name": "k", "type": "decimal", "unit": unit}]}), encoding="utf-8")
+    (data / "pipeline.yaml").write_text("""
+name: keys
+sources: {a: {file: a.csv}, b: {file: b.csv}}
+conservation: [{scheme: count}]
+nodes:
+  - {op: join, name: match, left: a, right: b, keys: [[k, k]]}
+sinks:
+  both: {from: match.inner}
+  left_alone: {kind: error, from: match.left_only}
+  right_alone: {kind: error, from: match.right_only}
+""", encoding="utf-8")
+    return str(data)
+
+
+# each entry: the copy's maker, the join stage and the error after its name
+JOIN_KEY_ERRORS = {
+    "integer with decimal": (
+        mixed_key_lookup, "price_lookup",
+        "join key pair ('order', 'current_price') mixes integer with decimal"),
+    "same-named key in two units": (
+        unlike_unit_key, "match", "join key 'k' has unit '$' on the left but 'EUR' on the right"),
+}
+
+
+@pytest.mark.parametrize("case", list(JOIN_KEY_ERRORS))
+def test_a_join_on_keys_that_cannot_match_is_caught_before_any_row_runs(tmp_path, capsys, case):
+    make, stage, detail = JOIN_KEY_ERRORS[case]
+    data = make(tmp_path)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    message = f"SchemaMismatch at {stage}: {detail}"
     assert main(["check", pipeline, "--data", data]) == 2
     assert capsys.readouterr().out == f"{message}\n"
     assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2

@@ -196,14 +196,13 @@ def test_missing_matches_missing_when_asked():
 
 
 def test_join_key_typing_is_strict():
-    # unlike cell types simply never match; the typed query layer is the
-    # place that rejects such joins up front
+    # unlike cell types never match, so such a join is refused before any
+    # row moves
     a = ingest(schema(FieldSpec("k", "text")), [{"k": "1"}])
     b = ingest(schema(FieldSpec("k", "integer")), [{"k": 1}], 10)
-    inner, left, right = outer_join(a, b, [("k", "k")])
-    assert not inner.rows
-    assert len(left.rows) == len(right.rows) == 1
     from tallyflow import JoinColumnMissing
+    with pytest.raises(SchemaMismatch, match=r"join key pair \('k', 'k'\) mixes text with integer"):
+        outer_join(a, b, [("k", "k")])
     with pytest.raises(JoinColumnMissing):
         outer_join(a, b, [("ghost", "k")])
 

@@ -52,7 +52,7 @@ from tallyflow import (
 from tallyflow.audit import build_charges, path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
 from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node, RunAudit
-from tallyflow.pipeline_doc import _make_node
+from tallyflow.pipeline_doc import _make_node, build_graph
 
 
 D = Decimal
@@ -89,6 +89,25 @@ def priced_graph(stage="has_price"):
 
 
 # -- wiring rules -------------------------------------------------------
+
+def test_an_inputs_mapping_wires_ports_like_port_keys():
+    def joined(wiring):
+        return build_graph({
+            "name": "w", "sources": {"orders": {}, "stock": {}},
+            "nodes": [{"op": "join", "name": "j", "keys": [["item", "item"]], **wiring}],
+            "sinks": {"both": {"from": "j.inner"},
+                      "orders_only": {"kind": "error", "from": "j.left_only"},
+                      "stock_only": {"kind": "error", "from": "j.right_only"}},
+        }, {"orders": ORDERS, "stock": schema(FieldSpec("item", "text"),
+                                              FieldSpec("held", "integer"))})
+    by_keys = joined({"left": "orders", "right": "stock"})
+    by_inputs = joined({"inputs": {"left": "orders", "right": "stock"}})
+    assert by_inputs.wires == by_keys.wires
+    assert by_inputs.validate() == []
+    typo = joined({"inputs": {"left": "orders", "rihgt": "stock"}})
+    assert [(v.kind, v.where) for v in typo.validate()] == [
+        ("UnknownEndpoint", "j.rihgt"), ("UnwiredInput", "j.right")]
+
 
 def test_fan_out_needs_a_tee():
     g = PipelineGraph("t")
@@ -284,6 +303,27 @@ def test_run_refuses_sources_that_share_pids():
         g.run({"a": orders(), "b": orders()})
     own = ingest(ORDERS, [rec.fields for rec in orders().rows], first_pid=4)
     assert g.run({"a": orders(), "b": own}).audit.source_pids["b"] == {4, 5, 6}
+
+
+def test_run_refuses_a_source_whose_rows_share_a_pid():
+    # the ledger keys each source row by its pid, so a second row under the
+    # same pid would replace the first and both checks would still balance
+    sch = schema(FieldSpec("item", "text"), FieldSpec("price", "decimal", "$"))
+    g = PipelineGraph("t")
+    g.add_source("src", sch)
+    g.add_sink("out", "report")
+    g.connect("src", "out")
+    g.add_conservation("count")
+    g.add_conservation("sum", "price")
+    shared = Relation(sch, (Record({2}, {"item": "a", "price": D(5)}),
+                            Record({1}, {"item": "b", "price": D(1)}),
+                            Record({2}, {"item": "c", "price": D(7)}),
+                            Record({1}, {"item": "d", "price": D(3)})))
+    with pytest.raises(TallyError, match="source 'src' has rows that share pid 1; "
+                                         "each source row needs its own pid"):
+        g.run({"src": shared})
+    fresh = g.run({"src": ingest(sch, [r.fields for r in shared.rows])}).audit
+    assert fresh.totals == {"count": {"src": 4}, "sum[price]": {"src": D(16)}}
 
 
 def test_a_source_needs_a_plain_schema():

@@ -19,7 +19,7 @@ from itertools import repeat
 from .monoid import MonoidElement, fold_payloads, fuse
 from .relation import ERROR_REASON, ERROR_STAGE
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
-from .values import Quantity
+from .values import Quantity, slot_setters
 
 REPORT = "report"
 
@@ -31,19 +31,19 @@ def measure_carriers(graph, spec) -> dict:
             for name, s in graph.sources.items() if carries(s.schema, spec.scheme, spec.fld)}
 
 
-def _unit_ledgers(fld: str, rows_of: dict) -> list:
+def _unit_ledgers(fld: str, rows_of: dict, charged_at: dict) -> list:
     """(space, {carrier: ledger}) per unit label of a quantity field, sorted.
 
     Each carrier's cells are read once.  A row with a quantity is charged
-    its amount in its unit's space only, at its smallest pid; a Missing
-    cell is charged nowhere.
+    its amount in its unit's space only, at its smallest pid (charged_at);
+    a Missing cell is charged nowhere.
     """
     amounts: dict = {}  # unit -> carrier -> pid -> amount
     for name, rows in rows_of.items():
-        for rec in rows:
+        for pid, rec in zip(charged_at[name], rows):
             v = rec.fields[fld]
             if isinstance(v, Quantity):
-                amounts.setdefault(v.unit, {}).setdefault(name, {})[min(rec.pids)] = v.amount
+                amounts.setdefault(v.unit, {}).setdefault(name, {})[pid] = v.amount
     return [(quantity_sum_space(fld, u), {name: amounts[u].get(name, {}) for name in rows_of})
             for u in sorted(amounts)]
 
@@ -60,11 +60,13 @@ def build_charges(graph, audit, inputs: dict) -> None:
     carrier's total per space is folded here, once per run.  validate() has
     refused a sum or paccioli whose carriers declare different units.
     """
+    # each source row's smallest pid, in row order, found once for all measures
+    charged_at = {name: [min(rec.pids) for rec in inputs[name].rows] for name in graph.sources}
     for spec in graph.conservation:
         carriers = measure_carriers(graph, spec)
         rows_of = {name: inputs[name].rows for name in carriers}
         if spec.scheme == "sum_by_unit":
-            ledgers = _unit_ledgers(spec.fld, rows_of)
+            ledgers = _unit_ledgers(spec.fld, rows_of, charged_at)
         else:
             if spec.scheme == "count":
                 space = count_space()
@@ -72,7 +74,7 @@ def build_charges(graph, audit, inputs: dict) -> None:
                 space = decimal_sum_space(spec.fld, next(iter(carriers.values()), None))
             else:
                 space = paccioli_space(spec.fld)
-            ledgers = [(space, {name: {min(rec.pids): space.payload(rec) for rec in rows}
+            ledgers = [(space, {name: dict(zip(charged_at[name], map(space.payload, rows)))
                                 for name, rows in rows_of.items()})]
         for space, by_carrier in ledgers:
             unit = space.unit
@@ -86,13 +88,21 @@ def build_charges(graph, audit, inputs: dict) -> None:
             audit.space_units[space.name] = unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Check:
     """One audited equation with its verdict."""
 
     name: str
     ok: bool
     detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        _set_name(self, name)
+        _set_ok(self, ok)
+        _set_detail(self, detail)
+
+
+_set_name, _set_ok, _set_detail = slot_setters(Check)
 
 
 @dataclass(frozen=True)

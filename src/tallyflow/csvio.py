@@ -39,7 +39,7 @@ from .relation import (
     field_names,
     schema,
 )
-from .values import Missing, Quantity, dec4, plain
+from .values import Missing, Quantity, dec4, plain, plain_column
 
 COLUMN_TYPES = ("integer", "decimal", "text", "quantity")
 
@@ -266,17 +266,26 @@ def write_csv(path: str, rel: Relation) -> None:
     _atomic_write(path, _csv_text(names, rel))
 
 
-# what a column of one cell class renders through; any other column takes render_cell
-_RENDERERS = {int: str, Decimal: plain}
+def _quantity_texts(cells: list) -> list:
+    return [f"{amount} {q.unit}"
+            for amount, q in zip(plain_column([q.amount for q in cells]), cells)]
+
+
+# what a column of one cell class renders through, whole; any other column
+# takes render_cell cell by cell
+_COLUMN_RENDERERS = {int: lambda cells: list(map(str, cells)), Decimal: plain_column,
+                     Quantity: _quantity_texts}
 
 
 def _render_column(cells: list) -> list:
-    """One column's cell texts, each through a function chosen once for the column."""
+    """One column's cell texts: text passes through, a column of one class
+    with a column renderer renders in one call, any other cell by cell."""
     kinds = set(map(type, cells))
     if kinds <= {str}:
         return cells
-    if len(kinds) == 1:
-        return list(map(_RENDERERS.get(kinds.pop(), render_cell), cells))
+    render = _COLUMN_RENDERERS.get(kinds.pop()) if len(kinds) == 1 else None
+    if render is not None:
+        return render(cells)
     return [v if type(v) is str else render_cell(v) for v in cells]
 
 

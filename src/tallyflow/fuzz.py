@@ -56,7 +56,8 @@ _INTS = (0, 1, 2, 7)
 _DECS = (Decimal("0"), Decimal("1.5"), Decimal("2.25"), Decimal("-3"))
 _UNITS = ("kg", "lb")
 _AMOUNTS = (Decimal("1"), Decimal("2"), Decimal("5"))
-_REASONS = ("empty", "n/a", "refused")
+_MISSINGS = tuple(map(Missing, ("empty", "n/a", "refused")))
+_VALUES = {"text": _TEXTS, "integer": _INTS, "decimal": _DECS}
 _SEMS = ("integer", "decimal", "text", "quantity")
 
 MAX_ROWS = 50
@@ -95,20 +96,27 @@ class _Gen:
         self.fresh_n += 1
         return f"{prefix}{self.fresh_n}"
 
-    def _cell(self, sem: str):
-        r = self.rng
-        if r.random() < 0.15:
-            return Missing(r.choice(_REASONS))
-        if sem == "text":
-            return r.choice(_TEXTS)
-        if sem == "integer":
-            return r.choice(_INTS)
-        if sem == "decimal":
-            return r.choice(_DECS)
-        return Quantity(r.choice(_AMOUNTS), r.choice(_UNITS))
+    def _draw(self, sem: str):
+        """One column's cell draw: Missing 15% of the time, else a value of sem."""
+        random, choice = self.rng.random, self.rng.choice
+        if sem == "quantity":
+
+            def draw():
+                if random() < 0.15:
+                    return choice(_MISSINGS)
+                return Quantity(choice(_AMOUNTS), choice(_UNITS))
+        else:
+            values = _VALUES[sem]
+
+            def draw():
+                if random() < 0.15:
+                    return choice(_MISSINGS)
+                return choice(values)
+        return draw
 
     def _table(self, sch, n: int, first_pid: int) -> Relation:
-        rows = [{s.name: self._cell(s.sem) for s in sch} for _ in range(n)]
+        draws = [(s.name, self._draw(s.sem)) for s in sch]
+        rows = [{name: draw() for name, draw in draws} for _ in range(n)]
         return ingest(sch, rows, first_pid=first_pid)
 
     # -- predicates and row expressions ---------------------------------

@@ -6,8 +6,10 @@ once (wire it or sink it), so data cannot fall off the edge of the graph.
 Execution records, for every port in run order, the pids it carried
 (RunAudit.ports), each the pid record of the relation at that port
 (Relation.pid_record); stage pid sets, sink pid sets, trace() and the audit
-document's paths are all read off that one record.  The sources each
-report reaches come from a reverse sweep of the run's topological order.
+document's paths are all read off that one record.  validate() sweeps the
+topological order once, backwards, for the reports each output port
+reaches: it refuses a stage other than a tee whose ports reach different
+reports, and a run reads each report's sources off the same sweep.
 """
 
 from __future__ import annotations
@@ -342,12 +344,15 @@ class ConservationSpec:
 # -- the graph ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PortPids:
     """The pids one port carried during a run.
 
     repeats is sparse: pid -> number of rows that carried it, only for pids
     more than one row carried (a join copy, a dedup's merged duplicates).
+    Like the dict it holds it cannot be hashed, and like Record it is
+    immutable by convention: a run builds one per port, and a slotted
+    class with a plain __init__ is the cheapest to build.
     """
 
     owner: str
@@ -431,6 +436,7 @@ class PipelineGraph:
         self.wires: list[Wire] = []
         self.conservation: list[ConservationSpec] = []
         self._order: list[str] = []  # stages in the order the last validate() found
+        self._reach: dict = {}  # the last validate()'s _report_reach
 
     # -- construction ---------------------------------------------------
 
@@ -470,7 +476,9 @@ class PipelineGraph:
         """Structural, schema and measure checks; returns violations, raises nothing.
 
         A measure over a field needs a carrier (audit.measure_carriers), and
-        a sum's carriers must share one unit.
+        a sum's carriers must share one unit.  A stage other than a tee
+        must send all its output ports to one set of reports: a report is a
+        complete summary of its sources, and coverage is checked per source.
         """
         v: list[Violation] = []
         # the port tables, in declaration order: sources then stages for
@@ -508,7 +516,10 @@ class PipelineGraph:
         self._order = order
         for name in cyclic:
             v.append(Violation("Cycle", name, "stage participates in a cycle"))
+        self._reach = {}
         if not v:
+            self._reach = self._report_reach(order)
+            v.extend(self._split_reports(order))
             v.extend(self._dry_run(order))
         for spec in (c for c in self.conservation if c.fld):
             where = f"{spec.scheme}[{spec.fld}]"
@@ -539,6 +550,43 @@ class PipelineGraph:
                 placed.add(n)
         cyclic = [n for n in self.nodes if n not in placed]
         return order, cyclic
+
+    def _report_reach(self, order) -> dict:
+        """PortRef of every source and stage output -> the reports whose
+        sinks its rows can reach, by a reverse sweep of order, stages then
+        sources: every output port has one consumer, a sink or a stage
+        already swept."""
+        label = {s.name: frozenset((s.report,)) for s in self.sinks.values()}
+        leaving: dict = {}  # owner -> the wires from its output ports
+        for w in self.wires:
+            leaving.setdefault(w.src.owner, []).append(w)
+        reach: dict = {}
+        below: dict = {}  # stage -> the reports any of its outputs reach
+        for owner in [*reversed(order), *self.sources]:
+            mine = frozenset()
+            for src, dst in leaving[owner]:
+                c = dst.owner
+                reach[src] = label[c] if c in label else below[c]
+                mine |= reach[src]
+            below[owner] = mine
+        return reach
+
+    def _split_reports(self, order) -> list[Violation]:
+        """A SplitReport for each stage, tees aside, whose output ports reach
+        different sets of reports."""
+        out = []
+        for name in order:
+            node = self.nodes[name]
+            if len(node.out_ports) < 2 or isinstance(node, TeeNode):
+                continue
+            by_labels: dict = {}  # reports -> the ports that reach them
+            for p in node.out_ports:
+                by_labels.setdefault(self._reach[PortRef(name, p)], []).append(p)
+            if len(by_labels) > 1:
+                out.append(Violation("SplitReport", name, "; ".join(
+                    f"{', '.join(ports)} {'reach' if len(ports) > 1 else 'reaches'} "
+                    f"{', '.join(sorted(labels))}" for labels, ports in by_labels.items())))
+        return out
 
     def _incoming(self) -> dict:
         return {w.dst: w.src for w in self.wires}
@@ -617,7 +665,7 @@ class PipelineGraph:
             raise TallyError(f"sources {a!r} and {b!r} share pids; each source needs "
                              "its own pids (ingest's first_pid)")
         order = self._order
-        self._setup_audit(audit, inputs, order)
+        self._setup_audit(audit, inputs)
 
         for name in order:
             t0 = time.perf_counter()
@@ -639,10 +687,10 @@ class PipelineGraph:
             audit.sink_pids[sink.name] = record(sink.name, "in", rel)
         return RunResult(sinks=sinks, audit=audit)
 
-    def _setup_audit(self, audit: RunAudit, inputs: dict, order: list) -> None:
+    def _setup_audit(self, audit: RunAudit, inputs: dict) -> None:
         """Charge the ledger, order each report's sinks, and find each
-        report's sources by a reverse sweep of order, stages then sources:
-        every output port has one consumer, a sink or a stage already swept."""
+        report's sources: those whose output reaches one of its sinks
+        (validate()'s _report_reach)."""
         build_charges(self, audit, inputs)
         reports: dict[str, list] = {}
         for sink in self.sinks.values():
@@ -651,18 +699,8 @@ class PipelineGraph:
             canonical = [s.name for s in members if s.kind == REPORT]
             canonical += [s.name for s in members if s.kind == ERROR]
             audit.sink_order[label] = tuple(canonical)
-        consumer = {w.src: w.dst.owner for w in self.wires}
-        reach: dict[str, set] = {}
-        owners = [(n, self.nodes[n].out_ports) for n in reversed(order)]
-        owners += [(s, ("out",)) for s in self.sources]
-        for owner, ports in owners:
-            reach[owner] = set()
-            for p in ports:
-                c = consumer[PortRef(owner, p)]
-                reach[owner] |= {c} if c in self.sinks else reach[c]
-        for label, members in reports.items():
-            names = {s.name for s in members}
-            audit.report_sources[label] = tuple(s for s in self.sources if reach[s] & names)
+            audit.report_sources[label] = tuple(
+                s for s in self.sources if label in self._reach[PortRef(s, "out")])
 
 
 def trace(audit: RunAudit, pid: int) -> tuple:

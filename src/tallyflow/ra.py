@@ -609,16 +609,25 @@ def _o_expr(e: Expr, row: dict):
 
 def row_key(fields: dict) -> tuple:
     """Order-free canonical identity of one row's field values."""
-    return tuple(sorted((n, cell_key(v)) for n, v in fields.items()))
+    names = sorted(fields)
+    return tuple(zip(names, map(cell_key, map(fields.__getitem__, names))))
 
 
-def _distinct(rows: list) -> list:
-    seen, out = set(), []
+def _distinct(rows: list) -> dict:
+    """row_key -> the first row with that key, in first-seen order."""
+    out: dict = {}
     for r in rows:
-        k = row_key(r)
-        if k not in seen:
-            seen.add(k)
-            out.append(r)
+        out.setdefault(row_key(r), r)
+    return out
+
+
+def _join_keys(rows: list, fields) -> list:
+    """Each row's keys of fields, or None where one of them is Missing."""
+    out = []
+    for r in rows:
+        cells = [r[f] for f in fields]
+        out.append(None if any(isinstance(v, Missing) for v in cells)
+                   else tuple([cell_key(v) for v in cells]))
     return out
 
 
@@ -651,12 +660,11 @@ def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
         rest = [s.name for s in rs if s.name not in shared]
         xs = _r_eval(expr.left, inputs, schemas)
         ys = _r_eval(expr.right, inputs, schemas)
+        y_keys = _join_keys(ys, shared)
         out = []
-        for x in xs:
-            for y in ys:
-                if all(not isinstance(x[c], Missing)
-                       and not isinstance(y[c], Missing)
-                       and cell_key(x[c]) == cell_key(y[c]) for c in shared):
+        for x, kx in zip(xs, _join_keys(xs, shared)):
+            for y, ky in zip(ys, y_keys):
+                if kx is not None and kx == ky:
                     row = dict(x)
                     row.update({n: y[n] for n in rest})
                     out.append(row)
@@ -669,22 +677,16 @@ def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
         kept = [s.name for s in rs if s.name not in merged]
         xs = _r_eval(expr.left, inputs, schemas)
         ys = _r_eval(expr.right, inputs, schemas)
-
-        def match(x, y):
-            for lf, rf in on:
-                a, b = x[lf], y[rf]
-                if isinstance(a, Missing) or isinstance(b, Missing):
-                    return False
-                if cell_key(a) != cell_key(b):
-                    return False
-            return True
+        x_keys = _join_keys(xs, [lf for lf, _ in on])
+        y_keys = _join_keys(ys, [rf for _, rf in on])
 
         out = []
         x_hit = [False] * len(xs)
         y_hit = [False] * len(ys)
         for i, x in enumerate(xs):
+            kx = x_keys[i]
             for jj, y in enumerate(ys):
-                if match(x, y):
+                if kx is not None and kx == y_keys[jj]:
                     x_hit[i] = y_hit[jj] = True
                     row = dict(x)
                     row.update({n: y[n] for n in kept})
@@ -705,7 +707,7 @@ def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
     if isinstance(expr, Union):
         xs = _r_eval(expr.left, inputs, schemas)
         ys = _r_eval(expr.right, inputs, schemas)
-        return _distinct(xs + ys)
+        return list(_distinct(xs + ys).values())
 
     if isinstance(expr, UnionAll):
         return (_r_eval(expr.left, inputs, schemas)
@@ -716,8 +718,8 @@ def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
         ys = _r_eval(expr.right, inputs, schemas)
         there = {row_key(y) for y in ys}
         if isinstance(expr, Minus):
-            return [x for x in _distinct(xs) if row_key(x) not in there]
-        return [x for x in _distinct(xs) if row_key(x) in there]
+            return [x for k, x in _distinct(xs).items() if k not in there]
+        return [x for k, x in _distinct(xs).items() if k in there]
 
     if isinstance(expr, Aggregate):
         return _r_eval_aggregate(expr, inputs, schemas)

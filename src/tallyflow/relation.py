@@ -3,12 +3,16 @@
 A record never exists without provenance ids (pids).  Projection does not
 delete fields, it moves them into the record's irrelevant payload; tagged
 unions push path tags instead of blending rows.  Treat all of these values
-as immutable once constructed: the dataclasses are frozen, and Record, a
-slotted class because a run builds one per row per stage, is immutable by
-convention only; no operator assigns to a record it has been given.  Rows
-are checked where they enter a run (check_rows, called by ingest() and
-PipelineGraph.run, is one loop over the rows); operators only move
-checked rows, so Relation(...) trusts the rows it is given.
+as immutable once constructed.  The dataclasses are frozen, so assigning to
+a field raises AttributeError.  FieldSpec, built thousands of times per
+fuzz job, is also slotted, like the cells Quantity and Missing and the
+summary MonoidElement: its own __init__ checks its arguments and fills the
+slots through values.slot_setters.  Record, a slotted class because a run
+builds one per row per stage, is immutable by convention only; no operator
+assigns to a record it has been given.  Rows are checked where they enter
+a run (check_rows, called by ingest() and PipelineGraph.run, is one loop
+over the rows); operators only move checked rows, so Relation(...) trusts
+the rows it is given.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
-from .values import FieldValue, Missing, Quantity, cell_key
+from .values import FieldValue, Missing, Quantity, cell_key, slot_setters
 
 SEM_TYPES = ("integer", "decimal", "text", "quantity", "summary")
 
@@ -29,19 +33,25 @@ ERROR_STAGE = "error_stage"
 ERROR_REASON = "error_reason"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FieldSpec:
     """One column: a name, a semantic type, an optional unit label."""
 
     name: str
     sem: str
-    unit: str | None = None
+    unit: str | None
 
-    def __post_init__(self) -> None:
-        if self.sem not in SEM_TYPES:
-            raise ValueError(f"unknown semantic type {self.sem!r} for field {self.name!r}")
-        if not self.name:
+    def __init__(self, name: str, sem: str, unit: str | None = None) -> None:
+        if sem not in SEM_TYPES:
+            raise ValueError(f"unknown semantic type {sem!r} for field {name!r}")
+        if not name:
             raise ValueError("field name must be nonempty")
+        _set_name(self, name)
+        _set_sem(self, sem)
+        _set_unit(self, unit)
+
+
+_set_name, _set_sem, _set_unit = slot_setters(FieldSpec)
 
 
 Schema = tuple[FieldSpec, ...]
@@ -140,7 +150,7 @@ class Record:
 
 def record_key(rec: Record, names: tuple[str, ...]) -> tuple:
     """Canonical identity of a record's relevant fields, in schema order."""
-    return tuple(cell_key(rec.fields[n]) for n in names)
+    return tuple(map(cell_key, map(rec.fields.__getitem__, names)))
 
 
 _SEM_CHECKS = {
@@ -156,15 +166,16 @@ def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
     each cell is Missing or a value of its field's sem."""
     names = set(field_names(sch))
-    tests = [(spec, _SEM_CHECKS[spec.sem]) for spec in sch]
+    tests = [(spec.name, spec.sem, _SEM_CHECKS[spec.sem]) for spec in sch]
     for rec in rows:
-        if rec.fields.keys() != names:
-            raise SchemaMismatch(f"record fields {sorted(rec.fields)} do not match "
+        fields = rec.fields
+        if fields.keys() != names:
+            raise SchemaMismatch(f"record fields {sorted(fields)} do not match "
                                  f"schema {field_names(sch)}")
-        for spec, ok in tests:
-            v = rec.fields[spec.name]
+        for name, sem, ok in tests:
+            v = fields[name]
             if not ok(v) and not isinstance(v, Missing):
-                raise SchemaMismatch(f"field {spec.name!r}: {v!r} is not {spec.sem}")
+                raise SchemaMismatch(f"field {name!r}: {v!r} is not {sem}")
 
 
 @dataclass(frozen=True)
@@ -186,10 +197,11 @@ class Relation:
         number of rows that carry it for pids more than one row carries (a
         join copy, a dedup's merged duplicates).  Scanned on first read and
         kept, so a relation fed to several ports is scanned once."""
-        pids = frozenset().union(*(rec.pids for rec in self.rows))
+        sets = [rec.pids for rec in self.rows]
+        pids = frozenset().union(*sets)
         repeats: dict = {}
-        if sum(len(rec.pids) for rec in self.rows) > len(pids):
-            n = Counter(pid for rec in self.rows for pid in rec.pids)
+        if sum(map(len, sets)) > len(pids):
+            n = Counter(itertools.chain.from_iterable(sets))
             repeats = {pid: k for pid, k in n.items() if k > 1}
         return pids, repeats
 
@@ -206,17 +218,18 @@ def error_schema(base: Schema) -> Schema:
 
 def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
     """Build a checked relation from plain dicts, one fresh pid per row."""
+    names = field_names(sch)
     records = []
     for pid, raw in zip(itertools.count(first_pid), rows):
-        fields = {}
-        for spec in sch:
-            if spec.name not in raw:
-                raise SchemaMismatch(f"row {pid}: missing field {spec.name!r}")
-            fields[spec.name] = raw[spec.name]
-        if len(raw) != len(sch):
-            extra = set(raw) - set(field_names(sch))
+        try:
+            fields = {n: raw[n] for n in names}
+        except KeyError:
+            missing = next(n for n in names if n not in raw)
+            raise SchemaMismatch(f"row {pid}: missing field {missing!r}") from None
+        if len(raw) != len(names):
+            extra = set(raw) - set(names)
             raise SchemaMismatch(f"row {pid}: undeclared fields {sorted(extra)}")
-        records.append(Record(pids=frozenset({pid}), fields=fields))
+        records.append(Record((pid,), fields))
     check_rows(sch, records)
     return Relation(sch, tuple(records))
 

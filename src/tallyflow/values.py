@@ -6,7 +6,7 @@ ever goes through binary floating point, so equality checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 
 DEC4 = Decimal("0.0001")
@@ -30,7 +30,19 @@ def dec4(value: int | str | Decimal) -> Decimal:
     raise ValueError(f"not a decimal: {value!r}")
 
 
-@dataclass(frozen=True)
+def slot_setters(cls) -> tuple:
+    """The setters of a frozen slotted dataclass's field slots, in field order.
+
+    The value classes are frozen dataclasses with slots whose hand-written
+    __init__ checks its arguments and fills the slots through these: a
+    frozen class refuses plain assignment, and a setter call costs about
+    half the object.__setattr__ call that a generated __init__ makes per
+    field, and no __post_init__ call follows.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Quantity:
     """An amount bound to a unit label, e.g. 200 tonne.
 
@@ -41,19 +53,24 @@ class Quantity:
     amount: Decimal
     unit: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.amount, Decimal):
+    def __init__(self, amount: Decimal, unit: str) -> None:
+        if not isinstance(amount, Decimal):
             raise TypeError("Quantity.amount must be a Decimal")
-        if not self.amount.is_finite():
-            raise ValueError(f"Quantity.amount must be finite, not {self.amount}")
-        if not self.unit:
+        if not amount.is_finite():
+            raise ValueError(f"Quantity.amount must be finite, not {amount}")
+        if not unit:
             raise ValueError("Quantity.unit must be a nonempty label")
+        _set_amount(self, amount)
+        _set_unit(self, unit)
 
     def __str__(self) -> str:
         return f"{plain(self.amount)} {self.unit}"
 
 
-@dataclass(frozen=True)
+_set_amount, _set_unit = slot_setters(Quantity)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Missing:
     """A typed hole: the value is absent and `reason` says why.
 
@@ -63,16 +80,20 @@ class Missing:
 
     reason: str
 
-    def __post_init__(self) -> None:
-        if not self.reason:
+    def __init__(self, reason: str) -> None:
+        if not reason:
             raise ValueError("Missing.reason must be nonempty")
+        _set_reason(self, reason)
 
     def __str__(self) -> str:
         return f"<missing: {self.reason}>"
 
 
+(_set_reason,) = slot_setters(Missing)
+
+
 # A relation cell.  Summary relations additionally hold MonoidElement cells;
-# those register themselves via a _cell_key method rather than an import here.
+# monoid adds their key to CELL_KEYS rather than this module importing it.
 FieldValue = int | str | Decimal | Quantity | Missing
 
 
@@ -90,8 +111,40 @@ def plain(d: Decimal) -> str:
     return text
 
 
-# the common cell classes, keyed by exact class before the isinstance chain
-_EXACT_TAGS = {str: "str", int: "int", Decimal: "dec"}
+def plain_column(ds) -> list[str]:
+    """plain() of each Decimal of ds, in one loop.
+
+    str() writes a Decimal's digits as format(d, "f") does unless it needs
+    an exponent; a text with one, and an infinity, goes through plain.
+    """
+    out = []
+    for d in ds:
+        text = str(d)
+        if "E" in text or not d.is_finite():
+            text = plain(d)
+        else:
+            if "." in text:
+                text = text.rstrip("0").rstrip(".")
+            if text == "-0":
+                text = "0"
+        out.append(text)
+    return out
+
+
+_MISSING_KEY = ("missing",)
+
+
+def _quantity_key(q: Quantity) -> tuple:
+    return ("qty", q.amount, q.unit)
+
+
+# a cell class's key: a tag, keyed (tag, value), or a function of the
+# value; monoid adds MonoidElement's, since this module cannot import it
+CELL_KEYS: dict = {
+    str: "str", int: "int", Decimal: "dec",
+    Missing: lambda v: _MISSING_KEY,
+    Quantity: _quantity_key,
+}
 
 
 def cell_key(value: object) -> object:
@@ -101,14 +154,16 @@ def cell_key(value: object) -> object:
     keyed by value: Decimal == and hash are exact, never rounding, and
     already equate different scales (4 vs 4.0000) and -0 with 0.  Used for
     duplicate detection, multiset comparison and set-valued aggregation.
+    A cell's exact class picks its key in CELL_KEYS; subclasses (bool, a
+    str subclass) go through the isinstance chain.
     """
-    tag = _EXACT_TAGS.get(value.__class__)
-    if tag is not None:
-        return (tag, value)
+    key = CELL_KEYS.get(value.__class__)
+    if key is not None:
+        return (key, value) if key.__class__ is str else key(value)
     if isinstance(value, Missing):
-        return ("missing",)
+        return _MISSING_KEY
     if isinstance(value, Quantity):
-        return ("qty", value.amount, value.unit)
+        return _quantity_key(value)
     if isinstance(value, Decimal):
         return ("dec", value)
     if isinstance(value, bool):  # bool before int: bool is an int subtype

@@ -28,6 +28,7 @@ from tallyflow.csvio import (
     BLOCK_ROWS,
     ColumnSpec,
     _cell_parser,
+    _render_column,
     load_sidecar,
     read_table,
     read_yaml,
@@ -39,6 +40,7 @@ from tallyflow.monoid import count
 from tallyflow.pipeline import RunAudit, trace
 from tallyflow.pipeline_doc import load_doc
 from tallyflow.relation import FieldSpec, Record, Relation
+from tallyflow.values import plain, plain_column
 
 
 def fixture_dir(name: str) -> str:
@@ -381,6 +383,24 @@ def test_render_cell_covers_every_value_shape():
     assert render_cell("text") == "text"
 
 
+# plain's edge cases: zeros of every sign and scale, exponents, trailing
+# zeros, more digits than the 28-digit context, and the infinities
+PLAIN_TEXTS = ["0", "-0", "0.0000", "-0.0000", "0E+3", "-0E+3", "0E-10", "1E+3", "-1E+3",
+               "1.2300", "-12.5000", "1E-10", "123456789012345678901234567890",
+               "-123456789012345678901234567890.1234", "Infinity", "-Infinity"]
+
+
+def test_a_column_of_one_class_renders_as_render_cell_renders_each_cell():
+    ds = [Decimal(t) for t in PLAIN_TEXTS]
+    assert plain_column(ds) == [plain(d) for d in ds]
+    assert plain_column(ds)[:10] == ["0"] * 7 + ["1000", "-1000", "1.23"]
+    quantities = [Quantity(d, u) for d in ds if d.is_finite() for u in ("kg", "lb")]
+    columns = [ds, quantities, [1, -2, True], ["a", "b"], [Missing("empty"), Missing("n/a")],
+               [count(2), Decimal(1)], [Decimal(1), Missing("empty"), "x", 3]]
+    for cells in columns:
+        assert _render_column(cells) == [render_cell(v) for v in cells]
+
+
 def test_write_csv_is_deterministic_and_leaves_no_temp_files(tmp_path):
     sch = schema(FieldSpec("name", "text"), FieldSpec("n", "integer"))
     rel = Relation(sch, (
@@ -620,6 +640,23 @@ def fixture_copy(tmp_path, fixture: str, fname: str, edit) -> str:
     edit(doc)
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(data)
+
+
+def test_a_join_that_splits_its_ports_across_reports_is_caught_before_any_row_moves(
+        tmp_path, capsys):
+    # unused reference rows in a report of their own: report main would
+    # cover the products that priced an order, audit the rest, and each
+    # report's coverage would miss the other's pids
+    data = lookup_copy(tmp_path, "pipeline.yaml",
+                       lambda doc: doc["sinks"]["unused_references"].update(report="audit"))
+    pipeline = os.path.join(data, "pipeline.yaml")
+    line = ("SplitReport at price_lookup: inner, left_only reach main; "
+            "right_only reaches audit")
+    assert main(["check", pipeline, "--data", data]) == 2
+    assert capsys.readouterr().out == line + "\n"
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {line}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def lookup_copy(tmp_path, fname: str, edit) -> str:

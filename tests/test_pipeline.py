@@ -578,43 +578,73 @@ def test_a_report_lists_only_its_own_checks_on_the_dashboard():
         "measure:main:sum[qty:lb]", "measure:main:paccioli[price]"]
 
 
-def test_report_sources_follow_every_port_to_every_sink():
-    # a's tee branches meet again before report A; b feeds only report B;
-    # the join's sources c and d reach A only through right_only ->
-    # errorize.  Reach is per owner, so both count toward both reports.
-    keys = schema(FieldSpec("k", "text"))
+KEYS = schema(FieldSpec("k", "text"))
+
+
+def reach_graph(right_only_report: str) -> PipelineGraph:
+    """a's tee branches meet again before report A; b feeds only report B;
+    the join of d with c sends inner and left_only to report B, and c also
+    reaches A through a tee.  The join's right_only port feeds an errorize
+    into an error sink of right_only_report."""
     g = PipelineGraph("reach")
     g.add_source("a", ORDERS)
     for name in "bcd":
-        g.add_source(name, keys)
-    for node in (TeeNode("t"), TaggedUnionNode("u"), StripTagsNode("s"),
-                 JoinNode("j", (("k", "k"),)), ErrorizeNode("unused", "unused")):
+        g.add_source(name, KEYS)
+    for node in (TeeNode("t"), TaggedUnionNode("u"), StripTagsNode("s"), TeeNode("tc"),
+                 JoinNode("j", (("k", "k"),)), ErrorizeNode("unused", "unused"),
+                 ErrorizeNode("alone", "no partner")):
         g.add_node(node)
     for name, kind, label in (("a_rows", "report", "A"), ("c_unused", "error", "A"),
                               ("b_rows", "report", "B"), ("joined", "report", "B"),
-                              ("unmatched", "error", "B")):
+                              ("unmatched", "error", "B"),
+                              ("c_alone", "error", right_only_report)):
         g.add_sink(name, kind, label)
     for src, dst in (("a", "t.in"), ("t.left", "u.left"), ("t.right", "u.right"),
                      ("u.out", "s.in"), ("s.out", "a_rows"), ("b", "b_rows"),
-                     ("d", "j.left"), ("c", "j.right"), ("j.inner", "joined"),
-                     ("j.left_only", "unmatched"), ("j.right_only", "unused.in"),
-                     ("unused.out", "c_unused")):
+                     ("c", "tc.in"), ("tc.left", "j.right"), ("tc.right", "unused.in"),
+                     ("unused.out", "c_unused"), ("d", "j.left"), ("j.inner", "joined"),
+                     ("j.left_only", "unmatched"), ("j.right_only", "alone.in"),
+                     ("alone.out", "c_alone")):
         g.connect(src, dst)
-    res = g.run({"a": orders(), "b": ingest(keys, [{"k": "x"}], 10),
-                 "c": ingest(keys, [{"k": "x"}, {"k": "z"}], 20),
-                 "d": ingest(keys, [{"k": "x"}, {"k": "y"}], 30)})
-    assert res.audit.report_sources == {"A": ("a", "c", "d"), "B": ("b", "c", "d")}
+    return g
+
+
+def reach_inputs() -> dict:
+    return {"a": orders(), "b": ingest(KEYS, [{"k": "x"}], 10),
+            "c": ingest(KEYS, [{"k": "x"}, {"k": "z"}], 20),
+            "d": ingest(KEYS, [{"k": "x"}, {"k": "y"}], 30)}
+
+
+def test_report_sources_follow_every_port_to_every_sink():
+    # reach is per source: c reaches A through its tee and B through the
+    # join, so it counts toward both reports; d reaches only B
+    g = reach_graph("B")
+    res = g.run(reach_inputs())
+    assert res.audit.report_sources == {"A": ("a", "c"), "B": ("b", "c", "d")}
     report = conservation_check(res.audit)
+    assert report.ok
     assert audit_document(res.audit, report)["reports"] == {
-        "A": {"sinks": ["a_rows", "c_unused"], "sources": ["a", "c", "d"]},
-        "B": {"sinks": ["b_rows", "joined", "unmatched"], "sources": ["b", "c", "d"]},
+        "A": {"sinks": ["a_rows", "c_unused"], "sources": ["a", "c"]},
+        "B": {"sinks": ["b_rows", "joined", "unmatched", "c_alone"], "sources": ["b", "c", "d"]},
     }
     dash = dashboard_document(g, res, report)["reports"]
     assert {label: ([s["name"] for s in e["report_sinks"]], [s["name"] for s in e["error_sinks"]],
                     e["accounted_pids"], e["unaccounted_pids"]) for label, e in dash.items()} == {
-        "A": (["a_rows"], ["c_unused"], 3, 1),
-        "B": (["b_rows", "joined"], ["unmatched"], 3, 1),
+        "A": (["a_rows"], ["c_unused"], 3, 2),
+        "B": (["b_rows", "joined"], ["unmatched", "c_alone"], 3, 2),
     }
+
+
+@pytest.mark.parametrize("right_only_report", ["A", "C"])
+def test_a_stage_whose_ports_reach_different_reports_is_refused(right_only_report):
+    # each report must hold all of a source's rows; a join that splits its
+    # rows across reports left each report missing some of them, and the
+    # run said BROKEN of a graph that lost no pid
+    g = reach_graph(right_only_report)
+    detail = f"inner, left_only reach B; right_only reaches {right_only_report}"
+    assert [(v.kind, v.where, v.detail) for v in g.validate()] == [("SplitReport", "j", detail)]
+    with pytest.raises(InvalidGraph, match="SplitReport@j"):
+        g.run(reach_inputs())
 
 
 # -- negative controls: stages that break the pid bookkeeping ----------

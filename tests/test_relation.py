@@ -66,8 +66,13 @@ def test_ingest_numbers_rows_and_checks_cells():
     assert [sorted(rec.pids) for rec in r.rows] == [[1], [2], [3]]
     with pytest.raises(SchemaMismatch):
         ingest(SCH, [{"name": "a", "n": "one", "price": D(1)}])
-    with pytest.raises(SchemaMismatch):
-        ingest(SCH, [{"name": "a", "n": 1}])
+    ok = {"name": "a", "n": 1, "price": D(1)}
+    with pytest.raises(SchemaMismatch, match=r"^row 8: missing field 'name'$"):
+        ingest(SCH, [ok, {"n": 1}], 7)
+    with pytest.raises(SchemaMismatch, match=r"^row 2: undeclared fields \['x', 'y'\]$"):
+        ingest(SCH, [ok, {**ok, "y": 0, "x": 0}])
+    with pytest.raises(SchemaMismatch, match=r"^field 'n': 'one' is not integer$"):
+        ingest(SCH, [{**ok, "n": "one"}])
 
 
 def test_relation_trusts_its_rows_and_check_rows_checks_them():

@@ -19,7 +19,7 @@ from itertools import repeat
 from .monoid import MonoidElement, fold_payloads, fuse
 from .relation import ERROR_REASON, ERROR_STAGE
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
-from .values import Quantity, slot_setters
+from .values import Quantity
 
 REPORT = "report"
 
@@ -88,7 +88,7 @@ def build_charges(graph, audit, inputs: dict) -> None:
             audit.space_units[space.name] = unit
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Check:
     """One audited equation with its verdict."""
 
@@ -96,13 +96,6 @@ class Check:
     ok: bool
     detail: str
 
-    def __init__(self, name: str, ok: bool, detail: str) -> None:
-        _set_name(self, name)
-        _set_ok(self, ok)
-        _set_detail(self, detail)
-
-
-_set_name, _set_ok, _set_detail = slot_setters(Check)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from decimal import Decimal
 from itertools import islice, repeat
 from operator import itemgetter
 
-import yaml
-
 from .errors import SchemaMismatch, malformed
 from .monoid import MonoidElement
 from .relation import (
@@ -39,7 +37,7 @@ from .relation import (
     field_names,
     schema,
 )
-from .values import Missing, Quantity, dec4, plain, plain_column
+from .values import Missing, Quantity, dec4, plain
 
 COLUMN_TYPES = ("integer", "decimal", "text", "quantity")
 
@@ -68,8 +66,11 @@ def read_yaml(path: str):
 
     libyaml parses it when PyYAML was built with it (CSafeLoader); either
     loader gives the same document.  A syntax error is a ValueError that
-    names the file.
+    names the file.  PyYAML is imported here, on the first document read,
+    so a command that reads none (fuzz) does not pay for loading it.
     """
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -266,26 +267,17 @@ def write_csv(path: str, rel: Relation) -> None:
     _atomic_write(path, _csv_text(names, rel))
 
 
-def _quantity_texts(cells: list) -> list:
-    return [f"{amount} {q.unit}"
-            for amount, q in zip(plain_column([q.amount for q in cells]), cells)]
-
-
-# what a column of one cell class renders through, whole; any other column
-# takes render_cell cell by cell
-_COLUMN_RENDERERS = {int: lambda cells: list(map(str, cells)), Decimal: plain_column,
-                     Quantity: _quantity_texts}
+# what a column of one cell class renders through; any other column takes render_cell
+_RENDERERS = {int: str, Decimal: plain, Quantity: str}
 
 
 def _render_column(cells: list) -> list:
-    """One column's cell texts: text passes through, a column of one class
-    with a column renderer renders in one call, any other cell by cell."""
+    """One column's cell texts, each through a function chosen once for the column."""
     kinds = set(map(type, cells))
     if kinds <= {str}:
         return cells
-    render = _COLUMN_RENDERERS.get(kinds.pop()) if len(kinds) == 1 else None
-    if render is not None:
-        return render(cells)
+    if len(kinds) == 1:
+        return list(map(_RENDERERS.get(kinds.pop(), render_cell), cells))
     return [v if type(v) is str else render_cell(v) for v in cells]
 
 

@@ -45,7 +45,7 @@ from .exprs import (
     NumOf,
     UnitOf,
 )
-from .relation import FieldSpec, Relation, field_names, ingest, schema, schema_field
+from .relation import FieldSpec, Record, Relation, field_names, schema, schema_field
 from .values import Missing, Quantity
 
 OPERATOR_KINDS = (Project, Select, Rename, CrossProduct, NaturalJoin, OuterJoin,
@@ -115,9 +115,14 @@ class _Gen:
         return draw
 
     def _table(self, sch, n: int, first_pid: int) -> Relation:
+        """n rows of sch with pids from first_pid, as ingest numbers them.
+
+        Every cell is drawn of its column's sem, and the run that reads a
+        table checks its rows, so they are not checked here as well.
+        """
         draws = [(s.name, self._draw(s.sem)) for s in sch]
-        rows = [{name: draw() for name, draw in draws} for _ in range(n)]
-        return ingest(sch, rows, first_pid=first_pid)
+        return Relation(sch, tuple(Record((pid,), {name: draw() for name, draw in draws})
+                                   for pid in range(first_pid, first_pid + n)))
 
     # -- predicates and row expressions ---------------------------------
 

@@ -344,15 +344,14 @@ class ConservationSpec:
 # -- the graph ----------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PortPids:
     """The pids one port carried during a run.
 
     repeats is sparse: pid -> number of rows that carried it, only for pids
     more than one row carried (a join copy, a dedup's merged duplicates).
-    Like the dict it holds it cannot be hashed, and like Record it is
-    immutable by convention: a run builds one per port, and a slotted
-    class with a plain __init__ is the cheapest to build.
+    Frozen, so a recorded port cannot be reassigned; like the dict it
+    holds it cannot be hashed.
     """
 
     owner: str

@@ -101,49 +101,26 @@ def plain(d: Decimal) -> str:
     """Canonical text for a Decimal: trailing zeros dropped, -0 folded to 0.
 
     Every digit of d is kept; nothing here rounds.  Only for rendering:
-    cell_key keys a Decimal by its value.
+    cell_key keys a Decimal by its value.  str(d) writes the digits as
+    format(d, "f") does unless it needs an exponent, and is the cheaper
+    call, so format runs only for a text with one.
     """
-    if d.is_infinite():
+    text = str(d)
+    if "E" in text:
+        text = format(d, "f")
+    elif d.is_infinite():
         return "inf" if d > 0 else "-inf"
-    text = format(d if d else d.copy_abs(), "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
-    return text
-
-
-def plain_column(ds) -> list[str]:
-    """plain() of each Decimal of ds, in one loop.
-
-    str() writes a Decimal's digits as format(d, "f") does unless it needs
-    an exponent; a text with one, and an infinity, goes through plain.
-    """
-    out = []
-    for d in ds:
-        text = str(d)
-        if "E" in text or not d.is_finite():
-            text = plain(d)
-        else:
-            if "." in text:
-                text = text.rstrip("0").rstrip(".")
-            if text == "-0":
-                text = "0"
-        out.append(text)
-    return out
-
-
-_MISSING_KEY = ("missing",)
-
-
-def _quantity_key(q: Quantity) -> tuple:
-    return ("qty", q.amount, q.unit)
+    return "0" if text == "-0" else text
 
 
 # a cell class's key: a tag, keyed (tag, value), or a function of the
 # value; monoid adds MonoidElement's, since this module cannot import it
 CELL_KEYS: dict = {
     str: "str", int: "int", Decimal: "dec",
-    Missing: lambda v: _MISSING_KEY,
-    Quantity: _quantity_key,
+    Missing: lambda v: ("missing",),
+    Quantity: lambda q: ("qty", q.amount, q.unit),
 }
 
 
@@ -160,10 +137,6 @@ def cell_key(value: object) -> object:
     key = CELL_KEYS.get(value.__class__)
     if key is not None:
         return (key, value) if key.__class__ is str else key(value)
-    if isinstance(value, Missing):
-        return _MISSING_KEY
-    if isinstance(value, Quantity):
-        return _quantity_key(value)
     if isinstance(value, Decimal):
         return ("dec", value)
     if isinstance(value, bool):  # bool before int: bool is an int subtype
@@ -172,7 +145,4 @@ def cell_key(value: object) -> object:
         return ("int", value)
     if isinstance(value, str):
         return ("str", value)
-    key_fn = getattr(value, "_cell_key", None)
-    if key_fn is not None:
-        return key_fn()
     raise TypeError(f"not a field value: {value!r}")

@@ -78,7 +78,7 @@ def test_optional_fields_default_to_none():
     assert FieldSpec(name="n", sem="integer") == FieldSpec("n", "integer", None)
 
 
-def test_port_pids_compare_by_value_and_are_not_hashable():
+def test_port_pids_compare_by_value_are_frozen_and_are_not_hashable():
     kwargs = {"owner": "j", "port": "inner", "pids": frozenset({1, 2}), "repeats": {2: 2}}
     p = PortPids(**kwargs)
     assert p == PortPids("j", "inner", frozenset({1, 2}), {2: 2})
@@ -88,6 +88,8 @@ def test_port_pids_compare_by_value_and_are_not_hashable():
     assert [getattr(p, n) for n in kwargs] == list(kwargs.values())
     with pytest.raises(TypeError):
         hash(p)
+    with pytest.raises(AttributeError):
+        p.pids = frozenset()
 
 
 @pytest.mark.parametrize("build, error, match", [

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import KindMismatch
-from .values import CELL_KEYS, NEG_INF, POS_INF, cell_key, plain, slot_setters
+from .values import CELL_KEYS, NEG_INF, POS_INF, cell_key, plain
 
 
 class Kind(enum.Enum):
@@ -33,22 +33,20 @@ class Kind(enum.Enum):
     TUPLE = "tuple"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class MonoidElement:
     """A single summary value: kind + payload + optional unit label.
 
     Payload shapes: COUNT int, SUM/MIN/MAX Decimal, AVG (sum, count),
     SET frozenset, PACCIOLI (debit, credit), TUPLE tuple of elements.
-    A slotted frozen dataclass whose __init__ checks the payload against
-    the kind (see values.slot_setters).
     """
 
     kind: Kind
     payload: object
-    unit: str | None
+    unit: str | None = None
 
-    def __init__(self, kind: Kind, payload: object, unit: str | None = None) -> None:
-        k, p = kind, payload
+    def __post_init__(self) -> None:
+        k, p = self.kind, self.payload
         if k is Kind.COUNT:
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise ValueError("count payload must be a nonnegative int")
@@ -73,9 +71,6 @@ class MonoidElement:
         elif k is Kind.TUPLE:
             if not isinstance(p, tuple) or not all(isinstance(e, MonoidElement) for e in p):
                 raise ValueError("tuple payload must be a tuple of MonoidElements")
-        _set_kind(self, kind)
-        _set_payload(self, payload)
-        _set_unit(self, unit)
 
     # -- presentation ---------------------------------------------------
 
@@ -118,7 +113,6 @@ class MonoidElement:
         return ("elem", k.value, self.unit, body)
 
 
-_set_kind, _set_payload, _set_unit = slot_setters(MonoidElement)
 CELL_KEYS[MonoidElement] = MonoidElement._cell_key
 
 

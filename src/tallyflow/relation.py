@@ -4,12 +4,11 @@ A record never exists without provenance ids (pids).  Projection does not
 delete fields, it moves them into the record's irrelevant payload; tagged
 unions push path tags instead of blending rows.  Treat all of these values
 as immutable once constructed.  The dataclasses are frozen, so assigning to
-a field raises AttributeError.  FieldSpec, built thousands of times per
+a field raises AttributeError; FieldSpec, built thousands of times per
 fuzz job, is also slotted, like the cells Quantity and Missing and the
-summary MonoidElement: its own __init__ checks its arguments and fills the
-slots through values.slot_setters.  Record, a slotted class because a run
-builds one per row per stage, is immutable by convention only; no operator
-assigns to a record it has been given.  Rows are checked where they enter
+summary MonoidElement.  Record, a slotted class because a run builds one
+per row per stage, is immutable by convention only; no operator assigns
+to a record it has been given.  Rows are checked where they enter
 a run (check_rows, called by ingest() and PipelineGraph.run, is one loop
 over the rows); operators only move checked rows, so Relation(...) trusts
 the rows it is given.
@@ -25,7 +24,7 @@ from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
-from .values import FieldValue, Missing, Quantity, cell_key, slot_setters
+from .values import FieldValue, Missing, Quantity, cell_key
 
 SEM_TYPES = ("integer", "decimal", "text", "quantity", "summary")
 
@@ -33,25 +32,19 @@ ERROR_STAGE = "error_stage"
 ERROR_REASON = "error_reason"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """One column: a name, a semantic type, an optional unit label."""
 
     name: str
     sem: str
-    unit: str | None
+    unit: str | None = None
 
-    def __init__(self, name: str, sem: str, unit: str | None = None) -> None:
-        if sem not in SEM_TYPES:
-            raise ValueError(f"unknown semantic type {sem!r} for field {name!r}")
-        if not name:
+    def __post_init__(self) -> None:
+        if self.sem not in SEM_TYPES:
+            raise ValueError(f"unknown semantic type {self.sem!r} for field {self.name!r}")
+        if not self.name:
             raise ValueError("field name must be nonempty")
-        _set_name(self, name)
-        _set_sem(self, sem)
-        _set_unit(self, unit)
-
-
-_set_name, _set_sem, _set_unit = slot_setters(FieldSpec)
 
 
 Schema = tuple[FieldSpec, ...]

@@ -6,7 +6,7 @@ ever goes through binary floating point, so equality checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 DEC4 = Decimal("0.0001")
@@ -30,19 +30,7 @@ def dec4(value: int | str | Decimal) -> Decimal:
     raise ValueError(f"not a decimal: {value!r}")
 
 
-def slot_setters(cls) -> tuple:
-    """The setters of a frozen slotted dataclass's field slots, in field order.
-
-    The value classes are frozen dataclasses with slots whose hand-written
-    __init__ checks its arguments and fills the slots through these: a
-    frozen class refuses plain assignment, and a setter call costs about
-    half the object.__setattr__ call that a generated __init__ makes per
-    field, and no __post_init__ call follows.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Quantity:
     """An amount bound to a unit label, e.g. 200 tonne.
 
@@ -53,24 +41,19 @@ class Quantity:
     amount: Decimal
     unit: str
 
-    def __init__(self, amount: Decimal, unit: str) -> None:
-        if not isinstance(amount, Decimal):
+    def __post_init__(self) -> None:
+        if not isinstance(self.amount, Decimal):
             raise TypeError("Quantity.amount must be a Decimal")
-        if not amount.is_finite():
-            raise ValueError(f"Quantity.amount must be finite, not {amount}")
-        if not unit:
+        if not self.amount.is_finite():
+            raise ValueError(f"Quantity.amount must be finite, not {self.amount}")
+        if not self.unit:
             raise ValueError("Quantity.unit must be a nonempty label")
-        _set_amount(self, amount)
-        _set_unit(self, unit)
 
     def __str__(self) -> str:
         return f"{plain(self.amount)} {self.unit}"
 
 
-_set_amount, _set_unit = slot_setters(Quantity)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Missing:
     """A typed hole: the value is absent and `reason` says why.
 
@@ -80,16 +63,12 @@ class Missing:
 
     reason: str
 
-    def __init__(self, reason: str) -> None:
-        if not reason:
+    def __post_init__(self) -> None:
+        if not self.reason:
             raise ValueError("Missing.reason must be nonempty")
-        _set_reason(self, reason)
 
     def __str__(self) -> str:
         return f"<missing: {self.reason}>"
-
-
-(_set_reason,) = slot_setters(Missing)
 
 
 # A relation cell.  Summary relations additionally hold MonoidElement cells;

@@ -272,9 +272,8 @@ def test_an_aggregate_builds_one_element_per_summary_cell(monkeypatch):
     rel = sales()
     rel = ingest(rel.schema, [r.fields for r in rel.rows] * 25)
     built = []
-    init = MonoidElement.__init__
-    monkeypatch.setattr(MonoidElement, "__init__",
-                        lambda e, *a, **kw: built.append(e) or init(e, *a, **kw))
+    check = MonoidElement.__post_init__
+    monkeypatch.setattr(MonoidElement, "__post_init__", lambda e: built.append(e) or check(e))
     specs = [AggSpec("price", op) for op in ("sum", "min", "max", "avg")]
     out = aggregate(rel, [], specs + [AggSpec("qty", "sum"), AggSpec("shop", "set")])
     # one group per qty unit, each with six summaries and a count

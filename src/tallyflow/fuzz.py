@@ -57,6 +57,7 @@ _DECS = (Decimal("0"), Decimal("1.5"), Decimal("2.25"), Decimal("-3"))
 _UNITS = ("kg", "lb")
 _AMOUNTS = (Decimal("1"), Decimal("2"), Decimal("5"))
 _MISSINGS = tuple(map(Missing, ("empty", "n/a", "refused")))
+_QUANTITIES = {(a, u): Quantity(a, u) for a in _AMOUNTS for u in _UNITS}
 _VALUES = {"text": _TEXTS, "integer": _INTS, "decimal": _DECS}
 _SEMS = ("integer", "decimal", "text", "quantity")
 
@@ -104,7 +105,7 @@ class _Gen:
             def draw():
                 if random() < 0.15:
                     return choice(_MISSINGS)
-                return Quantity(choice(_AMOUNTS), choice(_UNITS))
+                return _QUANTITIES[choice(_AMOUNTS), choice(_UNITS)]
         else:
             values = _VALUES[sem]
 

@@ -97,7 +97,6 @@ class Check:
     detail: str
 
 
-
 @dataclass(frozen=True)
 class ConservationReport:
     ok: bool

@@ -610,7 +610,7 @@ def _o_expr(e: Expr, row: dict):
 def row_key(fields: dict) -> tuple:
     """Order-free canonical identity of one row's field values."""
     names = sorted(fields)
-    return tuple(zip(names, map(cell_key, map(fields.__getitem__, names))))
+    return tuple(names), tuple(map(cell_key, map(fields.__getitem__, names)))
 
 
 def _distinct(rows: list) -> dict:
@@ -797,11 +797,8 @@ def reference_eval(expr: RAExpr, inputs: dict, schemas: dict | None = None) -> R
     two can check each other.
     """
     schemas = _typed(expr, {name: rel.schema for name, rel in inputs.items()}, schemas)
-    rows = _r_eval(expr, inputs, schemas)
-    recs = tuple(
-        Record(pids=frozenset({i + 1}), fields=dict(r))
-        for i, r in enumerate(rows))
-    return Relation(schemas[id(expr)], recs)
+    rows = _r_eval(expr, inputs, schemas)  # dicts built here, none shared
+    return Relation(schemas[id(expr)], tuple(Record((i,), r) for i, r in enumerate(rows, 1)))
 
 
 # -- equivalence verdicts -----------------------------------------------

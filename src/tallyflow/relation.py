@@ -8,10 +8,10 @@ a field raises AttributeError; FieldSpec, built thousands of times per
 fuzz job, is also slotted, like the cells Quantity and Missing and the
 summary MonoidElement.  Record, a slotted class because a run builds one
 per row per stage, is immutable by convention only; no operator assigns
-to a record it has been given.  Rows are checked where they enter
-a run (check_rows, called by ingest() and PipelineGraph.run, is one loop
-over the rows); operators only move checked rows, so Relation(...) trusts
-the rows it is given.
+to a record it has been given.  Rows are checked where they enter a run
+(check_rows, called by ingest() and PipelineGraph.run, is one loop over
+the rows); operators only move checked rows, so Relation(...) trusts the
+rows it is given.
 """
 
 from __future__ import annotations

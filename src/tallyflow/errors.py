@@ -69,6 +69,10 @@ class InvalidGraph(TallyError):
         super().__init__(message)
         self.violations = tuple(violations)
 
+    def __reduce__(self):
+        # pickling rebuilds from args alone by default, which drops violations
+        return type(self), (self.args[0], self.violations)
+
 
 class ExprTypeError(TallyError, TypeError):
     """A relational expression is ill-typed; message carries the node path."""

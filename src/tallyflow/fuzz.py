@@ -3,15 +3,18 @@
 Each iteration builds a small catalog of duplicate-heavy tables and one
 well-typed query, runs both the naive evaluator and the translated
 pipeline, and compares.  Everything derives from the seed, so a failing
-case can be replayed exactly by (seed, index).
+case can be replayed exactly by (seed, index), and the cases of one job
+can run in any order and in any process.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from random import Random
 
+from .errors import TallyError
 from .ops import AGG_OPS, AggSpec
 from .ra import (
     Aggregate,
@@ -316,18 +319,61 @@ class FuzzReport:
     kinds_seen: tuple
 
 
-def run_fuzz(seed: int, iterations: int) -> FuzzReport:
-    """Drive equivalence checks; deterministic for a given seed."""
+def run_share(seed: int, iterations: int, share: int, shares: int) -> tuple:
+    """Cases share, share + shares, ... of a job: (failures, first, kinds seen).
+
+    first is (index, text) of the share's lowest failing case, or None.  A
+    TallyError raised while building or checking a case fails that case.
+    """
     failures = 0
-    first = ""
+    first = None
     seen: set = set()
-    for i in range(iterations):
-        expr, tables = make_case(seed, i)
-        seen |= node_kinds(expr)
-        verdict = equivalence_check(expr, tables)
-        if not verdict.ok:
-            failures += 1
-            if not first:
-                first = (f"iteration {i} (seed {seed}): {verdict.detail}\n"
-                         f"query: {expr!r}")
-    return FuzzReport(iterations, failures, first, tuple(sorted(seen)))
+    for i in range(share, iterations, shares):
+        expr = None
+        try:
+            expr, tables = make_case(seed, i)
+            seen |= node_kinds(expr)
+            verdict = equivalence_check(expr, tables)
+            if verdict.ok:
+                continue
+            detail = verdict.detail
+        except TallyError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        failures += 1
+        if first is None:
+            text = f"iteration {i} (seed {seed}): {detail}"
+            first = (i, text if expr is None else f"{text}\nquery: {expr!r}")
+    return failures, first, seen
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_fuzz(seed: int, iterations: int) -> FuzzReport:
+    """Drive equivalence checks; deterministic for a given seed.
+
+    The cases are split into k strided shares, k = min(CPUs this process
+    may run on, iterations).  The caller runs share 0 and k - 1 forked
+    workers run the others; the shares merge by case index, so the report
+    does not depend on k.  With k = 1, or where processes cannot fork,
+    nothing is forked.
+    """
+    k = min(_cpus(), iterations) if hasattr(os, "fork") else 1
+    if k <= 1:
+        shares = [run_share(seed, iterations, 0, 1)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # forked workers start with the caller's imports and collector
+        # setting; the pool forks them all before it starts its own thread
+        with ProcessPoolExecutor(k - 1, mp_context=get_context("fork")) as pool:
+            rest = [pool.submit(run_share, seed, iterations, w, k) for w in range(1, k)]
+            shares = [run_share(seed, iterations, 0, k)] + [f.result() for f in rest]
+    firsts = [first for _, first, _ in shares if first is not None]
+    return FuzzReport(iterations, sum(failures for failures, _, _ in shares),
+                      min(firsts)[1] if firsts else "",
+                      tuple(sorted(set().union(*(seen for _, _, seen in shares)))))

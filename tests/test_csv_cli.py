@@ -1464,6 +1464,110 @@ def test_fuzz_structured_format(capsys):
     assert len(doc["kinds_seen"]) >= 3
 
 
+def test_a_case_that_raises_while_it_is_built_fails_that_case(monkeypatch, capsys):
+    import tallyflow.fuzz as fuzz_mod
+    from tallyflow.errors import ExprTypeError
+    make_case = fuzz_mod.make_case
+
+    def raise_at_3(seed, index):
+        if index == 3:
+            raise ExprTypeError("planted at case 3")
+        return make_case(seed, index)
+
+    monkeypatch.setattr(fuzz_mod, "make_case", raise_at_3)
+    report = fuzz_mod.run_fuzz(5, 8)
+    assert report.failures == 1
+    assert report.first_failure == "iteration 3 (seed 5): ExprTypeError: planted at case 3"
+    assert main(["fuzz", "--seed", "5", "--iterations", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert "fuzz: 8 iterations, seed 5, 1 failures" in out
+    assert "first failure:\niteration 3 (seed 5): ExprTypeError: planted at case 3\n" in out
+    assert "Traceback" not in out + err
+
+
+# a command through the CLI, then which process-pool modules it loaded
+POOL_PROBE = """
+import sys
+from tallyflow.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(repr([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]))
+sys.exit(code)
+"""
+
+
+def test_run_check_and_an_empty_fuzz_never_load_a_process_pool(tmp_path):
+    d = fixture_dir("lookup")
+    pipeline = os.path.join(d, "pipeline.yaml")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tallyflow.__file__))}
+    for argv in (["run", pipeline, "--data", d, "--out", str(tmp_path / "out")],
+                 ["check", pipeline, "--data", d],
+                 ["fuzz", "--iterations", "0"]):
+        proc = subprocess.run([sys.executable, "-c", POOL_PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=False, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "[]"), argv
+
+
+# structured fuzz reports of seeds 0-2; argv[1] == "1" pins the process to one CPU
+FUZZ_SWEEP = """
+import os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tallyflow.cli import main
+for seed in (0, 1, 2):
+    main(["fuzz", "--seed", str(seed), "--iterations", "200", "--format", "structured"])
+sys.stderr.write(repr("multiprocessing" in sys.modules))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_one_cpu_fuzz_forks_nothing_and_reports_what_a_default_one_does():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tallyflow.__file__))}
+    default, one_cpu = (subprocess.run([sys.executable, "-c", FUZZ_SWEEP, flag], env=env,
+                                       capture_output=True, text=True, check=True,
+                                       timeout=300)
+                        for flag in ("0", "1"))
+    assert one_cpu.stderr == "False"
+    assert one_cpu.stdout == default.stdout
+    assert [json.loads(doc)["iterations"] for doc in re.findall(r"(?ms)^\{.*?^\}", default.stdout)] \
+        == [200, 200, 200]
+
+
+def test_a_one_case_fuzz_runs_in_this_process(monkeypatch):
+    from tallyflow.fuzz import FuzzReport, make_case, node_kinds, run_fuzz
+
+    def forbidden():
+        raise AssertionError("a one-case fuzz forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    kinds = tuple(sorted(node_kinds(make_case(3, 0)[0])))
+    assert run_fuzz(3, 1) == FuzzReport(1, 0, "", kinds)
+
+
+def test_a_fuzz_forks_one_worker_per_share_but_its_own_and_leaves_none(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+    import threading
+    from tallyflow.fuzz import run_fuzz, run_share
+
+    workers = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    threads = threading.active_count()
+    for iterations in (30, 2, 1, 0):
+        failures, _, seen = run_share(6, iterations, 0, 1)
+        report = run_fuzz(6, iterations)
+        assert (report.failures, report.kinds_seen) == (failures, tuple(sorted(seen)))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+    assert workers == [2, 1]
+
+
 # -- command line: the cyclic collector ---------------------------------
 # main() pauses the cyclic collector for one command; these pin why that is
 # safe (a run's rows make no reference cycles) and that the caller's
@@ -1530,10 +1634,11 @@ def test_a_run_makes_no_reference_cycles_that_grow_with_its_rows(
 
 
 def test_a_fuzz_makes_no_reference_cycles(collector_paused):
-    from tallyflow.fuzz import run_fuzz
+    from tallyflow.fuzz import run_share
 
-    run_fuzz(0, 50)
+    # one share holds every case, so all of them run in this process
+    run_share(0, 50, 0, 1)
     gc.collect()
     for iterations in (50, 500):
-        assert run_fuzz(0, iterations).failures == 0
+        assert run_share(0, iterations, 0, 1)[0] == 0
         assert gc.collect() == 0, iterations

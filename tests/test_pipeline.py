@@ -1,5 +1,6 @@
 """Pipeline graphs: wiring rules, execution, audit and dashboards."""
 
+import pickle
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -273,6 +274,18 @@ def test_run_refuses_an_invalid_graph():
     with pytest.raises(InvalidGraph) as info:
         g.run({"src": orders()})
     assert [v.kind for v in info.value.violations] == ["UnconsumedPort", "UnwiredInput"]
+
+
+def test_an_invalid_graph_error_survives_pickling():
+    # so that one raised in a forked fuzz worker reaches the caller intact
+    g = PipelineGraph("t")
+    g.add_source("src", ORDERS)
+    with pytest.raises(InvalidGraph) as info:
+        g.run({"src": orders()})
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is InvalidGraph
+    assert (str(back), back.violations) == (str(info.value), info.value.violations)
+    assert back.violations
 
 
 def test_run_checks_inputs_against_declared_schemas():

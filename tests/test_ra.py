@@ -301,13 +301,14 @@ def test_the_checker_can_see_a_divergence():
 
 def test_the_first_fuzz_failure_names_its_case_and_prints_an_evaluable_query(monkeypatch):
     import tallyflow.fuzz as fuzz_mod
-    calls = []
+    # planted by case, not by call count, since forked workers run some cases;
+    # 2 and 5 sit in different shares when the job runs in two
+    planted = [make_case(4, 2)[0], make_case(4, 5)[0]]
 
-    def fail_iterations_2_and_4(expr, tables):
-        calls.append(expr)
-        return ra_mod.Verdict(len(calls) - 1 not in (2, 4), "planted divergence", 1, 2, True)
+    def fail_iterations_2_and_5(expr, tables):
+        return ra_mod.Verdict(expr not in planted, "planted divergence", 1, 2, True)
 
-    monkeypatch.setattr(fuzz_mod, "equivalence_check", fail_iterations_2_and_4)
+    monkeypatch.setattr(fuzz_mod, "equivalence_check", fail_iterations_2_and_5)
     report = fuzz_mod.run_fuzz(4, 6)
     assert report.failures == 2
     head, query = report.first_failure.split("\n")

@@ -84,13 +84,14 @@ def as_errors(rel: Relation, stage: str, reasons) -> Relation:
 
 # -- tagged unions ------------------------------------------------------
 
-def tagged_union(r1: Relation, r2: Relation, label: str = "union") -> Relation:
+def tagged_union(r1: Relation, r2: Relation) -> Relation:
     """Concatenate two relations, tagging rows with the side they came from.
 
-    Like schemas yield a plain schema; unlike schemas yield a sum of the
-    two, and untag() is the exact inverse either way.
+    A tag records only the side; untag() reads it and strip_tags() drops
+    it.  Like schemas yield a plain schema; unlike schemas yield a sum of
+    the two, and untag() is the exact inverse either way.
     """
-    tag_l, tag_r = PathTag("inl", label), PathTag("inr", label)
+    tag_l, tag_r = PathTag("inl"), PathTag("inr")
     rows = [Record(rec.pids, rec.fields, rec.irrelevant, rec.tags + (tag,))
             for rel, tag in ((r1, tag_l), (r2, tag_r)) for rec in rel.rows]
     out_schema = r1.schema if r1.schema == r2.schema else SumSchema(r1.schema, r2.schema)

@@ -39,6 +39,7 @@ from .ops import fmap as ops_fmap
 from .relation import (
     ERROR_REASON,
     ERROR_STAGE,
+    SEM_TYPES,
     Relation,
     Schema,
     SumSchema,
@@ -96,6 +97,14 @@ class Node:
         raise NotImplementedError
 
 
+def _flag(nd: dict, key: str) -> bool:
+    """A node entry's boolean option, false when absent; text such as "no" is refused."""
+    value = nd.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PartitionNode(Node):
     """Split on a predicate; optionally reshape rejects onto the error rail."""
@@ -108,8 +117,7 @@ class PartitionNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], decode_pred(nd["when"]),
-                   bool(nd.get("rejected_to_errors", False)))
+        return cls(nd["name"], decode_pred(nd["when"]), _flag(nd, "rejected_to_errors"))
 
     def apply(self, ins: dict) -> dict:
         acc, rej, reasons = partition_detailed(ins["in"], self.pred)
@@ -133,16 +141,11 @@ class TeeNode(Node):
 @dataclass(frozen=True)
 class TaggedUnionNode(Node):
     name: str
-    label: str | None = None
     in_ports = ("left", "right")
     out_ports = ("out",)
 
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], nd.get("label"))
-
     def apply(self, ins: dict) -> dict:
-        return {"out": tagged_union(ins["left"], ins["right"], self.label or self.name)}
+        return {"out": tagged_union(ins["left"], ins["right"])}
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,10 @@ class MapNode(Node):
         if extra:
             raise ValueError(f"map node {self.name!r} has sems or units for fields "
                              f"it does not add: {extra}")
+        for n, sem in self.sems.items():
+            if sem not in SEM_TYPES:
+                raise ValueError(f"map node {self.name!r}: unknown semantic type "
+                                 f"{sem!r} for field {n!r}")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
@@ -275,8 +282,13 @@ class JoinNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
-        pairs = tuple(tuple(p) for p in nd.get("keys", ()))
-        return cls(nd["name"], pairs, bool(nd.get("missing_matches", False)))
+        pairs = []
+        for p in nd.get("keys", ()):
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(isinstance(c, str) for c in p)):
+                raise ValueError(f"a join key is a [left, right] pair of names, not {p!r}")
+            pairs.append(tuple(p))
+        return cls(nd["name"], tuple(pairs), _flag(nd, "missing_matches"))
 
     def apply(self, ins: dict) -> dict:
         inner, left_only, right_only = outer_join(
@@ -320,6 +332,8 @@ class Sink:
     def __post_init__(self) -> None:
         if self.kind not in (REPORT, ERROR):
             raise ValueError(f"sink kind must be report or error, not {self.kind!r}")
+        if not isinstance(self.report, str):
+            raise ValueError(f"sink {self.name!r}: a report label is text, not {self.report!r}")
         if self.report == "all":
             raise ValueError(f"sink {self.name!r}: the report label 'all' is reserved "
                              "for the run-wide check coverage:all")
@@ -440,6 +454,8 @@ class PipelineGraph:
     # -- construction ---------------------------------------------------
 
     def _claim(self, name: str) -> None:
+        if not isinstance(name, str):
+            raise ValueError(f"bad owner name {name!r}: a name is text")
         if name in self.sources or name in self.nodes or name in self.sinks:
             raise ValueError(f"name {name!r} already used in this graph")
         # '.' ends an owner in an address; a sink's name is also its file name

@@ -37,6 +37,8 @@ def source_files(doc: dict) -> dict:
     for name, entry in doc["sources"].items():
         if not isinstance(entry, dict) or "file" not in entry:
             raise ValueError(f"source {name!r} needs a file entry")
+        if not isinstance(entry["file"], str):
+            raise ValueError(f"source {name!r}: its file is text, not {entry['file']!r}")
         out[name] = entry["file"]
     return out
 

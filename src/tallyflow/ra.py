@@ -359,14 +359,13 @@ class _Translator:
         m = self.stage(ErrorizeNode(self.fresh(slug), reason), addr)
         self.drain(f"{m}.out")
 
-    def require(self, addr: str, keys, to_errors: bool = True) -> str:
-        """Partition on every key being defined; rejects drain if to_errors."""
+    def require(self, addr: str, keys) -> str:
+        """Partition on every key being defined; rejects drain as errors."""
         q = self.stage(PartitionNode(
             self.fresh("require"), All(tuple(FieldDefined(k) for k in keys)),
-            rejected_to_errors=to_errors), addr)
-        if to_errors:
-            self.drain(f"{q}.rejected")
-        return q
+            rejected_to_errors=True), addr)
+        self.drain(f"{q}.rejected")
+        return f"{q}.accepted"
 
     def merge(self, a: str, b: str, slug: str, distinct: bool = False) -> str:
         """Tagged union of two streams, deduplicated if distinct, tags stripped."""
@@ -423,8 +422,7 @@ class _Translator:
             q = self.require(src, dict.fromkeys(
                 tuple(expr.group_by) + tuple(s.field for s in expr.specs)))
             a = self.stage(AggregateNode(
-                self.fresh("summarize"), tuple(expr.group_by), tuple(expr.specs)),
-                f"{q}.accepted")
+                self.fresh("summarize"), tuple(expr.group_by), tuple(expr.specs)), q)
             return f"{a}.out"
         if isinstance(expr, Map):
             src = self.build(expr.of)
@@ -441,30 +439,24 @@ class _Translator:
         shared = [s.name for s in ls if s.name in rnames]
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
         lq, rq = self.require(l_addr, shared), self.require(r_addr, shared)
-        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)),
-                       f"{lq}.accepted", f"{rq}.accepted")
+        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)), lq, rq)
         self.drain_mark(f"{j}.left_only", "unmatched", "no match")
         self.drain_mark(f"{j}.right_only", "unmatched", "no match")
         return f"{j}.inner"
 
     def _build_outer(self, expr: OuterJoin) -> str:
         # the inner schema is the left one, then the right fields it keeps;
-        # the left fields the right operand lacks pad its unmatched rows
+        # the left fields the right operand lacks pad its unmatched rows.  A
+        # row with a missing key matches nothing, so it leaves through its
+        # side's unmatched port and is padded like a row with no partner
         inner = self.schemas[id(expr)]
         kept = inner[len(self.schemas[id(expr.left)]):]
         rnames = set(field_names(self.schemas[id(expr.right)]))
         rest = tuple(s for s in inner if s.name not in rnames)
-        on = tuple(expr.on)
-
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        lq = self.require(l_addr, [lf for lf, _ in on], to_errors=False)
-        rq = self.require(r_addr, [rf for _, rf in on], to_errors=False)
-        j = self.stage(JoinNode(self.fresh("join"), on=on),
-                       f"{lq}.accepted", f"{rq}.accepted")
-        # rows with an undefined key and rows with no partner both surface
-        # in the outer result, padded on the other side
-        left = self.pad(self.merge(f"{j}.left_only", f"{lq}.rejected", "gather"), kept)
-        right = self.pad(self.merge(f"{j}.right_only", f"{rq}.rejected", "gather"), rest)
+        j = self.stage(JoinNode(self.fresh("join"), on=tuple(expr.on)), l_addr, r_addr)
+        left = self.pad(f"{j}.left_only", kept)
+        right = self.pad(f"{j}.right_only", rest)
         ro = self.stage(ProjectNode(self.fresh("reorder"), field_names(inner)), right)
         return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
 

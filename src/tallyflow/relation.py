@@ -85,7 +85,6 @@ class PathTag:
     """One level of union routing: which side a record came in on."""
 
     side: str  # "inl" | "inr"
-    label: str
 
     def __post_init__(self) -> None:
         if self.side not in ("inl", "inr"):

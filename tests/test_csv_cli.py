@@ -706,6 +706,38 @@ BAD_ENTRIES = {
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(
             when={"cmp": {"op": "ge", "field": "Insurance", "value": {"dec": "soup"}}}),
         "partition node 'iv_by_insurance': not a decimal: 'soup'"),
+    "join key written as one name": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys=["product"]),
+        "join node 'price_lookup': a join key is a [left, right] pair of names, "
+        "not 'product'"),
+    "join key pair of one name": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys=[["product"]]),
+        "join node 'price_lookup': a join key is a [left, right] pair of names, "
+        "not ['product']"),
+    "fmap sem not a field type": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(sems={"value": "money"}),
+        "fmap node 'valued': map node 'valued': unknown semantic type 'money' "
+        "for field 'value'"),
+    "stage name a number": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][2].update(name=7),
+        "bad owner name 7: a name is text"),
+    "source name a number": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["sources"].update({7: doc["sources"].pop("products")}),
+        "bad owner name 7: a name is text"),
+    "report label a number": (
+        "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report=5),
+        "sink 'priced': a report label is text, not 5"),
+    "source file a number": (
+        "lookup", "pipeline.yaml", lambda doc: doc["sources"]["orders"].update(file=5),
+        "source 'orders': its file is text, not 5"),
+    "partition flag as text": (
+        "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(rejected_to_errors="false"),
+        "partition node 'iv_by_insurance': rejected_to_errors must be true or false, "
+        "not 'false'"),
+    "join flag as text": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(missing_matches="no"),
+        "join node 'price_lookup': missing_matches must be true or false, not 'no'"),
 }
 
 

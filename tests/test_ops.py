@@ -116,7 +116,7 @@ def test_as_errors_stamps_stage_and_reason():
 
 def test_tagged_union_then_untag_is_exact():
     a, b = people(), ingest(PEOPLE, [{"name": "eve", "age": 1}], 50)
-    u = tagged_union(a, b, "step")
+    u = tagged_union(a, b)
     assert len(u.rows) == 4
     left, right = untag(u)
     assert left == a
@@ -129,14 +129,14 @@ def test_untag_without_tags_is_refused():
 
 
 def test_strip_tags_forgets_the_split():
-    u = tagged_union(people(), people(), "step")
+    u = tagged_union(people(), people())
     flat = strip_tags(u)
     assert flat.schema == PEOPLE
     assert all(not r.tags for r in flat.rows)
 
 
 def test_mixed_shape_union_remembers_both_schemas():
-    u = tagged_union(people(), jobs(), "step")
+    u = tagged_union(people(), jobs())
     left, right = untag(u)
     assert left.schema == PEOPLE
     assert right.schema == JOBS

@@ -236,7 +236,7 @@ def test_each_document_op_decodes_to_its_stage():
                        "rejected_to_errors": True},
                       PartitionNode("s", FieldDefined("price"), True)),
         "tee": ({}, TeeNode("s")),
-        "tagged_union": ({"label": "both"}, TaggedUnionNode("s", "both")),
+        "tagged_union": ({"label": "both"}, TaggedUnionNode("s")),
         "untag": ({}, UntagNode("s")),
         "strip_tags": ({}, StripTagsNode("s")),
         "project": ({"fields": ["item"]}, ProjectNode("s", ("item",))),

@@ -19,6 +19,7 @@ from tallyflow import (
     FieldDefined,
     FieldSpec,
     Intersect,
+    JoinNode,
     Lit,
     Map,
     Minus,
@@ -27,6 +28,7 @@ from tallyflow import (
     PipelineGraph,
     NumOf,
     OuterJoin,
+    PartitionNode,
     Project,
     Quantity,
     Rename,
@@ -201,6 +203,18 @@ def test_outer_join_matches_reference():
         (("commodity", "c"),))
     v = check(q)
     assert v.got_rows == 5  # 3 matches, plus padded rows for cat and oil
+    unkeyed = ingest(QUOTES, [
+        {"commodity": "wheat", "price": D("6.10")},
+        {"commodity": "wheat", "price": D("6.05")},
+        {"commodity": "milk", "price": D("33.98")},
+        {"commodity": Missing("empty"), "price": D("1.00")},
+    ], 100)
+    v = check(q, {"items": items(), "quotes": unkeyed})
+    assert v.got_rows == 6  # and a padded row for the quote without a commodity
+    # one join: a row with a missing key leaves through its unmatched port
+    nodes = translate(q, CATALOG).nodes.values()
+    assert sum(isinstance(n, JoinNode) for n in nodes) == 1
+    assert not any(isinstance(n, PartitionNode) for n in nodes)
 
 
 def test_outer_join_pads_with_missing():
@@ -377,7 +391,7 @@ def _graph_document(g) -> dict:
 
 
 # sha256 of the compiled graphs of make_case(seed, i), seeds 0 and 1, i < 300
-COMPILED_GRAPHS_DIGEST = "76b019d55888661578a1ec3a1421681e6ee8fbe11fc5384c00561a94b4e65b49"
+COMPILED_GRAPHS_DIGEST = "81d35d832c866689639e270c7562cad185e57b4486757de1975594292423c892"
 
 
 def test_compiled_graphs_match_their_pinned_digest():

@@ -145,12 +145,12 @@ def test_cell_key_is_exact_on_decimal_values():
 
 def test_a_record_keeps_the_contract_of_a_frozen_row():
     part = IrrelevantPart(frozenset({1}), {"x": 1})
-    rec = Record(pids={1, 2}, fields={"a": 1}, irrelevant=(part,), tags=(PathTag("inl", "l"),))
+    rec = Record(pids={1, 2}, fields={"a": 1}, irrelevant=(part,), tags=(PathTag("inl"),))
     assert rec.pids == frozenset({1, 2}) and type(rec.pids) is frozenset
     assert Record([3], {"a": 1}).pids == frozenset({3})
     with pytest.raises(ValueError, match="at least one pid"):
         Record(pids=(), fields={})
-    assert rec == Record(frozenset({1, 2}), {"a": 1}, (part,), (PathTag("inl", "l"),))
+    assert rec == Record(frozenset({1, 2}), {"a": 1}, (part,), (PathTag("inl"),))
     assert rec != Record(frozenset({1, 2}), {"a": 1}, (part,))
     assert rec != Record(frozenset({1}), {"a": 1}, (part,), rec.tags)
     assert rec != Record(rec.pids, {"a": 2}, (part,), rec.tags)

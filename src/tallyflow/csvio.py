@@ -247,16 +247,13 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
 
 # -- emission -----------------------------------------------------------
 
+# a cell's text by its class; a cell of any other class renders as str()
+_RENDERERS = {Missing: lambda v: "" if v.reason == "empty" else v.reason,
+              Decimal: plain, MonoidElement: MonoidElement.render}
+
+
 def render_cell(v) -> str:
-    if isinstance(v, Missing):
-        return "" if v.reason == "empty" else v.reason
-    if isinstance(v, Quantity):
-        return f"{plain(v.amount)} {v.unit}"
-    if isinstance(v, MonoidElement):
-        return v.render()
-    if isinstance(v, Decimal):
-        return plain(v)
-    return str(v)
+    return _RENDERERS.get(v.__class__, str)(v)
 
 
 def write_csv(path: str, rel: Relation) -> None:
@@ -267,17 +264,13 @@ def write_csv(path: str, rel: Relation) -> None:
     _atomic_write(path, _csv_text(names, rel))
 
 
-# what a column of one cell class renders through; any other column takes render_cell
-_RENDERERS = {int: str, Decimal: plain, Quantity: str}
-
-
 def _render_column(cells: list) -> list:
     """One column's cell texts, each through a function chosen once for the column."""
     kinds = set(map(type, cells))
     if kinds <= {str}:
         return cells
     if len(kinds) == 1:
-        return list(map(_RENDERERS.get(kinds.pop(), render_cell), cells))
+        return list(map(_RENDERERS.get(kinds.pop(), str), cells))
     return [v if type(v) is str else render_cell(v) for v in cells]
 
 

@@ -15,7 +15,7 @@ from decimal import Decimal
 from random import Random
 
 from .errors import TallyError
-from .ops import AGG_OPS, AggSpec
+from .ops import AGG_OPS, AggSpec, join_schema, rename_schema
 from .ra import (
     Aggregate,
     BaseRelation,
@@ -48,7 +48,7 @@ from .exprs import (
     NumOf,
     UnitOf,
 )
-from .relation import FieldSpec, Record, Relation, field_names, schema, schema_field
+from .relation import FieldSpec, Record, Relation, field_names, schema
 from .values import Missing, Quantity
 
 OPERATOR_KINDS = (Project, Select, Rename, CrossProduct, NaturalJoin, OuterJoin,
@@ -238,11 +238,16 @@ class _Gen:
         if kind is OuterJoin:
             left = self.samesch(depth - 1)
             right, mapping = self.b_renamed(depth - 1)
+            # every key pair that ops.join_schema, the typer's one rule for them, accepts
+            sch_r = rename_schema(self.sch_b, mapping)
             pairs = []
             for s in self.sch_a:
-                for old, new in mapping.items():
-                    if schema_field(self.sch_b, old).sem == s.sem:
-                        pairs.append((s.name, new))
+                for new in mapping.values():
+                    try:
+                        join_schema(self.sch_a, sch_r, ((s.name, new),))
+                    except TallyError:
+                        continue
+                    pairs.append((s.name, new))
             take = r.sample(pairs, min(len(pairs), r.randint(1, 2)))
             return OuterJoin(left, right, tuple(take))
         if kind in (Union, UnionAll, Minus, Intersect):

@@ -213,8 +213,10 @@ def dedup(rel: Relation) -> Relation:
 def join_schema(sch1: Schema, sch2: Schema, on) -> Schema:
     """Output schema of outer_join()'s inner port: the left fields, then the
     right fields less each same-named join pair's right copy.  A key pair
-    must join cells of one sem (cells of two sems never match), and a
-    same-named pair one unit (the join drops its right copy)."""
+    must join cells of one sem (cells of two sems never match) declared in
+    one unit: a same-named pair keeps one copy of its key, and a cell of
+    any sem but quantity carries no unit of its own.  So only a differently
+    named quantity pair may declare two units; its cells carry theirs."""
     for lf, rf in on:
         if not has_field(sch1, lf):
             raise JoinColumnMissing(f"left operand lacks join column {lf!r}")
@@ -224,8 +226,9 @@ def join_schema(sch1: Schema, sch2: Schema, on) -> Schema:
         if lspec.sem != rspec.sem:
             raise SchemaMismatch(f"join key pair ({lf!r}, {rf!r}) mixes "
                                  f"{lspec.sem} with {rspec.sem}")
-        if lf == rf and lspec.unit != rspec.unit:
-            raise SchemaMismatch(f"join key {lf!r} has unit {lspec.unit!r} on the left "
+        if lspec.unit != rspec.unit and (lf == rf or lspec.sem != "quantity"):
+            key = f"key {lf!r}" if lf == rf else f"key pair ({lf!r}, {rf!r})"
+            raise SchemaMismatch(f"join {key} has unit {lspec.unit!r} on the left "
                                  f"but {rspec.unit!r} on the right")
     merged_right = [rf for lf, rf in on if lf == rf]
     kept_right = tuple(s for s in sch2 if s.name not in merged_right)

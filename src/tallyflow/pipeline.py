@@ -105,6 +105,14 @@ def _flag(nd: dict, key: str) -> bool:
     return value
 
 
+def _names(value, key: str) -> tuple:
+    """A node entry's list of field names; one bare name is refused, not
+    read letter by letter."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(n, str) for n in value)):
+        raise ValueError(f"{key} must be a list of names, not {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PartitionNode(Node):
     """Split on a predicate; optionally reshape rejects onto the error rail."""
@@ -176,7 +184,7 @@ class ProjectNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], tuple(nd["fields"]))
+        return cls(nd["name"], _names(nd["fields"], "fields"))
 
     def apply(self, ins: dict) -> dict:
         return {"out": lossless_project(ins["in"], self.fields)}
@@ -189,7 +197,11 @@ class RenameNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], dict(nd["map"]))
+        mapping = nd["map"]
+        if not (isinstance(mapping, dict)
+                and all(isinstance(n, str) for pair in mapping.items() for n in pair)):
+            raise ValueError(f"map must map names to names, not {mapping!r}")
+        return cls(nd["name"], dict(mapping))
 
     def apply(self, ins: dict) -> dict:
         return {"out": rename(ins["in"], self.mapping)}
@@ -225,6 +237,14 @@ class MapNode(Node):
     def __post_init__(self) -> None:
         if self.kind not in ("fmap", "emap"):
             raise ValueError(f"map kind must be fmap or emap, not {self.kind!r}")
+        for n in self.additions:
+            if not isinstance(n, str):
+                raise ValueError(f"map node {self.name!r}: an added field's name is "
+                                 f"text, not {n!r}")
+        for n, unit in (self.units or {}).items():
+            if unit is not None and not isinstance(unit, str):
+                raise ValueError(f"map node {self.name!r}: the unit of field {n!r} is "
+                                 f"text or absent, not {unit!r}")
         missing = [n for n in self.additions if n not in self.sems]
         if missing:
             raise ValueError(f"map node {self.name!r} lacks sems for {missing}")
@@ -282,8 +302,11 @@ class JoinNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
+        keys = nd.get("keys", [])
+        if not isinstance(keys, (list, tuple)):
+            raise ValueError(f"keys must be a list of [left, right] pairs, not {keys!r}")
         pairs = []
-        for p in nd.get("keys", ()):
+        for p in keys:
             if not (isinstance(p, (list, tuple)) and len(p) == 2
                     and all(isinstance(c, str) for c in p)):
                 raise ValueError(f"a join key is a [left, right] pair of names, not {p!r}")
@@ -305,8 +328,11 @@ class AggregateNode(Node):
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
-        specs = tuple(AggSpec(s["field"], s["op"]) for s in nd.get("specs", ()))
-        return cls(nd["name"], tuple(nd.get("by", ())), specs)
+        specs = nd.get("specs", [])
+        if not (isinstance(specs, (list, tuple)) and all(isinstance(s, dict) for s in specs)):
+            raise ValueError(f"specs must be a list of {{field, op}} entries, not {specs!r}")
+        return cls(nd["name"], _names(nd.get("by", []), "by"),
+                   tuple(AggSpec(s["field"], s["op"]) for s in specs))
 
     def apply(self, ins: dict) -> dict:
         return {"out": aggregate(ins["in"], self.group_by, self.specs)}

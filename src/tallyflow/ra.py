@@ -61,7 +61,6 @@ from .pipeline import (
     PipelineGraph,
     ProjectNode,
     RenameNode,
-    StripTagsNode,
     TaggedUnionNode,
     TeeNode,
 )
@@ -312,7 +311,7 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
 # -- translation to a pipeline graph -----------------------------------
 
 class _Translator:
-    """Compiles one query into self.g.
+    """Compiles one query into self.g; the answer keeps its path tags.
 
     stage() is the one place a compiled stage is added and wired.  Every
     build step builds a node's operands before it names the node with
@@ -368,11 +367,11 @@ class _Translator:
         return f"{q}.accepted"
 
     def merge(self, a: str, b: str, slug: str, distinct: bool = False) -> str:
-        """Tagged union of two streams, deduplicated if distinct, tags stripped."""
+        """Tagged union of two streams, deduplicated if distinct; rows keep their tags."""
         out = f"{self.stage(TaggedUnionNode(self.fresh(slug)), a, b)}.out"
         if distinct:
             out = f"{self.stage(DedupNode(self.fresh('distinct')), out)}.out"
-        return f"{self.stage(StripTagsNode(self.fresh('untag')), out)}.out"
+        return out
 
     def pad(self, addr: str, specs) -> str:
         """Add each field of specs, missing for "no match"."""

@@ -668,6 +668,14 @@ def lookup_copy(tmp_path, fname: str, edit) -> str:
     return fixture_copy(tmp_path, "lookup", fname, edit)
 
 
+def priced_through(node: dict):
+    """An edit of the lookup pipeline that passes its priced rows through node."""
+    def edit(doc):
+        doc["nodes"].append({**node, "from": "valued.out"})
+        doc["sinks"]["priced"]["from"] = f"{node['name']}.out"
+    return edit
+
+
 # each entry: the fixture, the document edited, the edit, and the error
 # line after "run: "
 BAD_ENTRIES = {
@@ -738,6 +746,34 @@ BAD_ENTRIES = {
     "join flag as text": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(missing_matches="no"),
         "join node 'price_lookup': missing_matches must be true or false, not 'no'"),
+    "fmap unit a number": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(units={"value": 5}),
+        "fmap node 'valued': map node 'valued': the unit of field 'value' is text or "
+        "absent, not 5"),
+    "fmap added name a number": (
+        "lookup", "pipeline.yaml", lambda doc: (doc["nodes"][1]["add"].update({5: {"lit": "x"}}),
+                                                doc["nodes"][1]["sems"].update({5: "text"})),
+        "fmap node 'valued': map node 'valued': an added field's name is text, not 5"),
+    "rename to a number": (
+        "lookup", "pipeline.yaml",
+        priced_through({"op": "rename", "name": "relabel", "map": {"product": 5}}),
+        "rename node 'relabel': map must map names to names, not {'product': 5}"),
+    "project fields written as one name": (
+        "lookup", "pipeline.yaml",
+        priced_through({"op": "project", "name": "narrow", "fields": "order"}),
+        "project node 'narrow': fields must be a list of names, not 'order'"),
+    "aggregate keys written as one name": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][3].update(by="product"),
+        "aggregate node 'missing_summary': by must be a list of names, not 'product'"),
+    "aggregate spec not in a list": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["nodes"][3].update(specs={"field": "quantity", "op": "sum"}),
+        "aggregate node 'missing_summary': specs must be a list of {field, op} entries, "
+        "not {'field': 'quantity', 'op': 'sum'}"),
+    "join keys not in a list": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys="product"),
+        "join node 'price_lookup': keys must be a list of [left, right] pairs, "
+        "not 'product'"),
 }
 
 
@@ -976,26 +1012,27 @@ def mixed_key_lookup(tmp_path) -> str:
     return data
 
 
-def unlike_unit_key(tmp_path) -> str:
-    """Two tables joined on a decimal key k, in $ on the left and EUR on
-    the right: the join keeps one copy of k, so one unit would be lost."""
+def unlike_unit_key(tmp_path, left: str = "k", right: str = "k") -> str:
+    """Two tables joined on a decimal key, 10 $ on the left and 10 EUR on
+    the right: a decimal cell carries no unit, so the two would match, and
+    a same-named key would keep only the left unit."""
     data = tmp_path / "data"
     data.mkdir()
-    for name, unit in (("a", "$"), ("b", "EUR")):
-        (data / f"{name}.csv").write_text("k\n10\n", encoding="utf-8")
+    for name, key, unit in (("a", left, "$"), ("b", right, "EUR")):
+        (data / f"{name}.csv").write_text(f"{key}\n10\n", encoding="utf-8")
         (data / f"{name}.csv.yaml").write_text(yaml.safe_dump(
-            {"columns": [{"name": "k", "type": "decimal", "unit": unit}]}), encoding="utf-8")
+            {"columns": [{"name": key, "type": "decimal", "unit": unit}]}), encoding="utf-8")
     (data / "pipeline.yaml").write_text("""
 name: keys
 sources: {a: {file: a.csv}, b: {file: b.csv}}
 conservation: [{scheme: count}]
 nodes:
-  - {op: join, name: match, left: a, right: b, keys: [[k, k]]}
+  - {op: join, name: match, left: a, right: b, keys: KEYS}
 sinks:
   both: {from: match.inner}
   left_alone: {kind: error, from: match.left_only}
   right_alone: {kind: error, from: match.right_only}
-""", encoding="utf-8")
+""".replace("KEYS", f"[[{left}, {right}]]"), encoding="utf-8")
     return str(data)
 
 
@@ -1006,6 +1043,9 @@ JOIN_KEY_ERRORS = {
         "join key pair ('order', 'current_price') mixes integer with decimal"),
     "same-named key in two units": (
         unlike_unit_key, "match", "join key 'k' has unit '$' on the left but 'EUR' on the right"),
+    "differently named keys in two units": (
+        lambda tmp_path: unlike_unit_key(tmp_path, "p", "q"), "match",
+        "join key pair ('p', 'q') has unit '$' on the left but 'EUR' on the right"),
 }
 
 

@@ -207,6 +207,20 @@ def test_join_key_typing_is_strict():
         outer_join(a, b, [("ghost", "k")])
 
 
+def test_a_key_pair_declares_one_unit_unless_its_cells_carry_theirs():
+    # 10 $ would match a plain 10: a decimal cell carries no unit, so the
+    # pair is refused whatever its names; a quantity cell carries its unit
+    dollars = ingest(schema(FieldSpec("p", "decimal", "$")), [{"p": D("10")}])
+    bare = ingest(schema(FieldSpec("q", "decimal")), [{"q": D("10")}], 10)
+    with pytest.raises(SchemaMismatch, match=r"join key pair \('p', 'q'\) has unit '\$' "
+                                             r"on the left but None on the right"):
+        outer_join(dollars, bare, [("p", "q")])
+    kg = ingest(schema(FieldSpec("p", "quantity", "kg")), [{"p": Quantity(D("10"), "kg")}])
+    lb = ingest(schema(FieldSpec("q", "quantity")), [{"q": Quantity(D("10"), "lb")}], 10)
+    inner, left, right = outer_join(kg, lb, [("p", "q")])
+    assert not inner.rows and len(left.rows) == len(right.rows) == 1
+
+
 def test_cartesian_is_join_on_nothing():
     inner, left, right = outer_join(people(), jobs(), [])
     assert not left.rows and not right.rows

@@ -29,10 +29,12 @@ from tallyflow import (
     NumOf,
     OuterJoin,
     PartitionNode,
+    PathTag,
     Project,
     Quantity,
     Rename,
     Select,
+    StripTagsNode,
     Union,
     UnionAll,
     equivalence_check,
@@ -214,7 +216,7 @@ def test_outer_join_matches_reference():
     # one join: a row with a missing key leaves through its unmatched port
     nodes = translate(q, CATALOG).nodes.values()
     assert sum(isinstance(n, JoinNode) for n in nodes) == 1
-    assert not any(isinstance(n, PartitionNode) for n in nodes)
+    assert not any(isinstance(n, (PartitionNode, StripTagsNode)) for n in nodes)
 
 
 def test_outer_join_pads_with_missing():
@@ -231,8 +233,15 @@ def test_union_dedups_and_union_all_does_not():
     doubled = Union(BaseRelation("items"), BaseRelation("items"))
     v = check(doubled)
     assert v.got_rows == 4
-    v2 = check(UnionAll(BaseRelation("items"), BaseRelation("items")))
+    both = UnionAll(BaseRelation("items"), BaseRelation("items"))
+    v2 = check(both)
     assert v2.got_rows == 8
+    # no stage pops a path tag: each answer row keeps the side it came in on
+    graphs = [translate(q, CATALOG) for q in (doubled, both)]
+    assert not any(isinstance(n, StripTagsNode) for g in graphs for n in g.nodes.values())
+    rows = graphs[1].run({"items": items()}).sinks["result"].rows
+    assert [(r.pids, r.tags) for r in rows] == [
+        (rec.pids, (PathTag(side),)) for side in ("inl", "inr") for rec in items().rows]
 
 
 def test_minus_and_intersect_match_reference():
@@ -391,7 +400,7 @@ def _graph_document(g) -> dict:
 
 
 # sha256 of the compiled graphs of make_case(seed, i), seeds 0 and 1, i < 300
-COMPILED_GRAPHS_DIGEST = "81d35d832c866689639e270c7562cad185e57b4486757de1975594292423c892"
+COMPILED_GRAPHS_DIGEST = "ea2917948f42210fabed3f3b7bc7d6ed6dfb04fe89de60f3ab8275c1a07f9380"
 
 
 def test_compiled_graphs_match_their_pinned_digest():

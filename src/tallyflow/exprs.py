@@ -383,6 +383,8 @@ def decode_value(doc: object) -> FieldValue:
         if key == "missing":
             return Missing(str(body))
         if key == "qty":
+            if not (isinstance(body, (list, tuple)) and len(body) == 2):
+                raise ValueError(f"qty must be an [amount, unit] list, not {body!r}")
             amount, unit = body
             return Quantity(dec4(str(amount)), str(unit))
         if key == "dec":
@@ -408,21 +410,33 @@ def encode_pred(p: Pred) -> dict:
     raise TypeError(f"not a predicate: {p!r}")
 
 
+def _name(value, key: str) -> str:
+    """A predicate document's field name; a number is refused, not read as text."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a name, not {value!r}")
+    return value
+
+
 def decode_pred(doc: dict) -> Pred:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"bad predicate document: {doc!r}")
     key, body = next(iter(doc.items()))
     if key == "always":
-        return Always(bool(body))
+        if not isinstance(body, bool):  # "false" is text, and bool("false") is True
+            raise ValueError(f"always must be true or false, not {body!r}")
+        return Always(body)
     if key == "defined":
-        return FieldDefined(str(body))
+        return FieldDefined(_name(body, "defined"))
     if key == "cmp":
         op = body["op"]
         if op not in _OPS:
             raise ValueError(f"unknown comparison {op!r}")
-        return Compare(op, body["field"], decode_value(body["value"]))
+        return Compare(op, _name(body["field"], "field"), decode_value(body["value"]))
     if key == "in":
-        return InSet(body["field"], tuple(decode_value(v) for v in body["values"]))
+        values = body["values"]
+        if not isinstance(values, (list, tuple)):  # a bare name would be read letter by letter
+            raise ValueError(f"in values must be a list, not {values!r}")
+        return InSet(_name(body["field"], "field"), tuple(decode_value(v) for v in values))
     if key == "not":
         return Not(decode_pred(body))
     if key == "all":

@@ -15,7 +15,7 @@ from decimal import Decimal
 from random import Random
 
 from .errors import TallyError
-from .ops import AGG_OPS, AggSpec, join_schema, rename_schema
+from .ops import AGG_OPS, AggSpec, aggregate_schema, join_schema, rename_schema
 from .ra import (
     Aggregate,
     BaseRelation,
@@ -67,6 +67,15 @@ _SEMS = ("integer", "decimal", "text", "quantity")
 MAX_ROWS = 50
 SMALL_ROWS = 10
 MAX_DEPTH = 4
+
+
+def _types(rule, *args) -> bool:
+    """Whether an ops schema rule accepts args."""
+    try:
+        rule(*args)
+    except TallyError:
+        return False
+    return True
 
 
 class _Gen:
@@ -240,14 +249,8 @@ class _Gen:
             right, mapping = self.b_renamed(depth - 1)
             # every key pair that ops.join_schema, the typer's one rule for them, accepts
             sch_r = rename_schema(self.sch_b, mapping)
-            pairs = []
-            for s in self.sch_a:
-                for new in mapping.values():
-                    try:
-                        join_schema(self.sch_a, sch_r, ((s.name, new),))
-                    except TallyError:
-                        continue
-                    pairs.append((s.name, new))
+            pairs = [(s.name, new) for s in self.sch_a for new in mapping.values()
+                     if _types(join_schema, self.sch_a, sch_r, ((s.name, new),))]
             take = r.sample(pairs, min(len(pairs), r.randint(1, 2)))
             return OuterJoin(left, right, tuple(take))
         if kind in (Union, UnionAll, Minus, Intersect):
@@ -264,37 +267,18 @@ class _Gen:
         raise ValueError(f"unknown kind {kind!r}")
 
     def _aggregate_over(self, sub: RAExpr) -> RAExpr:
+        """An aggregate whose specs and group keys ops.aggregate_schema accepts."""
         r = self.rng
         sch = self._sch(sub)
-        if any(s.name == "count" for s in sch):
+        if any(s.name == "count" for s in sch):  # aggregate_schema refuses any input count
             sub = Rename(sub, (("count", self.fresh("rn")),))
             sch = self._sch(sub)
-        names = set(field_names(sch))
-        candidates = []
-        for s in sch:
-            for op in AGG_OPS:
-                if op == "set":
-                    ok = s.sem in ("integer", "text")
-                else:
-                    ok = s.sem in ("integer", "decimal", "quantity")
-                if not ok or f"{s.name}_{op}" in names:
-                    continue
-                if s.sem == "quantity" and f"{s.name}_unit" in names:
-                    continue
-                candidates.append(AggSpec(s.name, op))
-        specs = []
-        taken = set()
-        for spec in r.sample(candidates, min(len(candidates), r.randint(0, 2))):
-            label = f"{spec.field}_{spec.op}"
-            if label in taken:
-                continue
-            taken.add(label)
-            specs.append(spec)
-        spec_fields = {s.field for s in specs}
-        pool = [n for n in field_names(sch)
-                if n not in {f"{f}_unit" for f in spec_fields}]
+        candidates = [spec for spec in (AggSpec(s.name, op) for s in sch for op in AGG_OPS)
+                      if _types(aggregate_schema, sch, (), (spec,))]
+        specs = tuple(r.sample(candidates, min(len(candidates), r.randint(0, 2))))
+        pool = [n for n in field_names(sch) if _types(aggregate_schema, sch, (n,), specs)]
         group_by = r.sample(pool, min(len(pool), r.randint(0, 2)))
-        return Aggregate(sub, tuple(group_by), tuple(specs))
+        return Aggregate(sub, tuple(group_by), specs)
 
     def _sch(self, sub: RAExpr):
         return infer_schema(sub, {n: t.schema for n, t in self.tables.items()})

@@ -134,6 +134,8 @@ def strip_tags(rel: Relation) -> Relation:
 def project_schema(sch: Schema, fields) -> Schema:
     """Output schema of lossless_project(): the named fields, in that order."""
     keep = tuple(fields)
+    if not keep:
+        raise SchemaMismatch("projection keeps no fields")
     for n in keep:
         schema_field(sch, n)  # raises UnknownField
     if len(set(keep)) != len(keep):

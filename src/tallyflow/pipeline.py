@@ -113,6 +113,17 @@ def _names(value, key: str) -> tuple:
     return tuple(value)
 
 
+def _mapping(nd: dict, key: str, shape: str) -> dict:
+    """A node entry's mapping, empty when absent; a list is refused, not
+    read pair by pair."""
+    value = nd.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must map {shape}, not {value!r}")
+    return dict(value)
+
+
 @dataclass(frozen=True)
 class PartitionNode(Node):
     """Split on a predicate; optionally reshape rejects onto the error rail."""
@@ -261,9 +272,9 @@ class MapNode(Node):
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
         additions = {k: decode_expr(v) for k, v in nd["add"].items()}
-        units = dict(nd["units"]) if nd.get("units") else None
-        return cls(nd["name"], additions, dict(nd.get("sems") or {}),
-                   kind=nd["op"], units=units)
+        sems = _mapping(nd, "sems", "each added field to its type")
+        units = _mapping(nd, "units", "each added field to its unit") or None
+        return cls(nd["name"], additions, sems, kind=nd["op"], units=units)
 
     def apply(self, ins: dict) -> dict:
         rel = ins["in"]

@@ -41,7 +41,6 @@ from .exprs import (
 )
 from .monoid import Kind, MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
 from .ops import (
-    AGG_OPS,
     AggSpec,
     aggregate_schema,
     join_schema,
@@ -241,10 +240,7 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
             fail(f"base relation {expr.name!r} has a tagged-sum schema")
 
     elif isinstance(expr, Project):
-        sch = child("of", expr.of)
-        if not expr.fields:
-            fail("projection keeps no fields")
-        out = rule(project_schema, sch, expr.fields)
+        out = rule(project_schema, child("of", expr.of), expr.fields)
 
     elif isinstance(expr, Select):
         out = child("of", expr.of)
@@ -287,7 +283,7 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
     elif isinstance(expr, Aggregate):
         sch = child("of", expr.of)
         for spec in expr.specs:
-            if not isinstance(spec, AggSpec) or spec.op not in AGG_OPS:
+            if not isinstance(spec, AggSpec):
                 fail(f"bad aggregation spec {spec!r}")
         out = rule(aggregate_schema, sch, expr.group_by, expr.specs)
 
@@ -433,12 +429,14 @@ class _Translator:
         raise ExprTypeError(f"not a query node: {expr!r}")
 
     def _build_natural(self, expr: NaturalJoin) -> str:
+        # a row with a missing key matches nothing, so it leaves through
+        # its side's unmatched port, as in the outer join
         ls, rs = self.schemas[id(expr.left)], self.schemas[id(expr.right)]
         rnames = set(field_names(rs))
         shared = [s.name for s in ls if s.name in rnames]
         l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        lq, rq = self.require(l_addr, shared), self.require(r_addr, shared)
-        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)), lq, rq)
+        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)),
+                       l_addr, r_addr)
         self.drain_mark(f"{j}.left_only", "unmatched", "no match")
         self.drain_mark(f"{j}.right_only", "unmatched", "no match")
         return f"{j}.inner"

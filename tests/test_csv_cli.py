@@ -774,7 +774,27 @@ BAD_ENTRIES = {
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys="product"),
         "join node 'price_lookup': keys must be a list of [left, right] pairs, "
         "not 'product'"),
+    "partition set written as one value": (
+        "ship", "pipeline.yaml",
+        lambda doc: doc["nodes"][26]["when"]["not"]["in"].update(values="person"),
+        "partition node 'wt_mass': in values must be a list, not 'person'"),
+    "partition always as text": (
+        "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(when={"always": "false"}),
+        "partition node 'iv_by_insurance': always must be true or false, not 'false'"),
+    "fmap sems not a mapping": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(sems=["value"]),
+        "fmap node 'valued': sems must map each added field to its type, not ['value']"),
+    "fmap units not a mapping": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(units=["value"]),
+        "fmap node 'valued': units must map each added field to its unit, not ['value']"),
+    "project that keeps no fields": (
+        "lookup", "pipeline.yaml",
+        priced_through({"op": "project", "name": "narrow", "fields": []}),
+        "SchemaMismatch at narrow: projection keeps no fields"),
 }
+# entries that build and are refused by the graph's validation: check
+# prints each violation line on stdout, with no "check: " prefix
+CAUGHT_BY_VALIDATION = {"project that keeps no fields"}
 
 
 @pytest.mark.parametrize("case", list(BAD_ENTRIES))
@@ -787,7 +807,10 @@ def test_bad_document_entries_exit_2_naming_the_entry(tmp_path, capsys, case):
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"run: {message}\n"
     assert main(["check", pipeline, "--data", data]) == 2
-    assert capsys.readouterr().err == f"check: {message}\n"
+    if case in CAUGHT_BY_VALIDATION:
+        assert capsys.readouterr() == (f"{message}\n", "")
+    else:
+        assert capsys.readouterr().err == f"check: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

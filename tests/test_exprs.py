@@ -245,3 +245,15 @@ def test_bad_documents_are_refused():
         decode_expr({"div": [1, 2]})
     with pytest.raises(ValueError):
         decode_pred({"cmp": {"op": "like", "field": "x", "value": 1}})
+    # a wrong shape is refused, not read letter by letter or as text's truth
+    for doc in ({"in": {"field": "u", "values": "person"}},
+                {"always": "false"},
+                {"always": 0},
+                {"defined": 5},
+                {"cmp": {"op": "eq", "field": 5, "value": 1}},
+                {"in": {"field": 5, "values": [1]}}):
+        with pytest.raises(ValueError):
+            decode_pred(doc)
+    for doc in ({"qty": "5g"}, {"qty": ["5"]}, {"qty": ["5", "g", "x"]}):
+        with pytest.raises(ValueError):
+            decode_value(doc)

@@ -35,6 +35,7 @@ from tallyflow import (
     Rename,
     Select,
     StripTagsNode,
+    TeeNode,
     Union,
     UnionAll,
     equivalence_check,
@@ -44,6 +45,7 @@ from tallyflow import (
     make_case,
     reference_eval,
     schema,
+    schema_field,
     translate,
 )
 from tallyflow.fuzz import OPERATOR_KINDS
@@ -193,9 +195,24 @@ def test_natural_join_matches_reference():
 def test_missing_keys_never_join():
     # the cat row's commodity is missing; it must not match anything,
     # it must land on the error side instead
-    res = reference_eval(
-        NaturalJoin(BaseRelation("items"), BaseRelation("quotes")), inputs())
+    q = NaturalJoin(BaseRelation("items"), BaseRelation("quotes"))
+    res = reference_eval(q, inputs())
     assert all(r.fields["name"] != "cat" for r in res.rows)
+    # compiled, it leaves through the join's left unmatched port: no
+    # partition screens the keys first
+    g = translate(q, CATALOG)
+    assert not any(isinstance(n, PartitionNode) for n in g.nodes.values())
+    (join,) = (n for n in g.nodes.values() if isinstance(n, JoinNode))
+    feeds = {str(w.src): w.dst.owner for w in g.wires}
+    left_drain = feeds[f"{feeds[f'{join.name}.left_only']}.out"]
+    sinks = g.run(inputs()).sinks
+    cats = [(name, r) for name, rel in sinks.items() for r in rel.rows
+            if r.fields["name"] == "cat"]
+    assert [name for name, _ in cats] == [left_drain]
+    cat = cats[0][1]
+    assert cat.fields["error_reason"] == "no match"
+    assert cat.fields["commodity"] == Missing("empty")
+    check(q)
 
 
 def test_outer_join_matches_reference():
@@ -372,6 +389,41 @@ def test_translation_reports_every_input_pid_somewhere():
 
 
 
+def _stages(expr) -> int:
+    """Stages compiled for expr over CATALOG, not counting tees."""
+    g = translate(expr, CATALOG)
+    return sum(not isinstance(n, TeeNode) for n in g.nodes.values())
+
+
+DISJOINT_QUOTES = Rename(BaseRelation("quotes"), (("commodity", "c"), ("price", "p")))
+
+
+# each operator over base relations, and the stages it compiles to of its own
+OWN_STAGES = [
+    (Select(BaseRelation("items"), FieldDefined("commodity")), 1),
+    (Project(BaseRelation("items"), ("name",)), 1),
+    (Rename(BaseRelation("quotes"), (("price", "usd"),)), 1),
+    (CrossProduct(BaseRelation("items"), DISJOINT_QUOTES), 3),
+    (NaturalJoin(BaseRelation("items"), BaseRelation("quotes")), 3),
+    (OuterJoin(BaseRelation("items"), BaseRelation("quotes"),
+               (("commodity", "commodity"),)), 6),
+    (Union(BaseRelation("items"), BaseRelation("items")), 2),
+    (UnionAll(BaseRelation("items"), BaseRelation("items")), 1),
+    (Minus(BaseRelation("items"), BaseRelation("items")), 5),
+    (Intersect(BaseRelation("items"), BaseRelation("items")), 5),
+    (Aggregate(BaseRelation("items"), ("commodity",), (AggSpec("qty", "sum"),)), 2),
+    (Map(BaseRelation("quotes"), (("double", BinOp("mul", NumOf(Col("price")), Lit(2))),)), 1),
+]
+
+
+@pytest.mark.parametrize("expr, own", OWN_STAGES,
+                         ids=[type(expr).__name__ for expr, _ in OWN_STAGES])
+def test_each_operator_compiles_to_its_own_stages(expr, own):
+    # a natural join is one join and its two unmatched drains, as its
+    # missing keys leave through the unmatched ports
+    assert _stages(expr) - sum(_stages(c) for _, c in _children(expr)) == own
+
+
 def _canonical(value):
     """JSON data for a compiled parameter; no repr, so no text that a
     Python version could print differently."""
@@ -400,7 +452,7 @@ def _graph_document(g) -> dict:
 
 
 # sha256 of the compiled graphs of make_case(seed, i), seeds 0 and 1, i < 300
-COMPILED_GRAPHS_DIGEST = "ea2917948f42210fabed3f3b7bc7d6ed6dfb04fe89de60f3ab8275c1a07f9380"
+COMPILED_GRAPHS_DIGEST = "a1e25e18550e701e05d26fb6d856faa4eaeaac7b29e0ae2937ab84c0c52a6c67"
 
 
 def test_compiled_graphs_match_their_pinned_digest():
@@ -448,6 +500,33 @@ def test_generated_fuzz_rows_match_their_pinned_digest():
                                            for rec in rel.rows]]
                 digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == GENERATED_ROWS_DIGEST
+
+
+def _aggregates(expr):
+    if isinstance(expr, Aggregate):
+        yield expr
+    for _, child in _children(expr):
+        yield from _aggregates(child)
+
+
+def test_the_generator_draws_aggregates_by_asking_ops():
+    # aggregate_schema accepts a spec on a quantity f beside an input
+    # column f_unit that is not a group key, so a generator that asks it
+    # draws such aggregates too
+    def first():
+        for seed in range(10):
+            for i in range(1000):
+                expr, tables = make_case(seed, i)
+                catalog = {name: t.schema for name, t in tables.items()}
+                for agg in _aggregates(expr):
+                    sch = infer_schema(agg.of, catalog)
+                    if any(schema_field(sch, s.field).sem == "quantity"
+                           and f"{s.field}_unit" in field_names(sch) for s in agg.specs):
+                        return seed, i
+        return None
+
+    assert first() == (0, 202)
+    assert equivalence_check(*make_case(0, 202)).ok
 
 
 def _ast_nodes(expr) -> int:

@@ -46,7 +46,6 @@ from .relation import (
     Record,
     Relation,
     Schema,
-    SumSchema,
     empty,
     error_schema,
     field_names,

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .monoid import MonoidElement, fold_payloads, fuse
-from .relation import ERROR_REASON, ERROR_STAGE
+from .relation import ERROR_REASON, ERROR_STAGE, REPORT
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Quantity
-
-REPORT = "report"
 
 
 def measure_carriers(graph, spec) -> dict:

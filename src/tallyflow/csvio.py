@@ -32,7 +32,6 @@ from .relation import (
     Record,
     Relation,
     Schema,
-    SumSchema,
     error_schema,
     field_names,
     schema,
@@ -258,8 +257,6 @@ def render_cell(v) -> str:
 
 def write_csv(path: str, rel: Relation) -> None:
     """Emit a relation deterministically; whole-file replace, never partial."""
-    if isinstance(rel.schema, SumSchema):
-        raise SchemaMismatch("cannot write a tagged-sum relation to CSV")
     names = list(field_names(rel.schema))
     _atomic_write(path, _csv_text(names, rel))
 

@@ -16,9 +16,9 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import FnNotTotal, UnknownField
+from .errors import FnNotTotal
 from .monoid import Kind, MonoidElement
-from .relation import SumSchema, field_names, has_field, schema_field
+from .relation import schema_field
 from .values import FieldValue, Missing, Quantity, cell_key, dec4
 
 # -- predicate AST ------------------------------------------------------
@@ -140,16 +140,6 @@ def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) ->
     return Truth.false(f"{field} {op} {right} failed for {left}")
 
 
-def _resolve(sch, name: str) -> str:
-    """name, once sch (each branch of a tagged sum) is known to declare it."""
-    if isinstance(sch, SumSchema):
-        _resolve(sch.left, name)
-        _resolve(sch.right, name)
-    elif not has_field(sch, name):
-        raise UnknownField(f"no field {name!r} in schema {field_names(sch)}")
-    return name
-
-
 def compile_pred(p: Pred, sch):
     """p as a closure from a row's fields dict to its Truth.
 
@@ -160,7 +150,7 @@ def compile_pred(p: Pred, sch):
         t = _TRUE if p.value else Truth.false("always false")
         return lambda row: t
     if isinstance(p, (FieldDefined, Compare, InSet)):
-        name = _resolve(sch, p.field)
+        name = schema_field(sch, p.field).name
         if isinstance(p, FieldDefined):
             def defined(row):
                 v = row[name]
@@ -371,6 +361,13 @@ def encode_value(v: FieldValue) -> object:
     raise TypeError(f"cannot encode {v!r}")
 
 
+def _text(value, key: str, shape: str = "a name") -> str:
+    """A document's name or text; a number or a list is refused, not read as text."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be {shape}, not {value!r}")
+    return value
+
+
 def decode_value(doc: object) -> FieldValue:
     if isinstance(doc, bool):
         raise ValueError("boolean literals are not field values")
@@ -381,12 +378,12 @@ def decode_value(doc: object) -> FieldValue:
     if isinstance(doc, dict) and len(doc) == 1:
         key, body = next(iter(doc.items()))
         if key == "missing":
-            return Missing(str(body))
+            return Missing(_text(body, "missing reason", "text"))
         if key == "qty":
             if not (isinstance(body, (list, tuple)) and len(body) == 2):
                 raise ValueError(f"qty must be an [amount, unit] list, not {body!r}")
             amount, unit = body
-            return Quantity(dec4(str(amount)), str(unit))
+            return Quantity(dec4(str(amount)), _text(unit, "qty unit", "text"))
         if key == "dec":
             return dec4(str(body))
     raise ValueError(f"cannot decode value {doc!r}")
@@ -410,13 +407,6 @@ def encode_pred(p: Pred) -> dict:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _name(value, key: str) -> str:
-    """A predicate document's field name; a number is refused, not read as text."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a name, not {value!r}")
-    return value
-
-
 def decode_pred(doc: dict) -> Pred:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError(f"bad predicate document: {doc!r}")
@@ -426,17 +416,17 @@ def decode_pred(doc: dict) -> Pred:
             raise ValueError(f"always must be true or false, not {body!r}")
         return Always(body)
     if key == "defined":
-        return FieldDefined(_name(body, "defined"))
+        return FieldDefined(_text(body, "defined"))
     if key == "cmp":
         op = body["op"]
         if op not in _OPS:
             raise ValueError(f"unknown comparison {op!r}")
-        return Compare(op, _name(body["field"], "field"), decode_value(body["value"]))
+        return Compare(op, _text(body["field"], "field"), decode_value(body["value"]))
     if key == "in":
         values = body["values"]
         if not isinstance(values, (list, tuple)):  # a bare name would be read letter by letter
             raise ValueError(f"in values must be a list, not {values!r}")
-        return InSet(_name(body["field"], "field"), tuple(decode_value(v) for v in values))
+        return InSet(_text(body["field"], "field"), tuple(decode_value(v) for v in values))
     if key == "not":
         return Not(decode_pred(body))
     if key == "all":
@@ -465,7 +455,7 @@ def decode_expr(doc: object) -> Expr:
         raise ValueError(f"bad expression document: {doc!r}")
     key, body = next(iter(doc.items()))
     if key == "col":
-        return Col(str(body))
+        return Col(_text(body, "col"))
     if key == "lit":
         return Lit(decode_value(body))
     if key == "num":
@@ -473,6 +463,8 @@ def decode_expr(doc: object) -> Expr:
     if key == "unit_of":
         return UnitOf(decode_expr(body))
     if key in ("add", "sub", "mul"):
+        if not (isinstance(body, (list, tuple)) and len(body) == 2):
+            raise ValueError(f"{key} must be a [left, right] list, not {body!r}")
         left, right = body
         return BinOp(key, decode_expr(left), decode_expr(right))
     raise ValueError(f"unknown expression form {key!r}")

@@ -32,7 +32,6 @@ from .relation import (
     Record,
     Relation,
     Schema,
-    SumSchema,
     error_schema,
     field_names,
     has_field,
@@ -41,12 +40,6 @@ from .relation import (
     schema_field,
 )
 from .values import Missing, Quantity, cell_key
-
-
-def _plain_schema(rel: Relation, op: str) -> Schema:
-    if isinstance(rel.schema, SumSchema):
-        raise SchemaMismatch(f"{op} requires a plain (untagged-sum) schema")
-    return rel.schema
 
 
 # -- partitioning -------------------------------------------------------
@@ -72,61 +65,62 @@ def partition_detailed(rel: Relation, pred: Pred):
 
 def as_errors(rel: Relation, stage: str, reasons) -> Relation:
     """Reshape rows onto the error rail, stamping stage and reason columns."""
-    base = _plain_schema(rel, "as_errors")
     if isinstance(reasons, str):
         reasons = [reasons] * len(rel.rows)
     if len(reasons) != len(rel.rows):
         raise ValueError("reasons must align with rows")
     out = tuple(Record(rec.pids, {**rec.fields, ERROR_STAGE: stage, ERROR_REASON: reason},
                        rec.irrelevant, rec.tags) for rec, reason in zip(rel.rows, reasons))
-    return Relation(error_schema(base), out)
+    return Relation(error_schema(rel.schema), out)
 
 
 # -- tagged unions ------------------------------------------------------
 
-def tagged_union(r1: Relation, r2: Relation) -> Relation:
-    """Concatenate two relations, tagging rows with the side they came from.
+def _show_schema(sch: Schema) -> str:
+    return "(" + ", ".join(f"{s.name} {s.sem}" + (f" in {s.unit}" if s.unit else "")
+                           for s in sch) + ")"
 
-    A tag records only the side; untag() reads it and strip_tags() drops
-    it.  Like schemas yield a plain schema; unlike schemas yield a sum of
-    the two, and untag() is the exact inverse either way.
+
+def union_schema(sch1: Schema, sch2: Schema) -> Schema:
+    """Output schema of tagged_union(): the one schema both sides share."""
+    if sch1 != sch2:
+        raise SchemaMismatch(f"the two sides need one schema, but the left is "
+                             f"{_show_schema(sch1)} and the right is {_show_schema(sch2)}")
+    return sch1
+
+
+def tagged_union(r1: Relation, r2: Relation) -> Relation:
+    """Concatenate two relations of one schema, tagging rows with their side.
+
+    A tag records only the side; untag() reads it and is the exact inverse,
+    and strip_tags() drops it.
     """
+    sch = union_schema(r1.schema, r2.schema)
     tag_l, tag_r = PathTag("inl"), PathTag("inr")
     rows = [Record(rec.pids, rec.fields, rec.irrelevant, rec.tags + (tag,))
             for rel, tag in ((r1, tag_l), (r2, tag_r)) for rec in rel.rows]
-    out_schema = r1.schema if r1.schema == r2.schema else SumSchema(r1.schema, r2.schema)
-    return Relation(out_schema, tuple(rows))
+    return Relation(sch, tuple(rows))
+
+
+def _popped(rel: Relation):
+    """(side, row without its outermost tag) for each of rel's rows."""
+    for rec in rel.rows:
+        if not rec.tags:
+            raise UntagMissing("record has no tag to pop")
+        yield rec.tags[-1].side, Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1])
 
 
 def untag(rel: Relation):
     """Undo a tagged union exactly: split by the outermost tag and pop it."""
-    if isinstance(rel.schema, SumSchema):
-        sch_l, sch_r = rel.schema.left, rel.schema.right
-    else:
-        sch_l = sch_r = rel.schema
     left, right = [], []
-    for rec in rel.rows:
-        if not rec.tags:
-            raise UntagMissing("record has no tag to pop")
-        popped = Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1])
-        (left if rec.tags[-1].side == "inl" else right).append(popped)
-    return Relation(sch_l, tuple(left)), Relation(sch_r, tuple(right))
+    for side, rec in _popped(rel):
+        (left if side == "inl" else right).append(rec)
+    return Relation(rel.schema, tuple(left)), Relation(rel.schema, tuple(right))
 
 
 def strip_tags(rel: Relation) -> Relation:
     """Pop the outermost tag from every row, keeping them in one relation."""
-    if isinstance(rel.schema, SumSchema):
-        if rel.schema.left != rel.schema.right:
-            raise SchemaMismatch("cannot strip tags across unlike branch schemas")
-        sch = rel.schema.left
-    else:
-        sch = rel.schema
-    rows = []
-    for rec in rel.rows:
-        if not rec.tags:
-            raise UntagMissing("record has no tag to pop")
-        rows.append(Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1]))
-    return Relation(sch, tuple(rows))
+    return Relation(rel.schema, tuple(rec for _, rec in _popped(rel)))
 
 
 # -- projection, rename, dedup -----------------------------------------
@@ -161,7 +155,7 @@ def lossless_project(rel: Relation, fields) -> Relation:
     Nothing is deleted: sliced-off fields move into each record's
     irrelevant parts, still keyed by the record's pids.
     """
-    sch = _plain_schema(rel, "lossless_project")
+    sch = rel.schema
     new_schema = project_schema(sch, fields)
     keep = field_names(new_schema)
     drop = tuple(n for n in field_names(sch) if n not in keep)
@@ -178,7 +172,7 @@ def lossless_project(rel: Relation, fields) -> Relation:
 
 def rename(rel: Relation, mapping: dict) -> Relation:
     """Rename fields; partial maps allowed, collisions refused."""
-    new_schema = rename_schema(_plain_schema(rel, "rename"), mapping)
+    new_schema = rename_schema(rel.schema, mapping)
     rows = []
     for rec in rel.rows:
         fields = {mapping.get(n, n): v for n, v in rec.fields.items()}
@@ -193,7 +187,7 @@ def dedup(rel: Relation) -> Relation:
     pids, and every irrelevant payload, so the relation's (field, value,
     pid) content is unchanged; only row multiplicity collapses.
     """
-    sch = _plain_schema(rel, "dedup")
+    sch = rel.schema
     names = field_names(sch)
     groups: dict = {}  # relevant-field key -> members, in first-seen order
     for rec in rel.rows:
@@ -250,8 +244,7 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     Same-named join pairs keep a single copy of the column; other name
     collisions are refused.
     """
-    sch1 = _plain_schema(r1, "outer_join")
-    sch2 = _plain_schema(r2, "outer_join")
+    sch1, sch2 = r1.schema, r2.schema
     pairs = [(lf, rf) for lf, rf in on]
     inner_schema = join_schema(sch1, sch2, pairs)
     kept_right = inner_schema[len(sch1):]
@@ -307,7 +300,7 @@ def fmap(rel: Relation, additions: dict, sems: dict,
     must be the sem that sems declares for it, so a mismatch is refused
     before any row moves and no computed cell is checked.
     """
-    sch = _plain_schema(rel, "fmap")
+    sch = rel.schema
     for name in additions:
         if has_field(sch, name):
             raise ForbiddenFieldWrite(f"fmap may only add fields, {name!r} exists")
@@ -414,7 +407,7 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
     `<field>_unit` key column appears), so unlike units never mix.
     Missing cells contribute nothing to a summary but still count as rows.
     """
-    sch = _plain_schema(rel, "aggregate")
+    sch = rel.schema
     keys = tuple(group_by)
     specs = tuple(specs)
     out_schema, qty_fields = _agg_plan(sch, keys, specs)

@@ -37,20 +37,18 @@ from .ops import (
 )
 from .ops import fmap as ops_fmap
 from .relation import (
+    ERROR,
     ERROR_REASON,
     ERROR_STAGE,
+    REPORT,
     SEM_TYPES,
     Relation,
     Schema,
-    SumSchema,
     check_rows,
     empty,
     has_field,
 )
 from .space import SCHEMES
-
-REPORT = "report"
-ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -279,8 +277,7 @@ class MapNode(Node):
     def apply(self, ins: dict) -> dict:
         rel = ins["in"]
         if self.kind == "emap":
-            if isinstance(rel.schema, SumSchema) or not (
-                    has_field(rel.schema, ERROR_STAGE) and has_field(rel.schema, ERROR_REASON)):
+            if not (has_field(rel.schema, ERROR_STAGE) and has_field(rel.schema, ERROR_REASON)):
                 raise SchemaMismatch(f"emap stage {self.name!r} needs error-rail input")
         return {"out": ops_fmap(rel, self.additions, self.sems, self.units)}
 
@@ -500,8 +497,6 @@ class PipelineGraph:
             raise ValueError(f"bad owner name {name!r}")
 
     def add_source(self, name: str, schema: Schema) -> None:
-        if isinstance(schema, SumSchema):
-            raise SchemaMismatch(f"source {name!r} needs a plain schema, not a tagged sum")
         self._claim(name)
         self.sources[name] = Source(name, schema)
 
@@ -656,8 +651,7 @@ class PipelineGraph:
         """Push empty relations through _apply to surface schema problems early.
 
         validate() dry-runs only a graph with no structural violation, so
-        every input port is fed by a source or by an earlier stage.  A sink
-        is written as one CSV table, so it must not receive a tagged sum.
+        every input port is fed by a source or by an earlier stage.
         """
         values = {PortRef(s.name, "out"): empty(s.schema) for s in self.sources.values()}
         incoming = self._incoming()
@@ -666,10 +660,7 @@ class PipelineGraph:
                 self._apply(name, values, incoming)
             except TallyError as exc:
                 return [Violation("SchemaMismatch", name, str(exc))]
-        return [Violation("SchemaMismatch", name, "a tagged-sum relation cannot be written "
-                          "to CSV; strip_tags or untag it first")
-                for name in self.sinks
-                if isinstance(values[incoming[PortRef(name, "in")]].schema, SumSchema)]
+        return []
 
     # -- execution ------------------------------------------------------
 

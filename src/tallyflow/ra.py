@@ -46,10 +46,9 @@ from .ops import (
     join_schema,
     project_schema,
     rename_schema,
+    union_schema,
 )
 from .pipeline import (
-    ERROR,
-    REPORT,
     AggregateNode,
     DedupNode,
     ErrorizeNode,
@@ -64,11 +63,12 @@ from .pipeline import (
     TeeNode,
 )
 from .relation import (
+    ERROR,
+    REPORT,
     FieldSpec,
     Record,
     Relation,
     Schema,
-    SumSchema,
     field_names,
     has_field,
     schema_field,
@@ -236,8 +236,6 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
         out = catalog.get(expr.name)
         if out is None:
             fail(f"unknown base relation {expr.name!r}")
-        if isinstance(out, SumSchema):
-            fail(f"base relation {expr.name!r} has a tagged-sum schema")
 
     elif isinstance(expr, Project):
         out = rule(project_schema, child("of", expr.of), expr.fields)
@@ -275,10 +273,7 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
         out = rule(join_schema, ls, rs, expr.on)
 
     elif isinstance(expr, (Union, UnionAll, Minus, Intersect)):
-        out = child("left", expr.left)
-        rs = child("right", expr.right)
-        if out != rs:
-            fail(f"operand schemas differ: {field_names(out)} vs {field_names(rs)}")
+        out = rule(union_schema, child("left", expr.left), child("right", expr.right))
 
     elif isinstance(expr, Aggregate):
         sch = child("of", expr.of)
@@ -831,21 +826,14 @@ def equivalence_check(expr: RAExpr, inputs: dict, graph: PipelineGraph | None = 
     cons = conservation_check(result.audit)
 
     if want != have:
-        for rec in expected.rows:
-            k = row_key(rec.fields)
-            if want[k] != have[k]:
-                detail = (f"row expected {want[k]}x but produced {have[k]}x: "
-                          f"{_show_row(rec.fields)}")
-                break
-        else:
-            for rec in got.rows:
-                k = row_key(rec.fields)
-                if want[k] != have[k]:
-                    detail = (f"row produced {have[k]}x but expected {want[k]}x: "
-                              f"{_show_row(rec.fields)}")
-                    break
-            else:
-                detail = "multisets differ"
+        # a key whose counts differ is held by an expected row, or else by a
+        # produced row, and then it was expected 0x
+        rec = next(r for r in expected.rows + got.rows
+                   if want[row_key(r.fields)] != have[row_key(r.fields)])
+        k = row_key(rec.fields)
+        detail = (f"row expected {want[k]}x but produced {have[k]}x" if want[k]
+                  else f"row produced {have[k]}x but expected 0x")
+        detail += f": {_show_row(rec.fields)}"
         return Verdict(False, detail, len(expected.rows), len(got.rows), cons.ok)
 
     if not cons.ok:

@@ -28,6 +28,9 @@ from .values import FieldValue, Missing, Quantity, cell_key
 
 SEM_TYPES = ("integer", "decimal", "text", "quantity", "summary")
 
+# the two sink kinds, and the columns the error rail adds to a schema
+REPORT = "report"
+ERROR = "error"
 ERROR_STAGE = "error_stage"
 ERROR_REASON = "error_reason"
 
@@ -48,14 +51,6 @@ class FieldSpec:
 
 
 Schema = tuple[FieldSpec, ...]
-
-
-@dataclass(frozen=True)
-class SumSchema:
-    """Schema of a tagged union whose branches kept different shapes."""
-
-    left: "Schema | SumSchema"
-    right: "Schema | SumSchema"
 
 
 def schema(*specs: FieldSpec) -> Schema:
@@ -174,7 +169,7 @@ def check_rows(sch: Schema, rows) -> None:
 class Relation:
     """An ordered multiset of records sharing one schema; rows are trusted."""
 
-    schema: "Schema | SumSchema"
+    schema: Schema
     rows: tuple[Record, ...] = ()
 
     def __post_init__(self) -> None:
@@ -198,7 +193,7 @@ class Relation:
         return pids, repeats
 
 
-def empty(sch: "Schema | SumSchema") -> Relation:
+def empty(sch: Schema) -> Relation:
     return Relation(sch, ())
 
 

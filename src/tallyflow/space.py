@@ -14,21 +14,20 @@ from typing import Callable
 
 from .errors import SchemaMismatch
 from .monoid import ZERO, Kind, MonoidElement, fold_payloads, signed_legs, unit_for
-from .relation import Record, Relation, Schema, SumSchema
+from .relation import Record, Relation, Schema
 from .values import FieldValue, Missing
 
 # the one list of conservation schemes, each with the sem of the field it reads
 SCHEMES = {"count": None, "sum": "decimal", "sum_by_unit": "quantity", "paccioli": "decimal"}
 
 
-def carries(sch: "Schema | SumSchema", scheme: str, fld: str | None) -> bool:
+def carries(sch: Schema, scheme: str, fld: str | None) -> bool:
     """Whether sch has fld with scheme's sem; a fieldless scheme reads any schema.
 
     Checked rows then hold that sem or Missing in fld: measures need no type test.
     """
     sem = SCHEMES[scheme]
-    return sem is None or (not isinstance(sch, SumSchema)
-                           and any(f.name == fld and f.sem == sem for f in sch))
+    return sem is None or any(f.name == fld and f.sem == sem for f in sch)
 
 
 @dataclass(frozen=True)

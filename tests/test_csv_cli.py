@@ -21,7 +21,7 @@ import yaml
 
 import tallyflow
 
-from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, SumSchema, schema
+from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, schema
 from tallyflow.audit import Check, ConservationReport, build_charges, measure_carriers
 from tallyflow.cli import main
 from tallyflow.csvio import (
@@ -431,13 +431,6 @@ def test_written_files_honour_the_umask(tmp_path):
     assert os.stat(tmp_path / "out.csv").st_mode & 0o777 == 0o666 & ~0o027
 
 
-def test_write_csv_refuses_tagged_sum_relations(tmp_path):
-    sch = schema(FieldSpec("n", "integer"))
-    rel = Relation(SumSchema(sch, sch), ())
-    with pytest.raises(SchemaMismatch, match="tagged-sum"):
-        write_csv(str(tmp_path / "out.csv"), rel)
-
-
 # -- command line: check ------------------------------------------------
 
 
@@ -486,13 +479,61 @@ conservation: [{scheme: count}]
 nodes: [{op: tagged_union, name: both, left: orders, right: products}]
 sinks: {everything: {kind: report, from: both.out}}
 """, encoding="utf-8")
-    line = ("SchemaMismatch at everything: a tagged-sum relation cannot be written "
-            "to CSV; strip_tags or untag it first")
+    # the union refuses two shapes before any later stage runs
+    line = ("SchemaMismatch at both: the two sides need one schema, but the left is "
+            "(order integer, product text, quantity quantity, unit text) and the right "
+            "is (product text, description text, current_price decimal in $)")
     assert main(["check", str(doc), "--data", str(data)]) == 2
     assert capsys.readouterr().out == line + "\n"
     assert main(["run", str(doc), "--data", str(data), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"run: {line}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_untag_splits_a_union_again_after_a_shared_stage(tmp_path, capsys):
+    # the orders split in two, meet again in a union, pass one partition
+    # together, and untag hands each side back its own rows
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("lookup"), data)
+    doc = data / "untag.yaml"
+    doc.write_text("""
+name: untag
+sources: {orders: {file: order_details.csv}}
+conservation: [{scheme: count}, {scheme: sum_by_unit, field: quantity}]
+nodes:
+  - {op: partition, name: late, from: orders, when: {cmp: {op: ge, field: order, value: 5}}}
+  - {op: tagged_union, name: both, left: late.accepted, right: late.rejected}
+  - op: partition
+    name: spelled
+    from: both.out
+    when: {not: {in: {field: product, values: [Nut oli]}}}
+    rejected_to_errors: true
+  - {op: untag, name: apart, from: spelled.accepted}
+sinks:
+  late_orders: {from: apart.left}
+  early_orders: {from: apart.right}
+  misspelled: {kind: error, from: spelled.rejected}
+""", encoding="utf-8")
+    assert main(["check", str(doc), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == "check: untag: graph is runnable (4 stages, 3 sinks)\n"
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--data", str(data), "--out", str(out)]) == 0
+    assert "conservation: balanced" in capsys.readouterr().out
+
+    def orders(sink):  # each order's number is its row's pid
+        with open(out / f"{sink}.csv", newline="", encoding="utf-8") as fh:
+            return [int(row["order"]) for row in csv.DictReader(fh)]
+    # orders 3, 5 and 8 misspell their product; the rest keep their side
+    assert orders("late_orders") == [6, 7]
+    assert orders("early_orders") == [1, 2, 4]
+    assert orders("misspelled") == [5, 8, 3]
+    # the audit's paths agree: each pid's route, from its side of late to its sink
+    paths = sorted((p["steps"][1][:2], p["steps"][-1][0], p["pids"])
+                   for p in json.loads((out / "audit.json").read_text(encoding="utf-8"))["paths"])
+    assert paths == [(["late", "accepted"], "late_orders", "6-7"),
+                     (["late", "accepted"], "misspelled", "5,8"),
+                     (["late", "rejected"], "early_orders", "1-2,4"),
+                     (["late", "rejected"], "misspelled", "3")]
 
 
 def test_check_rejects_malformed_documents(tmp_path, capsys):
@@ -787,6 +828,25 @@ BAD_ENTRIES = {
     "fmap units not a mapping": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(units=["value"]),
         "fmap node 'valued': units must map each added field to its unit, not ['value']"),
+    "fmap column named by a number": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["nodes"][1]["add"].update(value={"num": {"col": 5}}),
+        "fmap node 'valued': col must be a name, not 5"),
+    "fmap quantity unit a number": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
+            value={"mul": [{"num": {"col": "quantity"}}, {"num": {"lit": {"qty": [1, 5]}}}]}),
+        "fmap node 'valued': qty unit must be text, not 5"),
+    "fmap missing reason a list": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["nodes"][1]["add"].update(value={"lit": {"missing": [1]}}),
+        "fmap node 'valued': missing reason must be text, not [1]"),
+    "fmap arithmetic over text": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(value={"add": "ab"}),
+        "fmap node 'valued': add must be a [left, right] list, not 'ab'"),
+    "fmap arithmetic over one operand": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["nodes"][1]["add"].update(value={"sub": [{"col": "order"}]}),
+        "fmap node 'valued': sub must be a [left, right] list, not [{'col': 'order'}]"),
     "project that keeps no fields": (
         "lookup", "pipeline.yaml",
         priced_through({"op": "project", "name": "narrow", "fields": []}),

@@ -22,7 +22,6 @@ from tallyflow import (
     Not,
     NumOf,
     Quantity,
-    SumSchema,
     UnitOf,
     UnknownField,
     avg_of,
@@ -205,14 +204,6 @@ def test_num_reads_a_count_or_a_fold_of_some_values():
             num({"s": bad})
 
 
-def test_a_tagged_sum_must_declare_the_field_in_every_branch():
-    both = SumSchema((FieldSpec("i", "integer"), FieldSpec("t", "text")),
-                     (FieldSpec("t", "text"),))
-    assert compile_pred(FieldDefined("t"), both)({"t": "b"}).state == "t"
-    with pytest.raises(UnknownField, match="no field 'i' in schema \\('t',\\)"):
-        compile_pred(FieldDefined("i"), both)
-
-
 def test_describe_reads_like_a_sentence():
     assert describe(FieldDefined("m")) == "m is defined"
     assert describe(Not(InSet("u", ("a", "b")))) == "not (u in {a, b})"
@@ -254,6 +245,10 @@ def test_bad_documents_are_refused():
                 {"in": {"field": 5, "values": [1]}}):
         with pytest.raises(ValueError):
             decode_pred(doc)
-    for doc in ({"qty": "5g"}, {"qty": ["5"]}, {"qty": ["5", "g", "x"]}):
+    for doc in ({"qty": "5g"}, {"qty": ["5"]}, {"qty": ["5", "g", "x"]}, {"qty": [1, 5]},
+                {"missing": [1]}):
         with pytest.raises(ValueError):
             decode_value(doc)
+    for doc in ({"col": 5}, {"add": "ab"}, {"mul": [{"col": "x"}]}, {"sub": {"col": "x"}}):
+        with pytest.raises(ValueError, match="must be a name|must be a \\[left, right\\] list"):
+            decode_expr(doc)

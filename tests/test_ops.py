@@ -136,10 +136,18 @@ def test_strip_tags_forgets_the_split():
 
 
 def test_mixed_shape_union_remembers_both_schemas():
-    u = tagged_union(people(), jobs())
-    left, right = untag(u)
-    assert left.schema == PEOPLE
-    assert right.schema == JOBS
+    # a union of two shapes is refused, and its message names both
+    with pytest.raises(SchemaMismatch, match=r"left is \(name text, age integer\) "
+                                             r"and the right is \(who text, job text\)$"):
+        tagged_union(people(), jobs())
+    # a sem or a unit alone tells the two sides apart
+    for spec, shown in ((FieldSpec("age", "decimal"), "age decimal"),
+                        (FieldSpec("age", "integer", "yr"), "age integer in yr")):
+        other = ingest(schema(PEOPLE[0], spec), [])
+        with pytest.raises(SchemaMismatch) as e:
+            tagged_union(people(), other)
+        assert str(e.value).endswith(f"(name text, age integer) and the right "
+                                     f"is (name text, {shown})")
 
 
 # -- rename -------------------------------------------------------------

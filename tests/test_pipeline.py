@@ -1,6 +1,8 @@
 """Pipeline graphs: wiring rules, execution, audit and dashboards."""
 
+import os
 import pickle
+import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -33,7 +35,6 @@ from tallyflow import (
     RenameNode,
     SchemaMismatch,
     StripTagsNode,
-    SumSchema,
     TaggedUnionNode,
     TallyError,
     TeeNode,
@@ -337,13 +338,6 @@ def test_run_refuses_a_source_whose_rows_share_a_pid():
         g.run({"src": shared})
     fresh = g.run({"src": ingest(sch, [r.fields for r in shared.rows])}).audit
     assert fresh.totals == {"count": {"src": 4}, "sum[price]": {"src": D(16)}}
-
-
-def test_a_source_needs_a_plain_schema():
-    g = PipelineGraph("t")
-    with pytest.raises(SchemaMismatch, match="source 'src' needs a plain schema"):
-        g.add_source("src", SumSchema(ORDERS, ORDERS))
-    assert g.sources == {}
 
 
 def measured_graph(scheme, fld, *schemas):
@@ -725,3 +719,12 @@ def test_a_stage_that_copies_a_row_stays_balanced():
         ((("orders", "out", 1), ("bad", "out", 2), ("kept", "in", 2)), frozenset({1})),
         ((("orders", "out", 1), ("bad", "out", 1), ("kept", "in", 1)), frozenset({2, 3})),
     ]
+
+
+def test_the_readme_library_example_runs_and_balances(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    (example,) = [b for b in blocks if 'PipelineGraph("demo")' in b]
+    exec(compile(example, "README.md", "exec"), {})
+    assert "conservation: balanced" in capsys.readouterr().out

@@ -337,6 +337,18 @@ def test_the_checker_can_see_a_divergence():
     v = equivalence_check(expr, {"items": items()}, graph=wrong)
     assert not v.ok
     assert v.expected_rows == 4 and v.got_rows == 8
+    assert v.detail == "row expected 1x but produced 2x: name=grain, commodity=wheat, qty=200 t"
+
+
+def test_the_checker_names_a_row_it_did_not_expect():
+    # deliberately mistranslate: a selection that keeps every row
+    expr = Select(BaseRelation("items"), FieldDefined("commodity"))
+    wrong = translate(BaseRelation("items"), {"items": ITEMS})
+    v = equivalence_check(expr, {"items": items()}, graph=wrong)
+    assert not v.ok
+    assert v.expected_rows == 3 and v.got_rows == 4
+    assert v.detail == ("row produced 1x but expected 0x: "
+                        "name=cat, commodity=<missing: empty>, qty=1 x")
 
 
 def test_the_first_fuzz_failure_names_its_case_and_prints_an_evaluable_query(monkeypatch):

@@ -13,13 +13,12 @@ report sinks before error sinks, so fan-out never double-counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .monoid import MonoidElement, fold_payloads, fuse
 from .relation import ERROR_REASON, ERROR_STAGE, REPORT
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
-from .values import Quantity
+from .values import Frozen, Quantity, set_field
 
 
 def measure_carriers(graph, spec) -> dict:
@@ -86,19 +85,19 @@ def build_charges(graph, audit, inputs: dict) -> None:
             audit.space_units[space.name] = unit
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(Frozen):
     """One audited equation with its verdict."""
 
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    ok: bool
-    checks: tuple
+class ConservationReport(Frozen):
+    __slots__ = ("ok", "checks")
 
 
 def _fmt_pids(pids) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice, repeat
 from operator import itemgetter
@@ -36,21 +35,17 @@ from .relation import (
     field_names,
     schema,
 )
-from .values import Missing, Quantity, dec4, plain
+from .values import Frozen, Missing, Quantity, dec4, plain
 
 COLUMN_TYPES = ("integer", "decimal", "text", "quantity")
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(Frozen):
     """How one CSV column becomes typed cells."""
 
-    name: str
-    type: str = "text"
-    unit: str | None = None
-    unit_from: str | None = None
-    sentinels: tuple = ()
-    empty: str = "missing"
+    __slots__ = ("name", "type", "unit", "unit_from", "sentinels", "empty")
+    _defaults = {"type": "text", "unit": None, "unit_from": None, "sentinels": (),
+                 "empty": "missing"}
 
     def __post_init__(self) -> None:
         if self.type not in COLUMN_TYPES:
@@ -85,12 +80,16 @@ def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
     cols = []
     for c in doc["columns"]:
         with malformed(f"column entry {c!r} in {path}"):
+            sentinels = c.get("sentinels", [])
+            if not isinstance(sentinels, list):  # one bare text is not its letters
+                raise ValueError(f"{path}: column {c['name']!r}: sentinels must be a list, "
+                                 f"not {sentinels!r}")
             cols.append(ColumnSpec(
                 name=c["name"],
                 type=c.get("type", "text"),
                 unit=c.get("unit"),
                 unit_from=c.get("unit_from"),
-                sentinels=tuple(str(s) for s in c.get("sentinels", ())),
+                sentinels=tuple(str(s) for s in sentinels),
                 empty=str(c.get("empty", "missing")),
             ))
     names = [c.name for c in cols]

@@ -13,53 +13,43 @@ documents.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import FnNotTotal
 from .monoid import Kind, MonoidElement
 from .relation import schema_field
-from .values import FieldValue, Missing, Quantity, cell_key, dec4
+from .values import FieldValue, Frozen, Missing, Quantity, cell_key, dec4
 
 # -- predicate AST ------------------------------------------------------
+# inner is a Pred and parts a tuple of them; Compare's value is a FieldValue
 
 
-@dataclass(frozen=True)
-class Always:
-    value: bool
+class Always(Frozen):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class FieldDefined:
-    field: str
+class FieldDefined(Frozen):
+    __slots__ = ("field",)
 
 
-@dataclass(frozen=True)
-class Compare:
-    op: str  # eq ne lt le gt ge
-    field: str
-    value: FieldValue
+class Compare(Frozen):
+    __slots__ = ("op", "field", "value")  # op: eq ne lt le gt ge
 
 
-@dataclass(frozen=True)
-class InSet:
-    field: str
-    values: tuple
+class InSet(Frozen):
+    __slots__ = ("field", "values")
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Pred"
+class Not(Frozen):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class All:
-    parts: tuple
+class All(Frozen):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class AnyOf:
-    parts: tuple
+class AnyOf(Frozen):
+    __slots__ = ("parts",)
 
 
 Pred = Always | FieldDefined | Compare | InSet | Not | All | AnyOf
@@ -210,34 +200,29 @@ def compile_pred(p: Pred, sch):
 
 
 # -- row expression AST -------------------------------------------------
+# inner, left and right are Exprs; Lit's value is a FieldValue
 
 
-@dataclass(frozen=True)
-class Col:
-    name: str
+class Col(Frozen):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: FieldValue
+class Lit(Frozen):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class NumOf:
+class NumOf(Frozen):
     """Numeric view of a cell: quantity amount, summary payload, or the number."""
-    inner: "Expr"
+
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class UnitOf:
-    inner: "Expr"
+class UnitOf(Frozen):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # add sub mul
-    left: "Expr"
-    right: "Expr"
+class BinOp(Frozen):
+    __slots__ = ("op", "left", "right")  # op: add sub mul
 
 
 Expr = Col | Lit | NumOf | UnitOf | BinOp

@@ -10,7 +10,6 @@ can run in any order and in any process.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from decimal import Decimal
 from random import Random
 
@@ -49,7 +48,7 @@ from .exprs import (
     UnitOf,
 )
 from .relation import FieldSpec, Record, Relation, field_names, schema
-from .values import Missing, Quantity
+from .values import Frozen, Missing, Quantity
 
 OPERATOR_KINDS = (Project, Select, Rename, CrossProduct, NaturalJoin, OuterJoin,
                   Union, UnionAll, Minus, Intersect, Aggregate, Map)
@@ -300,12 +299,8 @@ def node_kinds(expr: RAExpr) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    iterations: int
-    failures: int
-    first_failure: str
-    kinds_seen: tuple
+class FuzzReport(Frozen):
+    __slots__ = ("iterations", "failures", "first_failure", "kinds_seen")
 
 
 def run_share(seed: int, iterations: int, share: int, shares: int) -> tuple:

@@ -13,13 +13,12 @@ reversed-numeric for exactly that reason.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain
 from operator import itemgetter
 
 from .errors import KindMismatch
-from .values import CELL_KEYS, NEG_INF, POS_INF, cell_key, plain
+from .values import CELL_KEYS, NEG_INF, POS_INF, Frozen, cell_key, plain, set_field
 
 
 class Kind(enum.Enum):
@@ -33,17 +32,20 @@ class Kind(enum.Enum):
     TUPLE = "tuple"
 
 
-@dataclass(frozen=True, slots=True)
-class MonoidElement:
+class MonoidElement(Frozen):
     """A single summary value: kind + payload + optional unit label.
 
     Payload shapes: COUNT int, SUM/MIN/MAX Decimal, AVG (sum, count),
     SET frozenset, PACCIOLI (debit, credit), TUPLE tuple of elements.
     """
 
-    kind: Kind
-    payload: object
-    unit: str | None = None
+    __slots__ = ("kind", "payload", "unit")
+
+    def __init__(self, kind: Kind, payload: object, unit: str | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "payload", payload)
+        set_field(self, "unit", unit)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         k, p = self.kind, self.payload

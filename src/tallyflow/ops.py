@@ -7,7 +7,6 @@ Operations that can reject rows return the rejects as first-class output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from operator import itemgetter
@@ -39,7 +38,7 @@ from .relation import (
     schema,
     schema_field,
 )
-from .values import Missing, Quantity, cell_key
+from .values import Frozen, Missing, Quantity, cell_key
 
 
 # -- partitioning -------------------------------------------------------
@@ -333,12 +332,10 @@ AGG_OPS = tuple(_AGG_KINDS)
 NUMERIC_SEMS = ("integer", "decimal", "quantity")
 
 
-@dataclass(frozen=True)
-class AggSpec:
+class AggSpec(Frozen):
     """One aggregation: which field, which monoid."""
 
-    field: str
-    op: str
+    __slots__ = ("field", "op")
 
     def __post_init__(self) -> None:
         if self.op not in AGG_OPS:

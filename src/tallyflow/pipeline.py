@@ -15,13 +15,12 @@ reports, and a run reads each report's sources off the same sweep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
 from .audit import build_charges, measure_carriers
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
-from .exprs import Pred, decode_expr, decode_pred
+from .exprs import decode_expr, decode_pred
 from .ops import (
     AggSpec,
     aggregate,
@@ -49,20 +48,18 @@ from .relation import (
     has_field,
 )
 from .space import SCHEMES
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One reason a graph is not runnable; validation never raises."""
 
-    kind: str
-    where: str
-    detail: str
+    __slots__ = ("kind", "where", "detail")
 
 
 class PortRef(NamedTuple):
     """A source's, stage's or sink's named port.  A NamedTuple, not a
-    dataclass: every validation and run builds and hashes one per lookup."""
+    Frozen record: every validation and run builds and hashes one per lookup."""
 
     owner: str
     port: str
@@ -79,9 +76,10 @@ class Wire(NamedTuple):
 # -- stage node types ---------------------------------------------------
 
 
-class Node:
+class Node(Frozen):
     """Base stage: subclasses define ports and the relation transform."""
 
+    __slots__ = ()
     name: str
     in_ports: tuple[str, ...] = ("in",)
     out_ports: tuple[str, ...] = ("out",)
@@ -122,13 +120,11 @@ def _mapping(nd: dict, key: str, shape: str) -> dict:
     return dict(value)
 
 
-@dataclass(frozen=True)
 class PartitionNode(Node):
     """Split on a predicate; optionally reshape rejects onto the error rail."""
 
-    name: str
-    pred: Pred
-    rejected_to_errors: bool = False
+    __slots__ = ("name", "pred", "rejected_to_errors")
+    _defaults = {"rejected_to_errors": False}
     in_ports = ("in",)
     out_ports = ("accepted", "rejected")
 
@@ -143,11 +139,10 @@ class PartitionNode(Node):
         return {"accepted": acc, "rejected": rej}
 
 
-@dataclass(frozen=True)
 class TeeNode(Node):
     """Duplicate a flow so several reports can consume the same data."""
 
-    name: str
+    __slots__ = ("name",)
     in_ports = ("in",)
     out_ports = ("left", "right")
 
@@ -155,9 +150,8 @@ class TeeNode(Node):
         return {"left": ins["in"], "right": ins["in"]}
 
 
-@dataclass(frozen=True)
 class TaggedUnionNode(Node):
-    name: str
+    __slots__ = ("name",)
     in_ports = ("left", "right")
     out_ports = ("out",)
 
@@ -165,9 +159,8 @@ class TaggedUnionNode(Node):
         return {"out": tagged_union(ins["left"], ins["right"])}
 
 
-@dataclass(frozen=True)
 class UntagNode(Node):
-    name: str
+    __slots__ = ("name",)
     in_ports = ("in",)
     out_ports = ("left", "right")
 
@@ -176,20 +169,17 @@ class UntagNode(Node):
         return {"left": left, "right": right}
 
 
-@dataclass(frozen=True)
 class StripTagsNode(Node):
-    name: str
+    __slots__ = ("name",)
 
     def apply(self, ins: dict) -> dict:
         return {"out": strip_tags(ins["in"])}
 
 
-@dataclass(frozen=True)
 class ProjectNode(Node):
     """Lossless narrowing: dropped fields ride along as irrelevant payload."""
 
-    name: str
-    fields: tuple
+    __slots__ = ("name", "fields")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
@@ -199,10 +189,8 @@ class ProjectNode(Node):
         return {"out": lossless_project(ins["in"], self.fields)}
 
 
-@dataclass(frozen=True)
 class RenameNode(Node):
-    name: str
-    mapping: dict
+    __slots__ = ("name", "mapping")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
@@ -216,15 +204,13 @@ class RenameNode(Node):
         return {"out": rename(ins["in"], self.mapping)}
 
 
-@dataclass(frozen=True)
 class DedupNode(Node):
-    name: str
+    __slots__ = ("name",)
 
     def apply(self, ins: dict) -> dict:
         return {"out": dedup(ins["in"])}
 
 
-@dataclass(frozen=True)
 class MapNode(Node):
     """Enrichment stage: adds computed fields, never overwrites.
 
@@ -237,11 +223,8 @@ class MapNode(Node):
     name added fields only, so a misspelled key cannot silently drop a unit.
     """
 
-    name: str
-    additions: dict
-    sems: dict
-    kind: str = "fmap"
-    units: dict | None = None
+    __slots__ = ("name", "additions", "sems", "kind", "units")
+    _defaults = {"kind": "fmap", "units": None}
 
     def __post_init__(self) -> None:
         if self.kind not in ("fmap", "emap"):
@@ -282,12 +265,10 @@ class MapNode(Node):
         return {"out": ops_fmap(rel, self.additions, self.sems, self.units)}
 
 
-@dataclass(frozen=True)
 class ErrorizeNode(Node):
     """Move rows onto the error rail with this stage's name and a fixed reason."""
 
-    name: str
-    reason: str
+    __slots__ = ("name", "reason")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
@@ -297,13 +278,11 @@ class ErrorizeNode(Node):
         return {"out": as_errors(ins["in"], self.name, self.reason)}
 
 
-@dataclass(frozen=True)
 class JoinNode(Node):
     """Equi-join with unmatched rows kept on their own ports."""
 
-    name: str
-    on: tuple
-    missing_matches: bool = False
+    __slots__ = ("name", "on", "missing_matches")
+    _defaults = {"missing_matches": False}
 
     in_ports = ("left", "right")
     out_ports = ("inner", "left_only", "right_only")
@@ -328,11 +307,8 @@ class JoinNode(Node):
         return {"inner": inner, "left_only": left_only, "right_only": right_only}
 
 
-@dataclass(frozen=True)
 class AggregateNode(Node):
-    name: str
-    group_by: tuple
-    specs: tuple
+    __slots__ = ("name", "group_by", "specs")
 
     @classmethod
     def from_doc(cls, nd: dict) -> Node:
@@ -349,19 +325,15 @@ class AggregateNode(Node):
 # -- source / sink / conservation declarations --------------------------
 
 
-@dataclass(frozen=True)
-class Source:
-    name: str
-    schema: Schema
+class Source(Frozen):
+    __slots__ = ("name", "schema")
 
 
-@dataclass(frozen=True)
-class Sink:
+class Sink(Frozen):
     """A declared output: either a report or an error drain of a report."""
 
-    name: str
-    kind: str
-    report: str = "main"
+    __slots__ = ("name", "kind", "report")
+    _defaults = {"report": "main"}
 
     def __post_init__(self) -> None:
         if self.kind not in (REPORT, ERROR):
@@ -373,13 +345,12 @@ class Sink:
                              "for the run-wide check coverage:all")
 
 
-@dataclass(frozen=True)
-class ConservationSpec:
+class ConservationSpec(Frozen):
     """Which measure family the audit must balance: a scheme of
     space.SCHEMES, over a field exactly when the scheme reads one."""
 
-    scheme: str
-    fld: str | None = None
+    __slots__ = ("scheme", "fld")
+    _defaults = {"fld": None}
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -392,8 +363,7 @@ class ConservationSpec:
 # -- the graph ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PortPids:
+class PortPids(Frozen):
     """The pids one port carried during a run.
 
     repeats is sparse: pid -> number of rows that carried it, only for pids
@@ -402,42 +372,56 @@ class PortPids:
     holds it cannot be hashed.
     """
 
-    owner: str
-    port: str
-    pids: frozenset
-    repeats: dict
+    __slots__ = ("owner", "port", "pids", "repeats")
+
+    def __init__(self, owner: str, port: str, pids: frozenset, repeats: dict) -> None:
+        set_field(self, "owner", owner)
+        set_field(self, "port", port)
+        set_field(self, "pids", pids)
+        set_field(self, "repeats", repeats)
 
 
-@dataclass
-class StageVisit:
-    """Pid movement through one stage during a run (sets shared with ports)."""
+class StageVisit(Frozen):
+    """Pid movement through one stage during a run (sets shared with ports).
 
-    stage: str
-    ins: dict
-    outs: dict
+    A mutable record, like RunAudit and RunResult: object's own __setattr__
+    and __delattr__ replace Frozen's refusals, so fields assign plainly.
+    """
+
+    __slots__ = ("stage", "ins", "outs")
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, stage: str, ins: dict, outs: dict) -> None:
+        self.stage = stage
+        self.ins = ins
+        self.outs = outs
 
 
-@dataclass
-class RunAudit:
+class RunAudit(Frozen):
     """Everything a run leaves behind for auditing, minus wall-clock noise.
 
     ports is the one record of pid movement: a PortPids per source output,
     stage output and sink input, in run order (sources, then stage outputs
     in topological order, then sinks).  source_pids, stage_visits and
     sink_pids index the same frozensets by owner: each is the pid record of
-    the relation at that port, scanned once per relation.
+    the relation at that port, scanned once per relation.  Every field
+    defaults to a new empty container: charges maps space -> pid ->
+    payload, totals space -> carrier -> payload, space_units space -> unit
+    element, sink_order report -> its sinks in canonical order; timings
+    stay in memory.
     """
 
-    source_pids: dict = field(default_factory=dict)
-    stage_visits: list = field(default_factory=list)
-    sink_pids: dict = field(default_factory=dict)
-    ports: list = field(default_factory=list)        # PortPids in run order
-    charges: dict = field(default_factory=dict)      # space -> pid -> payload
-    totals: dict = field(default_factory=dict)       # space -> carrier -> payload
-    space_units: dict = field(default_factory=dict)  # space -> unit element
-    sink_order: dict = field(default_factory=dict)   # report -> (sinks, canonical)
-    report_sources: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)      # in-memory only
+    __slots__ = ("source_pids", "stage_visits", "sink_pids", "ports", "charges", "totals",
+                 "space_units", "sink_order", "report_sources", "timings")
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fresh = {n: [] if n in ("stage_visits", "ports") else {} for n in self._fields[len(args):]}
+        super().__init__(*args, **{**fresh, **kwargs})
 
     def all_source_pids(self) -> frozenset:
         return frozenset().union(*self.source_pids.values())
@@ -457,10 +441,11 @@ class RunAudit:
         return out
 
 
-@dataclass
-class RunResult:
-    sinks: dict
-    audit: RunAudit
+class RunResult(Frozen):
+    __slots__ = ("sinks", "audit")
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 def _parse_ref(addr: str, default_port: str | None = None) -> PortRef:

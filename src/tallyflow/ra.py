@@ -16,7 +16,6 @@ outcomes as multisets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .audit import conservation_check
@@ -74,107 +73,81 @@ from .relation import (
     schema_field,
 )
 from .space import carries
-from .values import Missing, Quantity, cell_key
+from .values import Frozen, Missing, Quantity, cell_key
 
 
 # -- query AST ----------------------------------------------------------
+# of, left and right are RAExpr subtrees; pred is an exprs.Pred
 
-@dataclass(frozen=True)
-class BaseRelation:
-    name: str
+class BaseRelation(Frozen):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Project:
-    of: "RAExpr"
-    fields: tuple
+class Project(Frozen):
+    __slots__ = ("of", "fields")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(self.fields))
 
 
-@dataclass(frozen=True)
-class Select:
-    of: "RAExpr"
-    pred: Pred
+class Select(Frozen):
+    __slots__ = ("of", "pred")
 
 
-@dataclass(frozen=True)
-class Rename:
+class Rename(Frozen):
     """mapping is a tuple of (old, new) pairs."""
 
-    of: "RAExpr"
-    mapping: tuple
+    __slots__ = ("of", "mapping")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", tuple(tuple(p) for p in self.mapping))
 
 
-@dataclass(frozen=True)
-class CrossProduct:
-    left: "RAExpr"
-    right: "RAExpr"
+class CrossProduct(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class NaturalJoin:
-    left: "RAExpr"
-    right: "RAExpr"
+class NaturalJoin(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class OuterJoin:
+class OuterJoin(Frozen):
     """Full outer equi-join; on is a tuple of (left field, right field)."""
 
-    left: "RAExpr"
-    right: "RAExpr"
-    on: tuple
+    __slots__ = ("left", "right", "on")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "on", tuple(tuple(p) for p in self.on))
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "RAExpr"
-    right: "RAExpr"
+class Union(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class UnionAll:
-    left: "RAExpr"
-    right: "RAExpr"
+class UnionAll(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Minus:
-    left: "RAExpr"
-    right: "RAExpr"
+class Minus(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Intersect:
-    left: "RAExpr"
-    right: "RAExpr"
+class Intersect(Frozen):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    of: "RAExpr"
-    group_by: tuple
-    specs: tuple
+class Aggregate(Frozen):
+    __slots__ = ("of", "group_by", "specs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_by", tuple(self.group_by))
         object.__setattr__(self, "specs", tuple(self.specs))
 
 
-@dataclass(frozen=True)
-class Map:
+class Map(Frozen):
     """additions is a tuple of (new field name, expression) pairs."""
 
-    of: "RAExpr"
-    additions: tuple
+    __slots__ = ("of", "additions")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "additions", tuple(tuple(p) for p in self.additions))
@@ -787,13 +760,8 @@ def reference_eval(expr: RAExpr, inputs: dict, schemas: dict | None = None) -> R
 
 # -- equivalence verdicts -----------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    detail: str
-    expected_rows: int
-    got_rows: int
-    conservation_ok: bool
+class Verdict(Frozen):
+    __slots__ = ("ok", "detail", "expected_rows", "got_rows", "conservation_ok")
 
 
 def _show_row(fields: dict) -> str:

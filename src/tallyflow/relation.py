@@ -3,28 +3,27 @@
 A record never exists without provenance ids (pids).  Projection does not
 delete fields, it moves them into the record's irrelevant payload; tagged
 unions push path tags instead of blending rows.  Treat all of these values
-as immutable once constructed.  The dataclasses are frozen, so assigning to
-a field raises AttributeError; FieldSpec, built thousands of times per
-fuzz job, is also slotted, like the cells Quantity and Missing and the
-summary MonoidElement.  Record, a slotted class because a run builds one
-per row per stage, is immutable by convention only; no operator assigns
-to a record it has been given.  Rows are checked where they enter a run
-(check_rows, called by ingest() and PipelineGraph.run, is one loop over
-the rows); operators only move checked rows, so Relation(...) trusts the
-rows it is given.
+as immutable once constructed.  FieldSpec, PathTag, IrrelevantPart and
+Relation sit on values.Frozen, the record base, like the cells Quantity
+and Missing and the summary MonoidElement: they are slotted, and assigning
+to a field raises AttributeError.  Record, a slotted class because a run
+builds one per row per stage, is immutable by convention only; no
+operator assigns to a record it has been given.  Rows are checked where
+they enter a run (check_rows, called by ingest() and PipelineGraph.run,
+is one loop over the rows); operators only move checked rows, so
+Relation(...) trusts the rows it is given.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
-from .values import FieldValue, Missing, Quantity, cell_key
+from .values import FieldValue, Frozen, Missing, Quantity, cell_key, set_field
 
 SEM_TYPES = ("integer", "decimal", "text", "quantity", "summary")
 
@@ -35,13 +34,16 @@ ERROR_STAGE = "error_stage"
 ERROR_REASON = "error_reason"
 
 
-@dataclass(frozen=True, slots=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """One column: a name, a semantic type, an optional unit label."""
 
-    name: str
-    sem: str
-    unit: str | None = None
+    __slots__ = ("name", "sem", "unit")
+
+    def __init__(self, name: str, sem: str, unit: str | None = None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sem", sem)
+        set_field(self, "unit", unit)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.sem not in SEM_TYPES:
@@ -75,23 +77,21 @@ def has_field(sch: Schema, name: str) -> bool:
     return any(s.name == name for s in sch)
 
 
-@dataclass(frozen=True)
-class PathTag:
-    """One level of union routing: which side a record came in on."""
+class PathTag(Frozen):
+    """One level of union routing: which side a record came in on, "inl"
+    or "inr"."""
 
-    side: str  # "inl" | "inr"
+    __slots__ = ("side",)
 
     def __post_init__(self) -> None:
         if self.side not in ("inl", "inr"):
             raise ValueError(f"tag side must be inl or inr, got {self.side!r}")
 
 
-@dataclass(frozen=True)
-class IrrelevantPart:
-    """Fields sliced off by projection, still keyed to their pids."""
+class IrrelevantPart(Frozen):
+    """Fields sliced off by projection (a dict), still keyed to their pids."""
 
-    pids: frozenset[int]
-    fields: dict
+    __slots__ = ("pids", "fields")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pids", frozenset(self.pids))
@@ -101,9 +101,9 @@ class Record:
     """One row: provenance ids, relevant fields, set-aside fields, tags.
 
     tags is a stack; the last element is the outermost (most recent) tag.
-    A slotted class, not a frozen dataclass, because a run builds one per
-    row per stage: it is immutable by convention, compares by value and,
-    like the dict it holds, cannot be hashed.
+    A slotted class, not a Frozen one, because a run builds one per row
+    per stage: it is immutable by convention, compares by value and, like
+    the dict it holds, cannot be hashed.
     """
 
     __slots__ = ("pids", "fields", "irrelevant", "tags")
@@ -165,12 +165,15 @@ def check_rows(sch: Schema, rows) -> None:
                 raise SchemaMismatch(f"field {name!r}: {v!r} is not {sem}")
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """An ordered multiset of records sharing one schema; rows are trusted."""
 
-    schema: Schema
-    rows: tuple[Record, ...] = ()
+    __slots__ = ("schema", "rows", "__dict__")  # __dict__ holds pid_record
+
+    def __init__(self, schema: Schema, rows: tuple[Record, ...] = ()) -> None:
+        set_field(self, "schema", schema)
+        set_field(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))

@@ -9,13 +9,12 @@ The run ledger (audit.build_charges) reads the same payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SchemaMismatch
 from .monoid import ZERO, Kind, MonoidElement, fold_payloads, signed_legs, unit_for
 from .relation import Record, Relation, Schema
-from .values import FieldValue, Missing
+from .values import FieldValue, Frozen, Missing
 
 # the one list of conservation schemes, each with the sem of the field it reads
 SCHEMES = {"count": None, "sum": "decimal", "sum_by_unit": "quantity", "paccioli": "decimal"}
@@ -30,8 +29,7 @@ def carries(sch: Schema, scheme: str, fld: str | None) -> bool:
     return sem is None or any(f.name == fld and f.sem == sem for f in sch)
 
 
-@dataclass(frozen=True)
-class DataSpace:
+class DataSpace(Frozen):
     """A named measure over records, folded from its unit element.
 
     unit fixes the monoid's kind and unit label; payload is one record's
@@ -41,10 +39,8 @@ class DataSpace:
     before folding.
     """
 
-    name: str
-    unit: MonoidElement
-    payload: Callable[[Record], object]
-    requires: tuple[str, str | None] = ("count", None)
+    __slots__ = ("name", "unit", "payload", "requires")
+    _defaults = {"requires": ("count", None)}
 
     def measure(self, rel: Relation) -> MonoidElement:
         if not carries(rel.schema, *self.requires):

@@ -6,8 +6,8 @@ ever goes through binary floating point, so equality checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 
 DEC4 = Decimal("0.0001")
 
@@ -30,16 +30,89 @@ def dec4(value: int | str | Decimal) -> Decimal:
     raise ValueError(f"not a decimal: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Quantity:
+class Frozen:
+    """The record base of the package's value classes.
+
+    A subclass lists its fields, in constructor order, in __slots__ (a
+    class that caches a property adds "__dict__", which is no field) and
+    their defaults in _defaults.  Instances compare equal only to the same
+    class, field by field, hash as the tuple of their fields, print as
+    their constructor call and refuse attribute assignment and deletion (a
+    mutable record puts object's __setattr__ and __delattr__ back).
+    Nothing is generated per class, so a process pays nothing to declare
+    one.  __init__ takes the fields by position or keyword and then calls
+    __post_init__; a class built thousands of times per job writes its own
+    __init__ with the same signature, which does the same work.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
+        get = attrgetter(*names) if names else lambda self: ()
+        cls._fields = names
+        # the field tuple, read in C; attrgetter of one name returns it bare
+        cls._values = staticmethod(get if len(names) != 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = self.__class__
+        names = cls._fields
+        if kwargs or len(args) != len(names):
+            given = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or kwargs.keys() - names[len(args):] \
+                    or len(given) < len(names):
+                raise TypeError(f"{cls.__name__}() takes the fields {names}, not {len(args)} "
+                                f"by position and {sorted(kwargs)} by name")
+            args = map(given.__getitem__, names)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalise the fields; a subclass's own rules go here."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle rebuilds through __init__: restoring slots would assign them
+        return self.__class__, self._values(self)
+
+
+# sets one field of a Frozen instance, for __init__ and __post_init__ only
+set_field = object.__setattr__
+
+
+class Quantity(Frozen):
     """An amount bound to a unit label, e.g. 200 tonne.
 
     Amounts of different units never compare or combine; aggregation
     subdivides by unit instead of mixing them.
     """
 
-    amount: Decimal
-    unit: str
+    __slots__ = ("amount", "unit")
+
+    def __init__(self, amount: Decimal, unit: str) -> None:
+        set_field(self, "amount", amount)
+        set_field(self, "unit", unit)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.amount, Decimal):
@@ -53,15 +126,18 @@ class Quantity:
         return f"{plain(self.amount)} {self.unit}"
 
 
-@dataclass(frozen=True, slots=True)
-class Missing:
+class Missing(Frozen):
     """A typed hole: the value is absent and `reason` says why.
 
     Two Missing cells are interchangeable for row identity no matter the
     reason (see cell_key); the reason still travels for error reporting.
     """
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        set_field(self, "reason", reason)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.reason:

@@ -747,6 +747,10 @@ BAD_ENTRIES = {
         "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].pop("unit_from"),
         "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
         "of unit and unit_from"),
+    "sentinels written as one text": (
+        "ship", "items.csv.yaml", lambda doc: doc["columns"][1].update(sentinels="unknown"),
+        "DATA/items.csv.yaml: column 'Purchase price': sentinels must be a list, "
+        "not 'unknown'"),
     "quantity with two unit sources": (
         "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].update(unit="$"),
         "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
@@ -1216,12 +1220,15 @@ def test_read_yaml_falls_back_to_the_python_loader(monkeypatch):
     assert set(loaders) == {yaml.SafeLoader}
 
 
-# a run or a check through the CLI, then which optional modules it loaded
+# a run or a check through the CLI, then which optional modules it loaded;
+# dataclasses counts as one, since generating a dataclass's methods costs
+# start-up about half a millisecond per class
 LAZY_PROBE = """
 import sys
 from tallyflow.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write(repr([m for m in ("tallyflow.ra", "tallyflow.fuzz") if m in sys.modules]))
+sys.stderr.write(repr([m for m in ("tallyflow.ra", "tallyflow.fuzz", "dataclasses")
+                       if m in sys.modules]))
 sys.exit(code)
 """
 
@@ -1645,7 +1652,8 @@ POOL_PROBE = """
 import sys
 from tallyflow.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write(repr([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]))
+sys.stderr.write(repr([m for m in ("multiprocessing", "concurrent.futures", "dataclasses")
+                       if m in sys.modules]))
 sys.exit(code)
 """
 

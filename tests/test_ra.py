@@ -1,6 +1,5 @@
 """The typed query layer: static checks, compilation and the cross-check."""
 
-import dataclasses
 import hashlib
 import json
 from decimal import Decimal
@@ -51,6 +50,7 @@ from tallyflow import (
 from tallyflow.fuzz import OPERATOR_KINDS
 import tallyflow.ra as ra_mod
 from tallyflow.ra import _children, base_names
+from tallyflow.values import Frozen
 
 
 D = Decimal
@@ -439,9 +439,9 @@ def test_each_operator_compiles_to_its_own_stages(expr, own):
 def _canonical(value):
     """JSON data for a compiled parameter; no repr, so no text that a
     Python version could print differently."""
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, Frozen):
         return [type(value).__name__] + [
-            [f.name, _canonical(getattr(value, f.name))] for f in dataclasses.fields(value)]
+            [name, _canonical(getattr(value, name))] for name in value._fields]
     if isinstance(value, dict):
         return [[_canonical(k), _canonical(v)] for k, v in value.items()]
     if isinstance(value, (tuple, list)):

@@ -1,6 +1,5 @@
 """Measures over relations: per-record charges fused by a monoid."""
 
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -77,6 +76,9 @@ def test_measure_is_additive_over_a_partition():
     paccioli_space("amount", "$"),
 ], ids=lambda sp: sp.name)
 def test_measure_folds_the_payloads_per_record_checks(space):
+    def replace(value, **changes):  # a copy of a Frozen record with changes
+        return type(value)(**{**{n: getattr(value, n) for n in value._fields}, **changes})
+
     # measure() folds bare payloads; building each record's element from
     # payload validates it, and fuse_all checks and folds those
     rel = ledger()

@@ -28,7 +28,12 @@ from tallyflow import (
     tuple_of,
 )
 from tallyflow.audit import Check
-from tallyflow.pipeline import PortPids
+from tallyflow.csvio import ColumnSpec
+from tallyflow.exprs import Compare, FieldDefined
+from tallyflow.ops import AggSpec
+from tallyflow.pipeline import ConservationSpec, PortPids, Sink, Violation
+from tallyflow.ra import BaseRelation, Select
+from tallyflow.relation import PathTag
 
 D = Decimal
 
@@ -49,6 +54,36 @@ HASHABLE = [
      Check("coverage:all", True, "fine"),
      [Check("coverage:all", False, "fine"), Check("coverage:main", True, "fine")],
      "Check(name='coverage:all', ok=True, detail='fine')"),
+    (Violation, {"kind": "Cycle", "where": "a", "detail": "in a cycle"},
+     Violation("Cycle", "a", "in a cycle"),
+     [Violation("Cycle", "b", "in a cycle"), Violation("UnwiredInput", "a", "in a cycle")],
+     "Violation(kind='Cycle', where='a', detail='in a cycle')"),
+    (Sink, {"name": "kept", "kind": "report", "report": "main"}, Sink("kept", "report"),
+     [Sink("kept", "error"), Sink("kept", "report", "B"), Sink("lost", "report")],
+     "Sink(name='kept', kind='report', report='main')"),
+    (ConservationSpec, {"scheme": "sum", "fld": "price"}, ConservationSpec("sum", "price"),
+     [ConservationSpec("count"), ConservationSpec("sum", "cost"),
+      ConservationSpec("paccioli", "price")],
+     "ConservationSpec(scheme='sum', fld='price')"),
+    (AggSpec, {"field": "price", "op": "sum"}, AggSpec("price", "sum"),
+     [AggSpec("price", "min"), AggSpec("cost", "sum")],
+     "AggSpec(field='price', op='sum')"),
+    (ColumnSpec, {"name": "price", "type": "decimal", "unit": "$", "unit_from": None,
+                  "sentinels": ("NA",), "empty": "missing"},
+     ColumnSpec("price", "decimal", "$", sentinels=["NA"]),
+     [ColumnSpec("price", "decimal", "$"),
+      ColumnSpec("price", "decimal", "$", None, ("NA",), "keep")],
+     "ColumnSpec(name='price', type='decimal', unit='$', unit_from=None, sentinels=('NA',), "
+     "empty='missing')"),
+    (PathTag, {"side": "inl"}, PathTag("inl"), [PathTag("inr")], "PathTag(side='inl')"),
+    (Compare, {"op": "ge", "field": "price", "value": D("2")}, Compare("ge", "price", D("2.00")),
+     [Compare("gt", "price", D("2")), Compare("ge", "price", D("3")),
+      Compare("ge", "cost", D("2"))],
+     "Compare(op='ge', field='price', value=Decimal('2'))"),
+    (Select, {"of": BaseRelation("t"), "pred": FieldDefined("x")},
+     Select(BaseRelation("t"), FieldDefined("x")),
+     [Select(BaseRelation("u"), FieldDefined("x")), Select(BaseRelation("t"), FieldDefined("y"))],
+     "Select(of=BaseRelation(name='t'), pred=FieldDefined(field='x'))"),
 ]
 
 
@@ -69,6 +104,15 @@ def test_a_hashable_value_class_keeps_its_contract(cls, kwargs, same, others, te
         with pytest.raises(AttributeError):
             delattr(v, name)
     assert v == cls(**kwargs)
+
+
+SLOTTED = [Quantity(D(1), "kg"), Missing("empty"), count(1), FieldSpec("n", "integer"),
+           Check("coverage:all", True, "fine"), PortPids("j", "inner", frozenset({1}), {})]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=lambda v: type(v).__name__)
+def test_a_slotted_value_class_keeps_no_instance_dict(value):
+    assert not hasattr(value, "__dict__")
 
 
 def test_optional_fields_default_to_none():

@@ -22,7 +22,8 @@ from decimal import Decimal
 from itertools import islice, repeat
 from operator import itemgetter
 
-from .errors import SchemaMismatch, malformed
+from .errors import SchemaMismatch
+from .grammar import NAME, TEXT, Entry, Key, Leaf, ListOf, read
 from .monoid import MonoidElement
 from .relation import (
     ERROR_REASON,
@@ -72,26 +73,22 @@ def read_yaml(path: str):
             raise ValueError(f"{path}: not a YAML document: {exc}") from None
 
 
+# a YAML integer reads as its text (empty: 0); a float's text is not what was written
+CELL_TEXT = Leaf("text or an integer", (str, int), str)
+
+COLUMNS = Entry("a column description", {"columns": ListOf(Entry("a column", {
+    "name": NAME,
+    "type": Key(NAME, default="text"),
+    "unit": Key(TEXT, default=None),
+    "unit_from": Key(NAME, default=None),
+    "sentinels": Key(ListOf(CELL_TEXT, "a list of cell texts"), default=()),
+    "empty": Key(CELL_TEXT, default="missing"),
+}, ColumnSpec, label="column"), "a list of columns")}, lambda columns: columns)
+
+
 def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
     """Read a table description document: {columns: [{name, type, ...}]}."""
-    doc = read_yaml(path)
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise ValueError(f"{path}: expected a mapping with a 'columns' list")
-    cols = []
-    for c in doc["columns"]:
-        with malformed(f"column entry {c!r} in {path}"):
-            sentinels = c.get("sentinels", [])
-            if not isinstance(sentinels, list):  # one bare text is not its letters
-                raise ValueError(f"{path}: column {c['name']!r}: sentinels must be a list, "
-                                 f"not {sentinels!r}")
-            cols.append(ColumnSpec(
-                name=c["name"],
-                type=c.get("type", "text"),
-                unit=c.get("unit"),
-                unit_from=c.get("unit_from"),
-                sentinels=tuple(str(s) for s in sentinels),
-                empty=str(c.get("empty", "missing")),
-            ))
+    cols = read(COLUMNS, read_yaml(path), path)
     names = [c.name for c in cols]
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate column names")
@@ -107,7 +104,7 @@ def load_sidecar(path: str) -> tuple[ColumnSpec, ...]:
                                  f"unknown column {c.unit_from!r}")
             if ref.type != "text":
                 raise ValueError(f"{path}: unit column {c.unit_from!r} must be text")
-    return tuple(cols)
+    return cols
 
 
 def table_schema(cols) -> Schema:

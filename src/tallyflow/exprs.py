@@ -16,6 +16,7 @@ import operator
 from decimal import Decimal
 
 from .errors import FnNotTotal
+from .grammar import BOOL, NAME, TEXT, Choice, Entry, Leaf, ListOf
 from .monoid import Kind, MonoidElement
 from .relation import schema_field
 from .values import FieldValue, Frozen, Missing, Quantity, cell_key, dec4
@@ -33,7 +34,11 @@ class FieldDefined(Frozen):
 
 
 class Compare(Frozen):
-    __slots__ = ("op", "field", "value")  # op: eq ne lt le gt ge
+    __slots__ = ("op", "field", "value")  # op: a key of _OPS
+
+    def __post_init__(self) -> None:
+        if self.op not in _OPS:
+            raise ValueError(f"unknown comparison {self.op!r}")
 
 
 class InSet(Frozen):
@@ -346,34 +351,6 @@ def encode_value(v: FieldValue) -> object:
     raise TypeError(f"cannot encode {v!r}")
 
 
-def _text(value, key: str, shape: str = "a name") -> str:
-    """A document's name or text; a number or a list is refused, not read as text."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be {shape}, not {value!r}")
-    return value
-
-
-def decode_value(doc: object) -> FieldValue:
-    if isinstance(doc, bool):
-        raise ValueError("boolean literals are not field values")
-    if isinstance(doc, (int, str)):
-        return doc
-    if isinstance(doc, float):
-        return dec4(str(doc))
-    if isinstance(doc, dict) and len(doc) == 1:
-        key, body = next(iter(doc.items()))
-        if key == "missing":
-            return Missing(_text(body, "missing reason", "text"))
-        if key == "qty":
-            if not (isinstance(body, (list, tuple)) and len(body) == 2):
-                raise ValueError(f"qty must be an [amount, unit] list, not {body!r}")
-            amount, unit = body
-            return Quantity(dec4(str(amount)), _text(unit, "qty unit", "text"))
-        if key == "dec":
-            return dec4(str(body))
-    raise ValueError(f"cannot decode value {doc!r}")
-
-
 def encode_pred(p: Pred) -> dict:
     if isinstance(p, Always):
         return {"always": p.value}
@@ -392,35 +369,6 @@ def encode_pred(p: Pred) -> dict:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def decode_pred(doc: dict) -> Pred:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValueError(f"bad predicate document: {doc!r}")
-    key, body = next(iter(doc.items()))
-    if key == "always":
-        if not isinstance(body, bool):  # "false" is text, and bool("false") is True
-            raise ValueError(f"always must be true or false, not {body!r}")
-        return Always(body)
-    if key == "defined":
-        return FieldDefined(_text(body, "defined"))
-    if key == "cmp":
-        op = body["op"]
-        if op not in _OPS:
-            raise ValueError(f"unknown comparison {op!r}")
-        return Compare(op, _text(body["field"], "field"), decode_value(body["value"]))
-    if key == "in":
-        values = body["values"]
-        if not isinstance(values, (list, tuple)):  # a bare name would be read letter by letter
-            raise ValueError(f"in values must be a list, not {values!r}")
-        return InSet(_text(body["field"], "field"), tuple(decode_value(v) for v in values))
-    if key == "not":
-        return Not(decode_pred(body))
-    if key == "all":
-        return All(tuple(decode_pred(q) for q in body))
-    if key == "any":
-        return AnyOf(tuple(decode_pred(q) for q in body))
-    raise ValueError(f"unknown predicate form {key!r}")
-
-
 def encode_expr(e: Expr) -> object:
     if isinstance(e, Col):
         return {"col": e.name}
@@ -435,21 +383,37 @@ def encode_expr(e: Expr) -> object:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def decode_expr(doc: object) -> Expr:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValueError(f"bad expression document: {doc!r}")
-    key, body = next(iter(doc.items()))
-    if key == "col":
-        return Col(_text(body, "col"))
-    if key == "lit":
-        return Lit(decode_value(body))
-    if key == "num":
-        return NumOf(decode_expr(body))
-    if key == "unit_of":
-        return UnitOf(decode_expr(body))
-    if key in ("add", "sub", "mul"):
-        if not (isinstance(body, (list, tuple)) and len(body) == 2):
-            raise ValueError(f"{key} must be a [left, right] list, not {body!r}")
-        left, right = body
-        return BinOp(key, decode_expr(left), decode_expr(right))
-    raise ValueError(f"unknown expression form {key!r}")
+# -- the document grammar ----------------------------------------------
+# A value, a predicate and an expression are each a one-key mapping whose
+# key names the form; a value may also be a bare number or text.
+
+NUMBER = Leaf("a number", (int, float, str), lambda x: dec4(str(x)))
+
+VALUE = Choice("a number, text or a value", {int: _same, str: _same, float: NUMBER.convert})
+VALUE.define({
+    "missing": (TEXT, Missing),
+    "qty": (ListOf((NUMBER, TEXT), "an [amount, unit] pair"), lambda pair: Quantity(*pair)),
+    "dec": (NUMBER, _same),
+})
+
+PRED = Choice("a predicate")
+PRED.define({
+    "always": (BOOL, Always),
+    "defined": (NAME, FieldDefined),
+    "cmp": (Entry("a comparison", {"op": NAME, "field": NAME, "value": VALUE}, Compare), _same),
+    "in": (Entry("a set test", {"field": NAME, "values": ListOf(VALUE, "a list of values")},
+                 InSet), _same),
+    "not": (PRED, Not),
+    "all": (ListOf(PRED, "a list of predicates"), All),
+    "any": (ListOf(PRED, "a list of predicates"), AnyOf),
+})
+
+EXPR = Choice("an expression")
+_OPERANDS = ListOf((EXPR, EXPR), "a [left, right] pair of expressions")
+EXPR.define({
+    "col": (NAME, Col),
+    "lit": (VALUE, Lit),
+    "num": (EXPR, NumOf),
+    "unit_of": (EXPR, UnitOf),
+    **{op: (_OPERANDS, lambda pair, op=op: BinOp(op, *pair)) for op in _BINOPS},
+})

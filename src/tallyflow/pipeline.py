@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from .audit import build_charges, measure_carriers
 from .errors import InvalidGraph, MissingInput, SchemaMismatch, TallyError, UnknownPid
-from .exprs import decode_expr, decode_pred
+from .exprs import EXPR, PRED
+from .grammar import BOOL, NAME, NAMES, PAIRS, TEXT, Entry, Key, Leaf, ListOf, Mapping
 from .ops import (
     AggSpec,
     aggregate,
@@ -77,47 +78,17 @@ class Wire(NamedTuple):
 
 
 class Node(Frozen):
-    """Base stage: subclasses define ports and the relation transform."""
+    """Base stage: subclasses define ports, the relation transform, and
+    doc_keys, the pipeline document's keys of their parameters (grammar)."""
 
     __slots__ = ()
     name: str
     in_ports: tuple[str, ...] = ("in",)
     out_ports: tuple[str, ...] = ("out",)
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        """Build the stage from its pipeline-document entry."""
-        return cls(nd["name"])
+    doc_keys: dict = {}
 
     def apply(self, ins: dict) -> dict:
         raise NotImplementedError
-
-
-def _flag(nd: dict, key: str) -> bool:
-    """A node entry's boolean option, false when absent; text such as "no" is refused."""
-    value = nd.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, not {value!r}")
-    return value
-
-
-def _names(value, key: str) -> tuple:
-    """A node entry's list of field names; one bare name is refused, not
-    read letter by letter."""
-    if not (isinstance(value, (list, tuple)) and all(isinstance(n, str) for n in value)):
-        raise ValueError(f"{key} must be a list of names, not {value!r}")
-    return tuple(value)
-
-
-def _mapping(nd: dict, key: str, shape: str) -> dict:
-    """A node entry's mapping, empty when absent; a list is refused, not
-    read pair by pair."""
-    value = nd.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must map {shape}, not {value!r}")
-    return dict(value)
 
 
 class PartitionNode(Node):
@@ -127,10 +98,7 @@ class PartitionNode(Node):
     _defaults = {"rejected_to_errors": False}
     in_ports = ("in",)
     out_ports = ("accepted", "rejected")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], decode_pred(nd["when"]), _flag(nd, "rejected_to_errors"))
+    doc_keys = {"when": Key(PRED, "pred"), "rejected_to_errors": Key(BOOL, default=False)}
 
     def apply(self, ins: dict) -> dict:
         acc, rej, reasons = partition_detailed(ins["in"], self.pred)
@@ -180,10 +148,7 @@ class ProjectNode(Node):
     """Lossless narrowing: dropped fields ride along as irrelevant payload."""
 
     __slots__ = ("name", "fields")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], _names(nd["fields"], "fields"))
+    doc_keys = {"fields": NAMES}
 
     def apply(self, ins: dict) -> dict:
         return {"out": lossless_project(ins["in"], self.fields)}
@@ -191,14 +156,7 @@ class ProjectNode(Node):
 
 class RenameNode(Node):
     __slots__ = ("name", "mapping")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        mapping = nd["map"]
-        if not (isinstance(mapping, dict)
-                and all(isinstance(n, str) for pair in mapping.items() for n in pair)):
-            raise ValueError(f"map must map names to names, not {mapping!r}")
-        return cls(nd["name"], dict(mapping))
+    doc_keys = {"map": Key(Mapping(NAME, "a mapping of names to names"), "mapping")}
 
     def apply(self, ins: dict) -> dict:
         return {"out": rename(ins["in"], self.mapping)}
@@ -225,18 +183,17 @@ class MapNode(Node):
 
     __slots__ = ("name", "additions", "sems", "kind", "units")
     _defaults = {"kind": "fmap", "units": None}
+    doc_keys = {
+        "add": Key(Mapping(EXPR, "a mapping of each added field to its expression"),
+                   "additions"),
+        "sems": Mapping(NAME, "a mapping of each added field to its type"),
+        "units": Key(Mapping(Leaf("text or null", (str, type(None))),
+                             "a mapping of each added field to its unit"), default=None),
+    }
 
     def __post_init__(self) -> None:
         if self.kind not in ("fmap", "emap"):
             raise ValueError(f"map kind must be fmap or emap, not {self.kind!r}")
-        for n in self.additions:
-            if not isinstance(n, str):
-                raise ValueError(f"map node {self.name!r}: an added field's name is "
-                                 f"text, not {n!r}")
-        for n, unit in (self.units or {}).items():
-            if unit is not None and not isinstance(unit, str):
-                raise ValueError(f"map node {self.name!r}: the unit of field {n!r} is "
-                                 f"text or absent, not {unit!r}")
         missing = [n for n in self.additions if n not in self.sems]
         if missing:
             raise ValueError(f"map node {self.name!r} lacks sems for {missing}")
@@ -250,13 +207,6 @@ class MapNode(Node):
                 raise ValueError(f"map node {self.name!r}: unknown semantic type "
                                  f"{sem!r} for field {n!r}")
 
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        additions = {k: decode_expr(v) for k, v in nd["add"].items()}
-        sems = _mapping(nd, "sems", "each added field to its type")
-        units = _mapping(nd, "units", "each added field to its unit") or None
-        return cls(nd["name"], additions, sems, kind=nd["op"], units=units)
-
     def apply(self, ins: dict) -> dict:
         rel = ins["in"]
         if self.kind == "emap":
@@ -269,10 +219,7 @@ class ErrorizeNode(Node):
     """Move rows onto the error rail with this stage's name and a fixed reason."""
 
     __slots__ = ("name", "reason")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        return cls(nd["name"], str(nd["reason"]))
+    doc_keys = {"reason": TEXT}
 
     def apply(self, ins: dict) -> dict:
         return {"out": as_errors(ins["in"], self.name, self.reason)}
@@ -286,19 +233,7 @@ class JoinNode(Node):
 
     in_ports = ("left", "right")
     out_ports = ("inner", "left_only", "right_only")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        keys = nd.get("keys", [])
-        if not isinstance(keys, (list, tuple)):
-            raise ValueError(f"keys must be a list of [left, right] pairs, not {keys!r}")
-        pairs = []
-        for p in keys:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and all(isinstance(c, str) for c in p)):
-                raise ValueError(f"a join key is a [left, right] pair of names, not {p!r}")
-            pairs.append(tuple(p))
-        return cls(nd["name"], tuple(pairs), _flag(nd, "missing_matches"))
+    doc_keys = {"keys": Key(PAIRS, "on", ()), "missing_matches": Key(BOOL, default=False)}
 
     def apply(self, ins: dict) -> dict:
         inner, left_only, right_only = outer_join(
@@ -309,14 +244,11 @@ class JoinNode(Node):
 
 class AggregateNode(Node):
     __slots__ = ("name", "group_by", "specs")
-
-    @classmethod
-    def from_doc(cls, nd: dict) -> Node:
-        specs = nd.get("specs", [])
-        if not (isinstance(specs, (list, tuple)) and all(isinstance(s, dict) for s in specs)):
-            raise ValueError(f"specs must be a list of {{field, op}} entries, not {specs!r}")
-        return cls(nd["name"], _names(nd.get("by", []), "by"),
-                   tuple(AggSpec(s["field"], s["op"]) for s in specs))
+    doc_keys = {
+        "by": Key(NAMES, "group_by", ()),
+        "specs": Key(ListOf(Entry("an aggregation", {"field": NAME, "op": NAME}, AggSpec),
+                            "a list of aggregations"), default=()),
+    }
 
     def apply(self, ins: dict) -> dict:
         return {"out": aggregate(ins["in"], self.group_by, self.specs)}
@@ -337,9 +269,8 @@ class Sink(Frozen):
 
     def __post_init__(self) -> None:
         if self.kind not in (REPORT, ERROR):
-            raise ValueError(f"sink kind must be report or error, not {self.kind!r}")
-        if not isinstance(self.report, str):
-            raise ValueError(f"sink {self.name!r}: a report label is text, not {self.report!r}")
+            raise ValueError(f"sink {self.name!r}: its kind is report or error, "
+                             f"not {self.kind!r}")
         if self.report == "all":
             raise ValueError(f"sink {self.name!r}: the report label 'all' is reserved "
                              "for the run-wide check coverage:all")
@@ -473,8 +404,6 @@ class PipelineGraph:
     # -- construction ---------------------------------------------------
 
     def _claim(self, name: str) -> None:
-        if not isinstance(name, str):
-            raise ValueError(f"bad owner name {name!r}: a name is text")
         if name in self.sources or name in self.nodes or name in self.sinks:
             raise ValueError(f"name {name!r} already used in this graph")
         # '.' ends an owner in an address; a sink's name is also its file name

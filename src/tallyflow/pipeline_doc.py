@@ -2,89 +2,89 @@
 
 A document names its sources (CSV files described by their own sidecar
 documents), the processing stages, the wiring, the sinks, and which
-measures the run must conserve.  Keys that YAML would quietly turn into
-booleans (on, yes, no) are avoided in the format.
+measures the run must conserve.  load_doc reads it whole against the
+declarations below and on each stage class.  Keys that YAML would
+quietly turn into booleans (on, yes, no) are avoided in the format.
 """
 
 from __future__ import annotations
 
 from .csvio import read_yaml
-from .errors import malformed
-from .pipeline import NODE_TYPES, Node, PipelineGraph
+from .grammar import NAME, TEXT, Entry, Key, Leaf, ListOf, Mapping, Tagged, read
+from .pipeline import NODE_TYPES, ConservationSpec, PipelineGraph
+from .relation import REPORT
+
+ADDRESS = Leaf("an address", (str,))  # owner or owner.port
 
 
-SECTION_SHAPES = {"sources": dict, "sinks": dict,
-                  "conservation": list, "nodes": list, "wires": list}
+def _node(op: str, cls) -> Entry:
+    """op's entry: op, name, the stage's keys and the wiring keys (from:
+    for the first in-port, one key per in-port, inputs:)."""
+    ports = cls.in_ports
+
+    def build(op, name, src, inputs, **params):
+        feeds = [(src, ports[0])] + [(params.pop(p), p) for p in ports]
+        feeds += [(a, p) for p, a in inputs.items()]
+        if "kind" in cls._fields:  # fmap and emap share one stage class
+            params["kind"] = op
+        return cls(name, **params), tuple((a, p) for a, p in feeds if a is not None)
+
+    return Entry(f"a {op} node", {
+        "op": NAME, "name": NAME, **cls.doc_keys, "from": Key(ADDRESS, "src", None),
+        **{p: Key(ADDRESS, default=None) for p in ports},
+        "inputs": Key(Mapping(ADDRESS, "a mapping of in-ports to addresses"), default={}),
+    }, build, label=op)
+
+
+NODE = Tagged("a node", "op", {op: _node(op, cls) for op, cls in NODE_TYPES.items()})
+
+# the decoded document: name, sources (name -> file), conservation specs,
+# nodes ((stage, its (address, in-port) feeds)), sinks (name -> (kind,
+# report, address or None)) and wires ((from, to) addresses)
+DOCUMENT = Entry("a pipeline document", {
+    "name": Key(TEXT, default="pipeline"),
+    "sources": Mapping(Entry("a source", {"file": TEXT}, lambda file: file),
+                       "a mapping of source names to sources"),
+    "conservation": Key(ListOf(Entry("a conservation entry", {
+        "scheme": NAME, "field": Key(NAME, "fld", None)}, ConservationSpec),
+        "a list of conservation entries"), default=()),
+    "nodes": Key(ListOf(NODE, "a list of nodes"), default=()),
+    "sinks": Mapping(Entry("a sink", {
+        "kind": Key(NAME, default=REPORT), "report": Key(TEXT, default="main"),
+        "from": Key(ADDRESS, "src", None)}, lambda kind, report, src: (kind, report, src)),
+        "a mapping of sink names to sinks"),
+    "wires": Key(ListOf(Entry("a wire", {
+        "from": Key(ADDRESS, "src"), "to": Key(ADDRESS, "dst")}, lambda src, dst: (src, dst)),
+        "a list of wires"), default=()),
+}, dict)
 
 
 def load_doc(path: str) -> dict:
-    doc = read_yaml(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a pipeline document is a mapping")
-    for key in ("sources", "sinks"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing {key!r} section")
-    for key, shape in SECTION_SHAPES.items():
-        if key in doc and not isinstance(doc[key], shape):
-            kind = "mapping" if shape is dict else "list"
-            raise ValueError(f"{path}: the {key!r} section must be a {kind}")
-    return doc
+    """The pipeline document at path, decoded (DOCUMENT)."""
+    return read(DOCUMENT, read_yaml(path), path)
 
 
 def source_files(doc: dict) -> dict:
     """Source name -> CSV file name, in document order."""
-    out = {}
-    for name, entry in doc["sources"].items():
-        if not isinstance(entry, dict) or "file" not in entry:
-            raise ValueError(f"source {name!r} needs a file entry")
-        if not isinstance(entry["file"], str):
-            raise ValueError(f"source {name!r}: its file is text, not {entry['file']!r}")
-        out[name] = entry["file"]
-    return out
-
-
-def _make_node(nd: dict) -> Node:
-    if not isinstance(nd, dict) or not nd.get("op") or not nd.get("name"):
-        raise ValueError(f"every node needs op and name: {nd!r}")
-    op = nd["op"]
-    if not isinstance(op, str) or op not in NODE_TYPES:
-        raise ValueError(f"unknown node op {op!r}")
-    with malformed(f"{op} node {nd['name']!r}"):
-        try:
-            return NODE_TYPES[op].from_doc(nd)
-        except ValueError as exc:  # a bad value in the entry, such as {dec: soup}
-            raise ValueError(f"{op} node {nd['name']!r}: {exc}") from exc
+    return dict(doc["sources"])
 
 
 def build_graph(doc: dict, schemas: dict) -> PipelineGraph:
-    """Assemble the graph; schemas maps each source name to its schema."""
-    g = PipelineGraph(str(doc.get("name", "pipeline")))
+    """Assemble a decoded document's graph; schemas maps each source to its schema."""
+    g = PipelineGraph(doc["name"])
     for name in doc["sources"]:
         if name not in schemas:
             raise ValueError(f"no schema for source {name!r}")
         g.add_source(name, schemas[name])
-    for c in doc.get("conservation", ()):
-        with malformed(f"conservation entry {c!r}"):
-            g.add_conservation(c["scheme"], c.get("field"))
-    for nd in doc.get("nodes", ()):
-        node = _make_node(nd)
+    g.conservation.extend(doc["conservation"])
+    for node, feeds in doc["nodes"]:
         g.add_node(node)
-        with malformed(f"{nd['op']} node {node.name!r}"):
-            # input wiring sugar: from: for the first port, or one key per port
-            if "from" in nd:
-                g.connect(str(nd["from"]), f"{node.name}.{node.in_ports[0]}")
-            for port in node.in_ports:
-                if port in nd:
-                    g.connect(str(nd[port]), f"{node.name}.{port}")
-            for port, src in (nd.get("inputs") or {}).items():
-                g.connect(str(src), f"{node.name}.{port}")
-    for name, sd in doc["sinks"].items():
-        with malformed(f"sink {name!r}"):
-            sd = sd or {}
-            g.add_sink(name, sd.get("kind", "report"), sd.get("report", "main"))
-            if "from" in sd:
-                g.connect(str(sd["from"]), name)
-    for w in doc.get("wires", ()):
-        with malformed(f"wire {w!r}"):
-            g.connect(str(w["from"]), str(w["to"]))
+        for src, port in feeds:
+            g.connect(src, f"{node.name}.{port}")
+    for name, (kind, report, src) in doc["sinks"].items():
+        g.add_sink(name, kind, report)
+        if src is not None:
+            g.connect(src, name)
+    for src, dst in doc["wires"]:
+        g.connect(src, dst)
     return g

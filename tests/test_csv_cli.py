@@ -38,7 +38,6 @@ from tallyflow.csvio import (
 )
 from tallyflow.monoid import count
 from tallyflow.pipeline import RunAudit, trace
-from tallyflow.pipeline_doc import load_doc
 from tallyflow.relation import FieldSpec, Record, Relation
 from tallyflow.values import plain
 
@@ -112,7 +111,8 @@ def test_unknown_column_type_is_refused():
 
 def test_sidecar_must_be_a_mapping_with_columns(tmp_path):
     path = write_sidecar(tmp_path, "- just\n- a list\n")
-    with pytest.raises(ValueError, match="'columns'"):
+    with pytest.raises(ValueError, match=r"t\.csv\.yaml: needs a column description "
+                       r"\{columns\}, not \['just', 'a list'\]"):
         load_sidecar(path)
 
 
@@ -540,7 +540,8 @@ def test_check_rejects_malformed_documents(tmp_path, capsys):
     doc = tmp_path / "p.yaml"
     doc.write_text("name: demo\nsources: {a: {file: a.csv}}\n", encoding="utf-8")
     assert main(["check", str(doc), "--data", str(tmp_path)]) == 2
-    assert "missing 'sinks'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"check: {doc}: sinks: needs a mapping of sink names "
+                                       "to sinks, and is missing\n")
 
 
 # -- command line: run --------------------------------------------------
@@ -722,14 +723,14 @@ def priced_through(node: dict):
 BAD_ENTRIES = {
     "errorize without reason": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][2].pop("reason"),
-        "malformed errorize node 'unknown_product': missing key 'reason'"),
+        "DATA/pipeline.yaml: nodes[2] (errorize 'unknown_product') reason: needs text, "
+        "and is missing"),
     "conservation without scheme": (
         "lookup", "pipeline.yaml", lambda doc: doc["conservation"][1].pop("scheme"),
-        "malformed conservation entry {'field': 'quantity'}: missing key 'scheme'"),
+        "DATA/pipeline.yaml: conservation[1].scheme: needs a name, and is missing"),
     "column without name": (
         "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].pop("name"),
-        "malformed column entry {'type': 'text'} in DATA/products.csv.yaml: "
-        "missing key 'name'"),
+        "DATA/products.csv.yaml: columns[1] (column) name: needs a name, and is missing"),
     "report label all": (
         "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report="all"),
         "sink 'priced': the report label 'all' is reserved for the run-wide "
@@ -737,20 +738,21 @@ BAD_ENTRIES = {
     "fmap literal not a decimal": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
             value={"add": [{"num": {"col": "quantity"}}, {"lit": {"dec": "soup"}}]}),
-        "fmap node 'valued': not a decimal: 'soup'"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.add[1].lit.dec: not a "
+        "decimal: 'soup'"),
     "fmap sems and units for fields it does not add": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(
             sems={"value": "decimal", "valeu": "text"}, units={"valu": "$"}),
-        "fmap node 'valued': map node 'valued' has sems or units for fields "
-        "it does not add: ['valeu', 'valu']"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued'): map node 'valued' has sems or units "
+        "for fields it does not add: ['valeu', 'valu']"),
     "quantity without a unit source": (
         "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].pop("unit_from"),
         "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
         "of unit and unit_from"),
     "sentinels written as one text": (
         "ship", "items.csv.yaml", lambda doc: doc["columns"][1].update(sentinels="unknown"),
-        "DATA/items.csv.yaml: column 'Purchase price': sentinels must be a list, "
-        "not 'unknown'"),
+        "DATA/items.csv.yaml: columns[1] (column 'Purchase price') sentinels: needs a list of "
+        "cell texts, not 'unknown'"),
     "quantity with two unit sources": (
         "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].update(unit="$"),
         "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
@@ -758,99 +760,149 @@ BAD_ENTRIES = {
     "partition literal not a decimal": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(
             when={"cmp": {"op": "ge", "field": "Insurance", "value": {"dec": "soup"}}}),
-        "partition node 'iv_by_insurance': not a decimal: 'soup'"),
+        "DATA/pipeline.yaml: nodes[3] (partition 'iv_by_insurance') when.cmp.value.dec: not a "
+        "decimal: 'soup'"),
     "join key written as one name": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys=["product"]),
-        "join node 'price_lookup': a join key is a [left, right] pair of names, "
-        "not 'product'"),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup') keys[0]: needs a [left, right] "
+        "pair of names, not 'product'"),
     "join key pair of one name": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys=[["product"]]),
-        "join node 'price_lookup': a join key is a [left, right] pair of names, "
-        "not ['product']"),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup') keys[0]: needs a [left, right] "
+        "pair of names, not ['product']"),
     "fmap sem not a field type": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(sems={"value": "money"}),
-        "fmap node 'valued': map node 'valued': unknown semantic type 'money' "
-        "for field 'value'"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued'): map node 'valued': unknown semantic "
+        "type 'money' for field 'value'"),
     "stage name a number": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][2].update(name=7),
-        "bad owner name 7: a name is text"),
+        "DATA/pipeline.yaml: nodes[2] (errorize 7) name: needs a name, not 7"),
     "source name a number": (
         "lookup", "pipeline.yaml",
         lambda doc: doc["sources"].update({7: doc["sources"].pop("products")}),
-        "bad owner name 7: a name is text"),
+        "DATA/pipeline.yaml: sources: needs a name as each key, not 7"),
     "report label a number": (
         "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report=5),
-        "sink 'priced': a report label is text, not 5"),
+        "DATA/pipeline.yaml: sinks.priced.report: needs text, not 5"),
     "source file a number": (
         "lookup", "pipeline.yaml", lambda doc: doc["sources"]["orders"].update(file=5),
-        "source 'orders': its file is text, not 5"),
+        "DATA/pipeline.yaml: sources.orders.file: needs text, not 5"),
     "partition flag as text": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(rejected_to_errors="false"),
-        "partition node 'iv_by_insurance': rejected_to_errors must be true or false, "
-        "not 'false'"),
+        "DATA/pipeline.yaml: nodes[3] (partition 'iv_by_insurance') rejected_to_errors: needs "
+        "true or false, not 'false'"),
     "join flag as text": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(missing_matches="no"),
-        "join node 'price_lookup': missing_matches must be true or false, not 'no'"),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup') missing_matches: needs true or "
+        "false, not 'no'"),
     "fmap unit a number": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(units={"value": 5}),
-        "fmap node 'valued': map node 'valued': the unit of field 'value' is text or "
-        "absent, not 5"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') units.value: needs text or null, not 5"),
     "fmap added name a number": (
         "lookup", "pipeline.yaml", lambda doc: (doc["nodes"][1]["add"].update({5: {"lit": "x"}}),
                                                 doc["nodes"][1]["sems"].update({5: "text"})),
-        "fmap node 'valued': map node 'valued': an added field's name is text, not 5"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add: needs a name as each key, not 5"),
     "rename to a number": (
         "lookup", "pipeline.yaml",
         priced_through({"op": "rename", "name": "relabel", "map": {"product": 5}}),
-        "rename node 'relabel': map must map names to names, not {'product': 5}"),
+        "DATA/pipeline.yaml: nodes[5] (rename 'relabel') map.product: needs a name, not 5"),
     "project fields written as one name": (
         "lookup", "pipeline.yaml",
         priced_through({"op": "project", "name": "narrow", "fields": "order"}),
-        "project node 'narrow': fields must be a list of names, not 'order'"),
+        "DATA/pipeline.yaml: nodes[5] (project 'narrow') fields: needs a list of names, not "
+        "'order'"),
     "aggregate keys written as one name": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][3].update(by="product"),
-        "aggregate node 'missing_summary': by must be a list of names, not 'product'"),
+        "DATA/pipeline.yaml: nodes[3] (aggregate 'missing_summary') by: needs a list of "
+        "names, not 'product'"),
     "aggregate spec not in a list": (
         "lookup", "pipeline.yaml",
         lambda doc: doc["nodes"][3].update(specs={"field": "quantity", "op": "sum"}),
-        "aggregate node 'missing_summary': specs must be a list of {field, op} entries, "
-        "not {'field': 'quantity', 'op': 'sum'}"),
+        "DATA/pipeline.yaml: nodes[3] (aggregate 'missing_summary') specs: needs a list of "
+        "aggregations, not {'field': 'quantity', 'op': 'sum'}"),
     "join keys not in a list": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(keys="product"),
-        "join node 'price_lookup': keys must be a list of [left, right] pairs, "
-        "not 'product'"),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup') keys: needs a list of [left, "
+        "right] pairs of names, not 'product'"),
     "partition set written as one value": (
         "ship", "pipeline.yaml",
         lambda doc: doc["nodes"][26]["when"]["not"]["in"].update(values="person"),
-        "partition node 'wt_mass': in values must be a list, not 'person'"),
+        "DATA/pipeline.yaml: nodes[26] (partition 'wt_mass') when.not.in.values: needs a list "
+        "of values, not 'person'"),
     "partition always as text": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][3].update(when={"always": "false"}),
-        "partition node 'iv_by_insurance': always must be true or false, not 'false'"),
+        "DATA/pipeline.yaml: nodes[3] (partition 'iv_by_insurance') when.always: needs true "
+        "or false, not 'false'"),
     "fmap sems not a mapping": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(sems=["value"]),
-        "fmap node 'valued': sems must map each added field to its type, not ['value']"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') sems: needs a mapping of each added "
+        "field to its type, not ['value']"),
     "fmap units not a mapping": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(units=["value"]),
-        "fmap node 'valued': units must map each added field to its unit, not ['value']"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') units: needs a mapping of each added "
+        "field to its unit, not ['value']"),
     "fmap column named by a number": (
         "lookup", "pipeline.yaml",
         lambda doc: doc["nodes"][1]["add"].update(value={"num": {"col": 5}}),
-        "fmap node 'valued': col must be a name, not 5"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.num.col: needs a name, not 5"),
     "fmap quantity unit a number": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
             value={"mul": [{"num": {"col": "quantity"}}, {"num": {"lit": {"qty": [1, 5]}}}]}),
-        "fmap node 'valued': qty unit must be text, not 5"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.mul[1].num.lit.qty[1]: needs "
+        "text, not 5"),
     "fmap missing reason a list": (
         "lookup", "pipeline.yaml",
         lambda doc: doc["nodes"][1]["add"].update(value={"lit": {"missing": [1]}}),
-        "fmap node 'valued': missing reason must be text, not [1]"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.lit.missing: needs text, not "
+        "[1]"),
     "fmap arithmetic over text": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(value={"add": "ab"}),
-        "fmap node 'valued': add must be a [left, right] list, not 'ab'"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.add: needs a [left, right] "
+        "pair of expressions, not 'ab'"),
     "fmap arithmetic over one operand": (
         "lookup", "pipeline.yaml",
         lambda doc: doc["nodes"][1]["add"].update(value={"sub": [{"col": "order"}]}),
-        "fmap node 'valued': sub must be a [left, right] list, not [{'col': 'order'}]"),
+        "DATA/pipeline.yaml: nodes[1] (fmap 'valued') add.value.sub: needs a [left, right] "
+        "pair of expressions, not [{'col': 'order'}]"),
+    "sink kind misspelled": (
+        "lookup", "pipeline.yaml",
+        lambda doc: doc["sinks"]["missing_products"].update(
+            knd=doc["sinks"]["missing_products"].pop("kind")),
+        "DATA/pipeline.yaml: sinks.missing_products: needs one of the keys "
+        "kind | report | from, not 'knd'"),
+    "partition flag misspelled": (
+        "ship", "pipeline.yaml",
+        lambda doc: doc["nodes"][26].update(
+            rejected_to_error=doc["nodes"][26].pop("rejected_to_errors")),
+        "DATA/pipeline.yaml: nodes[26] (partition 'wt_mass'): needs one of the keys "
+        "op | name | when | rejected_to_errors | from | in | inputs, not 'rejected_to_error'"),
+    "columns not a list": (
+        "lookup", "products.csv.yaml", lambda doc: doc.update(columns=5),
+        "DATA/products.csv.yaml: columns: needs a list of columns, not 5"),
+    "column name a list": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].update(name=[1]),
+        "DATA/products.csv.yaml: columns[1] (column [1]) name: needs a name, not [1]"),
+    "column name a number": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].update(name=5),
+        "DATA/products.csv.yaml: columns[1] (column 5) name: needs a name, not 5"),
+    "errorize reason a list": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][2].update(reason=[1, {"a": 2}]),
+        "DATA/pipeline.yaml: nodes[2] (errorize 'unknown_product') reason: needs text, "
+        "not [1, {'a': 2}]"),
+    "pipeline name a list": (
+        "lookup", "pipeline.yaml", lambda doc: doc.update(name=[1]),
+        "DATA/pipeline.yaml: name: needs text, not [1]"),
+    "column unit a number": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][2].update(unit=5),
+        "DATA/products.csv.yaml: columns[2] (column 'current_price') unit: needs text, not 5"),
+    "column unit a boolean": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][2].update(unit=True),
+        "DATA/products.csv.yaml: columns[2] (column 'current_price') unit: needs text, "
+        "not True"),
+    "column empty a list": (
+        "ship", "items.csv.yaml", lambda doc: doc["columns"][4].update(empty=[1]),
+        "DATA/items.csv.yaml: columns[4] (column 'Unit') empty: needs text or an integer, "
+        "not [1]"),
     "project that keeps no fields": (
         "lookup", "pipeline.yaml",
         priced_through({"op": "project", "name": "narrow", "fields": []}),
@@ -924,11 +976,12 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
 
 # each entry: how the section is given the wrong shape, and the shape it needs
 BAD_SECTIONS = {
-    "sources": (lambda doc: list(doc["sources"]), "mapping"),
-    "sinks": (lambda doc: [{"name": k, **v} for k, v in doc["sinks"].items()], "mapping"),
-    "conservation": (lambda doc: doc["conservation"][0], "list"),
-    "nodes": (lambda doc: 3, "list"),
-    "wires": (lambda doc: "orders.out", "list"),
+    "sources": (lambda doc: list(doc["sources"]), "a mapping of source names to sources"),
+    "sinks": (lambda doc: [{"name": k, **v} for k, v in doc["sinks"].items()],
+              "a mapping of sink names to sinks"),
+    "conservation": (lambda doc: doc["conservation"][0], "a list of conservation entries"),
+    "nodes": (lambda doc: 3, "a list of nodes"),
+    "wires": (lambda doc: "orders.out", "a list of wires"),
 }
 
 
@@ -941,7 +994,8 @@ def test_sections_of_the_wrong_shape_exit_2(tmp_path, capsys, section):
 
     data = lookup_copy(tmp_path, "pipeline.yaml", edit)
     pipeline = os.path.join(data, "pipeline.yaml")
-    message = f"{pipeline}: the {section!r} section must be a {shape}"
+    found = read_yaml(pipeline)[section]
+    message = f"{pipeline}: {section}: needs {shape}, not {found!r}"
     assert main(["run", pipeline, "--data", data,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"run: {message}\n"
@@ -1040,7 +1094,8 @@ def test_a_nan_literal_in_a_pipeline_document_exits_2(tmp_path, capsys):
     data = lookup_copy(tmp_path, "pipeline.yaml", nan_value)
     assert main(["run", os.path.join(data, "pipeline.yaml"), "--data", data,
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "run: fmap node 'valued': not a decimal: 'NaN'\n"
+    assert capsys.readouterr().err == (f"run: {data}/pipeline.yaml: nodes[1] (fmap 'valued') "
+                                       "add.value.lit.dec: not a decimal: 'NaN'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1222,12 +1277,15 @@ def test_read_yaml_falls_back_to_the_python_loader(monkeypatch):
 
 # a run or a check through the CLI, then which optional modules it loaded;
 # dataclasses counts as one, since generating a dataclass's methods costs
-# start-up about half a millisecond per class
+# start-up about half a millisecond per class, and so does inspect, which
+# it imports.  Every run and check reads its documents through the
+# grammar module, so the probe shows that module loads neither.
 LAZY_PROBE = """
 import sys
 from tallyflow.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write(repr([m for m in ("tallyflow.ra", "tallyflow.fuzz", "dataclasses")
+assert "tallyflow.grammar" in sys.modules
+sys.stderr.write(repr([m for m in ("tallyflow.ra", "tallyflow.fuzz", "dataclasses", "inspect")
                        if m in sys.modules]))
 sys.exit(code)
 """
@@ -1273,7 +1331,7 @@ def test_run_compiles_each_predicate_and_expression_once_per_apply(
         monkeypatch.setattr(ops_mod, name, counting(name))
     d = fixture_dir(fixture)
     pipeline = os.path.join(d, "pipeline.yaml")
-    nodes = load_doc(pipeline)["nodes"]
+    nodes = read_yaml(pipeline)["nodes"]
     assert main(["run", pipeline, "--data", d, "--out", str(tmp_path / "out")]) == 0
     # each stage applies twice, in the dry run and in the run, however
     # many rows it sees

@@ -30,19 +30,32 @@ from tallyflow import (
     schema,
 )
 from tallyflow.exprs import (
+    EXPR,
+    PRED,
+    VALUE,
     compile_expr,
     compile_pred,
-    decode_expr,
-    decode_pred,
-    decode_value,
     describe,
     encode_expr,
     encode_pred,
     encode_value,
 )
+from tallyflow.grammar import read
 
 
 D = Decimal
+
+
+def decode_value(doc):
+    return read(VALUE, doc, "value")
+
+
+def decode_pred(doc):
+    return read(PRED, doc, "predicate")
+
+
+def decode_expr(doc):
+    return read(EXPR, doc, "expression")
 
 SCH = schema(
     FieldSpec("i", "integer"),
@@ -249,6 +262,15 @@ def test_bad_documents_are_refused():
                 {"missing": [1]}):
         with pytest.raises(ValueError):
             decode_value(doc)
+    # a body of the wrong shape is refused naming the shape its form needs
+    for doc, need in (({"all": "ab"}, "a list of predicates"),
+                      ({"any": 5}, "a list of predicates"),
+                      ({"cmp": "x"}, "a comparison {op, field, value}"),
+                      ({"in": 5}, "a set test {field, values}"),
+                      ({"cmp": {"op": "eq", "field": "x"}}, "a number, text or a value")):
+        with pytest.raises(ValueError) as info:
+            decode_pred(doc)
+        assert f"needs {need}" in str(info.value), doc
     for doc in ({"col": 5}, {"add": "ab"}, {"mul": [{"col": "x"}]}, {"sub": {"col": "x"}}):
-        with pytest.raises(ValueError, match="must be a name|must be a \\[left, right\\] list"):
+        with pytest.raises(ValueError, match="needs a name|needs a \\[left, right\\] pair"):
             decode_expr(doc)

@@ -54,7 +54,8 @@ from tallyflow import (
 from tallyflow.audit import build_charges, path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
 from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node, RunAudit
-from tallyflow.pipeline_doc import _make_node, build_graph
+from tallyflow.grammar import read
+from tallyflow.pipeline_doc import DOCUMENT, NODE, build_graph
 
 
 D = Decimal
@@ -94,13 +95,13 @@ def priced_graph(stage="has_price"):
 
 def test_an_inputs_mapping_wires_ports_like_port_keys():
     def joined(wiring):
-        return build_graph({
-            "name": "w", "sources": {"orders": {}, "stock": {}},
+        return build_graph(read(DOCUMENT, {
+            "name": "w", "sources": {"orders": {"file": "o.csv"}, "stock": {"file": "s.csv"}},
             "nodes": [{"op": "join", "name": "j", "keys": [["item", "item"]], **wiring}],
             "sinks": {"both": {"from": "j.inner"},
                       "orders_only": {"kind": "error", "from": "j.left_only"},
                       "stock_only": {"kind": "error", "from": "j.right_only"}},
-        }, {"orders": ORDERS, "stock": schema(FieldSpec("item", "text"),
+        }, "w.yaml"), {"orders": ORDERS, "stock": schema(FieldSpec("item", "text"),
                                               FieldSpec("held", "integer"))})
     by_keys = joined({"left": "orders", "right": "stock"})
     by_inputs = joined({"inputs": {"left": "orders", "right": "stock"}})
@@ -237,7 +238,7 @@ def test_each_document_op_decodes_to_its_stage():
                        "rejected_to_errors": True},
                       PartitionNode("s", FieldDefined("price"), True)),
         "tee": ({}, TeeNode("s")),
-        "tagged_union": ({"label": "both"}, TaggedUnionNode("s")),
+        "tagged_union": ({}, TaggedUnionNode("s")),
         "untag": ({}, UntagNode("s")),
         "strip_tags": ({}, StripTagsNode("s")),
         "project": ({"fields": ["item"]}, ProjectNode("s", ("item",))),
@@ -256,9 +257,13 @@ def test_each_document_op_decodes_to_its_stage():
     }
     assert set(cases) == set(NODE_TYPES)
     for op, (entry, node) in cases.items():
-        assert _make_node({"op": op, "name": "s", **entry}) == node, op
-    with pytest.raises(ValueError, match="unknown node op 'filter'"):
-        _make_node({"op": "filter", "name": "s"})
+        assert read(NODE, {"op": op, "name": "s", **entry}, "node") == (node, ()), op
+    with pytest.raises(ValueError, match=r"node: op: needs one of partition \| .*, not 'filter'"):
+        read(NODE, {"op": "filter", "name": "s"}, "node")
+    # an entry is closed: a key its op does not declare is refused, not ignored
+    with pytest.raises(ValueError, match=r"node: \(tagged_union 's'\): needs one of the keys "
+                       r"op \| name \| from \| left \| right \| inputs, not 'label'"):
+        read(NODE, {"op": "tagged_union", "name": "s", "label": "both"}, "node")
 
 
 def test_duplicate_names_are_claimed_once():

@@ -49,10 +49,14 @@ class ColumnSpec(Frozen):
                  "empty": "missing"}
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("a column name must be nonempty")
         if self.type not in COLUMN_TYPES:
             raise ValueError(f"column {self.name!r}: unknown type {self.type!r}")
         if self.unit_from and self.type != "quantity":
             raise ValueError(f"column {self.name!r}: unit_from needs type quantity")
+        if self.unit is not None and self.type not in ("decimal", "quantity"):
+            raise ValueError(f"column {self.name!r}: unit needs type decimal or quantity")
         object.__setattr__(self, "sentinels", tuple(self.sentinels))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from decimal import Decimal
 
-from .errors import FnNotTotal
+from .errors import ExprTypeError, FnNotTotal
 from .grammar import BOOL, NAME, TEXT, Choice, Entry, Leaf, ListOf
 from .monoid import Kind, MonoidElement
 from .relation import schema_field
@@ -135,26 +135,46 @@ def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) ->
     return Truth.false(f"{field} {op} {right} failed for {left}")
 
 
+_NUMBERS = {"integer", "decimal"}
+
+
+def _meets(spec, v, ordered: bool = False) -> None:
+    """Refuse a literal v that no cell of the field spec could match: one of
+    another sem, save integer against decimal in an ordered comparison (an
+    integer never equals a decimal).  A bare Missing fits any field."""
+    sem = _literal_type(v)[0]
+    if sem not in (None, spec.sem) and not (ordered and {sem, spec.sem} <= _NUMBERS):
+        shown = repr(v) if isinstance(v, str) else str(v)
+        raise ExprTypeError(f"{spec.name} is {spec.sem}, so the {sem} literal {shown} "
+                            "cannot match it")
+
+
 def compile_pred(p: Pred, sch):
     """p as a closure from a row's fields dict to its Truth.
 
     Field names are resolved against sch (raising UnknownField) and InSet
-    key sets are built here, once.  Every rejecting Truth carries a reason.
+    key sets are built here, once.  A cmp or in literal no cell of its
+    field could match raises ExprTypeError.  Every rejecting Truth carries
+    a reason.
     """
     if isinstance(p, Always):
         t = _TRUE if p.value else Truth.false("always false")
         return lambda row: t
     if isinstance(p, (FieldDefined, Compare, InSet)):
-        name = schema_field(sch, p.field).name
+        spec = schema_field(sch, p.field)
+        name = spec.name
         if isinstance(p, FieldDefined):
             def defined(row):
                 v = row[name]
                 return Truth.false(f"{name} missing: {v.reason}") if isinstance(v, Missing) else _TRUE
             return defined
         if isinstance(p, Compare):
+            _meets(spec, p.value, p.op not in ("eq", "ne"))
             op, want = p.op, p.value
             test = lambda v: _compare_values(op, v, want, name)
         else:
+            for x in p.values:
+                _meets(spec, x)
             keys = frozenset(cell_key(x) for x in p.values)
             test = lambda v: (_TRUE if cell_key(v) in keys
                               else Truth.false(f"{name} value {v} not in allowed set"))
@@ -336,12 +356,17 @@ def compile_expr(e: Expr, sch):
     raise TypeError(f"not an expression: {e!r}")
 
 
-# -- dict (de)serialization --------------------------------------------
+# -- document writers: the query compiler's; the grammar below reads them back
 
 
 def encode_value(v: FieldValue) -> object:
+    """v as a document writes it.  A document reads decimals to four places,
+    so a literal they cannot hold exactly is refused (ValueError), not rounded."""
     if isinstance(v, Missing):
         return {"missing": v.reason}
+    d = v.amount if isinstance(v, Quantity) else v
+    if isinstance(d, Decimal) and dec4(d) != d:
+        raise ValueError(f"the literal {d} does not fit a document's four decimal places")
     if isinstance(v, Quantity):
         return {"qty": [str(v.amount), v.unit]}
     if isinstance(v, Decimal):

@@ -18,27 +18,25 @@ _ABSENT = object()  # what a missing key holds
 
 
 class Refused(ValueError):
-    """A document entry that does not fit its shape or a value rule."""
+    """A document entry that does not fit its shape or a value rule.  Each
+    container it passes through prepends its step to steps, so a read that
+    refuses nothing builds no path; read() formats it once."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.steps = []  # innermost first: (separator, or None for a key's; text)
 
 
-def _fail(at: str, text: str):
-    raise Refused(f"{at}: {text}" if at else text)
+def _refused(need: str, value=_ABSENT) -> Refused:
+    return Refused(f"needs {need}, " + ("and is missing" if value is _ABSENT else f"not {value!r}"))
 
 
-def _refuse(at: str, need: str, value=_ABSENT):
-    _fail(at, f"needs {need}, " + ("and is missing" if value is _ABSENT else f"not {value!r}"))
-
-
-def _built(build, at: str, *args, **kwargs):
-    """build(*args, **kwargs), its ValueError refused at the path at."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        _fail(at, str(exc))
-
-
-def _key(at: str, key) -> str:
-    return f"{at}{' ' if at.endswith(')') else '.'}{key}" if at else str(key)
+def _at(exc: ValueError, step, sep=None) -> Refused:
+    """exc, a Refused if a value rule's ValueError, its path now beginning with step."""
+    if exc.__class__ is not Refused:
+        exc = Refused(str(exc))
+    exc.steps.append((sep, step))
+    return exc
 
 
 class Leaf:
@@ -47,10 +45,10 @@ class Leaf:
     def __init__(self, need: str, classes: tuple, convert=None):
         self.need, self.classes, self.convert = need, classes, convert
 
-    def read(self, value, at: str):
+    def read(self, value):
         if value.__class__ not in self.classes:
-            _refuse(at, self.need, value)
-        return value if self.convert is None else _built(self.convert, at, value)
+            raise _refused(self.need, value)
+        return value if self.convert is None else self.convert(value)
 
 
 class ListOf:
@@ -59,28 +57,38 @@ class ListOf:
 
     def __init__(self, item, need: str):
         self.item, self.need = item, need
+        self.fixed = item if isinstance(item, tuple) else None
 
-    def read(self, value, at: str):
-        fixed = self.item if isinstance(self.item, tuple) else None
+    def read(self, value):
+        fixed = self.fixed
         if value.__class__ not in (list, tuple) or fixed and len(value) != len(fixed):
-            _refuse(at, self.need, value)
-        return tuple((fixed[i] if fixed else self.item).read(x, f"{at}[{i}]")
-                     for i, x in enumerate(value))
-
-
+            raise _refused(self.need, value)
+        item, out = self.item, []
+        try:
+            for i, x in enumerate(value):
+                out.append((fixed[i] if fixed else item).read(x))
+        except ValueError as exc:
+            raise _at(exc, f"[{i}]", "") from None
+        return tuple(out)
 class Mapping:
     """A mapping of names to values of one shape."""
 
     def __init__(self, value, need: str):
         self.value, self.need = value, need
 
-    def read(self, value, at: str):
+    def read(self, value):
         if value.__class__ is not dict:
-            _refuse(at, self.need, value)
+            raise _refused(self.need, value)
         for k in value:
             if k.__class__ is not str:
-                _refuse(at, "a name as each key", k)
-        return {k: self.value.read(v, _key(at, k)) for k, v in value.items()}
+                raise _refused("a name as each key", k)
+        shape, out = self.value, {}
+        try:
+            for k, v in value.items():
+                out[k] = shape.read(v)
+        except ValueError as exc:
+            raise _at(exc, k) from None
+        return out
 
 
 class Key(NamedTuple):
@@ -100,27 +108,33 @@ class Entry:
     def __init__(self, what: str, keys: dict, build, label: str | None = None):
         keys = {k: key if isinstance(key, Key) else Key(key) for k, key in keys.items()}
         self.keys = {k: key._replace(to=key.to or k) for k, key in keys.items()}
+        self.defaults = {key.to: key.default for key in self.keys.values()
+                         if key.default is not REQUIRED}
         self.need, self.build, self.label = f"{what} {{{', '.join(keys)}}}", build, label
 
-    def read(self, value, at: str):
+    def read(self, value):
         if value.__class__ is not dict:
-            _refuse(at, self.need, value)
-        if self.label:
+            raise _refused(self.need, value)
+        try:
+            args, keys = self.defaults.copy(), self.keys
+            for k, v in value.items():
+                if k not in keys:
+                    raise _refused(f"one of the keys {' | '.join(keys)}", k)
+                shape, to, default = keys[k]
+                if v is not None or default is not None:
+                    try:
+                        args[to] = shape.read(v)
+                    except ValueError as exc:
+                        raise _at(exc, k) from None
+            if len(args) < len(keys):
+                k, (shape, _, _) = next((k, key) for k, key in keys.items() if key.to not in args)
+                raise _at(_refused(shape.need), k)
+            return self.build(**args)
+        except ValueError as exc:
+            if not self.label:
+                raise
             name = f" {value['name']!r}" if "name" in value else ""
-            at = f"{at} ({self.label}{name})".lstrip()
-        args = {}
-        for k, v in value.items():
-            if k not in self.keys:
-                _refuse(at, f"one of the keys {' | '.join(self.keys)}", k)
-            shape, to, default = self.keys[k]
-            if v is not None or default is not None:
-                args[to] = shape.read(v, _key(at, k))
-        for k, (shape, to, default) in self.keys.items():
-            if to not in args:
-                if default is REQUIRED:
-                    _refuse(_key(at, k), shape.need)
-                args[to] = default
-        return _built(self.build, at, **args)
+            raise _at(exc, f"({self.label}{name})", " ") from None
 
 
 class Tagged:
@@ -129,13 +143,13 @@ class Tagged:
     def __init__(self, what: str, tag: str, variants: dict):
         self.need, self.tag, self.variants = f"{what} {{{tag}, ...}}", tag, variants
 
-    def read(self, value, at: str):
+    def read(self, value):
         if value.__class__ is not dict:
-            _refuse(at, self.need, value)
+            raise _refused(self.need, value)
         tag = value.get(self.tag, _ABSENT)
         if tag.__class__ is not str or tag not in self.variants:
-            _refuse(_key(at, self.tag), f"one of {' | '.join(self.variants)}", tag)
-        return self.variants[tag].read(value, at)
+            raise _at(_refused(f"one of {' | '.join(self.variants)}", tag), self.tag)
+        return self.variants[tag].read(value)
 
 
 class Choice:
@@ -150,22 +164,31 @@ class Choice:
         """options: key -> (shape of its body, build of the decoded body)."""
         self.options, self.need = options, f"{self.what} {{{' | '.join(options)}: ...}}"
 
-    def read(self, value, at: str):
-        if value.__class__ in self.scalars:
-            return _built(self.scalars[value.__class__], at, value)
+    def read(self, value):
+        build = self.scalars.get(value.__class__)
+        if build is not None:
+            return build(value)
         if value.__class__ is not dict or len(value) != 1 or next(iter(value)) not in self.options:
-            _refuse(at, self.need, value)
+            raise _refused(self.need, value)
         [(k, body)] = value.items()
         shape, build = self.options[k]
-        return _built(build, _key(at, k), shape.read(body, _key(at, k)))
+        try:
+            return build(shape.read(body))
+        except ValueError as exc:
+            raise _at(exc, k) from None
 
 
 def read(shape, value, where: str):
-    """value decoded against shape, or Refused beginning with where, such as a path."""
+    """value decoded against shape, or Refused beginning with where and the
+    path to the entry refused: a key follows `.`, or ` ` after a label."""
     try:
-        return shape.read(value, "")
-    except Refused as exc:
-        raise Refused(f"{where}: {exc}") from None
+        return shape.read(value)
+    except ValueError as exc:
+        at = ""
+        for sep, step in reversed(getattr(exc, "steps", ())):
+            sep = sep if sep is not None else " " if at.endswith(")") else "."
+            at = f"{at}{sep}{step}" if at else str(step)
+        raise Refused(f"{where}: {at}: {exc}" if at else f"{where}: {exc}") from None
 
 
 TEXT = Leaf("text", (str,))

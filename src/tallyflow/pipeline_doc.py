@@ -3,8 +3,10 @@
 A document names its sources (CSV files described by their own sidecar
 documents), the processing stages, the wiring, the sinks, and which
 measures the run must conserve.  load_doc reads it whole against the
-declarations below and on each stage class.  Keys that YAML would
-quietly turn into booleans (on, yes, no) are avoided in the format.
+declarations below and on each stage class.  build_graph assembles every
+graph the package builds: a compiled query (ra.translate) is a document
+too.  Keys that YAML would quietly turn into booleans (on, yes, no) are
+avoided in the format.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ def _node(op: str, cls) -> Entry:
         feeds += [(a, p) for p, a in inputs.items()]
         if "kind" in cls._fields:  # fmap and emap share one stage class
             params["kind"] = op
-        return cls(name, **params), tuple((a, p) for a, p in feeds if a is not None)
+        # params holds every field after name, so they all go by position
+        node = cls(name, *map(params.__getitem__, cls._fields[1:]))
+        return node, tuple((a, p) for a, p in feeds if a is not None)
 
     return Entry(f"a {op} node", {
         "op": NAME, "name": NAME, **cls.doc_keys, "from": Key(ADDRESS, "src", None),

@@ -4,8 +4,9 @@ The query AST here covers the textbook operators plus aggregation and
 row-mapping.  A query is typed once: each operator's output schema comes
 from its rule in ops, this module adds only the rules that belong to
 queries, and the schema of every node is recorded for the steps below.
-translate() turns a well-typed query into a pipeline graph whose
-"result" sink holds the classical answer while every row the classical
+query_document() writes a well-typed query as a pipeline document, and
+translate() builds its graph as a pipeline.yaml's is built: its "result"
+sink holds the classical answer while every row the classical
 semantics would discard drains to labeled error sinks instead.
 reference_eval() is a deliberately naive evaluator over plain dicts that
 reads only its operands' recorded schemas and shares no row code with
@@ -37,7 +38,10 @@ from .exprs import (
     UnitOf,
     compile_expr,
     compile_pred,
+    encode_expr,
+    encode_pred,
 )
+from .grammar import read
 from .monoid import Kind, MonoidElement, avg_of, count, max_of, min_of, set_of, sum_of
 from .ops import (
     AggSpec,
@@ -47,20 +51,8 @@ from .ops import (
     rename_schema,
     union_schema,
 )
-from .pipeline import (
-    AggregateNode,
-    DedupNode,
-    ErrorizeNode,
-    JoinNode,
-    MapNode,
-    Node,
-    PartitionNode,
-    PipelineGraph,
-    ProjectNode,
-    RenameNode,
-    TaggedUnionNode,
-    TeeNode,
-)
+from .pipeline import PipelineGraph
+from .pipeline_doc import DOCUMENT, build_graph
 from .relation import (
     ERROR,
     REPORT,
@@ -272,174 +264,136 @@ def _infer(expr: RAExpr, catalog: dict, path: str, schemas: dict) -> Schema:
     return out
 
 
-# -- translation to a pipeline graph -----------------------------------
+# -- translation to a pipeline document -------------------------------
 
 class _Translator:
-    """Compiles one query into self.g; the answer keeps its path tags.
+    """Writes one query's node entries and sinks; the answer keeps its path tags.
 
-    stage() is the one place a compiled stage is added and wired.  Every
-    build step builds a node's operands before it names the node with
-    fresh(), so stage names number the stages in declaration order.
-    schemas maps id(node) to the schema _infer() recorded for it, the
-    root's included; build steps read their operand and output schemas
-    there and derive none.
+    stage() is the one place a node entry is written.  Every build step
+    builds a node's operands before stage() names the node, so stage names
+    number the stages in declaration order.  schemas maps id(node) to the
+    schema _infer() recorded for it, the root's included; build steps read
+    their operand and output schemas there and derive none.
     """
 
-    def __init__(self, catalog: dict, uses: Counter, schemas: dict):
-        self.schemas = schemas
-        self.g = PipelineGraph("query")
-        self.seq = 0
+    def __init__(self, uses: Counter, schemas: dict):
+        self.schemas, self.nodes, self.sinks = schemas, [], {}
         self.base_outputs: dict[str, list[str]] = {}
         for name, k in uses.items():
-            self.g.add_source(name, catalog[name])
             outs, cur = [], name
             for _ in range(k - 1):
-                t = self.stage(TeeNode(self.fresh("tee")), cur)
+                t = self.stage("tee", "tee", cur)
                 outs.append(f"{t}.left")
                 cur = f"{t}.right"
-            outs.append(cur)
-            self.base_outputs[name] = outs
+            self.base_outputs[name] = outs + [cur]
 
-    def fresh(self, slug: str) -> str:
-        self.seq += 1
-        return f"{slug}_{self.seq}"
+    def stage(self, op: str, slug: str, *feeds: str, **keys) -> str:
+        """Write an op node with the document keys keys, fed from one address
+        or from a left and a right; its name, slug and the stage's number."""
+        name = f"{slug}_{len(self.nodes) + 1}"
+        wiring = {"from": feeds[0]} if len(feeds) == 1 else {"left": feeds[0], "right": feeds[1]}
+        self.nodes.append({"op": op, "name": name, **keys, **wiring})
+        return name
 
-    def stage(self, node: Node, *feeds: str) -> str:
-        """Add node and wire feeds to its in_ports in declared order; its name."""
-        self.g.add_node(node)
-        for feed, port in zip(feeds, node.in_ports, strict=True):
-            self.g.connect(feed, f"{node.name}.{port}")
-        return node.name
+    def drain(self, addr: str, slug: str = "", reason: str = "") -> None:
+        """Sink an output as errors; a plain one is first errorized with a
+        fixed reason by a stage named from slug."""
+        if slug:
+            addr = f"{self.stage('errorize', slug, addr, reason=reason)}.out"
+        self.sinks[addr.replace(".", "_") + "_sink"] = {"kind": ERROR, "from": addr}
 
-    def drain(self, addr: str) -> None:
-        """Sink an already-errorized output."""
-        name = addr.replace(".", "_") + "_sink"
-        self.g.add_sink(name, ERROR)
-        self.g.connect(addr, name)
-
-    def drain_mark(self, addr: str, slug: str, reason: str) -> None:
-        """Errorize a plain output with a fixed reason, then sink it."""
-        m = self.stage(ErrorizeNode(self.fresh(slug), reason), addr)
-        self.drain(f"{m}.out")
-
-    def require(self, addr: str, keys) -> str:
-        """Partition on every key being defined; rejects drain as errors."""
-        q = self.stage(PartitionNode(
-            self.fresh("require"), All(tuple(FieldDefined(k) for k in keys)),
-            rejected_to_errors=True), addr)
+    def screen(self, addr: str, slug: str, pred: Pred) -> str:
+        """Partition on pred; rejects drain as errors."""
+        q = self.stage("partition", slug, addr, when=encode_pred(pred), rejected_to_errors=True)
         self.drain(f"{q}.rejected")
         return f"{q}.accepted"
 
     def merge(self, a: str, b: str, slug: str, distinct: bool = False) -> str:
         """Tagged union of two streams, deduplicated if distinct; rows keep their tags."""
-        out = f"{self.stage(TaggedUnionNode(self.fresh(slug)), a, b)}.out"
-        if distinct:
-            out = f"{self.stage(DedupNode(self.fresh('distinct')), out)}.out"
-        return out
+        out = f"{self.stage('tagged_union', slug, a, b)}.out"
+        return f"{self.stage('dedup', 'distinct', out)}.out" if distinct else out
+
+    def derive(self, addr: str, slug: str, specs, additions: dict) -> str:
+        """Add each field of specs, computed by its expression in additions."""
+        m = self.stage("fmap", slug, addr, add={n: encode_expr(e) for n, e in additions.items()},
+                       sems={s.name: s.sem for s in specs}, units={s.name: s.unit for s in specs})
+        return f"{m}.out"
 
     def pad(self, addr: str, specs) -> str:
         """Add each field of specs, missing for "no match"."""
-        p = self.stage(MapNode(
-            self.fresh("pad"),
-            {s.name: Lit(Missing("no match")) for s in specs},
-            {s.name: s.sem for s in specs},
-            units={s.name: s.unit for s in specs}), addr)
-        return f"{p}.out"
-
-    # each build method returns the address of the correct-stream output
+        return self.derive(addr, "pad", specs, {s.name: Lit(Missing("no match")) for s in specs})
 
     def build(self, expr: RAExpr) -> str:
+        """Write expr's stages; the address of its correct-stream output."""
         if isinstance(expr, BaseRelation):
             return self.base_outputs[expr.name].pop(0)
         if isinstance(expr, Project):
-            src = self.build(expr.of)
-            n = self.stage(ProjectNode(self.fresh("narrow"), tuple(expr.fields)), src)
+            n = self.stage("project", "narrow", self.build(expr.of), fields=list(expr.fields))
             return f"{n}.out"
         if isinstance(expr, Select):
-            src = self.build(expr.of)
-            n = self.stage(PartitionNode(
-                self.fresh("select"), expr.pred, rejected_to_errors=True), src)
-            self.drain(f"{n}.rejected")
-            return f"{n}.accepted"
+            return self.screen(self.build(expr.of), "select", expr.pred)
         if isinstance(expr, Rename):
-            src = self.build(expr.of)
-            n = self.stage(RenameNode(self.fresh("relabel"), dict(expr.mapping)), src)
+            n = self.stage("rename", "relabel", self.build(expr.of), map=dict(expr.mapping))
             return f"{n}.out"
         if isinstance(expr, CrossProduct):
             l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-            j = self.stage(JoinNode(self.fresh("pair"), on=()), l_addr, r_addr)
-            self.drain_mark(f"{j}.left_only", "alone", "no partner rows")
-            self.drain_mark(f"{j}.right_only", "alone", "no partner rows")
+            j = self.stage("join", "pair", l_addr, r_addr, keys=[])
+            self.drain(f"{j}.left_only", "alone", "no partner rows")
+            self.drain(f"{j}.right_only", "alone", "no partner rows")
             return f"{j}.inner"
         if isinstance(expr, NaturalJoin):
-            return self._build_natural(expr)
+            # a row with a missing key matches nothing, so it leaves through
+            # its side's unmatched port, as in the outer join
+            rnames = set(field_names(self.schemas[id(expr.right)]))
+            shared = [s.name for s in self.schemas[id(expr.left)] if s.name in rnames]
+            l_addr, r_addr = self.build(expr.left), self.build(expr.right)
+            j = self.stage("join", "join", l_addr, r_addr, keys=[[c, c] for c in shared])
+            self.drain(f"{j}.left_only", "unmatched", "no match")
+            self.drain(f"{j}.right_only", "unmatched", "no match")
+            return f"{j}.inner"
         if isinstance(expr, OuterJoin):
-            return self._build_outer(expr)
+            # the inner schema is the left one, then the right fields it keeps;
+            # the left fields the right operand lacks pad its unmatched rows.  A
+            # row with a missing key matches nothing, so it leaves through its
+            # side's unmatched port and is padded like a row with no partner
+            inner = self.schemas[id(expr)]
+            kept = inner[len(self.schemas[id(expr.left)]):]
+            rnames = set(field_names(self.schemas[id(expr.right)]))
+            rest = tuple(s for s in inner if s.name not in rnames)
+            l_addr, r_addr = self.build(expr.left), self.build(expr.right)
+            j = self.stage("join", "join", l_addr, r_addr, keys=[list(p) for p in expr.on])
+            left = self.pad(f"{j}.left_only", kept)
+            right = self.pad(f"{j}.right_only", rest)
+            ro = self.stage("project", "reorder", right, fields=list(field_names(inner)))
+            return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
         if isinstance(expr, (Union, UnionAll)):
             l_addr, r_addr = self.build(expr.left), self.build(expr.right)
             return self.merge(l_addr, r_addr, "merge", distinct=isinstance(expr, Union))
         if isinstance(expr, (Minus, Intersect)):
-            return self._build_membership(expr)
+            names = field_names(self.schemas[id(expr.left)])
+            l_addr, r_addr = self.build(expr.left), self.build(expr.right)
+            da = self.stage("dedup", "distinct", l_addr)
+            db = self.stage("dedup", "distinct", r_addr)
+            j = self.stage("join", "member", f"{da}.out", f"{db}.out",
+                           keys=[[n, n] for n in names], missing_matches=True)
+            if isinstance(expr, Minus):
+                self.drain(f"{j}.inner", "shared", "present in both operands")
+                self.drain(f"{j}.right_only", "unmatched", "only in right operand")
+                return f"{j}.left_only"
+            self.drain(f"{j}.left_only", "unmatched", "only in left operand")
+            self.drain(f"{j}.right_only", "unmatched", "only in right operand")
+            return f"{j}.inner"
         if isinstance(expr, Aggregate):
-            src = self.build(expr.of)
-            q = self.require(src, dict.fromkeys(
-                tuple(expr.group_by) + tuple(s.field for s in expr.specs)))
-            a = self.stage(AggregateNode(
-                self.fresh("summarize"), tuple(expr.group_by), tuple(expr.specs)), q)
+            keys = dict.fromkeys(tuple(expr.group_by) + tuple(s.field for s in expr.specs))
+            q = self.screen(self.build(expr.of), "require",
+                            All(tuple(FieldDefined(k) for k in keys)))
+            a = self.stage("aggregate", "summarize", q, by=list(expr.group_by),
+                           specs=[{"field": s.field, "op": s.op} for s in expr.specs])
             return f"{a}.out"
         if isinstance(expr, Map):
-            src = self.build(expr.of)
             added = self.schemas[id(expr)][len(self.schemas[id(expr.of)]):]
-            m = self.stage(MapNode(
-                self.fresh("derive"), dict(expr.additions),
-                {s.name: s.sem for s in added}, units={s.name: s.unit for s in added}), src)
-            return f"{m}.out"
+            return self.derive(self.build(expr.of), "derive", added, dict(expr.additions))
         raise ExprTypeError(f"not a query node: {expr!r}")
-
-    def _build_natural(self, expr: NaturalJoin) -> str:
-        # a row with a missing key matches nothing, so it leaves through
-        # its side's unmatched port, as in the outer join
-        ls, rs = self.schemas[id(expr.left)], self.schemas[id(expr.right)]
-        rnames = set(field_names(rs))
-        shared = [s.name for s in ls if s.name in rnames]
-        l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        j = self.stage(JoinNode(self.fresh("join"), on=tuple((c, c) for c in shared)),
-                       l_addr, r_addr)
-        self.drain_mark(f"{j}.left_only", "unmatched", "no match")
-        self.drain_mark(f"{j}.right_only", "unmatched", "no match")
-        return f"{j}.inner"
-
-    def _build_outer(self, expr: OuterJoin) -> str:
-        # the inner schema is the left one, then the right fields it keeps;
-        # the left fields the right operand lacks pad its unmatched rows.  A
-        # row with a missing key matches nothing, so it leaves through its
-        # side's unmatched port and is padded like a row with no partner
-        inner = self.schemas[id(expr)]
-        kept = inner[len(self.schemas[id(expr.left)]):]
-        rnames = set(field_names(self.schemas[id(expr.right)]))
-        rest = tuple(s for s in inner if s.name not in rnames)
-        l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        j = self.stage(JoinNode(self.fresh("join"), on=tuple(expr.on)), l_addr, r_addr)
-        left = self.pad(f"{j}.left_only", kept)
-        right = self.pad(f"{j}.right_only", rest)
-        ro = self.stage(ProjectNode(self.fresh("reorder"), field_names(inner)), right)
-        return self.merge(self.merge(f"{j}.inner", left, "gather"), f"{ro}.out", "gather")
-
-    def _build_membership(self, expr) -> str:
-        names = field_names(self.schemas[id(expr.left)])
-        l_addr, r_addr = self.build(expr.left), self.build(expr.right)
-        da = self.stage(DedupNode(self.fresh("distinct")), l_addr)
-        db = self.stage(DedupNode(self.fresh("distinct")), r_addr)
-        j = self.stage(JoinNode(
-            self.fresh("member"), on=tuple((n, n) for n in names), missing_matches=True),
-            f"{da}.out", f"{db}.out")
-        if isinstance(expr, Minus):
-            self.drain_mark(f"{j}.inner", "shared", "present in both operands")
-            self.drain_mark(f"{j}.right_only", "unmatched", "only in right operand")
-            return f"{j}.left_only"
-        self.drain_mark(f"{j}.left_only", "unmatched", "only in left operand")
-        self.drain_mark(f"{j}.right_only", "unmatched", "only in right operand")
-        return f"{j}.inner"
 
 
 def _typed(expr: RAExpr, catalog: dict, schemas: dict | None) -> dict:
@@ -450,28 +404,37 @@ def _typed(expr: RAExpr, catalog: dict, schemas: dict | None) -> dict:
     return schemas
 
 
-def translate(expr: RAExpr, catalog: dict, schemas: dict | None = None) -> PipelineGraph:
-    """Compile a well-typed query into a runnable pipeline graph.
-
-    The classical answer lands in the "result" report sink; everything the
-    classical semantics would drop drains to error sinks, so the run's
-    conservation checks cover the whole input.  schemas, if given, is the
-    record _infer() made of expr over catalog, and is not typed again.
+def query_document(expr: RAExpr, catalog: dict, schemas: dict | None = None) -> dict:
+    """The pipeline document of a well-typed query, the plain dict that a
+    pipeline.yaml parses into; each base relation is a source read from
+    its name.csv.  The classical answer lands in the "result" report sink;
+    everything the classical semantics would drop drains to error sinks,
+    so the run's conservation checks cover the whole input.  schemas, if
+    given, is the record _infer() made of expr over catalog.
     """
     schemas = _typed(expr, catalog, schemas)
     uses = Counter(base_names(expr))
-    tr = _Translator(catalog, uses, schemas)
-    out = tr.build(expr)
-    tr.g.add_sink("result", REPORT)
-    tr.g.connect(out, "result")
-    tr.g.add_conservation("count")
+    tr = _Translator(uses, schemas)
+    tr.sinks["result"] = {"kind": REPORT, "from": tr.build(expr)}
     # one spec per (scheme, field) that some used table carries
     names = dict.fromkeys(s.name for name in uses for s in catalog[name])
-    for scheme in ("sum_by_unit", "paccioli"):
-        for f in names:
-            if any(carries(catalog[name], scheme, f) for name in uses):
-                tr.g.add_conservation(scheme, f)
-    return tr.g
+    conservation = [{"scheme": "count"}] + [
+        {"scheme": scheme, "field": f} for scheme in ("sum_by_unit", "paccioli") for f in names
+        if any(carries(catalog[name], scheme, f) for name in uses)]
+    return {"name": "query", "sources": {name: {"file": f"{name}.csv"} for name in uses},
+            "nodes": tr.nodes, "sinks": tr.sinks, "conservation": conservation}
+
+
+def translate(expr: RAExpr, catalog: dict, schemas: dict | None = None) -> PipelineGraph:
+    """Compile a well-typed query into a runnable pipeline graph, built from
+    query_document() as every pipeline.yaml is built: read, then build_graph.
+    A literal the document cannot hold, or a document the grammar refuses,
+    raises ExprTypeError."""
+    try:
+        doc = read(DOCUMENT, query_document(expr, catalog, schemas), "query")
+    except ValueError as exc:
+        raise ExprTypeError(str(exc)) from None
+    return build_graph(doc, catalog)
 
 
 # -- naive reference evaluator ------------------------------------------

@@ -104,6 +104,13 @@ def test_unit_from_needs_quantity_type():
         ColumnSpec("p", type="decimal", unit_from="u")
 
 
+def test_a_unit_needs_a_decimal_or_quantity_column():
+    for kind in ("text", "integer"):
+        with pytest.raises(ValueError, match="unit needs type decimal or quantity"):
+            ColumnSpec("p", type=kind, unit="kg")
+    assert ColumnSpec("p", type="decimal", unit="$").unit == "$"
+
+
 def test_unknown_column_type_is_refused():
     with pytest.raises(ValueError, match="unknown type 'float'"):
         ColumnSpec("p", type="float")
@@ -907,10 +914,21 @@ BAD_ENTRIES = {
         "lookup", "pipeline.yaml",
         priced_through({"op": "project", "name": "narrow", "fields": []}),
         "SchemaMismatch at narrow: projection keeps no fields"),
+    "partition set of integers over text": (
+        "ship", "pipeline.yaml", lambda doc: doc["nodes"][26].update(
+            when={"not": {"in": {"field": "Unit", "values": [5, 7]}}}),
+        "SchemaMismatch at wt_mass: Unit is text, so the integer literal 5 cannot match it"),
+    "column unit on a text column": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].update(unit="kg"),
+        "DATA/products.csv.yaml: columns[1] (column 'description'): column 'description': "
+        "unit needs type decimal or quantity"),
+    "column name empty": (
+        "lookup", "products.csv.yaml", lambda doc: doc["columns"][0].update(name=""),
+        "DATA/products.csv.yaml: columns[0] (column ''): a column name must be nonempty"),
 }
 # entries that build and are refused by the graph's validation: check
 # prints each violation line on stdout, with no "check: " prefix
-CAUGHT_BY_VALIDATION = {"project that keeps no fields"}
+CAUGHT_BY_VALIDATION = {"project that keeps no fields", "partition set of integers over text"}
 
 
 @pytest.mark.parametrize("case", list(BAD_ENTRIES))

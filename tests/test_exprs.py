@@ -11,6 +11,7 @@ from tallyflow import (
     BinOp,
     Col,
     Compare,
+    ExprTypeError,
     FieldDefined,
     FieldSpec,
     FnNotTotal,
@@ -101,8 +102,14 @@ def test_comparing_a_missing_cell_is_unknown_not_false():
 def test_equality_is_strict_about_types():
     assert state(Compare("eq", "i", 1)) == "t"
     # numerically equal but differently typed cells stay distinct
-    assert state(Compare("eq", "i", D("1.0000"))) == "f"
-    assert state(Compare("ne", "i", "1")) == "t"
+    # numerically equal but differently typed cells stay distinct, so a
+    # literal that no cell of its field could equal is refused up front
+    with pytest.raises(ExprTypeError, match="i is integer, so the decimal literal 1.0000 "
+                                            "cannot match it"):
+        state(Compare("eq", "i", D("1.0000")))
+    with pytest.raises(ExprTypeError, match="i is integer, so the text literal '1' cannot "
+                                            "match it"):
+        state(Compare("ne", "i", "1"))
 
 
 def test_ordered_compare_mixes_int_and_decimal():
@@ -117,7 +124,11 @@ def test_quantities_compare_within_one_unit_only():
 
 
 def test_ordering_unlike_types_is_unknown():
-    assert state(Compare("lt", "t", 5)) == "u"
+    # only a bare missing literal meets a field of any type
+    assert state(Compare("lt", "t", Missing("none"))) == "u"
+    for p in (Compare("lt", "t", 5), InSet("t", ("a", 5)), Compare("eq", "q", D(2))):
+        with pytest.raises(ExprTypeError, match="cannot match it"):
+            state(p)
 
 
 def test_not_flips_and_keeps_unknown():
@@ -148,7 +159,7 @@ def test_any_is_kleene_disjunction():
 def test_in_set_membership():
     assert state(InSet("t", ("a", "b"))) == "t"
     assert state(InSet("t", ("x",))) == "f"
-    assert state(InSet("m", ("x",))) == "u"
+    assert state(InSet("m", (1,))) == "u"
 
 
 def test_always_is_constant():

@@ -39,9 +39,9 @@ ACCEPTED = {
         10, "a unit is any label, or null for none"),
     r"ship/pipeline\.yaml: nodes/\d+/rejected_to_errors = True": (
         5, "these partitions already say true: the mutant is the fixture"),
-    r"ship/pipeline\.yaml: nodes/26/when/not/in/values(/\d)? = (5|'ab'|\[1\])": (
-        5, "an in set may hold any values: 'ab' is a text, and an integer over a text "
-           "field is not refused yet (ROADMAP item 10)"),
+    r"ship/pipeline\.yaml: nodes/26/when/not/in/values/\d = 'ab'": (
+        2, "an in set over the text field Unit may hold any text; an integer in it is "
+           "refused, since no cell of Unit could match it"),
     r"\w+/\w+\.csv\.yaml: columns/\d+/name = 'ab'": (
         8, "check reads no CSV, so a column the pipeline never names may take any name; "
            "run refuses the header that no longer matches"),

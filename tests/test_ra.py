@@ -5,6 +5,7 @@ import json
 from decimal import Decimal
 
 import pytest
+import yaml
 
 from tallyflow import (
     AggSpec,
@@ -47,10 +48,11 @@ from tallyflow import (
     schema_field,
     translate,
 )
-from tallyflow.fuzz import OPERATOR_KINDS
+from tallyflow.fuzz import OPERATOR_KINDS, run_share
+from tallyflow.grammar import read
+from tallyflow.pipeline_doc import DOCUMENT, build_graph
 import tallyflow.ra as ra_mod
-from tallyflow.ra import _children, base_names
-from tallyflow.values import Frozen
+from tallyflow.ra import _children, base_names, query_document
 
 
 D = Decimal
@@ -436,51 +438,69 @@ def test_each_operator_compiles_to_its_own_stages(expr, own):
     assert _stages(expr) - sum(_stages(c) for _, c in _children(expr)) == own
 
 
-def _canonical(value):
-    """JSON data for a compiled parameter; no repr, so no text that a
-    Python version could print differently."""
-    if isinstance(value, Frozen):
-        return [type(value).__name__] + [
-            [name, _canonical(getattr(value, name))] for name in value._fields]
-    if isinstance(value, dict):
-        return [[_canonical(k), _canonical(v)] for k, v in value.items()]
-    if isinstance(value, (tuple, list)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, Decimal):
-        return {"decimal": str(value)}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"no canonical form for {type(value).__name__}")
-
-
-def _graph_document(g) -> dict:
-    return {
-        "sources": list(g.sources),
-        "nodes": [_canonical(n) for n in g.nodes.values()],  # type, name, parameters
-        "wires": [[str(w.src), str(w.dst)] for w in g.wires],
-        "sinks": [[s.name, s.kind, s.report] for s in g.sinks.values()],
-        "conservation": [[c.scheme, c.fld] for c in g.conservation],
-    }
-
-
-# sha256 of the compiled graphs of make_case(seed, i), seeds 0 and 1, i < 300
-COMPILED_GRAPHS_DIGEST = "a1e25e18550e701e05d26fb6d856faa4eaeaac7b29e0ae2937ab84c0c52a6c67"
+# sha256 of the compiled documents of make_case(seed, i), seeds 0 and 1, i < 300
+COMPILED_GRAPHS_DIGEST = "9e874b9cff450abd7b0ef23c6ecda35f3418ac140a871101a4f8301d0c3e0b4d"
 
 
 def test_compiled_graphs_match_their_pinned_digest():
     """Query results cannot show a renamed stage or a reordered wire; this
-    pins what translate() builds: stage names and parameters in declaration
-    order, wires in order, sinks and conservation specs."""
+    pins the documents translate() builds from: stage names and parameters
+    in declaration order, their feeds, sinks and conservation specs."""
     digest = hashlib.sha256()
     roots = set()
     for seed in (0, 1):
         for i in range(300):
             expr, tables = make_case(seed, i)
             roots.add(type(expr))
-            g = translate(expr, {name: t.schema for name, t in tables.items()})
-            digest.update(json.dumps(_graph_document(g)).encode() + b"\n")
+            doc = query_document(expr, {name: t.schema for name, t in tables.items()})
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     assert roots == set(OPERATOR_KINDS)
     assert digest.hexdigest() == COMPILED_GRAPHS_DIGEST
+
+
+@pytest.mark.parametrize("i", range(len(OPERATOR_KINDS)), ids=[k.__name__ for k in OPERATOR_KINDS])
+def test_a_compiled_document_survives_yaml_text(i):
+    expr, tables = make_case(0, i)
+    assert type(expr) is OPERATOR_KINDS[i]  # make_case roots case i at OPERATOR_KINDS[i % 12]
+    catalog = {name: t.schema for name, t in tables.items()}
+    text = yaml.safe_dump(query_document(expr, catalog), sort_keys=False)
+    g = build_graph(read(DOCUMENT, yaml.safe_load(text), "query.yaml"), catalog)
+    want = translate(expr, catalog)
+    assert g.sources == want.sources
+    assert g.nodes == want.nodes
+    assert g.sinks == want.sinks
+    assert g.wires == want.wires
+    assert g.conservation == want.conservation
+
+
+def test_a_compiled_document_the_grammar_refuses_fails_its_case(monkeypatch):
+    # negative control: an undeclared key in one node entry of every
+    # compiled document
+    real = ra_mod.query_document
+
+    def planted(*args, **kwargs):
+        doc = real(*args, **kwargs)
+        doc["nodes"][-1]["bogus"] = 1
+        return doc
+
+    monkeypatch.setattr(ra_mod, "query_document", planted)
+    q = Select(BaseRelation("items"), FieldDefined("commodity"))
+    with pytest.raises(ExprTypeError, match=r"^query: nodes\[0\] \(partition 'select_1'\): "
+                                            r"needs one of the keys .*, not 'bogus'$"):
+        translate(q, CATALOG)
+    failures, first, _ = run_share(0, 3, 0, 1)
+    assert failures == 3
+    assert first[1].startswith("iteration 0 (seed 0): ExprTypeError: query: nodes[")
+
+
+def test_a_literal_four_places_cannot_hold_is_refused_not_rounded():
+    q = Select(BaseRelation("quotes"), Compare("gt", "price", D("1.23456")))
+    with pytest.raises(ExprTypeError, match="the literal 1.23456 does not fit"):
+        translate(q, CATALOG)
+    # four places hold 1.5 exactly: the document reads it as 1.5000, the same value
+    g = translate(Select(BaseRelation("quotes"), Compare("gt", "price", D("1.5"))), CATALOG)
+    assert g.nodes["select_1"].pred == Compare("gt", "price", D("1.5"))
+    assert str(g.nodes["select_1"].pred.value) == "1.5000"
 
 
 def _cell_document(v):

@@ -19,7 +19,6 @@ from .errors import (
     SchemaMismatch,
     TallyError,
     UnknownField,
-    UnknownGroup,
     UnknownPid,
     UntagMissing,
 )
@@ -83,7 +82,6 @@ from .ops import (
     aggregate_schema,
     as_errors,
     dedup,
-    drill_down,
     fmap,
     lossless_project,
     outer_join,

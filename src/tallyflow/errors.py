@@ -28,10 +28,6 @@ class UnknownPid(TallyError):
     """A provenance id that no source ever issued."""
 
 
-class UnknownGroup(TallyError):
-    """Drill-down asked for a summary group that does not exist."""
-
-
 class UntagMissing(TallyError):
     """untag/strip applied to a record with an empty tag stack."""
 

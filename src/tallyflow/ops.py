@@ -17,7 +17,6 @@ from .errors import (
     JoinColumnMissing,
     SchemaMismatch,
     UnknownField,
-    UnknownGroup,
     UntagMissing,
 )
 from .exprs import Pred, Truth, compile_expr, compile_pred
@@ -442,17 +441,3 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
         irr = tuple(p for m in members for p in m.irrelevant)
         rows.append(Record(pids=pids, fields=fields, irrelevant=irr))
     return Relation(out_schema, tuple(rows))
-
-
-def drill_down(summary: Relation, key: dict) -> frozenset:
-    """Recover the pids behind the summary rows matching the given key cells."""
-    hits: set[int] = set()
-    found = False
-    want = {n: cell_key(v) for n, v in key.items()}
-    for rec in summary.rows:
-        if all(cell_key(rec.value(n)) == k for n, k in want.items()):
-            found = True
-            hits |= rec.pids
-    if not found:
-        raise UnknownGroup(f"no summary group matches {key!r}")
-    return frozenset(hits)

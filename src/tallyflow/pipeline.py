@@ -564,8 +564,10 @@ class PipelineGraph:
     def _dry_run(self, order) -> list[Violation]:
         """Push empty relations through _apply to surface schema problems early.
 
-        validate() dry-runs only a graph with no structural violation, so
-        every input port is fed by a source or by an earlier stage.
+        The first stage that refuses gives one violation, whose kind is the
+        class of the error it raised.  validate() dry-runs only a graph with
+        no structural violation, so every input port is fed by a source or
+        by an earlier stage.
         """
         values = {PortRef(s.name, "out"): empty(s.schema) for s in self.sources.values()}
         incoming = self._incoming()
@@ -573,7 +575,7 @@ class PipelineGraph:
             try:
                 self._apply(name, values, incoming)
             except TallyError as exc:
-                return [Violation("SchemaMismatch", name, str(exc))]
+                return [Violation(type(exc).__name__, name, str(exc))]
         return []
 
     # -- execution ------------------------------------------------------

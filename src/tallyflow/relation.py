@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownField
 from .monoid import MonoidElement
-from .values import FieldValue, Frozen, Missing, Quantity, cell_key, set_field
+from .values import Frozen, Missing, Quantity, cell_key, set_field
 
 SEM_TYPES = ("integer", "decimal", "text", "quantity", "summary")
 
@@ -127,12 +127,6 @@ class Record:
     def __repr__(self) -> str:
         return (f"Record(pids={self.pids!r}, fields={self.fields!r}, "
                 f"irrelevant={self.irrelevant!r}, tags={self.tags!r})")
-
-    def value(self, name: str) -> FieldValue:
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise UnknownField(f"record has no field {name!r}") from None
 
 
 def record_key(rec: Record, names: tuple[str, ...]) -> tuple:

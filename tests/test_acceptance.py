@@ -50,6 +50,7 @@ ORACLE_TIME_LIMIT_S = 60.0
 CONSERVATION_SAMPLE = 150
 LAW_CASES_PER_KIND = 10_000
 ROUNDTRIP_CASES = 1000
+RERUN_FUZZ_CASES = 150
 
 
 def _announce(capsys, num: int, ok: bool, detail: str) -> None:
@@ -483,7 +484,7 @@ def test_criterion_7_runs_are_byte_identical(capsys, tmp_path):
 
     fuzz_out = []
     for _ in range(2):
-        rc = main(["fuzz", "--seed", "123", "--iterations", "150"])
+        rc = main(["fuzz", "--seed", "123", "--iterations", str(RERUN_FUZZ_CASES)])
         fuzz_out.append((rc, capsys.readouterr().out))
     if fuzz_out[0] != fuzz_out[1]:
         problems.append("fuzz output differs between runs")
@@ -492,7 +493,7 @@ def test_criterion_7_runs_are_byte_identical(capsys, tmp_path):
 
     struct = []
     for _ in range(2):
-        main(["fuzz", "--seed", "123", "--iterations", "150",
+        main(["fuzz", "--seed", "123", "--iterations", str(RERUN_FUZZ_CASES),
               "--format", "structured"])
         struct.append(capsys.readouterr().out)
     if struct[0] != struct[1]:

@@ -499,14 +499,21 @@ sinks: {everything: {kind: report, from: both.out}}
 
 def test_untag_splits_a_union_again_after_a_shared_stage(tmp_path, capsys):
     # the orders split in two, meet again in a union, pass one partition
-    # together, and untag hands each side back its own rows
+    # together, and untag hands each side back its own rows; the rejects
+    # lose their tags and merge where they repeat, and the products are
+    # narrowed, renamed and summarized.  The document also uses every op
+    # and conservation scheme that the bundled fixtures do not
     data = tmp_path / "data"
     shutil.copytree(fixture_dir("lookup"), data)
     doc = data / "untag.yaml"
     doc.write_text("""
 name: untag
-sources: {orders: {file: order_details.csv}}
-conservation: [{scheme: count}, {scheme: sum_by_unit, field: quantity}]
+sources: {orders: {file: order_details.csv}, products: {file: products.csv}}
+conservation:
+  - {scheme: count}
+  - {scheme: sum_by_unit, field: quantity}
+  - {scheme: sum, field: current_price}
+  - {scheme: paccioli, field: current_price}
 nodes:
   - {op: partition, name: late, from: orders, when: {cmp: {op: ge, field: order, value: 5}}}
   - {op: tagged_union, name: both, left: late.accepted, right: late.rejected}
@@ -516,27 +523,56 @@ nodes:
     when: {not: {in: {field: product, values: [Nut oli]}}}
     rejected_to_errors: true
   - {op: untag, name: apart, from: spelled.accepted}
+  - {op: strip_tags, name: untagged, from: spelled.rejected}
+  - op: project
+    name: trimmed
+    from: untagged.out
+    fields: [product, quantity, error_stage, error_reason]
+  - {op: dedup, name: merged, from: trimmed.out}
+  - {op: emap, name: flagged, from: merged.out, add: {hint: {lit: Nut oil}}, sems: {hint: text}}
+  - {op: project, name: narrow, from: products, fields: [product, current_price]}
+  - {op: rename, name: relabel, from: narrow.out, map: {current_price: price}}
+  - op: aggregate
+    name: price_range
+    from: relabel.out
+    by: []
+    specs:
+      - {field: price, op: sum}
+      - {field: price, op: min}
+      - {field: price, op: max}
+      - {field: price, op: avg}
+      - {field: product, op: set}
 sinks:
   late_orders: {from: apart.left}
   early_orders: {from: apart.right}
-  misspelled: {kind: error, from: spelled.rejected}
+  misspelled: {kind: error, from: flagged.out}
+  prices: {from: price_range.out}
 """, encoding="utf-8")
     assert main(["check", str(doc), "--data", str(data)]) == 0
-    assert capsys.readouterr().out == "check: untag: graph is runnable (4 stages, 3 sinks)\n"
+    assert capsys.readouterr().out == "check: untag: graph is runnable (11 stages, 4 sinks)\n"
     out = tmp_path / "out"
     assert main(["run", str(doc), "--data", str(data), "--out", str(out)]) == 0
-    assert "conservation: balanced" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "conservation: balanced" in text
+    assert "misspelled: 2 rows (3 pids)" in text
 
-    def orders(sink):  # each order's number is its row's pid
+    def rows(sink):
         with open(out / f"{sink}.csv", newline="", encoding="utf-8") as fh:
-            return [int(row["order"]) for row in csv.DictReader(fh)]
-    # orders 3, 5 and 8 misspell their product; the rest keep their side
-    assert orders("late_orders") == [6, 7]
-    assert orders("early_orders") == [1, 2, 4]
-    assert orders("misspelled") == [5, 8, 3]
+            return list(csv.DictReader(fh))
+    # each order's number is its row's pid; orders 3, 5 and 8 misspell
+    # their product, and 5 and 8 merge into one row of 2 each
+    assert [int(row["order"]) for row in rows("late_orders")] == [6, 7]
+    assert [int(row["order"]) for row in rows("early_orders")] == [1, 2, 4]
+    assert [(row["quantity"], row["hint"]) for row in rows("misspelled")] == [
+        ("2 each", "Nut oil"), ("1 each", "Nut oil")]
+    assert rows("prices") == [{
+        "price_sum": "36.8 $", "price_min": "1.2 $", "price_max": "12 $",
+        "price_avg": "7.36 $ (n=5)", "product_set": "{Grain, Honey, Milk, Nut oil, Nutella}",
+        "count": "5"}]
     # the audit's paths agree: each pid's route, from its side of late to its sink
     paths = sorted((p["steps"][1][:2], p["steps"][-1][0], p["pids"])
-                   for p in json.loads((out / "audit.json").read_text(encoding="utf-8"))["paths"])
+                   for p in json.loads((out / "audit.json").read_text(encoding="utf-8"))["paths"]
+                   if p["steps"][0][0] == "orders")
     assert paths == [(["late", "accepted"], "late_orders", "6-7"),
                      (["late", "accepted"], "misspelled", "5,8"),
                      (["late", "rejected"], "early_orders", "1-2,4"),
@@ -917,7 +953,7 @@ BAD_ENTRIES = {
     "partition set of integers over text": (
         "ship", "pipeline.yaml", lambda doc: doc["nodes"][26].update(
             when={"not": {"in": {"field": "Unit", "values": [5, 7]}}}),
-        "SchemaMismatch at wt_mass: Unit is text, so the integer literal 5 cannot match it"),
+        "ExprTypeError at wt_mass: Unit is text, so the integer literal 5 cannot match it"),
     "column unit on a text column": (
         "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].update(unit="kg"),
         "DATA/products.csv.yaml: columns[1] (column 'description'): column 'description': "
@@ -1132,28 +1168,28 @@ def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# each entry: an edit of the lookup fixture's valued fmap, and the violation
-# it makes; a computed type is decided when the stage compiles, whatever
-# the data holds
+# each entry: an edit of the lookup fixture's valued fmap, and the kind
+# and detail of the violation it makes; a computed type is decided when
+# the stage compiles, whatever the data holds
 COMPUTED_TYPE_ERRORS = {
     "num over text": (
         lambda nd: nd["add"].update(value={"num": {"col": "description"}}),
-        "num applied to a text value"),
+        "FnNotTotal", "num applied to a text value"),
     "declared sem": (
         lambda nd: nd["sems"].update(value="integer"),
-        "field 'value' is declared integer but computes decimal"),
+        "SchemaMismatch", "field 'value' is declared integer but computes decimal"),
     "unit_of over decimal": (
         lambda nd: nd["add"].update(value={"unit_of": {"col": "current_price"}}),
-        "unit_of applied to a decimal value"),
+        "FnNotTotal", "unit_of applied to a decimal value"),
 }
 
 
 @pytest.mark.parametrize("case", list(COMPUTED_TYPE_ERRORS))
 def test_a_computed_type_error_is_caught_before_any_row_runs(tmp_path, capsys, case):
-    edit, detail = COMPUTED_TYPE_ERRORS[case]
+    edit, kind, detail = COMPUTED_TYPE_ERRORS[case]
     data = lookup_copy(tmp_path, "pipeline.yaml", lambda doc: edit(doc["nodes"][1]))
     pipeline = os.path.join(data, "pipeline.yaml")
-    message = f"SchemaMismatch at valued: {detail}"
+    message = f"{kind} at valued: {detail}"
     assert main(["check", pipeline, "--data", data]) == 2
     assert capsys.readouterr().out == f"{message}\n"
     assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2
@@ -1238,7 +1274,7 @@ def test_an_unknown_column_is_caught_before_any_row_runs(tmp_path, capsys, case)
     fixture, edit, stage, field = UNKNOWN_COLUMNS[case]
     data = fixture_copy(tmp_path, fixture, "pipeline.yaml", edit)
     pipeline = os.path.join(data, "pipeline.yaml")
-    message = f"SchemaMismatch at {stage}: no field {field!r} in schema ("
+    message = f"UnknownField at {stage}: no field {field!r} in schema ("
     assert main(["check", pipeline, "--data", data]) == 2
     assert capsys.readouterr().out.startswith(message)
     assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 2

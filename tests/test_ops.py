@@ -22,7 +22,6 @@ from tallyflow import (
     aggregate,
     as_errors,
     dedup,
-    drill_down,
     empty,
     field_names,
     fmap,
@@ -283,10 +282,11 @@ def test_aggregate_min_max_avg_set():
     assert shops.rows[0].fields["shop_set"].payload == frozenset({"n", "s"})
 
 
-def test_aggregate_keeps_all_pids_for_drill_down():
+def test_an_aggregate_row_keeps_the_pids_of_its_group():
     out = aggregate(sales(), ["shop"], [AggSpec("price", "sum")])
     assert pids(out) == frozenset({1, 2, 3, 4})
-    assert drill_down(out, {"shop": "n"}) == frozenset({1, 2, 3})
+    (north,) = [rec for rec in out.rows if rec.fields["shop"] == "n"]
+    assert north.pids == {1, 2, 3}
 
 
 def test_an_aggregate_builds_one_element_per_summary_cell(monkeypatch):

@@ -182,7 +182,7 @@ def test_schema_problems_surface_before_any_data_flows():
     g.add_sink("a", "report")
     g.connect("m.out", "a")
     violations = g.validate()
-    assert [v.kind for v in violations] == ["SchemaMismatch"]
+    assert [v.kind for v in violations] == ["ForbiddenFieldWrite"]
     assert "may only add" in violations[0].detail
 
 

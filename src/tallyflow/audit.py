@@ -13,10 +13,12 @@ report sinks before error sinks, so fan-out never double-counts.
 
 from __future__ import annotations
 
+from array import array
+from functools import reduce
 from itertools import repeat
 
 from .monoid import MonoidElement, fold_payloads, fuse
-from .relation import ERROR_REASON, ERROR_STAGE, REPORT
+from .relation import ERROR_REASON, ERROR_STAGE, REPORT, PidSet, pid_bits, pid_runs
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Frozen, Quantity, set_field
 
@@ -100,8 +102,12 @@ class ConservationReport(Frozen):
     __slots__ = ("ok", "checks")
 
 
-def _fmt_pids(pids) -> str:
-    return "{" + ", ".join(str(p) for p in sorted(pids)) + "}"
+def _fmt_pids(bits: int) -> str:
+    return "{" + ", ".join(map(str, PidSet(bits))) + "}"
+
+
+def _union(sets) -> int:
+    return reduce(int.__or__, sets, 0)
 
 
 def attribution_classes(audit, label: str) -> dict:
@@ -109,13 +115,13 @@ def attribution_classes(audit, label: str) -> dict:
 
     Report sinks are scanned before error sinks, each in declaration order,
     so a pid that made it into a report is counted as accounted even if an
-    error copy exists elsewhere.
+    error copy exists elsewhere.  Each class is a PidSet.
     """
-    classes: dict[str, frozenset] = {}
-    attributed: set[int] = set()
+    classes: dict[str, PidSet] = {}
+    attributed = 0
     for sink_name in audit.sink_order[label]:
-        mine = audit.sink_pids[sink_name] - attributed
-        classes[sink_name] = frozenset(mine)
+        mine = audit.sink_pids[sink_name] & ~attributed
+        classes[sink_name] = PidSet(mine)
         attributed |= mine
     return classes
 
@@ -125,43 +131,43 @@ def conservation_check(audit) -> ConservationReport:
     checks: list[Check] = []
 
     for sv in audit.stage_visits:
-        ins = frozenset().union(*sv.ins.values())
-        outs = frozenset().union(*sv.outs.values())
+        ins = _union(sv.ins.values())
+        outs = _union(sv.outs.values())
         ok = ins == outs
         detail = "no pid lost or invented"
         if not ok:
-            detail = f"lost {_fmt_pids(ins - outs)}, invented {_fmt_pids(outs - ins)}"
+            detail = f"lost {_fmt_pids(ins & ~outs)}, invented {_fmt_pids(outs & ~ins)}"
         checks.append(Check(f"stage:{sv.stage}", ok, detail))
 
-    all_src = audit.all_source_pids()
-    all_snk = frozenset().union(*audit.sink_pids.values())
+    all_src = _union(audit.source_pids.values())
+    all_snk = _union(audit.sink_pids.values())
     ok = all_src == all_snk
     detail = "every source pid reached a sink"
     if not ok:
-        detail = (f"missing from sinks {_fmt_pids(all_src - all_snk)}, "
-                  f"unknown in sinks {_fmt_pids(all_snk - all_src)}")
+        detail = (f"missing from sinks {_fmt_pids(all_src & ~all_snk)}, "
+                  f"unknown in sinks {_fmt_pids(all_snk & ~all_src)}")
     checks.append(Check("coverage:all", ok, detail))
 
     for label in audit.sink_order:
-        group = frozenset().union(*(audit.sink_pids[s] for s in audit.sink_order[label]))
-        src = frozenset().union(
-            *(audit.source_pids[s] for s in audit.report_sources.get(label, ())))
+        group = _union(audit.sink_pids[s] for s in audit.sink_order[label])
+        src = _union(audit.source_pids[s] for s in audit.report_sources.get(label, ()))
         cov_ok = group == src
         detail = "report covers its sources"
         if not cov_ok:
-            detail = (f"missing {_fmt_pids(src - group)}, "
-                      f"foreign {_fmt_pids(group - src)}")
+            detail = (f"missing {_fmt_pids(src & ~group)}, "
+                      f"foreign {_fmt_pids(group & ~src)}")
         checks.append(Check(f"coverage:{label}", cov_ok, detail))
         if not cov_ok:
             continue
-        classes = attribution_classes(audit, label)
+        # each class is decoded once, to 8-byte ints, for every space's fold
+        members = {s: array("q", c) for s, c in attribution_classes(audit, label).items()}
         sources = audit.report_sources.get(label, ())
         for space, unit in audit.space_units.items():
             charge, kind, zero = audit.charges[space], unit.kind, unit.payload
             lhs = unit
             for sink_name in audit.sink_order[label]:
                 lhs = fuse(lhs, MonoidElement(kind, fold_payloads(
-                    kind, map(charge.get, classes[sink_name], repeat(zero)), zero), unit.unit))
+                    kind, map(charge.get, members[sink_name], repeat(zero)), zero), unit.unit))
             totals = audit.totals[space]
             rhs = MonoidElement(kind, fold_payloads(
                 kind, (totals[s] for s in sources if s in totals), zero), unit.unit)
@@ -186,52 +192,45 @@ def conservation_document(report: ConservationReport) -> dict:
     }
 
 
-def pid_ranges(pids) -> str:
-    """Write a set of pids as ascending comma-separated runs.
+def pid_ranges(bits: int) -> str:
+    """Write a pid bitset as ascending comma-separated runs.
 
     A run of two or more consecutive pids is "a-b" (inclusive), a lone pid
-    "a", and the empty set "": {1, 2, 3, 7, 9, 10, 11, 12} is "1-3,7,9-12".
+    "a", and the empty set "": the bits of {1, 2, 3, 7, 9, 10, 11, 12} are
+    "1-3,7,9-12".  The runs are read off the binary digits.
     """
-    ordered = sorted(pids)
-    starts = [i for i in range(len(ordered))
-              if i == 0 or ordered[i] != ordered[i - 1] + 1]
-    ends = starts[1:] + [len(ordered)]
-    return ",".join(
-        str(ordered[a]) if b - a == 1 else f"{ordered[a]}-{ordered[b - 1]}"
-        for a, b in zip(starts, ends))
+    return ",".join(str(a) if b - a == 1 else f"{a}-{b - 1}" for a, b in pid_runs(bits))
 
 
 def path_classes(audit) -> list:
-    """Group the run's pids by path: [(steps, pids)], by smallest pid.
+    """Group the run's pids by path: [(steps, PidSet)], by smallest pid.
 
     A step is (owner, port, n): n rows carried each of the pids at that
     port, and the steps follow audit.ports in run order, so a path has at
-    most one step per port.  The classes are refined port by port with set
-    operations; no per-pid path is built.
+    most one step per port.  The classes are refined port by port with
+    bitset operations; no per-pid path is built.
     """
-    classes: dict[tuple, frozenset] = {}
+    classes: dict[tuple, int] = {}
     for e in audit.ports:
-        refined: dict[tuple, frozenset] = {}
-        reached = []  # (steps so far, pids of that class that e carried)
-        for steps, pids in classes.items():
+        by_n: dict[int, list] = {}  # n > 1 -> the pids n rows carried here
+        for pid, n in e.repeats.items():
+            by_n.setdefault(n, []).append(pid)
+        repeated = [(n, pid_bits(group)) for n, group in by_n.items()]
+        refined: dict[tuple, int] = {}
+        # the pids e carried that no class holds: a source's, or invented ones
+        for steps, pids in [*classes.items(), ((), e.pids & ~_union(classes.values()))]:
+            if pids & ~e.pids:
+                refined[steps] = pids & ~e.pids
             hit = pids & e.pids
-            if len(hit) < len(pids):
-                refined[steps] = pids - hit if hit else pids
+            for n, group in repeated:
+                if hit & group:
+                    refined[steps + ((e.owner, e.port, n),)] = hit & group
+                    hit &= ~group
             if hit:
-                reached.append((steps, hit))
-        if sum(len(hit) for _, hit in reached) < len(e.pids):
-            # a source port, or a stage that invented pids
-            reached.append(((), e.pids.difference(*classes.values())))
-        for steps, hit in reached:
-            by_n: dict[int, set] = {}
-            for pid in e.repeats.keys() & hit:
-                by_n.setdefault(e.repeats[pid], set()).add(pid)
-            by_n[1] = hit.difference(*by_n.values()) if by_n else hit
-            for n, group in by_n.items():
-                if group:
-                    refined[steps + ((e.owner, e.port, n),)] = frozenset(group)
+                refined[steps + ((e.owner, e.port, 1),)] = hit
         classes = refined
-    return sorted(classes.items(), key=lambda c: min(c[1]))
+    return sorted(((steps, PidSet(pids)) for steps, pids in classes.items()),
+                  key=lambda c: c[1] & -c[1])
 
 
 def audit_document(audit, report: ConservationReport) -> dict:

@@ -277,7 +277,7 @@ _NUMBER_VIEWS = {"integer": Decimal, "decimal": _same, "quantity": operator.attr
 
 def _number_view(sem: str | None, where: str):
     if sem not in _NUMBER_VIEWS:
-        raise FnNotTotal(f"{where} applied to a {sem} value")
+        raise ExprTypeError(f"{where} applied to a {sem} value")
     return _NUMBER_VIEWS[sem]
 
 
@@ -286,7 +286,7 @@ def _literal_type(v) -> tuple:
     if isinstance(v, Missing):
         return None, None
     if isinstance(v, bool):  # before int: bool is an int subtype
-        raise FnNotTotal("boolean literals are not field values")
+        raise ExprTypeError("boolean literals are not field values")
     if isinstance(v, int):
         return "integer", None
     if isinstance(v, Decimal) and v.is_finite():
@@ -295,7 +295,7 @@ def _literal_type(v) -> tuple:
         return "text", None
     if isinstance(v, Quantity):
         return "quantity", v.unit
-    raise FnNotTotal(f"literal {v!r} has no field type")
+    raise ExprTypeError(f"literal {v!r} has no field type")
 
 
 _BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
@@ -310,7 +310,7 @@ def compile_expr(e: Expr, sch):
     has sem None and fits any sem), num and arithmetic give decimal over
     integer, decimal, quantity or summary operands, and unit_of gives text
     over a quantity.  An unknown field raises UnknownField, any other
-    ill-typed expression FnNotTotal.  Missing operands propagate, never crash.
+    ill-typed expression ExprTypeError.  Missing operands propagate, never crash.
     """
     if isinstance(e, Col):
         spec = schema_field(sch, e.name)
@@ -330,7 +330,7 @@ def compile_expr(e: Expr, sch):
     if isinstance(e, UnitOf):
         inner, sem, _ = compile_expr(e.inner, sch)
         if sem not in ("quantity", None):
-            raise FnNotTotal(f"unit_of applied to a {sem} value")
+            raise ExprTypeError(f"unit_of applied to a {sem} value")
 
         def unit_of(row):
             v = inner(row)
@@ -338,7 +338,7 @@ def compile_expr(e: Expr, sch):
         return unit_of, "text", None
     if isinstance(e, BinOp):
         if e.op not in _BINOPS:
-            raise FnNotTotal(f"unknown operator {e.op!r}")
+            raise ExprTypeError(f"unknown operator {e.op!r}")
         fn = _BINOPS[e.op]
         left, lsem, _ = compile_expr(e.left, sch)
         right, rsem, _ = compile_expr(e.right, sch)

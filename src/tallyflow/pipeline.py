@@ -5,11 +5,11 @@ no-forget rule is structural: every output port must be consumed exactly
 once (wire it or sink it), so data cannot fall off the edge of the graph.
 Execution records, for every port in run order, the pids it carried
 (RunAudit.ports), each the pid record of the relation at that port
-(Relation.pid_record); stage pid sets, sink pid sets, trace() and the audit
-document's paths are all read off that one record.  validate() sweeps the
-topological order once, backwards, for the reports each output port
-reaches: it refuses a stage other than a tee whose ports reach different
-reports, and a run reads each report's sources off the same sweep.
+(Relation.pid_record, an int bitset); stage pid sets, sink pid sets, trace()
+and the audit document's paths are all read off that one record.  validate()
+sweeps the topological order once, backwards, for the reports each output
+port reaches: it refuses a stage other than a tee whose ports reach
+different reports, and a run reads each report's sources off the same sweep.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .relation import (
     ERROR_STAGE,
     REPORT,
     SEM_TYPES,
+    PidSet,
     Relation,
     Schema,
     check_rows,
@@ -295,7 +296,7 @@ class ConservationSpec(Frozen):
 
 
 class PortPids(Frozen):
-    """The pids one port carried during a run.
+    """The pids one port carried during a run, a PidSet bitset.
 
     repeats is sparse: pid -> number of rows that carried it, only for pids
     more than one row carried (a join copy, a dedup's merged duplicates).
@@ -305,7 +306,7 @@ class PortPids(Frozen):
 
     __slots__ = ("owner", "port", "pids", "repeats")
 
-    def __init__(self, owner: str, port: str, pids: frozenset, repeats: dict) -> None:
+    def __init__(self, owner: str, port: str, pids: PidSet, repeats: dict) -> None:
         set_field(self, "owner", owner)
         set_field(self, "port", port)
         set_field(self, "pids", pids)
@@ -336,7 +337,7 @@ class RunAudit(Frozen):
     ports is the one record of pid movement: a PortPids per source output,
     stage output and sink input, in run order (sources, then stage outputs
     in topological order, then sinks).  source_pids, stage_visits and
-    sink_pids index the same frozensets by owner: each is the pid record of
+    sink_pids index the same PidSets by owner: each is the pid record of
     the relation at that port, scanned once per relation.  Every field
     defaults to a new empty container: charges maps space -> pid ->
     payload, totals space -> carrier -> payload, space_units space -> unit
@@ -598,7 +599,7 @@ class PipelineGraph:
         values: dict[PortRef, Relation] = {}
         incoming = self._incoming()
 
-        def record(owner: str, port: str, rel: Relation) -> frozenset:
+        def record(owner: str, port: str, rel: Relation) -> PidSet:
             pids, repeats = rel.pid_record
             audit.ports.append(PortPids(owner, port, pids, repeats))
             return pids
@@ -618,11 +619,11 @@ class PipelineGraph:
         stray = next((name for name in inputs if name not in self.sources), None)
         if stray is not None:
             raise MissingInput(f"input {stray!r} does not name a source")
-        if sum(map(len, audit.source_pids.values())) > len(audit.all_source_pids()):
-            a, b = next((a, b) for a, b in combinations(audit.source_pids, 2)
-                        if not audit.source_pids[a].isdisjoint(audit.source_pids[b]))
-            raise TallyError(f"sources {a!r} and {b!r} share pids; each source needs "
-                             "its own pids (ingest's first_pid)")
+        src = audit.source_pids
+        shared = next(((a, b) for a, b in combinations(src, 2) if src[a] & src[b]), None)
+        if shared:
+            raise TallyError(f"sources {shared[0]!r} and {shared[1]!r} share pids; each source "
+                             "needs its own pids (ingest's first_pid)")
         order = self._order
         self._setup_audit(audit, inputs)
 
@@ -630,14 +631,14 @@ class PipelineGraph:
             t0 = time.perf_counter()
             try:
                 ins, outs = self._apply(name, values, incoming)
+                audit.timings[name] = time.perf_counter() - t0
+                audit.stage_visits.append(StageVisit(
+                    stage=name,
+                    ins={p: r.pid_record[0] for p, r in ins.items()},
+                    outs={p: record(name, p, outs[p]) for p in self.nodes[name].out_ports},
+                ))
             except TallyError as exc:
                 raise type(exc)(f"stage {name!r}: {exc}") from exc
-            audit.timings[name] = time.perf_counter() - t0
-            audit.stage_visits.append(StageVisit(
-                stage=name,
-                ins={p: r.pid_record[0] for p, r in ins.items()},
-                outs={p: record(name, p, outs[p]) for p in self.nodes[name].out_ports},
-            ))
 
         sinks: dict[str, Relation] = {}
         for sink in self.sinks.values():
@@ -668,9 +669,10 @@ def trace(audit: RunAudit, pid: int) -> tuple:
     Ports come in run order (sources, stage outputs in topological order,
     sinks), each repeated once per row that carried the pid there.
     """
-    if not any(pid in s for s in audit.source_pids.values()):
+    if not (isinstance(pid, int) and pid >= 0
+            and any(s >> pid & 1 for s in audit.source_pids.values())):
         raise UnknownPid(f"pid {pid} was never issued by a source")
-    return tuple(step for e in audit.ports if pid in e.pids
+    return tuple(step for e in audit.ports if e.pids >> pid & 1
                  for step in [(e.owner, e.port)] * e.repeats.get(pid, 1))
 
 

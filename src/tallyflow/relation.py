@@ -11,17 +11,19 @@ builds one per row per stage, is immutable by convention only; no
 operator assigns to a record it has been given.  Rows are checked where
 they enter a run (check_rows, called by ingest() and PipelineGraph.run,
 is one loop over the rows); operators only move checked rows, so
-Relation(...) trusts the rows it is given.
+Relation(...) trusts the rows it is given.  A relation's pids are read as
+one PidSet, an int bitset; a record's own pids stay a frozenset.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from decimal import Decimal
 from functools import cached_property
 
-from .errors import SchemaMismatch, UnknownField
+from .errors import SchemaMismatch, TallyError, UnknownField
 from .monoid import MonoidElement
 from .values import Frozen, Missing, Quantity, cell_key, set_field
 
@@ -95,6 +97,63 @@ class IrrelevantPart(Frozen):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pids", frozenset(self.pids))
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a pid's flag byte -> its binary digit
+
+
+def pid_runs(bits: int):
+    """(first, last + 1) of each run of consecutive pids in bits, ascending."""
+    low = (bits & -bits).bit_length() - 1  # the smallest pid, -1 for none
+    digits = bin(bits >> low if bits else 0)[:1:-1] + "0"  # binary digits, from low up
+    start = digits.find("1")
+    while start >= 0:
+        end = digits.find("0", start)
+        yield low + start, low + end
+        start = digits.find("1", end)
+
+
+class PidSet(int):
+    """A set of pids as an int bitset, bit p for pid p.  Its set algebra is
+    int algebra (&, |, & ~, bit_count()), whose results are plain ints; a
+    reader may also iterate its pids (ascending), take its len() and unite
+    it into a Python set (set | pids)."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        low = (self & -self).bit_length() - 1  # the smallest pid, -1 for none
+        zeros = bin(self >> low if self else 0)[:1:-1].split("1")  # the 0s before each pid
+        zeros.pop()  # and after the last
+        steps = map(operator.add, map(len, zeros), itertools.repeat(1))
+        return itertools.islice(itertools.accumulate(steps, initial=low - 1), 1, None)
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+    def __ror__(self, other):
+        if isinstance(other, (set, frozenset)):
+            return other.union(self)
+        return int.__ror__(self, other)
+
+
+def pid_bits(pids) -> PidSet:
+    """The PidSet of a collection of distinct pids: up to 64 are summed bit
+    by bit, more flagged one byte per pid in time linear in the largest pid,
+    where the sum is quadratic.  A negative or non-integer pid raises
+    TallyError naming it."""
+    try:
+        if len(pids) <= 64:
+            return PidSet(sum(map(operator.lshift, itertools.repeat(1), pids)))
+        if min(pids) < 0:
+            raise ValueError
+        flags = bytearray(max(pids) + 1)
+        for p in pids:
+            flags[p] = 1
+        return PidSet(flags.translate(_DIGITS)[::-1], 2)
+    except (TypeError, ValueError):
+        bad = next(p for p in pids if not isinstance(p, int) or p < 0)
+        raise TallyError(f"pid {bad!r} is not a nonnegative integer") from None
 
 
 class Record:
@@ -177,17 +236,17 @@ class Relation(Frozen):
 
     @cached_property
     def pid_record(self) -> tuple:
-        """(pids, repeats): every pid the rows carry, and, sparsely, pid ->
-        number of rows that carry it for pids more than one row carries (a
-        join copy, a dedup's merged duplicates).  Scanned on first read and
-        kept, so a relation fed to several ports is scanned once."""
+        """(pids, repeats): the PidSet of every pid the rows carry, and,
+        sparsely, pid -> number of rows that carry it for pids more than one
+        row carries (a join copy, a dedup's merged duplicates).  Scanned on
+        first read and kept, so a relation fed to several ports is scanned once."""
         sets = [rec.pids for rec in self.rows]
         pids = frozenset().union(*sets)
         repeats: dict = {}
         if sum(map(len, sets)) > len(pids):
             n = Counter(itertools.chain.from_iterable(sets))
             repeats = {pid: k for pid, k in n.items() if k > 1}
-        return pids, repeats
+        return pid_bits(pids), repeats
 
 
 def empty(sch: Schema) -> Relation:
@@ -219,7 +278,7 @@ def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
 
 
 def pids(rel: Relation) -> frozenset[int]:
-    return rel.pid_record[0]
+    return frozenset(rel.pid_record[0])
 
 
 def triples(rel: Relation):

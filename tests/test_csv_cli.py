@@ -22,7 +22,13 @@ import yaml
 import tallyflow
 
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, schema
-from tallyflow.audit import Check, ConservationReport, build_charges, measure_carriers
+from tallyflow.audit import (
+    Check,
+    ConservationReport,
+    attribution_classes,
+    build_charges,
+    measure_carriers,
+)
 from tallyflow.cli import main
 from tallyflow.csvio import (
     BLOCK_ROWS,
@@ -38,7 +44,7 @@ from tallyflow.csvio import (
 )
 from tallyflow.monoid import count
 from tallyflow.pipeline import RunAudit, trace
-from tallyflow.relation import FieldSpec, Record, Relation
+from tallyflow.relation import FieldSpec, Record, Relation, pid_bits
 from tallyflow.values import plain
 
 
@@ -1174,13 +1180,13 @@ def test_a_measure_no_source_carries_exits_2(tmp_path, capsys):
 COMPUTED_TYPE_ERRORS = {
     "num over text": (
         lambda nd: nd["add"].update(value={"num": {"col": "description"}}),
-        "FnNotTotal", "num applied to a text value"),
+        "ExprTypeError", "num applied to a text value"),
     "declared sem": (
         lambda nd: nd["sems"].update(value="integer"),
         "SchemaMismatch", "field 'value' is declared integer but computes decimal"),
     "unit_of over decimal": (
         lambda nd: nd["add"].update(value={"unit_of": {"col": "current_price"}}),
-        "FnNotTotal", "unit_of applied to a decimal value"),
+        "ExprTypeError", "unit_of applied to a decimal value"),
 }
 
 
@@ -1573,13 +1579,13 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
 
     assert at_port.keys() <= {(e.owner, e.port) for e in audit.ports}
     for e in audit.ports:
-        assert port_set(e.owner, e.port) == e.pids, (e.owner, e.port)
-    assert {k: port_set(k, "out") for k in audit.source_pids} == audit.source_pids
-    assert {k: port_set(k, "in") for k in audit.sink_pids} == audit.sink_pids
+        assert pid_bits(port_set(e.owner, e.port)) == e.pids, (e.owner, e.port)
+    assert {k: pid_bits(port_set(k, "out")) for k in audit.source_pids} == audit.source_pids
+    assert {k: pid_bits(port_set(k, "in")) for k in audit.sink_pids} == audit.sink_pids
     feeder = {(w.dst.owner, w.dst.port): (w.src.owner, w.src.port)
               for w in graphs[0].wires}
-    assert [(sv.stage, {p: port_set(*feeder[sv.stage, p]) for p in sv.ins},
-             {p: port_set(sv.stage, p) for p in sv.outs})
+    assert [(sv.stage, {p: pid_bits(port_set(*feeder[sv.stage, p])) for p in sv.ins},
+             {p: pid_bits(port_set(sv.stage, p)) for p in sv.outs})
             for sv in audit.stage_visits] == \
         [(sv.stage, sv.ins, sv.outs) for sv in audit.stage_visits]
 
@@ -1606,13 +1612,82 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
         # a path has at most one step per port, however many rows a join
         # copied a product into: 2 sources, 7 stage outputs, 3 sinks
         assert len(audit.ports) == 12
-        products = audit.source_pids["products"]
+        products = set(audit.source_pids["products"])
         priced = [entry for entry in doc["paths"]
                   if _decode_pid_ranges(entry["pids"]) <= products
                   and any(owner == "priced" for owner, _, _ in entry["steps"])]
         assert priced
         for entry in priced:
             assert max(n for _, _, n in entry["steps"]) > 1, entry
+
+
+def test_the_audit_of_a_20k_row_run_allocates_no_set_per_port(tmp_path, monkeypatch):
+    # conservation_check, the dashboard and audit.json read every port's pid
+    # set; as int bitsets a 20,000-row lookup run takes them under 1.5 MB
+    # (as frozensets they took about 7 MB), and the figure does not depend
+    # on timing
+    import tracemalloc
+
+    import tallyflow.cli as cli_mod
+    runs = []
+    real = cli_mod.dashboard_document
+
+    def capture(graph, result, report):
+        runs.append((graph, result))
+        return real(graph, result, report)
+
+    monkeypatch.setattr(cli_mod, "dashboard_document", capture)
+    data = _scaled_lookup(tmp_path, 20_000)
+    pipeline = os.path.join(data, "pipeline.yaml")
+    assert main(["run", pipeline, "--data", data, "--out", str(tmp_path / "out")]) == 0
+    [(graph, result)] = runs
+    tracemalloc.start()
+    try:
+        report = cli_mod.conservation_check(result.audit)
+        real(graph, result, report)
+        cli_mod.audit_document(result.audit, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1.5 * 2**20, peak
+
+
+def test_what_the_benchmark_reads_off_a_run_keeps_its_shape(tmp_path, monkeypatch):
+    # perfbench/ reads these off a run: workloads.template_attribution sums
+    # over the int pids of each attribution class, and tracer.py takes len()
+    # of every stage_visits set, of every RunAudit.visits entry and of every
+    # charges value of build_charges(graph, RunAudit(), inputs)
+    runs = []
+    real_run = PipelineGraph.run
+
+    def run(graph, inputs):
+        runs.append((graph, inputs))
+        return real_run(graph, inputs)
+
+    monkeypatch.setattr(PipelineGraph, "run", run)
+    d = fixture_dir("lookup")
+    audit, _ = _run_and_capture_audit(
+        monkeypatch, os.path.join(d, "pipeline.yaml"), d, tmp_path / "out")
+    [(graph, inputs)] = runs
+    dashboard = json.loads((tmp_path / "out" / "dashboard.json").read_text(encoding="utf-8"))
+    attributed = {s["name"]: s["attributed_pids"] for entry in dashboard["reports"].values()
+                  for s in entry["report_sinks"] + entry["error_sinks"]}
+    for label in audit.sink_order:
+        for sink, pids in attribution_classes(audit, label).items():
+            listed = list(pids)
+            assert all(type(p) is int for p in listed) and listed == sorted(set(listed))
+            assert len(listed) == attributed[sink]
+    sizes = [(len(p), len(set(p))) for sv in audit.stage_visits
+             for side in (sv.ins, sv.outs) for p in side.values()]
+    assert sizes and all(n == m for n, m in sizes)
+    assert audit.visits.keys() == audit.all_source_pids()
+    for pid, steps in audit.visits.items():
+        assert tuple(steps) == trace(audit, pid)
+    fresh = RunAudit()
+    build_charges(graph, fresh, inputs)
+    assert [len(c) for c in fresh.charges.values()] == [len(c) for c in audit.charges.values()]
+    assert all(len(c) for c in fresh.charges.values())
 
 
 def test_charges_come_from_the_sources_that_carry_each_measure(tmp_path, monkeypatch):
@@ -1627,8 +1702,8 @@ def test_charges_come_from_the_sources_that_carry_each_measure(tmp_path, monkeyp
     d = fixture_dir("ship")
     audit, _ = _run_and_capture_audit(
         monkeypatch, os.path.join(d, "pipeline.yaml"), d, tmp_path / "out")
-    assert audit.charges["paccioli[Price]"].keys() == audit.source_pids["prices"]
-    assert audit.charges["paccioli[Insurance]"].keys() == audit.source_pids["items"]
+    assert audit.charges["paccioli[Price]"].keys() == set(audit.source_pids["prices"])
+    assert audit.charges["paccioli[Insurance]"].keys() == set(audit.source_pids["items"])
     assert audit.charges["count"].keys() == audit.all_source_pids()
 
     # perfbench/tracer.py times build_charges on a fresh RunAudit after the

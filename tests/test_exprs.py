@@ -183,9 +183,9 @@ def test_missing_poisons_an_expression_quietly():
 
 
 def test_expressions_refuse_nonsense_instead_of_guessing():
-    with pytest.raises(FnNotTotal):
+    with pytest.raises(ExprTypeError):
         value(NumOf(Col("t")))
-    with pytest.raises(FnNotTotal):
+    with pytest.raises(ExprTypeError):
         value(UnitOf(Col("i")))
 
 
@@ -215,7 +215,7 @@ def test_compiling_decides_the_type_of_every_expression():
     assert typed(UnitOf(Col("q"))) == ("text", None)
     for bad in (Lit(D("NaN")), Lit(1.5), Lit(True), NumOf(Col("t")),
                 UnitOf(Col("d")), BinOp("add", Col("t"), Lit(1)), BinOp("div", Col("i"), Lit(1))):
-        with pytest.raises(FnNotTotal):
+        with pytest.raises(ExprTypeError):
             compile_expr(bad, sch)
 
 

@@ -54,6 +54,7 @@ from tallyflow import (
 from tallyflow.audit import build_charges, path_classes, pid_ranges
 from tallyflow.exprs import encode_expr, encode_pred
 from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node, RunAudit
+from tallyflow.relation import pid_bits
 from tallyflow.grammar import read
 from tallyflow.pipeline_doc import DOCUMENT, NODE, build_graph
 
@@ -321,7 +322,7 @@ def test_run_refuses_sources_that_share_pids():
     with pytest.raises(TallyError, match="sources 'a' and 'b' share pids"):
         g.run({"a": orders(), "b": orders()})
     own = ingest(ORDERS, [rec.fields for rec in orders().rows], first_pid=4)
-    assert g.run({"a": orders(), "b": own}).audit.source_pids["b"] == {4, 5, 6}
+    assert g.run({"a": orders(), "b": own}).audit.source_pids["b"] == pid_bits({4, 5, 6})
 
 
 def test_run_refuses_a_source_whose_rows_share_a_pid():
@@ -531,8 +532,8 @@ def test_conservation_verdict_is_exact_and_green():
 def test_attribution_explains_where_each_pid_went():
     res = priced_graph().run({"orders": orders()})
     classes = attribution_classes(res.audit, "main")
-    assert classes["priced"] == frozenset({1, 3})
-    assert classes["unpriced"] == frozenset({2})
+    assert classes["priced"] == pid_bits({1, 3})
+    assert classes["unpriced"] == pid_bits({2})
 
 
 def test_trace_follows_one_pid_through_the_graph():
@@ -560,13 +561,13 @@ def test_audit_document_is_json_friendly_and_timeless():
 
 
 def test_pid_ranges_writes_runs_of_consecutive_pids():
-    assert pid_ranges(set()) == ""
-    assert pid_ranges([5]) == "5"
-    assert pid_ranges({5, 6}) == "5-6"
-    assert pid_ranges({1, 2, 3, 7, 9, 10, 11, 12}) == "1-3,7,9-12"
-    assert pid_ranges([12, 3, 1, 10, 7, 2, 11, 9]) == "1-3,7,9-12"
-    assert pid_ranges(frozenset({4, 2, 8, 6})) == "2,4,6,8"
-    assert pid_ranges(frozenset(range(1, 25_001))) == "1-25000"
+    assert pid_ranges(pid_bits(set())) == ""
+    assert pid_ranges(pid_bits([5])) == "5"
+    assert pid_ranges(pid_bits({5, 6})) == "5-6"
+    assert pid_ranges(pid_bits({1, 2, 3, 7, 9, 10, 11, 12})) == "1-3,7,9-12"
+    assert pid_ranges(pid_bits([12, 3, 1, 10, 7, 2, 11, 9])) == "1-3,7,9-12"
+    assert pid_ranges(pid_bits(frozenset({4, 2, 8, 6}))) == "2,4,6,8"
+    assert pid_ranges(pid_bits(frozenset(range(1, 25_001)))) == "1-25000"
 
 
 def test_dashboard_reads_as_stable_text():
@@ -710,7 +711,19 @@ def test_a_stage_that_invents_a_pid_is_caught():
         trace(res.audit, 99)
     # the audit document still gives the invented pid its path
     assert path_classes(res.audit)[-1] == (
-        (("bad", "out", 1), ("kept", "in", 1)), frozenset({99}))
+        (("bad", "out", 1), ("kept", "in", 1)), pid_bits({99}))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "7"])
+def test_a_stage_that_invents_a_pid_no_bit_can_stand_for_is_refused(bad):
+    # a pid set is a bitset, bit p for pid p: a negative or non-integer pid
+    # has no bit, so the run refuses it by name instead of setting another
+    def invent(rows):
+        return rows + tuple(Record(frozenset({bad}), r.fields) for r in rows[:1])
+
+    with pytest.raises(TallyError, match=re.escape(f"stage 'bad': pid {bad!r} is not a "
+                                                   "nonnegative integer")):
+        rewrite_graph(invent).run({"orders": orders()})
 
 
 def test_a_stage_that_copies_a_row_stays_balanced():
@@ -721,8 +734,8 @@ def test_a_stage_that_copies_a_row_stays_balanced():
                                    ("kept", "in"), ("kept", "in"))
     assert trace(res.audit, 2) == (("orders", "out"), ("bad", "out"), ("kept", "in"))
     assert path_classes(res.audit) == [
-        ((("orders", "out", 1), ("bad", "out", 2), ("kept", "in", 2)), frozenset({1})),
-        ((("orders", "out", 1), ("bad", "out", 1), ("kept", "in", 1)), frozenset({2, 3})),
+        ((("orders", "out", 1), ("bad", "out", 2), ("kept", "in", 2)), pid_bits({1})),
+        ((("orders", "out", 1), ("bad", "out", 1), ("kept", "in", 1)), pid_bits({2, 3})),
     ]
 
 

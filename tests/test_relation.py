@@ -1,7 +1,9 @@
 """Relations, schemas and the facts a lossless operation must keep."""
 
+import re
 from collections import Counter
 from decimal import Decimal
+from random import Random
 
 import pytest
 
@@ -14,6 +16,7 @@ from tallyflow import (
     Record,
     Relation,
     SchemaMismatch,
+    TallyError,
     UnknownField,
     cell_key,
     dec4,
@@ -28,7 +31,9 @@ from tallyflow import (
     set_of,
     triples,
 )
-from tallyflow.relation import check_rows
+from tallyflow.audit import path_classes, pid_ranges
+from tallyflow.pipeline import PortPids, RunAudit
+from tallyflow.relation import PidSet, check_rows, pid_bits
 
 
 D = Decimal
@@ -241,3 +246,77 @@ def test_error_schema_appends_the_two_error_columns():
     assert field_names(sch) == ("name", "n", "price", "error_stage", "error_reason")
     with pytest.raises(SchemaMismatch):
         error_schema(sch)
+
+
+# -- pid sets as int bitsets ----------------------------------------------
+
+
+def _reference_ranges(pids) -> str:
+    """The reference for pid_ranges: runs of the sorted pids, found by index."""
+    ordered = sorted(pids)
+    starts = [i for i in range(len(ordered))
+              if i == 0 or ordered[i] != ordered[i - 1] + 1]
+    ends = starts[1:] + [len(ordered)]
+    return ",".join(
+        str(ordered[a]) if b - a == 1 else f"{ordered[a]}-{ordered[b - 1]}"
+        for a, b in zip(starts, ends))
+
+
+def _pid_sets(seed: int) -> list:
+    """Seeded pid sets: empty, pid 0, one pid, dense runs, sparse sets, both
+    sides of pid_bits' 64-pid switch, and pids 1-25,000."""
+    rng = Random(seed)
+    runs = set()
+    for _ in range(rng.randint(1, 6)):
+        start = rng.randrange(3000)
+        runs.update(range(start, start + rng.randint(1, 80)))
+    return [frozenset(), frozenset({0}), frozenset({rng.randrange(100_000)}),
+            frozenset(runs), frozenset(rng.sample(range(100_000), 40)),
+            frozenset(rng.sample(range(5000), 64)), frozenset(rng.sample(range(5000), 65)),
+            frozenset(rng.sample(range(1, 25_001), 3000)), frozenset(range(1, 25_001))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pid_bitsets_agree_with_frozenset_algebra(seed):
+    sets = _pid_sets(seed)
+    bits = [pid_bits(s) for s in sets]
+    for a, x in zip(sets, bits):
+        assert list(x) == sorted(a)  # decoded in ascending order
+        assert len(x) == len(a) == x.bit_count()
+        assert pid_bits(sorted(a)) == x and frozenset(x) == a
+        assert pid_ranges(x) == _reference_ranges(a)
+        for b, y in zip(sets, bits):
+            assert frozenset(PidSet(x & y)) == a & b
+            assert frozenset(PidSet(x | y)) == a | b
+            assert frozenset(PidSet(x & ~y)) == a - b
+            assert set(b) | x == a | b  # a Python set unites with a bitset
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_classes_group_pids_as_a_per_pid_walk_does(seed):
+    rng = Random(seed)
+    sets = _pid_sets(seed)[1:-1]  # no empty port; no 25,000-pid walk per pid
+    ports = []
+    for i, pids in enumerate(sets):
+        some = rng.sample(sorted(pids), min(len(pids), 5))
+        repeats = {p: rng.randint(2, 3) for p in some[:rng.randint(0, len(some))]}
+        ports.append(PortPids(f"s{i % 3}", f"p{i}", pid_bits(pids), repeats))
+    audit = RunAudit(ports=ports)
+    walks: dict = {}  # pid -> its steps, port by port in run order
+    for e, pids in zip(ports, sets):
+        for pid in pids:
+            walks[pid] = walks.get(pid, ()) + ((e.owner, e.port, e.repeats.get(pid, 1)),)
+    want: dict = {}
+    for pid, steps in walks.items():
+        want.setdefault(steps, set()).add(pid)
+    got = path_classes(audit)
+    assert [(steps, frozenset(pids)) for steps, pids in got] == \
+        sorted(((s, frozenset(p)) for s, p in want.items()), key=lambda c: min(c[1]))
+    assert [min(pids) for _, pids in got] == sorted(min(pids) for _, pids in got)
+
+
+@pytest.mark.parametrize("bad", [-1, -70, 2.0, "3", None])
+@pytest.mark.parametrize("size", [1, 100])
+def test_pid_bits_refuses_a_pid_no_bit_stands_for_by_name(bad, size):
+    with pytest.raises(TallyError, match=re.escape(f"pid {bad!r} is not a nonnegative integer")):
+        pid_bits([*range(size), bad])

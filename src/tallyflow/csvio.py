@@ -20,7 +20,7 @@ import io
 import os
 from decimal import Decimal
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import SchemaMismatch
 from .grammar import NAME, TEXT, Entry, Key, Leaf, ListOf, read
@@ -36,7 +36,7 @@ from .relation import (
     field_names,
     schema,
 )
-from .values import Frozen, Missing, Quantity, dec4, plain
+from .values import DEC4, Frozen, Missing, Quantity, dec4, plain, plain_column
 
 COLUMN_TYPES = ("integer", "decimal", "text", "quantity")
 
@@ -146,18 +146,31 @@ def _cell_parser(col: ColumnSpec):
     return parse
 
 
+def _decimal_column(texts) -> list:
+    """A clean block's decimals, quantized to four places, in three passes
+    over the column; a junk, infinite or too long cell raises ValueError or
+    ArithmeticError, and _parse_column then goes cell by cell."""
+    ds = list(map(Decimal, texts))
+    if not all(map(Decimal.is_finite, ds)):
+        raise ValueError("a cell is not finite")
+    return list(map(Decimal.quantize, ds, repeat(DEC4)))
+
+
+# each column type's conversion of a clean block, a column at a time (a
+# block's texts are a tuple already, which tuple() returns as it is)
+_COLUMN_CONVERTERS = {"text": tuple, "integer": lambda texts: list(map(int, texts)),
+                      "decimal": _decimal_column, "quantity": _decimal_column}
+
+
 def _parse_column(col: ColumnSpec, parse, texts: tuple, problems: dict) -> list:
     """One column block's cells.  A block with no empty cell and no sentinel
-    converts in one pass; any other, or one whose pass raises, goes cell by
-    cell, putting each junk cell's reason in problems (row -> first reason)
-    and None in its place."""
+    converts a column at a time; any other, or one whose conversion raises,
+    goes cell by cell, putting each junk cell's reason in problems (row ->
+    first reason) and None in its place."""
     if "" not in texts and frozenset(col.sentinels).isdisjoint(texts):
-        convert = _CONVERTERS[col.type][0]
-        if convert is str:
-            return texts
         try:
-            return list(map(convert, texts))
-        except ValueError:
+            return _COLUMN_CONVERTERS[col.type](texts)
+        except (ValueError, ArithmeticError):
             pass
     cells = []
     for i, raw in enumerate(texts):
@@ -171,7 +184,12 @@ def _parse_column(col: ColumnSpec, parse, texts: tuple, problems: dict) -> list:
 
 def _with_units(amounts: list, units) -> list:
     """Each parsed amount bound to its row's unit label: Missing stays, and
-    an amount without a label becomes Missing('no unit')."""
+    an amount without a label becomes Missing('no unit').  A block whose
+    amounts are all decimals and whose labels are all nonempty binds in one
+    pass over the columns."""
+    if set(map(type, amounts)) == {Decimal} and set(map(type, units)) == {str} \
+            and "" not in units:
+        return list(map(Quantity, amounts, units))
     no_unit = Missing("no unit")
     out = []
     for amount, unit in zip(amounts, units):
@@ -189,7 +207,7 @@ def _parse_block(cols: tuple, parsers: list, rows: list) -> list:
     columns = {c.name: _parse_column(c, parse, texts[i], problems) for c, i, parse in parsers}
     for c in cols:
         if c.type == "quantity":
-            units = repeat(c.unit) if not c.unit_from else columns[c.unit_from]
+            units = [c.unit] * len(rows) if not c.unit_from else columns[c.unit_from]
             columns[c.name] = _with_units(columns[c.name], units)
     parsed: list = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     for i, reason in problems.items():
@@ -262,10 +280,17 @@ def write_csv(path: str, rel: Relation) -> None:
 
 
 def _render_column(cells: list) -> list:
-    """One column's cell texts, each through a function chosen once for the column."""
+    """One column's cell texts: a column of decimals or of quantities
+    through one plain_column, any other of one class through a function
+    chosen once for the column."""
     kinds = set(map(type, cells))
     if kinds <= {str}:
         return cells
+    if kinds == {Decimal}:
+        return plain_column(cells)
+    if kinds == {Quantity}:
+        amounts = plain_column(list(map(attrgetter("amount"), cells)))
+        return list(map(" ".join, zip(amounts, map(attrgetter("unit"), cells))))
     if len(kinds) == 1:
         return list(map(_RENDERERS.get(kinds.pop(), str), cells))
     return [v if type(v) is str else render_cell(v) for v in cells]

@@ -2,9 +2,13 @@
 
 Predicates are three-valued: a comparison against a Missing cell is neither
 true nor false, it is unknown with a reason, and partitioning collapses
-unknown to the reject side carrying that reason.  Expressions only ever add
-information to a row; division is deliberately absent (averages divide at
-presentation time, not in the data).
+unknown to the reject side carrying that reason; a compiled predicate is
+read one row at a time.  Expressions only ever add information to a row;
+division is deliberately absent (averages divide at presentation time, not
+in the data).  A compiled expression computes a whole column: each operator
+is one pass over its operands' columns, and a row where num finds no number
+carries that fault up the expression as a Missing operand is carried, so
+the error raised is the first failing row's.
 
 Both ASTs round-trip through plain dicts, the form they take in pipeline
 documents.
@@ -253,15 +257,17 @@ class BinOp(Frozen):
 Expr = Col | Lit | NumOf | UnitOf | BinOp
 
 
-def _summary_number(v: MonoidElement) -> Decimal:
+def _summary_number(v: MonoidElement):
     """The number a summary cell stands for: a count, or a sum, min or max
-    that folded at least one value (the min or max of none is infinite)."""
+    that folded at least one value (the min or max of none is infinite).
+    Any other gives the FnNotTotal fault that the expression's column
+    carries in its cell (see compile_expr)."""
     if v.kind is Kind.COUNT:
         return Decimal(v.payload)
     if v.kind not in (Kind.SUM, Kind.MIN, Kind.MAX):
-        raise FnNotTotal(f"no numeric view of a {v.kind.value} summary")
+        return FnNotTotal(f"no numeric view of a {v.kind.value} summary")
     if not v.payload.is_finite():
-        raise FnNotTotal(f"the {v.kind.value} of no values is not a number")
+        return FnNotTotal(f"the {v.kind.value} of no values is not a number")
     return v.payload
 
 
@@ -300,9 +306,76 @@ def _literal_type(v) -> tuple:
 
 _BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
+# the cells an operator passes on as they are: a Missing operand, and the
+# fault of a view that failed on an earlier operand
+_HOLES = frozenset({Missing, FnNotTotal})
+
+
+def _viewed(view, col: list) -> list:
+    """view over col's cells, holes passed on as they are."""
+    if view is _same:
+        return col
+    if _HOLES.isdisjoint(map(type, col)):
+        return list(map(view, col))
+    return [v if v.__class__ in _HOLES else view(v) for v in col]
+
+
+def _kernel(e: Expr, sch):
+    """e as (column kernel, sem, unit).  A kernel maps a list of row field
+    dicts to e's column; a cell where a view fails holds its FnNotTotal, and
+    an operator passes it on as it does a Missing operand, so the column
+    holds what evaluating e on each row alone would give or raise."""
+    if isinstance(e, Col):
+        spec = schema_field(sch, e.name)
+        get = operator.itemgetter(spec.name)
+        return (lambda rows: list(map(get, rows))), spec.sem, spec.unit
+    if isinstance(e, Lit):
+        value = e.value
+        sem, unit = _literal_type(value)
+        return (lambda rows: [value] * len(rows)), sem, unit
+    if isinstance(e, NumOf):
+        inner, sem, _ = _kernel(e.inner, sch)
+        view = _number_view(sem, "num")
+        return (lambda rows: _viewed(view, inner(rows))), "decimal", None
+    if isinstance(e, UnitOf):
+        inner, sem, _ = _kernel(e.inner, sch)
+        if sem not in ("quantity", None):
+            raise ExprTypeError(f"unit_of applied to a {sem} value")
+        unit = operator.attrgetter("unit")
+        return (lambda rows: _viewed(unit, inner(rows))), "text", None
+    if isinstance(e, BinOp):
+        if e.op not in _BINOPS:
+            raise ExprTypeError(f"unknown operator {e.op!r}")
+        fn = _BINOPS[e.op]
+        left, lsem, _ = _kernel(e.left, sch)
+        right, rsem, _ = _kernel(e.right, sch)
+        lview, rview = _number_view(lsem, e.op), _number_view(rsem, e.op)
+        total = _summary_number not in (lview, rview)  # no view can fail
+
+        def cell(lv, rv):
+            # in the order a row is read: each operand's hole, then each view
+            if lv.__class__ in _HOLES:
+                return lv
+            if rv.__class__ in _HOLES:
+                return rv
+            lv, rv = lview(lv), rview(rv)
+            if lv.__class__ is FnNotTotal:
+                return lv
+            return rv if rv.__class__ is FnNotTotal else fn(lv, rv)
+
+        def binop(rows):
+            lcol, rcol = left(rows), right(rows)
+            if total and _HOLES.isdisjoint(map(type, lcol)) and _HOLES.isdisjoint(map(type, rcol)):
+                return list(map(fn, _viewed(lview, lcol), _viewed(rview, rcol)))
+            return list(map(cell, lcol, rcol))
+        return binop, "decimal", None
+    raise TypeError(f"not an expression: {e!r}")
+
 
 def compile_expr(e: Expr, sch):
-    """e as (closure from a row's fields dict to a value, sem, unit).
+    """e as (column function, sem, unit).  The function maps a list of row
+    field dicts to the list of e's values, one per row, computed a column
+    at a time; it raises the FnNotTotal of the first row on which e fails.
 
     This is the one place expressions are typed: (sem, unit) is what e
     computes over the plain schema sch, decided before any row is seen.  A
@@ -312,48 +385,14 @@ def compile_expr(e: Expr, sch):
     over a quantity.  An unknown field raises UnknownField, any other
     ill-typed expression ExprTypeError.  Missing operands propagate, never crash.
     """
-    if isinstance(e, Col):
-        spec = schema_field(sch, e.name)
-        return operator.itemgetter(spec.name), spec.sem, spec.unit
-    if isinstance(e, Lit):
-        value = e.value
-        sem, unit = _literal_type(value)
-        return (lambda row: value), sem, unit
-    if isinstance(e, NumOf):
-        inner, sem, _ = compile_expr(e.inner, sch)
-        view = _number_view(sem, "num")
+    kernel, sem, unit = _kernel(e, sch)
 
-        def num(row):
-            v = inner(row)
-            return v if isinstance(v, Missing) else view(v)
-        return num, "decimal", None
-    if isinstance(e, UnitOf):
-        inner, sem, _ = compile_expr(e.inner, sch)
-        if sem not in ("quantity", None):
-            raise ExprTypeError(f"unit_of applied to a {sem} value")
-
-        def unit_of(row):
-            v = inner(row)
-            return v if isinstance(v, Missing) else v.unit
-        return unit_of, "text", None
-    if isinstance(e, BinOp):
-        if e.op not in _BINOPS:
-            raise ExprTypeError(f"unknown operator {e.op!r}")
-        fn = _BINOPS[e.op]
-        left, lsem, _ = compile_expr(e.left, sch)
-        right, rsem, _ = compile_expr(e.right, sch)
-        lview, rview = _number_view(lsem, e.op), _number_view(rsem, e.op)
-
-        def binop(row):
-            lv = left(row)
-            if isinstance(lv, Missing):
-                return lv
-            rv = right(row)
-            if isinstance(rv, Missing):
-                return rv
-            return fn(lview(lv), rview(rv))
-        return binop, "decimal", None
-    raise TypeError(f"not an expression: {e!r}")
+    def column(rows: list) -> list:
+        col = kernel(rows)
+        if FnNotTotal in set(map(type, col)):
+            raise next(v for v in col if v.__class__ is FnNotTotal)
+        return col
+    return column, sem, unit
 
 
 # -- document writers: the query compiler's; the grammar below reads them back

@@ -8,11 +8,12 @@ Operations that can reject rows return the rejects as first-class output.
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import (
     CollisionAfterRename,
+    FnNotTotal,
     ForbiddenFieldWrite,
     JoinColumnMissing,
     SchemaMismatch,
@@ -33,7 +34,6 @@ from .relation import (
     error_schema,
     field_names,
     has_field,
-    record_key,
     schema,
     schema_field,
 )
@@ -64,8 +64,8 @@ def partition_detailed(rel: Relation, pred: Pred):
 def as_errors(rel: Relation, stage: str, reasons) -> Relation:
     """Reshape rows onto the error rail, stamping stage and reason columns."""
     if isinstance(reasons, str):
-        reasons = [reasons] * len(rel.rows)
-    if len(reasons) != len(rel.rows):
+        reasons = repeat(reasons)
+    elif len(reasons) != len(rel.rows):
         raise ValueError("reasons must align with rows")
     out = tuple(Record(rec.pids, {**rec.fields, ERROR_STAGE: stage, ERROR_REASON: reason},
                        rec.irrelevant, rec.tags) for rec, reason in zip(rel.rows, reasons))
@@ -119,6 +119,41 @@ def untag(rel: Relation):
 def strip_tags(rel: Relation) -> Relation:
     """Pop the outermost tag from every row, keeping them in one relation."""
     return Relation(rel.schema, tuple(rec for _, rec in _popped(rel)))
+
+
+# -- row keys -------------------------------------------------------------
+
+# the key every Missing cell shares, cell_key's; no present cell keys as a tuple
+_MISSING_KEY = ("missing",)
+
+
+def _key_column(col: list, sem: str, missing=_MISSING_KEY) -> list:
+    """Each cell's key for grouping and joining, a column at a time.  A text,
+    integer, decimal or quantity cell keys as itself: within one sem its ==
+    and hash agree with cell_key's (4 and 4.0000 are one decimal, a quantity
+    compares amount and unit).  Every Missing cell keys as missing, and a
+    summary cell by cell_key."""
+    if sem == "summary":
+        return [missing if v.__class__ is Missing else cell_key(v) for v in col]
+    if Missing not in set(map(type, col)):
+        return col
+    return [missing if v.__class__ is Missing else v for v in col]
+
+
+def _row_keys(n: int, cols: list, sems, missing=_MISSING_KEY):
+    """Each of n rows' key over the columns cols of sems sems: the tuple of
+    its cells' keys, one _key_column pass per column."""
+    if not cols:
+        return repeat((), n)
+    return zip(*map(_key_column, cols, sems, repeat(missing)))
+
+
+def _field_keys(rel: Relation, names, missing=_MISSING_KEY):
+    """Each of rel's rows' key over the named fields."""
+    fields = [rec.fields for rec in rel.rows]
+    cols = [list(map(itemgetter(n), fields)) for n in names]
+    sems = [schema_field(rel.schema, n).sem for n in names]
+    return _row_keys(len(fields), cols, sems, missing)
 
 
 # -- projection, rename, dedup -----------------------------------------
@@ -186,18 +221,17 @@ def dedup(rel: Relation) -> Relation:
     pid) content is unchanged; only row multiplicity collapses.
     """
     sch = rel.schema
-    names = field_names(sch)
     groups: dict = {}  # relevant-field key -> members, in first-seen order
-    for rec in rel.rows:
-        groups.setdefault(record_key(rec, names), []).append(rec)
+    for rec, key in zip(rel.rows, _field_keys(rel, field_names(sch))):
+        groups.setdefault(key, []).append(rec)
     rows = []
     for members in groups.values():
         first = members[0]
         if len(members) == 1:
             rows.append(first)
             continue
-        pids = frozenset().union(*(m.pids for m in members))
-        irr = tuple(p for m in members for p in m.irrelevant)
+        pids = frozenset().union(*map(attrgetter("pids"), members))
+        irr = tuple(chain.from_iterable(map(attrgetter("irrelevant"), members)))
         rows.append(Record(pids, first.fields, irr, first.tags))
     return Relation(sch, tuple(rows))
 
@@ -247,32 +281,21 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     inner_schema = join_schema(sch1, sch2, pairs)
     kept_right = inner_schema[len(sch1):]
 
-    def key_of(rec: Record, cols) -> tuple | None:
-        out = []
-        for c in cols:
-            v = rec.fields[c]
-            if isinstance(v, Missing) and not missing_matches:
-                return None
-            out.append(cell_key(v))
-        return tuple(out)
-
-    right_cols = [rf for _, rf in pairs]
-    left_cols = [lf for lf, _ in pairs]
+    # with missing_matches every Missing key cell keys as _MISSING_KEY; without,
+    # each side's Missing cells key as a token of that side, which no key of
+    # the other side holds, so a row with a Missing key cell matches nothing
+    lmissing, rmissing = (_MISSING_KEY, _MISSING_KEY) if missing_matches else (object(), object())
     index: dict = {}
-    kept = []  # each right row's fields that an inner row copies
-    for j, rec in enumerate(r2.rows):
-        k = key_of(rec, right_cols)
-        if k is not None:
-            index.setdefault(k, []).append(j)
-        kept.append({s.name: rec.fields[s.name] for s in kept_right})
+    for j, k in enumerate(_field_keys(r2, [rf for _, rf in pairs], rmissing)):
+        index.setdefault(k, []).append(j)
+    kept = [{s.name: rec.fields[s.name] for s in kept_right} for rec in r2.rows]
 
     inner_rows = []
     left_rows = []
     right_matched = [False] * len(r2.rows)
-    for x in r1.rows:
-        k = key_of(x, left_cols)
-        hits = index.get(k, []) if k is not None else []
-        if not hits:
+    for x, k in zip(r1.rows, _field_keys(r1, [lf for lf, _ in pairs], lmissing)):
+        hits = index.get(k)
+        if hits is None:
             left_rows.append(x)
             continue
         for j in hits:
@@ -311,14 +334,21 @@ def fmap(rel: Relation, additions: dict, sems: dict,
         if sem not in (None, spec.sem):
             raise SchemaMismatch(f"field {spec.name!r} is declared {spec.sem} "
                                  f"but computes {sem}")
-        compiled.append((spec.name, fn))
-    rows = []
-    for rec in rel.rows:
-        fields = dict(rec.fields)
-        for name, fn in compiled:
-            fields[name] = fn(rec.fields)
-        rows.append(Record(rec.pids, fields, rec.irrelevant, rec.tags))
-    return Relation(new_schema, tuple(rows))
+        compiled.append(fn)
+    fields = [rec.fields for rec in rel.rows]
+    try:
+        columns = [fn(fields) for fn in compiled]
+    except FnNotTotal:
+        # raise the first failing row's, and in it the first field's, fault
+        for row in fields:
+            for fn in compiled:
+                fn([row])
+        raise
+    fields = list(map(dict.copy, fields))  # each row's own, widened a column at a time
+    for name, col in zip(additions, columns):
+        list(map(dict.__setitem__, fields, repeat(name), col))
+    return Relation(new_schema, tuple([Record(rec.pids, row, rec.irrelevant, rec.tags)
+                                       for rec, row in zip(rel.rows, fields)]))
 
 
 # -- aggregation --------------------------------------------------------
@@ -344,13 +374,14 @@ class AggSpec(Frozen):
 def _agg_cell(op: str, values, unit: str | None) -> MonoidElement:
     """Fold one group's non-missing values for one spec: bare payloads onto
     the kind's unit payload, then one element."""
-    present = [v for v in values if not isinstance(v, Missing)]
+    kinds = set(map(type, values))  # a numeric field's: one class, and Missing
+    present = values if Missing not in kinds else [v for v in values if v.__class__ is not Missing]
     kind = _AGG_KINDS[op]
     if kind is Kind.SET:
         return set_of(present)
-    nums = (v.amount if isinstance(v, Quantity) else Decimal(v) for v in present)
+    nums = map(attrgetter("amount") if Quantity in kinds else Decimal, present)
     if kind is Kind.AVG:
-        nums = ((n, 1) for n in nums)
+        nums = zip(nums, repeat(1))
     return MonoidElement(kind, fold_payloads(kind, nums, UNITS[kind]), unit)
 
 
@@ -414,8 +445,9 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
     gcols = [list(map(itemgetter(n), row_fields)) for n in keys]
     gcols += [[v.unit if isinstance(v, Quantity) else no_unit
                for v in map(itemgetter(q), row_fields)] for q in qty_fields]
-    keyed = (zip(rel.rows, zip(*gcols), zip(*[map(cell_key, col) for col in gcols]))
-             if gcols else zip(rel.rows, repeat(()), repeat(())))
+    gkeys = _row_keys(len(row_fields), gcols,
+                      [schema_field(sch, n).sem for n in keys] + ["text"] * len(qty_fields))
+    keyed = zip(rel.rows, zip(*gcols) if gcols else repeat(()), gkeys)
     groups: dict = {}  # group key -> (key cells, members), in first-seen order
     for rec, gvals, gkey in keyed:
         group = groups.get(gkey)
@@ -437,7 +469,7 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
             values = [m.fields[spec.field] for m in members]
             fields[f"{spec.field}_{spec.op}"] = _agg_cell(spec.op, values, unit)
         fields["count"] = count(len(members))
-        pids = frozenset().union(*(m.pids for m in members))
-        irr = tuple(p for m in members for p in m.irrelevant)
+        pids = frozenset().union(*map(attrgetter("pids"), members))
+        irr = tuple(chain.from_iterable(map(attrgetter("irrelevant"), members)))
         rows.append(Record(pids=pids, fields=fields, irrelevant=irr))
     return Relation(out_schema, tuple(rows))

@@ -612,7 +612,10 @@ class PipelineGraph:
                 raise SchemaMismatch(f"input for {name!r} does not match its declared schema")
             check_rows(s.schema, rel.rows)
             values[PortRef(name, "out")] = rel
-            audit.source_pids[name] = record(name, "out", rel)
+            try:
+                audit.source_pids[name] = record(name, "out", rel)
+            except TallyError as exc:
+                raise type(exc)(f"source {name!r}: {exc}") from exc
             if rel.pid_record[1]:
                 raise TallyError(f"source {name!r} has rows that share pid "
                                  f"{min(rel.pid_record[1])}; each source row needs its own pid")

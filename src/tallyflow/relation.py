@@ -10,9 +10,10 @@ to a field raises AttributeError.  Record, a slotted class because a run
 builds one per row per stage, is immutable by convention only; no
 operator assigns to a record it has been given.  Rows are checked where
 they enter a run (check_rows, called by ingest() and PipelineGraph.run,
-is one loop over the rows); operators only move checked rows, so
-Relation(...) trusts the rows it is given.  A relation's pids are read as
-one PidSet, an int bitset; a record's own pids stay a frozenset.
+checks a column at a time by the set of its cell classes); operators only
+move checked rows, so Relation(...) trusts the rows it is given.  A
+relation's pids are read as one PidSet, an int bitset; a record's own pids
+stay a frozenset.
 """
 
 from __future__ import annotations
@@ -188,34 +189,62 @@ class Record:
                 f"irrelevant={self.irrelevant!r}, tags={self.tags!r})")
 
 
-def record_key(rec: Record, names: tuple[str, ...]) -> tuple:
-    """Canonical identity of a record's relevant fields, in schema order."""
-    return tuple(map(cell_key, map(rec.fields.__getitem__, names)))
+# each sem's cell class; a cell of a subclass is judged by isinstance, and
+# a bool is no integer
+_SEM_CLASSES = {"integer": int, "decimal": Decimal, "text": str, "quantity": Quantity,
+                "summary": MonoidElement}
 
 
-_SEM_CHECKS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "decimal": lambda v: isinstance(v, Decimal) and v.is_finite(),
-    "text": lambda v: isinstance(v, str),
-    "quantity": lambda v: isinstance(v, Quantity),
-    "summary": lambda v: isinstance(v, MonoidElement),
-}
+def _first_misfit(sem: str, col: list) -> int | None:
+    """The position of col's first cell that is neither Missing nor of sem.
+    The set of the column's cell classes settles a column of sem's own class
+    and Missing, after one is_finite pass over its decimals; only a column
+    holding another class is scanned cell by cell."""
+    cls = _SEM_CLASSES[sem]
+    kinds = set(map(type, col))
+    if kinds <= {cls, Missing}:
+        if cls is not Decimal:
+            return None
+        present = col if Missing not in kinds else [v for v in col if v.__class__ is Decimal]
+        if all(map(Decimal.is_finite, present)):
+            return None
+    for i, v in enumerate(col):
+        if isinstance(v, Missing):
+            continue
+        if not isinstance(v, cls) or (cls is int and isinstance(v, bool)) \
+                or (cls is Decimal and not v.is_finite()):
+            return i
+    return None
 
 
 def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
-    each cell is Missing or a value of its field's sem."""
-    names = set(field_names(sch))
-    tests = [(spec.name, spec.sem, _SEM_CHECKS[spec.sem]) for spec in sch]
-    for rec in rows:
-        fields = rec.fields
-        if fields.keys() != names:
-            raise SchemaMismatch(f"record fields {sorted(fields)} do not match "
-                                 f"schema {field_names(sch)}")
-        for name, sem, ok in tests:
-            v = fields[name]
-            if not ok(v) and not isinstance(v, Missing):
-                raise SchemaMismatch(f"field {name!r}: {v!r} is not {sem}")
+    each cell is Missing or a value of its field's sem.
+
+    The error is the one a row-by-row scan meets first: the first row with
+    a wrong field set or a bad cell, and in that row its field set before
+    its first bad cell in schema order.  Cells are checked a column at a
+    time, over the rows before the first wrong field set."""
+    names = field_names(sch)
+    fields = [rec.fields for rec in rows]
+    end = len(fields)  # the first row with a wrong field set, or none
+    cols = None
+    if set(map(len, fields)) <= {len(names)}:
+        try:  # rows that hold as many fields as sch and each of sch's: its fields
+            cols = [list(map(operator.itemgetter(n), fields)) for n in names]
+        except KeyError:
+            pass
+    if cols is None:
+        end = list(map(operator.eq, map(dict.keys, fields), itertools.repeat(set(names)))).index(False)
+        cols = [list(map(operator.itemgetter(n), fields[:end])) for n in names]
+    misfits = [(i, spec) for spec, col in zip(sch, cols)
+               if (i := _first_misfit(spec.sem, col)) is not None]
+    if misfits:  # the first row's, and in it the first field's in schema order
+        i, spec = min(misfits, key=operator.itemgetter(0))
+        raise SchemaMismatch(f"field {spec.name!r}: {fields[i][spec.name]!r} is not {spec.sem}")
+    if end < len(fields):
+        raise SchemaMismatch(f"record fields {sorted(fields[end])} do not match "
+                             f"schema {names}")
 
 
 class Relation(Frozen):

@@ -110,17 +110,15 @@ class Quantity(Frozen):
     __slots__ = ("amount", "unit")
 
     def __init__(self, amount: Decimal, unit: str) -> None:
+        # checked inline, not in __post_init__: ingest builds one per cell
+        if not isinstance(amount, Decimal):
+            raise TypeError("Quantity.amount must be a Decimal")
+        if not amount.is_finite():
+            raise ValueError(f"Quantity.amount must be finite, not {amount}")
+        if not unit:
+            raise ValueError("Quantity.unit must be a nonempty label")
         set_field(self, "amount", amount)
         set_field(self, "unit", unit)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.amount, Decimal):
-            raise TypeError("Quantity.amount must be a Decimal")
-        if not self.amount.is_finite():
-            raise ValueError(f"Quantity.amount must be finite, not {self.amount}")
-        if not self.unit:
-            raise ValueError("Quantity.unit must be a nonempty label")
 
     def __str__(self) -> str:
         return f"{plain(self.amount)} {self.unit}"
@@ -168,6 +166,18 @@ def plain(d: Decimal) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+def plain_column(ds: list) -> list:
+    """plain() of each Decimal in ds, a column at a time: str() of each, and
+    two str methods strip a text with a point, with no Python function
+    called per cell.  A column with an exponent or a NaN or infinity among
+    its texts goes through plain cell by cell instead."""
+    texts = [t.rstrip("0").rstrip(".") if "." in t else t for t in map(str, ds)]
+    joined = "".join(texts)
+    if "E" in joined or "n" in joined or "N" in joined:  # 1E+3, Infinity, NaN
+        return list(map(plain, ds))
+    return ["0" if t == "-0" else t for t in texts] if "-0" in texts else texts
 
 
 # a cell class's key: a tag, keyed (tag, value), or a function of the

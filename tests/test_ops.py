@@ -1,15 +1,18 @@
 """Operations on relations: every one partitions, tags or enriches."""
 
 from decimal import Decimal
+from random import Random
 
 import pytest
 
 from tallyflow import (
     AggSpec,
+    BinOp,
     Col,
     Compare,
     FieldDefined,
     FieldSpec,
+    FnNotTotal,
     ForbiddenFieldWrite,
     Kind,
     Lit,
@@ -21,6 +24,9 @@ from tallyflow import (
     UntagMissing,
     aggregate,
     as_errors,
+    avg_of,
+    cell_key,
+    count,
     dedup,
     empty,
     field_names,
@@ -31,6 +37,7 @@ from tallyflow import (
     pids,
     rename,
     schema,
+    set_of,
     strip_tags,
     tagged_union,
     untag,
@@ -88,6 +95,47 @@ def test_fmap_only_adds_fields():
     assert field_names(out.schema) == ("name", "age", "next_age")
     assert out.rows[0].fields["next_age"] == D(34)
     assert isinstance(out.rows[2].fields["next_age"], Missing)
+
+
+def test_fmap_reports_the_first_row_on_which_an_operand_fails():
+    # a row reads its left operand first and stops at a Missing one, so the
+    # error is the first failing row's, whichever operand fails there
+    sch = schema(FieldSpec("a", "summary"), FieldSpec("b", "summary"))
+    no_min, avg = MonoidElement(Kind.MIN, D("Infinity")), avg_of(D(4), 2)
+    total = {"v": BinOp("add", NumOf(Col("a")), NumOf(Col("b")))}
+    rows = [{"a": count(1), "b": no_min}, {"a": avg, "b": count(1)}]
+    with pytest.raises(FnNotTotal, match="^the min of no values is not a number$"):
+        fmap(ingest(sch, rows), total, {"v": "decimal"})
+    with pytest.raises(FnNotTotal, match="^no numeric view of a avg summary$"):
+        fmap(ingest(sch, rows[::-1]), total, {"v": "decimal"})
+    # a Missing left operand leaves the right one unread on its row
+    rows = [{"a": Missing("empty"), "b": avg}, {"a": count(1), "b": count(2)}]
+    out = fmap(ingest(sch, rows), total, {"v": "decimal"})
+    assert [r.fields["v"] for r in out.rows] == [Missing("empty"), D(3)]
+    # add reads both operands before either one's number, and num its
+    # operand's number at once
+    rows = [{"a": avg, "b": Missing("n/a")}]
+    out = fmap(ingest(sch, rows), {"w": BinOp("add", Col("a"), Col("b"))}, {"w": "decimal"})
+    assert out.rows[0].fields["w"] == Missing("n/a")
+    with pytest.raises(FnNotTotal, match="^no numeric view of a avg summary$"):
+        fmap(ingest(sch, rows), {"v": BinOp("add", NumOf(Col("a")), Col("b"))}, {"v": "decimal"})
+
+
+def test_fmap_reports_the_first_row_on_which_any_added_field_fails():
+    # rows are read in order and each row's added fields in order, so two
+    # added fields that fail on different rows raise the earlier row's fault
+    sch = schema(FieldSpec("a", "summary"), FieldSpec("b", "summary"))
+    no_min, avg = MonoidElement(Kind.MIN, D("Infinity")), avg_of(D(4), 2)
+    adds = {"x": NumOf(Col("a")), "y": NumOf(Col("b"))}
+    sems = {"x": "decimal", "y": "decimal"}
+    rows = [{"a": count(1), "b": avg}, {"a": no_min, "b": count(1)}]
+    with pytest.raises(FnNotTotal, match="^no numeric view of a avg summary$"):
+        fmap(ingest(sch, rows), adds, sems)
+    with pytest.raises(FnNotTotal, match="^the min of no values is not a number$"):
+        fmap(ingest(sch, rows[::-1]), adds, sems)
+    # on one row, the first added field's fault
+    with pytest.raises(FnNotTotal, match="^the min of no values is not a number$"):
+        fmap(ingest(sch, [{"a": no_min, "b": avg}]), adds, sems)
 
 
 def test_fmap_refuses_to_overwrite():
@@ -233,6 +281,85 @@ def test_cartesian_is_join_on_nothing():
     assert not left.rows and not right.rows
     assert sorted(r.pids for r in inner.rows) == sorted(
         a.pids | b.pids for a in people().rows for b in jobs().rows)
+
+
+# -- the key rule: join, dedup and aggregate key a cell as cell_key does --
+
+# each column's cells, in classes that cell_key keys alike: equal values in
+# different texts (4 and 4.0000, -0 and 0), Missing cells of different
+# reasons; and classes apart that compare equal as values (a summary of
+# the set {1} and one of {1.0000}) or as amounts in two units
+KEY_CELLS = {
+    "n": [[D(4), D("4.0000")], [D("-0"), D("0.00")], [D("4.5")],
+          [Missing("empty"), Missing("n/a")]],
+    "q": [[Quantity(D(2), "kg"), Quantity(D("2.0000"), "kg")], [Quantity(D(2), "lb")],
+          [Quantity(D("-0"), "kg"), Quantity(D(0), "kg")], [Missing("no unit")]],
+    "s": [[set_of({1})], [MonoidElement(Kind.SET, frozenset({D(1)}))], [count(1)],
+          [Missing("gone"), Missing("empty")]],
+    "t": [["a"], ["b"], [Missing("empty"), Missing("closed")]],
+    "i": [[0], [4], [Missing("n/a"), Missing("empty")]],
+}
+KEY_SEMS = {"n": "decimal", "q": "quantity", "s": "summary", "t": "text", "i": "integer"}
+KEY_SETS = [[n] for n in KEY_CELLS] + [["n", "t"], ["q", "s", "i"], list(KEY_CELLS)]
+
+
+def keyed(seed: int, prefix: str = "", first_pid: int = 1):
+    """40 rows, each a random member of each class of one of 8 rows of
+    classes, which every seed shares: the first 4 take every class of each
+    column, the others are drawn at random."""
+    sch = schema(*(FieldSpec(prefix + n, sem) for n, sem in KEY_SEMS.items()))
+    shape_rng, rng = Random(0), Random(seed)
+    shapes = [{n: classes[j % len(classes)] for n, classes in KEY_CELLS.items()}
+              for j in range(4)]
+    shapes += [{n: shape_rng.choice(classes) for n, classes in KEY_CELLS.items()}
+               for _ in range(4)]
+    return ingest(sch, [{prefix + n: rng.choice(cls) for n, cls in rng.choice(shapes).items()}
+                        for _ in range(40)], first_pid)
+
+
+def cell_keys(rec, names) -> tuple:
+    return tuple(cell_key(rec.fields[n]) for n in names)
+
+
+def cell_key_groups(rel, names) -> list:
+    """The pid set of each group of rows whose cells cell_key keys alike,
+    in first-seen order."""
+    groups: dict = {}
+    for rec in rel.rows:
+        groups.setdefault(cell_keys(rec, names), set()).update(rec.pids)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("names", KEY_SETS, ids="-".join)
+def test_dedup_and_aggregate_group_rows_as_cell_key_does(names):
+    rel = keyed(1)
+    want = cell_key_groups(rel, names)
+    assert len(want) < len(rel.rows)  # the case has rows to merge
+    assert [r.pids for r in aggregate(rel, names, []).rows] == want
+    sch = schema(*(FieldSpec(n, KEY_SEMS[n]) for n in names))
+    narrow = ingest(sch, [{n: rec.fields[n] for n in names} for rec in rel.rows])
+    assert [r.pids for r in dedup(narrow).rows] == cell_key_groups(narrow, names)
+
+
+@pytest.mark.parametrize("missing_matches", [False, True])
+@pytest.mark.parametrize("names", KEY_SETS, ids="-".join)
+def test_join_matches_rows_as_cell_key_does(names, missing_matches):
+    left, right = keyed(2), keyed(3, "r_", first_pid=100)
+    rnames = ["r_" + n for n in names]
+
+    def matches(x, y) -> bool:
+        k = cell_keys(x, names)
+        return k == cell_keys(y, rnames) and (missing_matches or ("missing",) not in k)
+
+    want = [x.pids | y.pids for x in left.rows for y in right.rows if matches(x, y)]
+    assert want  # the case has matches
+    inner, left_only, right_only = outer_join(left, right, list(zip(names, rnames)),
+                                              missing_matches)
+    assert [r.pids for r in inner.rows] == want
+    assert [r.pids for r in left_only.rows] == [
+        x.pids for x in left.rows if not any(matches(x, y) for y in right.rows)]
+    assert [r.pids for r in right_only.rows] == [
+        y.pids for y in right.rows if not any(matches(x, y) for x in left.rows)]
 
 
 # -- aggregation --------------------------------------------------------

@@ -726,6 +726,15 @@ def test_a_stage_that_invents_a_pid_no_bit_can_stand_for_is_refused(bad):
         rewrite_graph(invent).run({"orders": orders()})
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, "7"])
+def test_a_source_row_whose_pid_no_bit_can_stand_for_is_refused_naming_the_source(bad):
+    rows = orders().rows
+    given = Relation(ORDERS, rows[:1] + (Record((bad,), rows[1].fields),) + rows[2:])
+    with pytest.raises(TallyError, match=re.escape(f"source 'orders': pid {bad!r} is not a "
+                                                   "nonnegative integer")):
+        rewrite_graph(lambda rows: rows).run({"orders": given})
+
+
 def test_a_stage_that_copies_a_row_stays_balanced():
     res = rewrite_graph(lambda rows: rows + rows[:1]).run({"orders": orders()})
     report = conservation_check(res.audit)

@@ -54,7 +54,6 @@ ALLOWED = {
     "relation.Record.__repr__": "protocol",
     "space.DataSpace.measure": "pending item 1",
     "values.Frozen.__delattr__": "protocol",
-    "values.Frozen.__hash__": "protocol",
     "values.Frozen.__reduce__": "protocol",
     "values.Frozen.__repr__": "protocol",
     "values.Frozen.__setattr__": "protocol",

@@ -113,6 +113,18 @@ CHECK_PRECEDENCE = {
         [_row(1, **GOOD), _row(2, name="a", n=1, price="dear"),
          _row(3, name=3, n="three", price=D(1)), _row(4, name="a", n=1)],
         "field 'price': 'dear' is not decimal"),
+    "a wrong field set before a later column's bad cell and the next row's earlier one": (
+        [_row(1, **GOOD), _row(2, name="a", n=1, cost=D(1)),
+         _row(3, name="a", n=1, price="dear"), _row(4, name=4, n=1, price=D(1))],
+        "record fields ['cost', 'n', 'name'] do not match schema ('name', 'n', 'price')"),
+    "an infinite decimal in a column with Missing cells before the next row's bool": (
+        [_row(1, **GOOD), _row(2, name="a", n=1, price=Missing("empty")),
+         _row(3, name="a", n=1, price=D("Infinity")), _row(4, name="a", n=True, price=D(1)),
+         _row(5, name="a", n=1)],
+        "field 'price': Decimal('Infinity') is not decimal"),
+    "a bool is no integer": (
+        [_row(1, **GOOD), _row(2, name="a", n=True, price=D("NaN"))],
+        "field 'n': True is not integer"),
 }
 
 

@@ -128,8 +128,6 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         doc = load_doc(args.pipeline)
-        if not args.data:
-            raise ValueError("check needs --data to find the column descriptions")
         schemas = {name: _read_sidecar(name, os.path.join(args.data, fname))[1]
                    for name, fname in source_files(doc).items()}
         graph = _build_graph(doc, schemas)
@@ -187,7 +185,7 @@ def main(argv=None) -> int:
 
     cp = sub.add_parser("check", help="validate a pipeline document")
     cp.add_argument("pipeline")
-    cp.add_argument("--data", help="directory with the column descriptions")
+    cp.add_argument("--data", required=True, help="directory with the column descriptions")
     cp.set_defaults(fn=cmd_check)
 
     fp = sub.add_parser("fuzz", help="randomized compiler cross-checks")

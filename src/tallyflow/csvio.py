@@ -57,6 +57,8 @@ class ColumnSpec(Frozen):
             raise ValueError(f"column {self.name!r}: unit_from needs type quantity")
         if self.unit is not None and self.type not in ("decimal", "quantity"):
             raise ValueError(f"column {self.name!r}: unit needs type decimal or quantity")
+        if self.empty == "keep" and self.type != "text":
+            raise ValueError(f"column {self.name!r}: empty: keep needs type text")
         object.__setattr__(self, "sentinels", tuple(self.sentinels))
 
 
@@ -127,7 +129,7 @@ def _cell_parser(col: ColumnSpec):
     """One column's cell parse, units resolved later; raises ValueError on junk."""
     sentinels = frozenset(col.sentinels)
     convert, what = _CONVERTERS[col.type]
-    if col.empty == "missing" or (col.empty == "keep" and col.type != "text"):
+    if col.empty == "missing":
         on_empty = Missing("empty")
     else:
         on_empty = "" if col.empty == "keep" else None  # None: parse col.empty

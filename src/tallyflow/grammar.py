@@ -70,6 +70,8 @@ class ListOf:
         except ValueError as exc:
             raise _at(exc, f"[{i}]", "") from None
         return tuple(out)
+
+
 class Mapping:
     """A mapping of names to values of one shape."""
 

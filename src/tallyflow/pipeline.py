@@ -1,8 +1,9 @@
 """Pipeline graphs: wired stages that route every row somewhere.
 
 A graph is a DAG of named stages between declared sources and sinks.  The
-no-forget rule is structural: every output port must be consumed exactly
-once (wire it or sink it), so data cannot fall off the edge of the graph.
+no-forget rule is structural: each input port is fed where its stage or
+sink is added, and every output port must be consumed exactly once (feed
+a stage or a sink with it), so data cannot fall off the edge of the graph.
 Execution records, for every port in run order, the pids it carried
 (RunAudit.ports), each the pid record of the relation at that port
 (Relation.pid_record, an int bitset); stage pid sets, sink pid sets, trace()
@@ -380,15 +381,6 @@ class RunResult(Frozen):
     __delattr__ = object.__delattr__
 
 
-def _parse_ref(addr: str, default_port: str | None = None) -> PortRef:
-    if "." in addr:
-        owner, port = addr.split(".", 1)
-        return PortRef(owner, port)
-    if default_port is None:
-        raise ValueError(f"address {addr!r} needs an explicit port")
-    return PortRef(addr, default_port)
-
-
 class PipelineGraph:
     """Builder and runner for one pipeline."""
 
@@ -415,19 +407,32 @@ class PipelineGraph:
         self._claim(name)
         self.sources[name] = Source(name, schema)
 
-    def add_node(self, node: Node) -> None:
+    def _feed(self, addr: str) -> PortRef:
+        """The output port at addr, 'owner.port'; a source's bare name means its .out."""
+        if "." in addr:
+            owner, port = addr.split(".", 1)
+            return PortRef(owner, port)
+        if addr not in self.sources:
+            raise ValueError(f"address {addr!r} needs an explicit port")
+        return PortRef(addr, "out")
+
+    def add_node(self, node: Node, *feeds: str) -> None:
+        """Add a stage fed from one output address per in-port, in in_ports order."""
+        ports = node.in_ports
+        if len(feeds) != len(ports):
+            raise ValueError(f"stage {node.name!r} takes one feed per in-port "
+                             f"({', '.join(ports)}), not {len(feeds)}")
+        wires = [Wire(self._feed(src), PortRef(node.name, p)) for src, p in zip(feeds, ports)]
         self._claim(node.name)
         self.nodes[node.name] = node
+        self.wires.extend(wires)
 
-    def add_sink(self, name: str, kind: str, report: str = "main") -> None:
+    def add_sink(self, name: str, kind: str, src: str, *, report: str = "main") -> None:
+        """Add a sink fed from the output address src."""
+        wire = Wire(self._feed(src), PortRef(name, "in"))
         self._claim(name)
         self.sinks[name] = Sink(name, kind, report)
-
-    def connect(self, src: str, dst: str) -> None:
-        """Wire 'owner.port' to 'owner.port'; sources imply .out, sinks .in."""
-        s = _parse_ref(src, "out" if src in self.sources else None)
-        d = _parse_ref(dst, "in" if dst in self.sinks else None)
-        self.wires.append(Wire(s, d))
+        self.wires.append(wire)
 
     def add_conservation(self, scheme: str, fld: str | None = None) -> None:
         self.conservation.append(ConservationSpec(scheme, fld))
@@ -443,37 +448,24 @@ class PipelineGraph:
         complete summary of its sources, and coverage is checked per source.
         """
         v: list[Violation] = []
-        # the port tables, in declaration order: sources then stages for
-        # outputs, stages then sinks for inputs
+        # every input port has its one feed from add_node or add_sink; the
+        # output ports, in declaration order: sources then stages
         outs = dict.fromkeys([PortRef(s, "out") for s in self.sources]
                              + [PortRef(n.name, p) for n in self.nodes.values()
                                 for p in n.out_ports])
-        ins = dict.fromkeys([PortRef(n.name, p) for n in self.nodes.values()
-                             for p in n.in_ports]
-                            + [PortRef(s, "in") for s in self.sinks])
         seen_src: dict[PortRef, int] = {}
-        seen_dst: dict[PortRef, int] = {}
         for w in self.wires:
             if w.src not in outs:
                 v.append(Violation("UnknownEndpoint", str(w.src), "no such output port"))
-            if w.dst not in ins:
-                v.append(Violation("UnknownEndpoint", str(w.dst), "no such input port"))
             seen_src[w.src] = seen_src.get(w.src, 0) + 1
-            seen_dst[w.dst] = seen_dst.get(w.dst, 0) + 1
         for ref, n in seen_src.items():
             if n > 1 and ref in outs:
                 v.append(Violation(
                     "DuplicateConsumer", str(ref),
                     f"output consumed {n} times; use a tee stage to duplicate"))
-        for ref, n in seen_dst.items():
-            if n > 1 and ref in ins:
-                v.append(Violation("DuplicateProducer", str(ref), f"input fed {n} times"))
         for ref in outs:
             if ref not in seen_src:
                 v.append(Violation("UnconsumedPort", str(ref), "every output must be wired or sunk"))
-        for ref in ins:
-            if ref not in seen_dst:
-                v.append(Violation("UnwiredInput", str(ref), "input port never fed"))
         order, cyclic = self._topo_order()
         self._order = order
         for name in cyclic:

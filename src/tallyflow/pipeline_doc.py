@@ -1,12 +1,12 @@
 """Pipeline description documents: YAML in, runnable graph out.
 
 A document names its sources (CSV files described by their own sidecar
-documents), the processing stages, the wiring, the sinks, and which
-measures the run must conserve.  load_doc reads it whole against the
-declarations below and on each stage class.  build_graph assembles every
-graph the package builds: a compiled query (ra.translate) is a document
-too.  Keys that YAML would quietly turn into booleans (on, yes, no) are
-avoided in the format.
+documents), the processing stages and the sinks, each naming its feeds,
+and which measures the run must conserve.  load_doc reads it whole
+against the declarations below and on each stage class.  build_graph
+assembles every graph the package builds: a compiled query (ra.translate)
+is a document too.  Keys that YAML would quietly turn into booleans (on,
+yes, no) are avoided in the format.
 """
 
 from __future__ import annotations
@@ -20,31 +20,27 @@ ADDRESS = Leaf("an address", (str,))  # owner or owner.port
 
 
 def _node(op: str, cls) -> Entry:
-    """op's entry: op, name, the stage's keys and the wiring keys (from:
-    for the first in-port, one key per in-port, inputs:)."""
-    ports = cls.in_ports
+    """op's entry: op, name, the stage's keys and one feed key per in-port:
+    from: for a one-input stage, else the in-port's own name."""
+    feed_keys = ("from",) if len(cls.in_ports) == 1 else cls.in_ports
 
-    def build(op, name, src, inputs, **params):
-        feeds = [(src, ports[0])] + [(params.pop(p), p) for p in ports]
-        feeds += [(a, p) for p, a in inputs.items()]
+    def build(op, name, **params):
+        feeds = tuple(map(params.pop, feed_keys))
         if "kind" in cls._fields:  # fmap and emap share one stage class
             params["kind"] = op
         # params holds every field after name, so they all go by position
-        node = cls(name, *map(params.__getitem__, cls._fields[1:]))
-        return node, tuple((a, p) for a, p in feeds if a is not None)
+        return cls(name, *map(params.__getitem__, cls._fields[1:])), feeds
 
     return Entry(f"a {op} node", {
-        "op": NAME, "name": NAME, **cls.doc_keys, "from": Key(ADDRESS, "src", None),
-        **{p: Key(ADDRESS, default=None) for p in ports},
-        "inputs": Key(Mapping(ADDRESS, "a mapping of in-ports to addresses"), default={}),
+        "op": NAME, "name": NAME, **cls.doc_keys, **dict.fromkeys(feed_keys, ADDRESS),
     }, build, label=op)
 
 
 NODE = Tagged("a node", "op", {op: _node(op, cls) for op, cls in NODE_TYPES.items()})
 
 # the decoded document: name, sources (name -> file), conservation specs,
-# nodes ((stage, its (address, in-port) feeds)), sinks (name -> (kind,
-# report, address or None)) and wires ((from, to) addresses)
+# nodes ((stage, its feed addresses in in-port order)) and sinks (name ->
+# (kind, report, address))
 DOCUMENT = Entry("a pipeline document", {
     "name": Key(TEXT, default="pipeline"),
     "sources": Mapping(Entry("a source", {"file": TEXT}, lambda file: file),
@@ -55,11 +51,8 @@ DOCUMENT = Entry("a pipeline document", {
     "nodes": Key(ListOf(NODE, "a list of nodes"), default=()),
     "sinks": Mapping(Entry("a sink", {
         "kind": Key(NAME, default=REPORT), "report": Key(TEXT, default="main"),
-        "from": Key(ADDRESS, "src", None)}, lambda kind, report, src: (kind, report, src)),
+        "from": Key(ADDRESS, "src")}, lambda kind, report, src: (kind, report, src)),
         "a mapping of sink names to sinks"),
-    "wires": Key(ListOf(Entry("a wire", {
-        "from": Key(ADDRESS, "src"), "to": Key(ADDRESS, "dst")}, lambda src, dst: (src, dst)),
-        "a list of wires"), default=()),
 }, dict)
 
 
@@ -82,13 +75,7 @@ def build_graph(doc: dict, schemas: dict) -> PipelineGraph:
         g.add_source(name, schemas[name])
     g.conservation.extend(doc["conservation"])
     for node, feeds in doc["nodes"]:
-        g.add_node(node)
-        for src, port in feeds:
-            g.connect(src, f"{node.name}.{port}")
+        g.add_node(node, *feeds)
     for name, (kind, report, src) in doc["sinks"].items():
-        g.add_sink(name, kind, report)
-        if src is not None:
-            g.connect(src, name)
-    for src, dst in doc["wires"]:
-        g.connect(src, dst)
+        g.add_sink(name, kind, src, report=report)
     return g

@@ -146,8 +146,8 @@ def test_empty_cell_policies():
     assert _parse_cell("", ColumnSpec("a")) == Missing("empty")
     assert _parse_cell("", ColumnSpec("a", empty="keep")) == ""
     # keep only makes sense for text; numbers cannot hold an empty string
-    assert _parse_cell("", ColumnSpec("a", type="decimal", empty="keep")) \
-        == Missing("empty")
+    with pytest.raises(ValueError, match="column 'a': empty: keep needs type text"):
+        ColumnSpec("a", type="decimal", empty="keep")
     assert _parse_cell("", ColumnSpec("a", empty="(blank)")) == "(blank)"
     assert _parse_cell("", ColumnSpec("a", type="integer", empty="0")) == 0
 
@@ -309,7 +309,7 @@ MESSY_COLUMNS = (
     ColumnSpec("price", type="decimal", sentinels=("n/a", "closed"), empty="0"),
     ColumnSpec("amount", type="quantity", unit_from="unit", sentinels=("tbd",)),
     ColumnSpec("unit", sentinels=("?",)),
-    ColumnSpec("weight", type="quantity", unit="kg", empty="keep"),
+    ColumnSpec("weight", type="quantity", unit="kg"),
     ColumnSpec("note", empty="(none)", sentinels=("-",)),
     ColumnSpec("volume", type="quantity", unit_from="label"),
 )
@@ -486,8 +486,10 @@ def test_check_accepts_the_bundled_pipelines(capsys):
 
 def test_check_requires_the_data_directory(capsys):
     d = fixture_dir("ship")
-    assert main(["check", os.path.join(d, "pipeline.yaml")]) == 2
-    assert "needs --data" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", os.path.join(d, "pipeline.yaml")])
+    assert exit_.value.code == 2
+    assert "the following arguments are required: --data" in capsys.readouterr().err
 
 
 def test_check_reports_wiring_violations(tmp_path, capsys):
@@ -949,7 +951,23 @@ BAD_ENTRIES = {
         lambda doc: doc["nodes"][26].update(
             rejected_to_error=doc["nodes"][26].pop("rejected_to_errors")),
         "DATA/pipeline.yaml: nodes[26] (partition 'wt_mass'): needs one of the keys "
-        "op | name | when | rejected_to_errors | from | in | inputs, not 'rejected_to_error'"),
+        "op | name | when | rejected_to_errors | from, not 'rejected_to_error'"),
+    "join fed by an inputs mapping": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].update(
+            inputs={"left": doc["nodes"][0].pop("left"), "right": doc["nodes"][0].pop("right")}),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup'): needs one of the keys "
+        "op | name | keys | missing_matches | left | right, not 'inputs'"),
+    "join without its right feed": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][0].pop("right"),
+        "DATA/pipeline.yaml: nodes[0] (join 'price_lookup') right: needs an address, "
+        "and is missing"),
+    "sink without its feed": (
+        "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].pop("from"),
+        "DATA/pipeline.yaml: sinks.priced.from: needs an address, and is missing"),
+    "wires section": (
+        "lookup", "pipeline.yaml", lambda doc: doc.update(wires=[]),
+        "DATA/pipeline.yaml: needs one of the keys name | sources | conservation | nodes | "
+        "sinks, not 'wires'"),
     "columns not a list": (
         "lookup", "products.csv.yaml", lambda doc: doc.update(columns=5),
         "DATA/products.csv.yaml: columns: needs a list of columns, not 5"),
@@ -989,6 +1007,10 @@ BAD_ENTRIES = {
         "lookup", "products.csv.yaml", lambda doc: doc["columns"][1].update(unit="kg"),
         "DATA/products.csv.yaml: columns[1] (column 'description'): column 'description': "
         "unit needs type decimal or quantity"),
+    "column empty keep on a decimal": (
+        "ship", "items.csv.yaml", lambda doc: doc["columns"][1].update(empty="keep"),
+        "DATA/items.csv.yaml: columns[1] (column 'Purchase price'): column 'Purchase price': "
+        "empty: keep needs type text"),
     "column name empty": (
         "lookup", "products.csv.yaml", lambda doc: doc["columns"][0].update(name=""),
         "DATA/products.csv.yaml: columns[0] (column ''): a column name must be nonempty"),
@@ -1066,7 +1088,6 @@ BAD_SECTIONS = {
               "a mapping of sink names to sinks"),
     "conservation": (lambda doc: doc["conservation"][0], "a list of conservation entries"),
     "nodes": (lambda doc: 3, "a list of nodes"),
-    "wires": (lambda doc: "orders.out", "a list of wires"),
 }
 
 

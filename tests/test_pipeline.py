@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import pytest
+import yaml
 
 from tallyflow import (
     AggregateNode,
@@ -56,7 +57,7 @@ from tallyflow.exprs import encode_expr, encode_pred
 from tallyflow.pipeline import NODE_TYPES, ConservationSpec, Node, RunAudit
 from tallyflow.relation import pid_bits
 from tallyflow.grammar import read
-from tallyflow.pipeline_doc import DOCUMENT, NODE, build_graph
+from tallyflow.pipeline_doc import DOCUMENT, NODE
 
 
 D = Decimal
@@ -83,105 +84,96 @@ def priced_graph(stage="has_price"):
     g.add_conservation("sum_by_unit", "qty")
     g.add_conservation("paccioli", "price")
     g.add_node(PartitionNode(stage, FieldDefined("price"),
-                             rejected_to_errors=True))
-    g.connect("orders", f"{stage}.in")
-    g.add_sink("priced", "report")
-    g.add_sink("unpriced", "error")
-    g.connect(f"{stage}.accepted", "priced")
-    g.connect(f"{stage}.rejected", "unpriced")
+                             rejected_to_errors=True), "orders")
+    g.add_sink("priced", "report", f"{stage}.accepted")
+    g.add_sink("unpriced", "error", f"{stage}.rejected")
     return g
 
 
 # -- wiring rules -------------------------------------------------------
 
-def test_an_inputs_mapping_wires_ports_like_port_keys():
-    def joined(wiring):
-        return build_graph(read(DOCUMENT, {
-            "name": "w", "sources": {"orders": {"file": "o.csv"}, "stock": {"file": "s.csv"}},
-            "nodes": [{"op": "join", "name": "j", "keys": [["item", "item"]], **wiring}],
-            "sinks": {"both": {"from": "j.inner"},
-                      "orders_only": {"kind": "error", "from": "j.left_only"},
-                      "stock_only": {"kind": "error", "from": "j.right_only"}},
-        }, "w.yaml"), {"orders": ORDERS, "stock": schema(FieldSpec("item", "text"),
-                                              FieldSpec("held", "integer"))})
-    by_keys = joined({"left": "orders", "right": "stock"})
-    by_inputs = joined({"inputs": {"left": "orders", "right": "stock"}})
-    assert by_inputs.wires == by_keys.wires
-    assert by_inputs.validate() == []
-    typo = joined({"inputs": {"left": "orders", "rihgt": "stock"}})
-    assert [(v.kind, v.where) for v in typo.validate()] == [
-        ("UnknownEndpoint", "j.rihgt"), ("UnwiredInput", "j.right")]
+@pytest.mark.parametrize("node, feeds", [
+    (JoinNode("s", (("item", "item"),)), ("orders",)),
+    (JoinNode("s", (("item", "item"),)), ("orders", "orders", "orders")),
+    (TeeNode("s"), ()),
+    (TeeNode("s"), ("orders", "orders")),
+], ids=["join-one", "join-three", "tee-none", "tee-two"])
+def test_a_stage_takes_one_feed_per_in_port(node, feeds):
+    g = PipelineGraph("t")
+    g.add_source("orders", ORDERS)
+    with pytest.raises(ValueError, match=re.escape(
+            f"stage 's' takes one feed per in-port ({', '.join(node.in_ports)}), "
+            f"not {len(feeds)}")):
+        g.add_node(node, *feeds)
+    assert (g.nodes, g.wires) == ({}, [])
 
 
 def test_fan_out_needs_a_tee():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_sink("a", "report")
-    g.add_sink("b", "report")
-    g.connect("src", "a")
-    g.connect("src", "b")
+    g.add_sink("a", "report", "src")
+    g.add_sink("b", "report", "src")
     assert [v.kind for v in g.validate()] == ["DuplicateConsumer"]
 
 
 def test_fan_in_needs_a_union():
+    # an input port takes one address, so a second feed cannot be written:
+    # a stage refuses it, and a sink's report label is a keyword
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_node(TeeNode("t1"))
-    g.connect("src", "t1.in")
-    g.add_sink("a", "report")
-    g.connect("t1.left", "a")
-    g.connect("t1.right", "a")
-    assert [v.kind for v in g.validate()] == ["DuplicateProducer"]
+    g.add_node(TeeNode("t1"), "src")
+    with pytest.raises(ValueError, match=re.escape(
+            "stage 't2' takes one feed per in-port (in), not 2")):
+        g.add_node(TeeNode("t2"), "t1.left", "t1.right")
+    with pytest.raises(TypeError):
+        g.add_sink("a", "report", "t1.left", "t1.right")
+    assert (list(g.nodes), g.sinks) == (["t1"], {})
+    g.add_node(TaggedUnionNode("u"), "t1.left", "t1.right")
+    g.add_sink("a", "report", "u.out")
+    assert g.validate() == []
 
 
 def test_every_output_port_must_go_somewhere():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_node(PartitionNode("p", FieldDefined("price")))
-    g.connect("src", "p.in")
-    g.add_sink("a", "report")
-    g.connect("p.accepted", "a")
+    g.add_node(PartitionNode("p", FieldDefined("price")), "src")
+    g.add_sink("a", "report", "p.accepted")
     found = {(v.kind, v.where) for v in g.validate()}
     assert ("UnconsumedPort", "p.rejected") in found
 
 
 def test_unwired_inputs_and_unknown_endpoints_are_reported():
+    # an input is fed where its stage or sink is added, so one never fed is
+    # refused there; an output address may name a stage added later, so
+    # validate() reports one that names no output port
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_node(PartitionNode("p", FieldDefined("price")))
-    g.add_sink("a", "report")
-    g.connect("p.accepted", "a")
-    g.add_sink("b", "error")
-    g.connect("p.rejected", "b")
-    kinds = {v.kind for v in g.validate()}
-    assert kinds == {"UnconsumedPort", "UnwiredInput"}
-    g2 = PipelineGraph("t")
-    g2.add_source("src", ORDERS)
-    g2.add_sink("a", "report")
-    g2.connect("ghost.out", "a")
-    assert "UnknownEndpoint" in {v.kind for v in g2.validate()}
+    with pytest.raises(ValueError, match=re.escape(
+            "stage 'p' takes one feed per in-port (in), not 0")):
+        g.add_node(PartitionNode("p", FieldDefined("price")))
+    with pytest.raises(TypeError):
+        g.add_sink("a", "report")
+    with pytest.raises(ValueError, match="address 'ghost' needs an explicit port"):
+        g.add_sink("a", "report", "ghost")
+    g.add_sink("a", "report", "ghost.out")
+    assert [(v.kind, v.where) for v in g.validate()] == [
+        ("UnknownEndpoint", "ghost.out"), ("UnconsumedPort", "src.out")]
 
 
 def test_cycles_are_reported():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_node(TaggedUnionNode("u"))
-    g.add_node(TeeNode("t"))
-    g.connect("src", "u.left")
-    g.connect("u.out", "t.in")
-    g.connect("t.left", "u.right")
-    g.add_sink("a", "report")
-    g.connect("t.right", "a")
+    g.add_node(TaggedUnionNode("u"), "src", "t.left")
+    g.add_node(TeeNode("t"), "u.out")
+    g.add_sink("a", "report", "t.right")
     assert "Cycle" in {v.kind for v in g.validate()}
 
 
 def test_schema_problems_surface_before_any_data_flows():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_node(MapNode("m", {"price": Lit(1)}, {"price": "integer"}))
-    g.connect("src", "m.in")
-    g.add_sink("a", "report")
-    g.connect("m.out", "a")
+    g.add_node(MapNode("m", {"price": Lit(1)}, {"price": "integer"}), "src")
+    g.add_sink("a", "report", "m.out")
     violations = g.validate()
     assert [v.kind for v in violations] == ["ForbiddenFieldWrite"]
     assert "may only add" in violations[0].detail
@@ -193,12 +185,10 @@ def test_num_over_the_min_of_no_values_is_refused_before_a_row_is_sunk():
     # is computed, and run() returns no sink at all
     g = PipelineGraph("t")
     g.add_source("orders", ORDERS)
-    g.add_node(AggregateNode("cheapest", ("item",), (AggSpec("price", "min"),)))
-    g.add_node(MapNode("floor", {"floor": NumOf(Col("price_min"))}, {"floor": "decimal"}))
-    g.connect("orders", "cheapest.in")
-    g.connect("cheapest.out", "floor.in")
-    g.add_sink("floors", "report")
-    g.connect("floor.out", "floors")
+    g.add_node(AggregateNode("cheapest", ("item",), (AggSpec("price", "min"),)), "orders")
+    g.add_node(MapNode("floor", {"floor": NumOf(Col("price_min"))}, {"floor": "decimal"}),
+               "cheapest.out")
+    g.add_sink("floors", "report", "floor.out")
     assert g.validate() == []
     unpriced = ingest(ORDERS, [
         {"item": "bolt", "qty": Quantity(D(4), "kg"), "price": D(2)},
@@ -212,14 +202,11 @@ def emap_graph(rejected_to_errors: bool) -> PipelineGraph:
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
     g.add_node(PartitionNode("has_price", FieldDefined("price"),
-                             rejected_to_errors=rejected_to_errors))
-    g.add_node(MapNode("note", {"note": Lit("seen")}, {"note": "text"}, kind="emap"))
-    g.connect("src", "has_price.in")
-    g.connect("has_price.rejected", "note.in")
-    g.add_sink("ok", "report")
-    g.add_sink("bad", "error")
-    g.connect("has_price.accepted", "ok")
-    g.connect("note.out", "bad")
+                             rejected_to_errors=rejected_to_errors), "src")
+    g.add_node(MapNode("note", {"note": Lit("seen")}, {"note": "text"}, kind="emap"),
+               "has_price.rejected")
+    g.add_sink("ok", "report", "has_price.accepted")
+    g.add_sink("bad", "error", "note.out")
     return g
 
 
@@ -258,29 +245,62 @@ def test_each_document_op_decodes_to_its_stage():
     }
     assert set(cases) == set(NODE_TYPES)
     for op, (entry, node) in cases.items():
-        assert read(NODE, {"op": op, "name": "s", **entry}, "node") == (node, ()), op
+        # one feed key per in-port, decoded in in-port order
+        feeds = {"from": "a"} if node.in_ports == ("in",) else {"right": "b", "left": "a"}
+        assert read(NODE, {"op": op, "name": "s", **entry, **feeds}, "node") == (
+            node, ("a",) if len(feeds) == 1 else ("a", "b")), op
     with pytest.raises(ValueError, match=r"node: op: needs one of partition \| .*, not 'filter'"):
         read(NODE, {"op": "filter", "name": "s"}, "node")
-    # an entry is closed: a key its op does not declare is refused, not ignored
-    with pytest.raises(ValueError, match=r"node: \(tagged_union 's'\): needs one of the keys "
-                       r"op \| name \| from \| left \| right \| inputs, not 'label'"):
-        read(NODE, {"op": "tagged_union", "name": "s", "label": "both"}, "node")
+
+
+# each op's keys after op and name: its stage's keys, then from: for a
+# one-input stage or one key per in-port for a two-input one
+NODE_KEYS = {
+    "partition": "when | rejected_to_errors | from",
+    "tee": "from",
+    "tagged_union": "left | right",
+    "untag": "from",
+    "strip_tags": "from",
+    "project": "fields | from",
+    "rename": "map | from",
+    "dedup": "from",
+    "fmap": "add | sems | units | from",
+    "emap": "add | sems | units | from",
+    "errorize": "reason | from",
+    "join": "keys | missing_matches | left | right",
+    "aggregate": "by | specs | from",
+}
+
+
+@pytest.mark.parametrize("op", list(NODE_TYPES))
+def test_a_node_entry_is_closed_with_one_feed_key_per_in_port(op):
+    # a key its op does not declare is refused, not ignored, and so is each
+    # other way of feeding a port: an inputs: mapping, in: on a one-input
+    # stage, from: on a two-input one
+    keys = NODE_KEYS[op]
+    other = ("in", "inputs") if keys.endswith("from") else ("from", "inputs")
+    for key in ("label", *other):
+        with pytest.raises(ValueError, match=re.escape(
+                f"node: ({op} 's'): needs one of the keys op | name | {keys}, not {key!r}")):
+            read(NODE, {"op": op, "name": "s", key: "x"}, "node")
 
 
 def test_duplicate_names_are_claimed_once():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    with pytest.raises(ValueError):
-        g.add_node(TeeNode("src"))
+    with pytest.raises(ValueError, match="name 'src' already used in this graph"):
+        g.add_node(TeeNode("src"), "src")
 
 
 def test_run_refuses_an_invalid_graph():
     g = PipelineGraph("t")
     g.add_source("src", ORDERS)
-    g.add_sink("a", "report")
+    g.add_node(PartitionNode("p", FieldDefined("price")), "src")
+    g.add_sink("a", "report", "p.accepted")
     with pytest.raises(InvalidGraph) as info:
         g.run({"src": orders()})
-    assert [v.kind for v in info.value.violations] == ["UnconsumedPort", "UnwiredInput"]
+    assert [(v.kind, v.where) for v in info.value.violations] == [
+        ("UnconsumedPort", "p.rejected")]
 
 
 def test_an_invalid_graph_error_survives_pickling():
@@ -316,8 +336,7 @@ def test_run_refuses_sources_that_share_pids():
     g = PipelineGraph("t")
     for name in ("a", "b"):
         g.add_source(name, ORDERS)
-        g.add_sink(f"{name}_out", "report")
-        g.connect(name, f"{name}_out")
+        g.add_sink(f"{name}_out", "report", name)
     # two ingest() calls without first_pid both issue pids 1-3
     with pytest.raises(TallyError, match="sources 'a' and 'b' share pids"):
         g.run({"a": orders(), "b": orders()})
@@ -331,8 +350,7 @@ def test_run_refuses_a_source_whose_rows_share_a_pid():
     sch = schema(FieldSpec("item", "text"), FieldSpec("price", "decimal", "$"))
     g = PipelineGraph("t")
     g.add_source("src", sch)
-    g.add_sink("out", "report")
-    g.connect("src", "out")
+    g.add_sink("out", "report", "src")
     g.add_conservation("count")
     g.add_conservation("sum", "price")
     shared = Relation(sch, (Record({2}, {"item": "a", "price": D(5)}),
@@ -351,8 +369,7 @@ def measured_graph(scheme, fld, *schemas):
     g = PipelineGraph("m")
     for i, sch in enumerate(schemas):
         g.add_source(f"s{i}", sch)
-        g.add_sink(f"k{i}", "report")
-        g.connect(f"s{i}", f"k{i}")
+        g.add_sink(f"k{i}", "report", f"s{i}")
     g.add_conservation(scheme, fld)
     return g
 
@@ -404,11 +421,9 @@ def test_a_multi_pid_source_row_charges_its_smallest_pid():
     # one row carrying pids {3, 4}, fanned out to two sinks of one report
     g = PipelineGraph("m")
     g.add_source("s", amounts("$"))
-    g.add_node(TeeNode("fan"))
-    g.connect("s", "fan.in")
+    g.add_node(TeeNode("fan"), "s")
     for i, port in enumerate(("left", "right")):
-        g.add_sink(f"k{i}", "report")
-        g.connect(f"fan.{port}", f"k{i}")
+        g.add_sink(f"k{i}", "report", f"fan.{port}")
     for scheme, fld in (("count", None), ("sum", "amt"), ("paccioli", "amt")):
         g.add_conservation(scheme, fld)
     res = g.run({"s": Relation(amounts("$"), (Record(frozenset({3, 4}), {"amt": D("-2.5")}),))})
@@ -489,14 +504,12 @@ def test_rows_route_to_the_declared_sinks():
 def test_run_orders_the_stages_once(monkeypatch):
     g = PipelineGraph("two")
     g.add_source("orders", ORDERS)
-    g.add_node(PartitionNode("priced", FieldDefined("price"), rejected_to_errors=True))
-    g.add_node(PartitionNode("named", FieldDefined("item"), rejected_to_errors=True))
-    g.connect("orders", "named.in")
-    g.connect("named.accepted", "priced.in")
+    g.add_node(PartitionNode("priced", FieldDefined("price"), rejected_to_errors=True),
+               "named.accepted")
+    g.add_node(PartitionNode("named", FieldDefined("item"), rejected_to_errors=True), "orders")
     for port, sink in (("named.rejected", "nameless"), ("priced.rejected", "unpriced"),
                        ("priced.accepted", "priced_rows")):
-        g.add_sink(sink, "report" if sink == "priced_rows" else "error")
-        g.connect(port, sink)
+        g.add_sink(sink, "report" if sink == "priced_rows" else "error", port)
     calls = Counter()
     topo_order = PipelineGraph._topo_order
 
@@ -603,22 +616,19 @@ def reach_graph(right_only_report: str) -> PipelineGraph:
     g.add_source("a", ORDERS)
     for name in "bcd":
         g.add_source(name, KEYS)
-    for node in (TeeNode("t"), TaggedUnionNode("u"), StripTagsNode("s"), TeeNode("tc"),
-                 JoinNode("j", (("k", "k"),)), ErrorizeNode("unused", "unused"),
-                 ErrorizeNode("alone", "no partner")):
-        g.add_node(node)
-    for name, kind, label in (("a_rows", "report", "A"), ("c_unused", "error", "A"),
-                              ("b_rows", "report", "B"), ("joined", "report", "B"),
-                              ("unmatched", "error", "B"),
-                              ("c_alone", "error", right_only_report)):
-        g.add_sink(name, kind, label)
-    for src, dst in (("a", "t.in"), ("t.left", "u.left"), ("t.right", "u.right"),
-                     ("u.out", "s.in"), ("s.out", "a_rows"), ("b", "b_rows"),
-                     ("c", "tc.in"), ("tc.left", "j.right"), ("tc.right", "unused.in"),
-                     ("unused.out", "c_unused"), ("d", "j.left"), ("j.inner", "joined"),
-                     ("j.left_only", "unmatched"), ("j.right_only", "alone.in"),
-                     ("alone.out", "c_alone")):
-        g.connect(src, dst)
+    for node, *feeds in ((TeeNode("t"), "a"), (TaggedUnionNode("u"), "t.left", "t.right"),
+                         (StripTagsNode("s"), "u.out"), (TeeNode("tc"), "c"),
+                         (JoinNode("j", (("k", "k"),)), "d", "tc.left"),
+                         (ErrorizeNode("unused", "unused"), "tc.right"),
+                         (ErrorizeNode("alone", "no partner"), "j.right_only")):
+        g.add_node(node, *feeds)
+    for name, kind, label, src in (("a_rows", "report", "A", "s.out"),
+                                   ("c_unused", "error", "A", "unused.out"),
+                                   ("b_rows", "report", "B", "b"),
+                                   ("joined", "report", "B", "j.inner"),
+                                   ("unmatched", "error", "B", "j.left_only"),
+                                   ("c_alone", "error", right_only_report, "alone.out")):
+        g.add_sink(name, kind, src, report=label)
     return g
 
 
@@ -679,10 +689,8 @@ def rewrite_graph(rows) -> PipelineGraph:
     g = PipelineGraph("rewrite")
     g.add_source("orders", ORDERS)
     g.add_conservation("count")
-    g.add_node(RewriteNode("bad", rows))
-    g.connect("orders", "bad.in")
-    g.add_sink("kept", "report")
-    g.connect("bad.out", "kept")
+    g.add_node(RewriteNode("bad", rows), "orders")
+    g.add_sink("kept", "report", "bad.out")
     return g
 
 
@@ -748,10 +756,23 @@ def test_a_stage_that_copies_a_row_stays_balanced():
     ]
 
 
-def test_the_readme_library_example_runs_and_balances(capsys):
+def readme_blocks(lang: str) -> list:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
-    (example,) = [b for b in blocks if 'PipelineGraph("demo")' in b]
+        return re.findall(rf"```{lang}\n(.*?)```", fh.read(), re.S)
+
+
+def test_the_readme_library_example_runs_and_balances(capsys):
+    (example,) = [b for b in readme_blocks("python") if 'PipelineGraph("demo")' in b]
     exec(compile(example, "README.md", "exec"), {})
     assert "conservation: balanced" in capsys.readouterr().out
+
+
+def test_the_readme_pipeline_document_reads_with_its_feeds():
+    (example,) = [b for b in readme_blocks("yaml") if b.startswith("name: lookup\n")]
+    doc = read(DOCUMENT, yaml.safe_load(example), "README.md")
+    assert [(node.name, feeds) for node, feeds in doc["nodes"]] == [
+        ("price_lookup", ("orders", "products")), ("valued", ("price_lookup.inner",)),
+        ("unknown_product", ("price_lookup.left_only",))]
+    assert doc["sinks"] == {"priced": ("report", "main", "valued.out"),
+                            "missing_products": ("error", "main", "unknown_product.out")}

@@ -56,7 +56,7 @@ HASHABLE = [
      "Check(name='coverage:all', ok=True, detail='fine')"),
     (Violation, {"kind": "Cycle", "where": "a", "detail": "in a cycle"},
      Violation("Cycle", "a", "in a cycle"),
-     [Violation("Cycle", "b", "in a cycle"), Violation("UnwiredInput", "a", "in a cycle")],
+     [Violation("Cycle", "b", "in a cycle"), Violation("UnknownEndpoint", "a", "in a cycle")],
      "Violation(kind='Cycle', where='a', detail='in a cycle')"),
     (Sink, {"name": "kept", "kind": "report", "report": "main"}, Sink("kept", "report"),
      [Sink("kept", "error"), Sink("kept", "report", "B"), Sink("lost", "report")],
@@ -72,7 +72,7 @@ HASHABLE = [
                   "sentinels": ("NA",), "empty": "missing"},
      ColumnSpec("price", "decimal", "$", sentinels=["NA"]),
      [ColumnSpec("price", "decimal", "$"),
-      ColumnSpec("price", "decimal", "$", None, ("NA",), "keep")],
+      ColumnSpec("price", "decimal", "$", None, ("NA",), "0")],
      "ColumnSpec(name='price', type='decimal', unit='$', unit_from=None, sentinels=('NA',), "
      "empty='missing')"),
     (PathTag, {"side": "inl"}, PathTag("inl"), [PathTag("inr")], "PathTag(side='inl')"),

@@ -73,7 +73,6 @@ from .exprs import (
     Lit,
     Not,
     NumOf,
-    Truth,
     UnitOf,
 )
 from .ops import (

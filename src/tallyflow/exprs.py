@@ -1,14 +1,15 @@
-"""Row predicates and row expressions.
+"""Row predicates and row expressions, each compiled to a column function.
 
 Predicates are three-valued: a comparison against a Missing cell is neither
-true nor false, it is unknown with a reason, and partitioning collapses
-unknown to the reject side carrying that reason; a compiled predicate is
-read one row at a time.  Expressions only ever add information to a row;
-division is deliberately absent (averages divide at presentation time, not
-in the data).  A compiled expression computes a whole column: each operator
-is one pass over its operands' columns, and a row where num finds no number
-carries that fault up the expression as a Missing operand is carried, so
-the error raised is the first failing row's.
+true nor false, it is unknown with a reason.  A compiled predicate maps a
+list of rows to a verdict column, None where the predicate holds and
+(unknown, reason) elsewhere, and partitioning sends the false and the
+unknown rows alike to the reject side carrying that reason.  Expressions
+only ever add information to a row; division is deliberately absent
+(averages divide at presentation time, not in the data).  A compiled
+expression computes a whole column: each operator is one pass over its
+operands' columns, and a row where num finds no number holds that fault in
+its cell, carried up the expression as a Missing operand is carried.
 
 Both ASTs round-trip through plain dicts, the form they take in pipeline
 documents.
@@ -73,31 +74,6 @@ _OPS = {
 }
 
 
-class Truth:
-    """One of: true, false(reason), unknown(reason)."""
-
-    __slots__ = ("state", "reason")
-
-    def __init__(self, state: str, reason: str | None = None):
-        self.state = state  # "t" | "f" | "u"
-        self.reason = reason
-
-    @classmethod
-    def true(cls) -> "Truth":
-        return cls("t")
-
-    @classmethod
-    def false(cls, reason: str) -> "Truth":
-        return cls("f", reason)
-
-    @classmethod
-    def unknown(cls, reason: str) -> "Truth":
-        return cls("u", reason)
-
-
-_TRUE = Truth.true()  # compiled predicates share it; nothing mutates a Truth
-
-
 def describe(p: Pred) -> str:
     if isinstance(p, Always):
         return "always true" if p.value else "always false"
@@ -116,27 +92,26 @@ def describe(p: Pred) -> str:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str) -> Truth:
+def _compare_values(op: str, left: FieldValue, right: FieldValue, field: str):
+    """None where left op right holds, else its (unknown, reason) verdict."""
     if op in ("eq", "ne"):
         same = cell_key(left) == cell_key(right)
         ok = same if op == "eq" else not same
-        return _TRUE if ok else Truth.false(f"{field} {op} {right} failed for {left}")
+        return None if ok else (False, f"{field} {op} {right} failed for {left}")
     # ordered comparison: numbers with numbers, quantities within one unit,
     # text with text; anything else yields no fact
     if isinstance(left, Quantity) and isinstance(right, Quantity):
         if left.unit != right.unit:
-            return Truth.unknown(f"{field}: unit {left.unit} not comparable with {right.unit}")
+            return True, f"{field}: unit {left.unit} not comparable with {right.unit}"
         lv, rv = left.amount, right.amount
     elif isinstance(left, (int, Decimal)) and isinstance(right, (int, Decimal)):
         lv, rv = left, right
     elif isinstance(left, str) and isinstance(right, str):
         lv, rv = left, right
     else:
-        return Truth.unknown(f"{field}: {left!r} not comparable with {right!r}")
+        return True, f"{field}: {left!r} not comparable with {right!r}"
     c = 0 if lv == rv else (-1 if lv < rv else 1)
-    if _OPS[op](c):
-        return _TRUE
-    return Truth.false(f"{field} {op} {right} failed for {left}")
+    return None if _OPS[op](c) else (False, f"{field} {op} {right} failed for {left}")
 
 
 _NUMBERS = {"integer", "decimal"}
@@ -153,24 +128,57 @@ def _meets(spec, v, ordered: bool = False) -> None:
                             "cannot match it")
 
 
+# All and AnyOf read the whole column of every part, so a part runs on every
+# row, also on one an earlier part has settled: that changes no verdict, as
+# a part is pure and total on checked rows.
+
+def _conjoin(*verdicts):
+    """All's verdict on one row: its first false part's, else its first
+    unknown part's, else None."""
+    pending = None
+    for v in verdicts:
+        if v is not None:
+            if not v[0]:
+                return v
+            if pending is None:
+                pending = v
+    return pending
+
+
+def _disjoin(*verdicts):
+    """AnyOf's verdict on one row: None where a part holds, else its first
+    unknown part's, else false with every part's reason."""
+    if None in verdicts:
+        return None
+    for v in verdicts:
+        if v[0]:
+            return v
+    return False, "; ".join(v[1] for v in verdicts)
+
+
 def compile_pred(p: Pred, sch):
-    """p as a closure from a row's fields dict to its Truth.
+    """p as a column function: from a list of row field dicts to p's
+    verdict on each row, None where p holds and otherwise (unknown, reason),
+    so every rejected row carries a reason.
 
     Field names are resolved against sch (raising UnknownField) and InSet
     key sets are built here, once.  A cmp or in literal no cell of its
-    field could match raises ExprTypeError.  Every rejecting Truth carries
-    a reason.
+    field could match raises ExprTypeError.
     """
     if isinstance(p, Always):
-        t = _TRUE if p.value else Truth.false("always false")
-        return lambda row: t
+        verdict = None if p.value else (False, "always false")
+        return lambda rows: [verdict] * len(rows)
     if isinstance(p, (FieldDefined, Compare, InSet)):
         spec = schema_field(sch, p.field)
         name = spec.name
+        get = operator.itemgetter(name)
         if isinstance(p, FieldDefined):
-            def defined(row):
-                v = row[name]
-                return Truth.false(f"{name} missing: {v.reason}") if isinstance(v, Missing) else _TRUE
+            def defined(rows):
+                col = list(map(get, rows))
+                if Missing not in set(map(type, col)):
+                    return [None] * len(col)
+                return [(False, f"{name} missing: {v.reason}") if v.__class__ is Missing else None
+                        for v in col]
             return defined
         if isinstance(p, Compare):
             _meets(spec, p.value, p.op not in ("eq", "ne"))
@@ -180,51 +188,23 @@ def compile_pred(p: Pred, sch):
             for x in p.values:
                 _meets(spec, x)
             keys = frozenset(cell_key(x) for x in p.values)
-            test = lambda v: (_TRUE if cell_key(v) in keys
-                              else Truth.false(f"{name} value {v} not in allowed set"))
+            test = lambda v: (None if cell_key(v) in keys
+                              else (False, f"{name} value {v} not in allowed set"))
 
-        def known(row):
-            v = row[name]
-            if isinstance(v, Missing):
-                return Truth.unknown(f"{name} missing: {v.reason}")
-            return test(v)
+        def known(rows):
+            return [(True, f"{name} missing: {v.reason}") if v.__class__ is Missing else test(v)
+                    for v in map(get, rows)]
         return known
     if isinstance(p, Not):
         inner = compile_pred(p.inner, sch)
-        negated = Truth.false(f"negation of: {describe(p.inner)}")
-
-        def negate(row):
-            t = inner(row)
-            return negated if t.state == "t" else _TRUE if t.state == "f" else t
-        return negate
-    if isinstance(p, All):
+        negated = (False, f"negation of: {describe(p.inner)}")
+        return lambda rows: [negated if v is None else v if v[0] else None for v in inner(rows)]
+    if isinstance(p, (All, AnyOf)):
+        if not p.parts:  # no column to combine: all of none holds, any of none fails
+            return compile_pred(Always(isinstance(p, All)), sch)
         parts = [compile_pred(q, sch) for q in p.parts]
-
-        def conjoin(row):
-            pending = None
-            for part in parts:
-                t = part(row)
-                if t.state == "f":
-                    return t
-                if t.state == "u" and pending is None:
-                    pending = t
-            return pending or _TRUE
-        return conjoin
-    if isinstance(p, AnyOf):
-        parts = [compile_pred(q, sch) for q in p.parts]
-
-        def disjoin(row):
-            pending, reasons = None, []
-            for part in parts:
-                t = part(row)
-                if t.state == "t":
-                    return t
-                if t.state == "u" and pending is None:
-                    pending = t
-                if t.state == "f":
-                    reasons.append(t.reason)
-            return pending or Truth.false("; ".join(reasons) or "always false")
-        return disjoin
+        combine = _conjoin if isinstance(p, All) else _disjoin
+        return lambda rows: list(map(combine, *[part(rows) for part in parts]))
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -320,11 +300,21 @@ def _viewed(view, col: list) -> list:
     return [v if v.__class__ in _HOLES else view(v) for v in col]
 
 
-def _kernel(e: Expr, sch):
-    """e as (column kernel, sem, unit).  A kernel maps a list of row field
-    dicts to e's column; a cell where a view fails holds its FnNotTotal, and
-    an operator passes it on as it does a Missing operand, so the column
-    holds what evaluating e on each row alone would give or raise."""
+def compile_expr(e: Expr, sch):
+    """e as (column function, sem, unit).  The function maps a list of row
+    field dicts to e's column, one value per row, computed a column at a
+    time.  A cell where a view fails holds its FnNotTotal, and an operator
+    passes it on as it does a Missing operand, so each cell holds what e
+    gives on its row alone, or the fault it meets there.
+
+    This is the one place expressions are typed: (sem, unit) is what e
+    computes over the plain schema sch, decided before any row is seen.  A
+    column has its own type, a literal its value's (a bare Missing literal
+    has sem None and fits any sem), num and arithmetic give decimal over
+    integer, decimal, quantity or summary operands, and unit_of gives text
+    over a quantity.  An unknown field raises UnknownField, any other
+    ill-typed expression ExprTypeError.  Missing operands propagate, never crash.
+    """
     if isinstance(e, Col):
         spec = schema_field(sch, e.name)
         get = operator.itemgetter(spec.name)
@@ -334,11 +324,11 @@ def _kernel(e: Expr, sch):
         sem, unit = _literal_type(value)
         return (lambda rows: [value] * len(rows)), sem, unit
     if isinstance(e, NumOf):
-        inner, sem, _ = _kernel(e.inner, sch)
+        inner, sem, _ = compile_expr(e.inner, sch)
         view = _number_view(sem, "num")
         return (lambda rows: _viewed(view, inner(rows))), "decimal", None
     if isinstance(e, UnitOf):
-        inner, sem, _ = _kernel(e.inner, sch)
+        inner, sem, _ = compile_expr(e.inner, sch)
         if sem not in ("quantity", None):
             raise ExprTypeError(f"unit_of applied to a {sem} value")
         unit = operator.attrgetter("unit")
@@ -347,8 +337,8 @@ def _kernel(e: Expr, sch):
         if e.op not in _BINOPS:
             raise ExprTypeError(f"unknown operator {e.op!r}")
         fn = _BINOPS[e.op]
-        left, lsem, _ = _kernel(e.left, sch)
-        right, rsem, _ = _kernel(e.right, sch)
+        left, lsem, _ = compile_expr(e.left, sch)
+        right, rsem, _ = compile_expr(e.right, sch)
         lview, rview = _number_view(lsem, e.op), _number_view(rsem, e.op)
         total = _summary_number not in (lview, rview)  # no view can fail
 
@@ -370,29 +360,6 @@ def _kernel(e: Expr, sch):
             return list(map(cell, lcol, rcol))
         return binop, "decimal", None
     raise TypeError(f"not an expression: {e!r}")
-
-
-def compile_expr(e: Expr, sch):
-    """e as (column function, sem, unit).  The function maps a list of row
-    field dicts to the list of e's values, one per row, computed a column
-    at a time; it raises the FnNotTotal of the first row on which e fails.
-
-    This is the one place expressions are typed: (sem, unit) is what e
-    computes over the plain schema sch, decided before any row is seen.  A
-    column has its own type, a literal its value's (a bare Missing literal
-    has sem None and fits any sem), num and arithmetic give decimal over
-    integer, decimal, quantity or summary operands, and unit_of gives text
-    over a quantity.  An unknown field raises UnknownField, any other
-    ill-typed expression ExprTypeError.  Missing operands propagate, never crash.
-    """
-    kernel, sem, unit = _kernel(e, sch)
-
-    def column(rows: list) -> list:
-        col = kernel(rows)
-        if FnNotTotal in set(map(type, col)):
-            raise next(v for v in col if v.__class__ is FnNotTotal)
-        return col
-    return column, sem, unit
 
 
 # -- document writers: the query compiler's; the grammar below reads them back

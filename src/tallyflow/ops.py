@@ -20,7 +20,7 @@ from .errors import (
     UnknownField,
     UntagMissing,
 )
-from .exprs import Pred, Truth, compile_expr, compile_pred
+from .exprs import Pred, compile_expr, compile_pred
 from .monoid import UNITS, Kind, MonoidElement, count, fold_payloads, set_of
 from .relation import (
     ERROR_REASON,
@@ -43,21 +43,20 @@ from .values import Frozen, Missing, Quantity, cell_key
 # -- partitioning -------------------------------------------------------
 
 def partition_detailed(rel: Relation, pred: Pred):
-    """Split by a three-valued predicate.
+    """Split by a three-valued predicate, read off its verdict column.
 
     Returns (accepted, rejected, reasons) where reasons aligns with the
-    rejected rows; unknown outcomes reject with the missing-value reason.
+    rejected rows; a false or unknown verdict rejects with its reason.
     """
     sch = rel.schema
-    test = compile_pred(pred, sch)
+    verdicts = compile_pred(pred, sch)([rec.fields for rec in rel.rows])
     acc, rej, reasons = [], [], []
-    for rec in rel.rows:
-        t: Truth = test(rec.fields)
-        if t.state == "t":
+    for rec, v in zip(rel.rows, verdicts):
+        if v is None:
             acc.append(rec)
         else:
             rej.append(rec)
-            reasons.append(t.reason)
+            reasons.append(v[1])
     return Relation(sch, tuple(acc)), Relation(sch, tuple(rej)), tuple(reasons)
 
 
@@ -319,7 +318,10 @@ def fmap(rel: Relation, additions: dict, sems: dict,
 
     Each addition's type comes from compiling it (exprs.compile_expr) and
     must be the sem that sems declares for it, so a mismatch is refused
-    before any row moves and no computed cell is checked.
+    before any row moves and no computed cell is checked.  Each addition is
+    computed as one column whose cells carry each row's outcome; a cell
+    holding a FnNotTotal fails the stage, which raises the first failing
+    row's fault, and on that row the first addition's.
     """
     sch = rel.schema
     for name in additions:
@@ -336,14 +338,9 @@ def fmap(rel: Relation, additions: dict, sems: dict,
                                  f"but computes {sem}")
         compiled.append(fn)
     fields = [rec.fields for rec in rel.rows]
-    try:
-        columns = [fn(fields) for fn in compiled]
-    except FnNotTotal:
-        # raise the first failing row's, and in it the first field's, fault
-        for row in fields:
-            for fn in compiled:
-                fn([row])
-        raise
+    columns = [fn(fields) for fn in compiled]
+    if any(FnNotTotal in set(map(type, col)) for col in columns):
+        raise next(v for cells in zip(*columns) for v in cells if v.__class__ is FnNotTotal)
     fields = list(map(dict.copy, fields))  # each row's own, widened a column at a time
     for name, col in zip(additions, columns):
         list(map(dict.__setitem__, fields, repeat(name), col))

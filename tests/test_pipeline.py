@@ -14,7 +14,6 @@ from tallyflow import (
     AggregateNode,
     AggSpec,
     Col,
-    Compare,
     DedupNode,
     ErrorizeNode,
     FieldDefined,

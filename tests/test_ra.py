@@ -48,6 +48,7 @@ from tallyflow import (
     schema_field,
     translate,
 )
+from tallyflow.csvio import write_csv
 from tallyflow.fuzz import OPERATOR_KINDS, run_share
 from tallyflow.grammar import read
 from tallyflow.pipeline_doc import DOCUMENT, build_graph
@@ -532,6 +533,28 @@ def test_generated_fuzz_rows_match_their_pinned_digest():
                                            for rec in rel.rows]]
                 digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == GENERATED_ROWS_DIGEST
+
+
+# sha256 of every sink CSV of the runs of translate(make_case(seed, i)),
+# seeds 0 and 1, i < 300
+SINK_ROWS_DIGEST = "5e8edba93fd3b5740c5de35b2a1aba034d908702be4f74c5b21b6db957d396e0"
+
+
+def test_compiled_graph_sinks_match_their_pinned_digest(tmp_path):
+    """The other digests pin what a run reads; this pins what it writes:
+    every sink's CSV text, the error sinks' error_reason column included."""
+    digest = hashlib.sha256()
+    path = str(tmp_path / "sink.csv")
+    for seed in (0, 1):
+        for i in range(300):
+            expr, tables = make_case(seed, i)
+            g = translate(expr, {name: t.schema for name, t in tables.items()})
+            sinks = g.run({n: tables[n] for n in g.sources}).sinks
+            for name, rel in sorted(sinks.items()):
+                write_csv(path, rel)
+                with open(path, encoding="utf-8") as fh:
+                    digest.update(f"{seed} {i} {name}\n{fh.read()}".encode())
+    assert digest.hexdigest() == SINK_ROWS_DIGEST
 
 
 def _aggregates(expr):

@@ -303,11 +303,8 @@ def dashboard_document(graph, result, report: ConservationReport) -> dict:
                 })
         entry["accounted_pids"] = accounted
         entry["unaccounted_pids"] = unaccounted
-        entry["checks"] = [
-            {"name": c.name, "ok": c.ok}
-            for c in report.checks
-            if c.name == f"coverage:{label}" or c.name.startswith(f"measure:{label}:")
-        ]
+        mine = {f"coverage:{label}", *(f"measure:{label}:{space}" for space in audit.space_units)}
+        entry["checks"] = [{"name": c.name, "ok": c.ok} for c in report.checks if c.name in mine]
         by_label[label] = entry
     return {
         "pipeline": graph.name,

@@ -318,10 +318,11 @@ def fmap(rel: Relation, additions: dict, sems: dict,
 
     Each addition's type comes from compiling it (exprs.compile_expr) and
     must be the sem that sems declares for it, so a mismatch is refused
-    before any row moves and no computed cell is checked.  Each addition is
-    computed as one column whose cells carry each row's outcome; a cell
-    holding a FnNotTotal fails the stage, which raises the first failing
-    row's fault, and on that row the first addition's.
+    before any row moves and no computed cell is checked.  A text or integer
+    addition takes no unit, as a text or integer column does not.  Each
+    addition is computed as one column whose cells carry each row's outcome;
+    a cell holding a FnNotTotal fails the stage, which raises the first
+    failing row's fault, and on that row the first addition's.
     """
     sch = rel.schema
     for name in additions:
@@ -336,6 +337,8 @@ def fmap(rel: Relation, additions: dict, sems: dict,
         if sem not in (None, spec.sem):
             raise SchemaMismatch(f"field {spec.name!r} is declared {spec.sem} "
                                  f"but computes {sem}")
+        if spec.unit is not None and spec.sem in ("text", "integer"):
+            raise SchemaMismatch(f"field {spec.name!r} of type {spec.sem} takes no unit")
         compiled.append(fn)
     fields = [rec.fields for rec in rel.rows]
     columns = [fn(fields) for fn in compiled]

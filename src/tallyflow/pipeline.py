@@ -2,21 +2,23 @@
 
 A graph is a DAG of named stages between declared sources and sinks.  The
 no-forget rule is structural: each input port is fed where its stage or
-sink is added, and every output port must be consumed exactly once (feed
-a stage or a sink with it), so data cannot fall off the edge of the graph.
+sink is added (PipelineGraph.feeds holds each consumer's feeds once), and
+every output port must be consumed exactly once (feed a stage or a sink
+with it), so data cannot fall off the edge of the graph.
 Execution records, for every port in run order, the pids it carried
 (RunAudit.ports), each the pid record of the relation at that port
 (Relation.pid_record, an int bitset); stage pid sets, sink pid sets, trace()
 and the audit document's paths are all read off that one record.  validate()
-sweeps the topological order once, backwards, for the reports each output
-port reaches: it refuses a stage other than a tee whose ports reach
-different reports, and a run reads each report's sources off the same sweep.
+sweeps the consumers once, sinks then stages in reverse topological order,
+for the reports each output port reaches: it refuses a stage other than a
+tee whose ports reach different reports, and a run reads each report's
+sources off the same sweep.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .audit import build_charges, measure_carriers
@@ -69,11 +71,6 @@ class PortRef(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.owner}.{self.port}"
-
-
-class Wire(NamedTuple):
-    src: PortRef
-    dst: PortRef
 
 
 # -- stage node types ---------------------------------------------------
@@ -276,6 +273,8 @@ class Sink(Frozen):
         if self.report == "all":
             raise ValueError(f"sink {self.name!r}: the report label 'all' is reserved "
                              "for the run-wide check coverage:all")
+        if not self.report:
+            raise ValueError(f"sink {self.name!r}: its report label is empty")
 
 
 class ConservationSpec(Frozen):
@@ -389,7 +388,8 @@ class PipelineGraph:
         self.sources: dict[str, Source] = {}
         self.nodes: dict[str, Node] = {}
         self.sinks: dict[str, Sink] = {}
-        self.wires: list[Wire] = []
+        # stage or sink -> the output port feeding each in-port, in in_ports order
+        self.feeds: dict[str, tuple[PortRef, ...]] = {}
         self.conservation: list[ConservationSpec] = []
         self._order: list[str] = []  # stages in the order the last validate() found
         self._reach: dict = {}  # the last validate()'s _report_reach
@@ -422,17 +422,17 @@ class PipelineGraph:
         if len(feeds) != len(ports):
             raise ValueError(f"stage {node.name!r} takes one feed per in-port "
                              f"({', '.join(ports)}), not {len(feeds)}")
-        wires = [Wire(self._feed(src), PortRef(node.name, p)) for src, p in zip(feeds, ports)]
+        refs = tuple(map(self._feed, feeds))
         self._claim(node.name)
         self.nodes[node.name] = node
-        self.wires.extend(wires)
+        self.feeds[node.name] = refs
 
     def add_sink(self, name: str, kind: str, src: str, *, report: str = "main") -> None:
         """Add a sink fed from the output address src."""
-        wire = Wire(self._feed(src), PortRef(name, "in"))
+        ref = self._feed(src)
         self._claim(name)
         self.sinks[name] = Sink(name, kind, report)
-        self.wires.append(wire)
+        self.feeds[name] = (ref,)
 
     def add_conservation(self, scheme: str, fld: str | None = None) -> None:
         self.conservation.append(ConservationSpec(scheme, fld))
@@ -454,10 +454,10 @@ class PipelineGraph:
                              + [PortRef(n.name, p) for n in self.nodes.values()
                                 for p in n.out_ports])
         seen_src: dict[PortRef, int] = {}
-        for w in self.wires:
-            if w.src not in outs:
-                v.append(Violation("UnknownEndpoint", str(w.src), "no such output port"))
-            seen_src[w.src] = seen_src.get(w.src, 0) + 1
+        for ref in chain.from_iterable(self.feeds.values()):
+            if ref not in outs:
+                v.append(Violation("UnknownEndpoint", str(ref), "no such output port"))
+            seen_src[ref] = seen_src.get(ref, 0) + 1
         for ref, n in seen_src.items():
             if n > 1 and ref in outs:
                 v.append(Violation(
@@ -488,41 +488,31 @@ class PipelineGraph:
 
     def _topo_order(self):
         """Kahn's algorithm over stages; ties broken by declaration order."""
-        feeds: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for w in self.wires:
-            if w.src.owner in self.nodes and w.dst.owner in self.nodes:
-                feeds[w.dst.owner].add(w.src.owner)
+        pending = {n: {ref.owner for ref in self.feeds[n] if ref.owner in self.nodes}
+                   for n in self.nodes}
         order = []
         placed: set[str] = set()
-        pending = dict(feeds)
         while True:
             ready = [n for n in self.nodes if n not in placed and pending[n] <= placed]
             if not ready:
                 break
-            for n in ready:
-                order.append(n)
-                placed.add(n)
+            order += ready
+            placed.update(ready)
         cyclic = [n for n in self.nodes if n not in placed]
         return order, cyclic
 
     def _report_reach(self, order) -> dict:
         """PortRef of every source and stage output -> the reports whose
-        sinks its rows can reach, by a reverse sweep of order, stages then
-        sources: every output port has one consumer, a sink or a stage
-        already swept."""
-        label = {s.name: frozenset((s.report,)) for s in self.sinks.values()}
-        leaving: dict = {}  # owner -> the wires from its output ports
-        for w in self.wires:
-            leaving.setdefault(w.src.owner, []).append(w)
+        sinks its rows can reach.  One sweep over the consumers, sinks first,
+        then stages in reverse order: each gives the reports it reaches (a
+        sink its own, a stage those of its output ports, all swept already)
+        to the ports in its feeds entry."""
         reach: dict = {}
-        below: dict = {}  # stage -> the reports any of its outputs reach
-        for owner in [*reversed(order), *self.sources]:
-            mine = frozenset()
-            for src, dst in leaving[owner]:
-                c = dst.owner
-                reach[src] = label[c] if c in label else below[c]
-                mine |= reach[src]
-            below[owner] = mine
+        for name in [*self.sinks, *reversed(order)]:
+            sink = self.sinks.get(name)
+            mine = frozenset((sink.report,)) if sink else frozenset().union(
+                *(reach[PortRef(name, p)] for p in self.nodes[name].out_ports))
+            reach.update(dict.fromkeys(self.feeds[name], mine))
         return reach
 
     def _split_reports(self, order) -> list[Violation]:
@@ -542,13 +532,11 @@ class PipelineGraph:
                     f"{', '.join(sorted(labels))}" for labels, ports in by_labels.items())))
         return out
 
-    def _incoming(self) -> dict:
-        return {w.dst: w.src for w in self.wires}
-
-    def _apply(self, name: str, values: dict, incoming: dict) -> tuple:
-        """One stage step: gather its inputs from values, apply, store its outputs."""
+    def _apply(self, name: str, values: dict) -> tuple:
+        """One stage step: gather its inputs from values (output port ->
+        relation) through its feeds entry, apply, store its outputs."""
         node = self.nodes[name]
-        ins = {p: values[incoming[PortRef(name, p)]] for p in node.in_ports}
+        ins = dict(zip(node.in_ports, map(values.__getitem__, self.feeds[name])))
         outs = node.apply(ins)
         for p in node.out_ports:
             values[PortRef(name, p)] = outs[p]
@@ -563,10 +551,9 @@ class PipelineGraph:
         by an earlier stage.
         """
         values = {PortRef(s.name, "out"): empty(s.schema) for s in self.sources.values()}
-        incoming = self._incoming()
         for name in order:
             try:
-                self._apply(name, values, incoming)
+                self._apply(name, values)
             except TallyError as exc:
                 return [Violation(type(exc).__name__, name, str(exc))]
         return []
@@ -589,7 +576,6 @@ class PipelineGraph:
 
         audit = RunAudit()
         values: dict[PortRef, Relation] = {}
-        incoming = self._incoming()
 
         def record(owner: str, port: str, rel: Relation) -> PidSet:
             pids, repeats = rel.pid_record
@@ -625,7 +611,7 @@ class PipelineGraph:
         for name in order:
             t0 = time.perf_counter()
             try:
-                ins, outs = self._apply(name, values, incoming)
+                ins, outs = self._apply(name, values)
                 audit.timings[name] = time.perf_counter() - t0
                 audit.stage_visits.append(StageVisit(
                     stage=name,
@@ -637,7 +623,7 @@ class PipelineGraph:
 
         sinks: dict[str, Relation] = {}
         for sink in self.sinks.values():
-            rel = values[incoming[PortRef(sink.name, "in")]]
+            rel = values[self.feeds[sink.name][0]]
             sinks[sink.name] = rel
             audit.sink_pids[sink.name] = record(sink.name, "in", rel)
         return RunResult(sinks=sinks, audit=audit)

@@ -811,6 +811,10 @@ BAD_ENTRIES = {
         "lookup", "pipeline.yaml", lambda doc: doc["sinks"]["priced"].update(report="all"),
         "sink 'priced': the report label 'all' is reserved for the run-wide "
         "check coverage:all"),
+    "report label empty": (
+        "lookup", "pipeline.yaml",
+        lambda doc: [sink.update(report="") for sink in doc["sinks"].values()],
+        "sink 'missing_products': its report label is empty"),
     "fmap literal not a decimal": (
         "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1]["add"].update(
             value={"add": [{"num": {"col": "quantity"}}, {"lit": {"dec": "soup"}}]}),
@@ -821,6 +825,11 @@ BAD_ENTRIES = {
             sems={"value": "decimal", "valeu": "text"}, units={"valu": "$"}),
         "DATA/pipeline.yaml: nodes[1] (fmap 'valued'): map node 'valued' has sems or units "
         "for fields it does not add: ['valeu', 'valu']"),
+    "fmap unit on a text field": (
+        "lookup", "pipeline.yaml", lambda doc: doc["nodes"][1].update(
+            add={**doc["nodes"][1]["add"], "tag": {"lit": "x"}},
+            sems={"value": "decimal", "tag": "text"}, units={"value": "$", "tag": "kg"}),
+        "SchemaMismatch at valued: field 'tag' of type text takes no unit"),
     "quantity without a unit source": (
         "lookup", "order_details.csv.yaml", lambda doc: doc["columns"][2].pop("unit_from"),
         "DATA/order_details.csv.yaml: quantity column 'quantity' needs exactly one "
@@ -1017,7 +1026,8 @@ BAD_ENTRIES = {
 }
 # entries that build and are refused by the graph's validation: check
 # prints each violation line on stdout, with no "check: " prefix
-CAUGHT_BY_VALIDATION = {"project that keeps no fields", "partition set of integers over text"}
+CAUGHT_BY_VALIDATION = {"project that keeps no fields", "partition set of integers over text",
+                        "fmap unit on a text field"}
 
 
 @pytest.mark.parametrize("case", list(BAD_ENTRIES))
@@ -1233,6 +1243,10 @@ COMPUTED_TYPE_ERRORS = {
     "unit_of over decimal": (
         lambda nd: nd["add"].update(value={"unit_of": {"col": "current_price"}}),
         "ExprTypeError", "unit_of applied to a decimal value"),
+    "unit on an integer": (
+        lambda nd: nd.update(add={**nd["add"], "n": {"lit": 1}},
+                             sems={**nd["sems"], "n": "integer"}, units={**nd["units"], "n": "kg"}),
+        "SchemaMismatch", "field 'n' of type integer takes no unit"),
 }
 
 
@@ -1628,8 +1642,8 @@ def test_audit_json_round_trips_to_the_run_audit(case, tmp_path, monkeypatch):
         assert pid_bits(port_set(e.owner, e.port)) == e.pids, (e.owner, e.port)
     assert {k: pid_bits(port_set(k, "out")) for k in audit.source_pids} == audit.source_pids
     assert {k: pid_bits(port_set(k, "in")) for k in audit.sink_pids} == audit.sink_pids
-    feeder = {(w.dst.owner, w.dst.port): (w.src.owner, w.src.port)
-              for w in graphs[0].wires}
+    feeder = {(name, p): ref for name, node in graphs[0].nodes.items()
+              for p, ref in zip(node.in_ports, graphs[0].feeds[name])}
     assert [(sv.stage, {p: pid_bits(port_set(*feeder[sv.stage, p])) for p in sv.ins},
              {p: pid_bits(port_set(sv.stage, p)) for p in sv.outs})
             for sv in audit.stage_visits] == \

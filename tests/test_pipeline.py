@@ -104,7 +104,7 @@ def test_a_stage_takes_one_feed_per_in_port(node, feeds):
             f"stage 's' takes one feed per in-port ({', '.join(node.in_ports)}), "
             f"not {len(feeds)}")):
         g.add_node(node, *feeds)
-    assert (g.nodes, g.wires) == ({}, [])
+    assert (g.nodes, g.feeds) == ({}, {})
 
 
 def test_fan_out_needs_a_tee():
@@ -166,6 +166,39 @@ def test_cycles_are_reported():
     g.add_node(TeeNode("t"), "u.out")
     g.add_sink("a", "report", "t.right")
     assert "Cycle" in {v.kind for v in g.validate()}
+
+
+def test_validate_reports_structural_violations_in_a_fixed_order():
+    # unknown endpoints, one per feed in the order stages and sinks were
+    # added; then each output consumed twice; then each output never
+    # consumed, sources first.  A cycle is one violation per stage in it
+    g = PipelineGraph("t")
+    g.add_source("src", ORDERS)
+    g.add_source("spare", ORDERS)
+    g.add_node(PartitionNode("p", FieldDefined("price")), "src")
+    g.add_node(TaggedUnionNode("u"), "p.rejected", "ghost.right")
+    g.add_sink("a", "report", "ghost.out")
+    g.add_sink("b", "report", "p.accepted")
+    g.add_sink("c", "report", "p.accepted")
+    g.add_sink("d", "report", "ghost.out")
+    assert [(v.kind, v.where, v.detail) for v in g.validate()] == [
+        ("UnknownEndpoint", "ghost.right", "no such output port"),
+        ("UnknownEndpoint", "ghost.out", "no such output port"),
+        ("UnknownEndpoint", "ghost.out", "no such output port"),
+        ("DuplicateConsumer", "p.accepted",
+         "output consumed 2 times; use a tee stage to duplicate"),
+        ("UnconsumedPort", "spare.out", "every output must be wired or sunk"),
+        ("UnconsumedPort", "u.out", "every output must be wired or sunk"),
+    ]
+    g = PipelineGraph("t")
+    g.add_source("src", ORDERS)
+    g.add_node(TaggedUnionNode("u"), "src", "t.left")
+    g.add_node(TeeNode("t"), "u.out")
+    g.add_sink("a", "report", "t.right")
+    assert [(v.kind, v.where, v.detail) for v in g.validate()] == [
+        ("Cycle", "u", "stage participates in a cycle"),
+        ("Cycle", "t", "stage participates in a cycle"),
+    ]
 
 
 def test_schema_problems_surface_before_any_data_flows():
@@ -601,6 +634,20 @@ def test_a_report_lists_only_its_own_checks_on_the_dashboard():
     assert [c["name"] for c in doc["reports"]["main"]["checks"]] == [
         "coverage:main", "measure:main:count", "measure:main:sum[qty:kg]",
         "measure:main:sum[qty:lb]", "measure:main:paccioli[price]"]
+
+
+def test_a_report_lists_no_check_of_a_report_its_label_prefixes():
+    # checks are picked by exact name: report a must not list a:b's measures
+    g = PipelineGraph("prefix")
+    g.add_source("orders", ORDERS)
+    g.add_conservation("count")
+    g.add_node(TeeNode("t"), "orders")
+    g.add_sink("left", "report", "t.left", report="a")
+    g.add_sink("right", "report", "t.right", report="a:b")
+    res = g.run({"orders": orders()})
+    doc = dashboard_document(g, res, conservation_check(res.audit))
+    assert {label: [c["name"] for c in e["checks"]] for label, e in doc["reports"].items()} == {
+        "a": ["coverage:a", "measure:a:count"], "a:b": ["coverage:a:b", "measure:a:b:count"]}
 
 
 KEYS = schema(FieldSpec("k", "text"))

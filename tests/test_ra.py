@@ -206,7 +206,7 @@ def test_missing_keys_never_join():
     g = translate(q, CATALOG)
     assert not any(isinstance(n, PartitionNode) for n in g.nodes.values())
     (join,) = (n for n in g.nodes.values() if isinstance(n, JoinNode))
-    feeds = {str(w.src): w.dst.owner for w in g.wires}
+    feeds = {str(ref): owner for owner, refs in g.feeds.items() for ref in refs}
     left_drain = feeds[f"{feeds[f'{join.name}.left_only']}.out"]
     sinks = g.run(inputs()).sinks
     cats = [(name, r) for name, rel in sinks.items() for r in rel.rows
@@ -470,7 +470,7 @@ def test_a_compiled_document_survives_yaml_text(i):
     assert g.sources == want.sources
     assert g.nodes == want.nodes
     assert g.sinks == want.sinks
-    assert g.wires == want.wires
+    assert g.feeds == want.feeds
     assert g.conservation == want.conservation
 
 

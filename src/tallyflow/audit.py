@@ -14,11 +14,12 @@ report sinks before error sinks, so fan-out never double-counts.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from functools import reduce
 from itertools import repeat
 
 from .monoid import MonoidElement, fold_payloads, fuse
-from .relation import ERROR_REASON, ERROR_STAGE, REPORT, PidSet, pid_bits, pid_runs
+from .relation import ERROR_REASON, ERROR_STAGE, REPORT, PidSet, has_field, pid_bits, pid_runs
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Frozen, Quantity, set_field
 
@@ -30,27 +31,26 @@ def measure_carriers(graph, spec) -> dict:
             for name, s in graph.sources.items() if carries(s.schema, spec.scheme, spec.fld)}
 
 
-def _unit_ledgers(fld: str, rows_of: dict, charged_at: dict) -> list:
+def _unit_ledgers(fld: str, rels: dict, charged_at: dict) -> list:
     """(space, {carrier: ledger}) per unit label of a quantity field, sorted.
 
-    Each carrier's cells are read once.  A row with a quantity is charged
+    Each carrier's column is read once.  A row with a quantity is charged
     its amount in its unit's space only, at its smallest pid (charged_at);
     a Missing cell is charged nowhere.
     """
     amounts: dict = {}  # unit -> carrier -> pid -> amount
-    for name, rows in rows_of.items():
-        for pid, rec in zip(charged_at[name], rows):
-            v = rec.fields[fld]
+    for name, rel in rels.items():
+        for pid, v in zip(charged_at[name], rel.column(fld)):
             if isinstance(v, Quantity):
                 amounts.setdefault(v.unit, {}).setdefault(name, {})[pid] = v.amount
-    return [(quantity_sum_space(fld, u), {name: amounts[u].get(name, {}) for name in rows_of})
+    return [(quantity_sum_space(fld, u), {name: amounts[u].get(name, {}) for name in rels})
             for u in sorted(amounts)]
 
 
 def build_charges(graph, audit, inputs: dict) -> None:
     """Record each carrier row's payload in every measure space it is charged in.
 
-    Each carrier's rows are read once per measure; a sum_by_unit field is
+    Each carrier's column is read once per measure; a sum_by_unit field is
     read once for all of its unit labels.  A row is charged at its smallest
     pid: in every space of a count, sum or paccioli measure, and in its
     quantity's unit space of a sum_by_unit measure.  A pid with no entry
@@ -60,12 +60,12 @@ def build_charges(graph, audit, inputs: dict) -> None:
     refused a sum or paccioli whose carriers declare different units.
     """
     # each source row's smallest pid, in row order, found once for all measures
-    charged_at = {name: [min(rec.pids) for rec in inputs[name].rows] for name in graph.sources}
+    charged_at = {name: list(map(min, inputs[name].pids)) for name in graph.sources}
     for spec in graph.conservation:
         carriers = measure_carriers(graph, spec)
-        rows_of = {name: inputs[name].rows for name in carriers}
+        rels = {name: inputs[name] for name in carriers}
         if spec.scheme == "sum_by_unit":
-            ledgers = _unit_ledgers(spec.fld, rows_of, charged_at)
+            ledgers = _unit_ledgers(spec.fld, rels, charged_at)
         else:
             if spec.scheme == "count":
                 space = count_space()
@@ -73,8 +73,8 @@ def build_charges(graph, audit, inputs: dict) -> None:
                 space = decimal_sum_space(spec.fld, next(iter(carriers.values()), None))
             else:
                 space = paccioli_space(spec.fld)
-            ledgers = [(space, {name: dict(zip(charged_at[name], map(space.payload, rows)))
-                                for name, rows in rows_of.items()})]
+            ledgers = [(space, {name: dict(zip(charged_at[name], space.payloads(rel)))
+                                for name, rel in rels.items()})]
         for space, by_carrier in ledgers:
             unit = space.unit
             charge: dict = {}
@@ -287,11 +287,8 @@ def dashboard_document(graph, result, report: ConservationReport) -> dict:
                 })
             else:
                 unaccounted += len(classes[sink_name])
-                groups: dict[tuple, int] = {}
-                for rec in rel.rows:
-                    key = (str(rec.fields.get(ERROR_STAGE, "")),
-                           str(rec.fields.get(ERROR_REASON, "")))
-                    groups[key] = groups.get(key, 0) + 1
+                groups = Counter(zip(*(map(str, rel.column(n)) if has_field(rel.schema, n)
+                                       else repeat("", len(rel)) for n in (ERROR_STAGE, ERROR_REASON))))
                 entry["error_sinks"].append({
                     "name": sink_name,
                     "rows": len(rel),

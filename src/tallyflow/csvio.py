@@ -19,24 +19,21 @@ import csv
 import io
 import os
 from decimal import Decimal
-from itertools import islice, repeat
-from operator import attrgetter, itemgetter
+from itertools import compress, count, islice, repeat
+from operator import attrgetter
 
 from .errors import SchemaMismatch
 from .grammar import NAME, TEXT, Entry, Key, Leaf, ListOf, read
 from .monoid import MonoidElement
 from .relation import (
-    ERROR_REASON,
-    ERROR_STAGE,
     FieldSpec,
-    Record,
     Relation,
     Schema,
     error_schema,
     field_names,
     schema,
 )
-from .values import DEC4, Frozen, Missing, Quantity, dec4, plain, plain_column
+from .values import DEC4, Frozen, Missing, Quantity, dec4, plain, plain_column, quantity_column
 
 COLUMN_TYPES = ("integer", "decimal", "text", "quantity")
 
@@ -191,7 +188,7 @@ def _with_units(amounts: list, units) -> list:
     pass over the columns."""
     if set(map(type, amounts)) == {Decimal} and set(map(type, units)) == {str} \
             and "" not in units:
-        return list(map(Quantity, amounts, units))
+        return quantity_column(amounts, units)
     no_unit = Missing("no unit")
     out = []
     for amount, unit in zip(amounts, units):
@@ -201,9 +198,10 @@ def _with_units(amounts: list, units) -> list:
     return out
 
 
-def _parse_block(cols: tuple, parsers: list, rows: list) -> list:
-    """Each full-width CSV row's fields dict, or the reason it does not
-    parse: the first junk cell in column-description order."""
+def _parse_block(cols: tuple, parsers: list, rows: list) -> tuple:
+    """(columns, problems) of full-width CSV rows: each column's cells, in
+    column-description order, and row -> the reason it does not parse, its
+    first junk cell's in column-description order."""
     texts = list(zip(*rows))
     problems: dict = {}
     columns = {c.name: _parse_column(c, parse, texts[i], problems) for c, i, parse in parsers}
@@ -211,10 +209,7 @@ def _parse_block(cols: tuple, parsers: list, rows: list) -> list:
         if c.type == "quantity":
             units = [c.unit] * len(rows) if not c.unit_from else columns[c.unit_from]
             columns[c.name] = _with_units(columns[c.name], units)
-    parsed: list = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-    for i, reason in problems.items():
-        parsed[i] = reason
-    return parsed
+    return list(columns.values()), problems
 
 
 def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None):
@@ -223,16 +218,19 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
     Every data row gets a pid whether it parses or not; rows with junk
     cells, or with more or fewer cells than the header, keep their raw
     text and move to the error relation instead.  Rows are parsed a column
-    at a time, BLOCK_ROWS lines at once.  A UTF-8 byte-order mark is read
-    as one.
+    at a time, BLOCK_ROWS lines at once, and each block's columns of good
+    rows join the relation's columns as they are.  A UTF-8 byte-order mark
+    is read as one.
     """
     cols = tuple(cols)
     stage = name or os.path.basename(csv_path)
     sch = table_schema(cols)
     raw_schema = error_schema(schema(*(FieldSpec(c.name, "text") for c in cols)))
     expected = [c.name for c in cols]
-    good: list[Record] = []
-    bad: list[Record] = []
+    good: list[list] = [[] for _ in cols]  # the good rows' cells, a list per column
+    good_pids: list[int] = []
+    bad: list[tuple] = []  # each bad row's raw texts, stage and reason
+    bad_pids: list[int] = []
     pid = first_pid
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -246,22 +244,32 @@ def read_table(csv_path: str, cols, first_pid: int = 1, name: str | None = None)
         for block in iter(lambda: list(islice(reader, BLOCK_ROWS)), []):
             lines = [cells for cells in block if cells]  # a blank line is not a row
             whole = [cells for cells in lines if len(cells) == width]
-            parsed = iter(_parse_block(cols, parsers, whole) if whole else ())
-            for cells in lines:
-                if len(cells) == width:
-                    fields = next(parsed)
-                else:
-                    fields = f"expected {width} cells, got {len(cells)}"
-                if fields.__class__ is dict:
-                    good.append(Record((pid,), fields))
-                else:
+            columns, problems = _parse_block(cols, parsers, whole) if whole else ([], {})
+            if problems or len(whole) < len(lines):
+                kept = []  # whether each whole line parses
+                for p, cells in zip(count(pid), lines):
+                    if len(cells) == width:
+                        reason = problems.get(len(kept))
+                        kept.append(reason is None)
+                        if reason is None:
+                            good_pids.append(p)
+                            continue
+                    else:
+                        reason = f"expected {width} cells, got {len(cells)}"
                     raw_row = dict(zip(header, cells))
-                    row = {c.name: raw_row.get(c.name, "") for c in cols}
-                    row[ERROR_STAGE] = stage
-                    row[ERROR_REASON] = fields
-                    bad.append(Record((pid,), row))
-                pid += 1
-    return Relation(sch, tuple(good)), Relation(raw_schema, tuple(bad)), pid
+                    bad.append((*(raw_row.get(c.name, "") for c in cols), stage, reason))
+                    bad_pids.append(p)
+                columns = [compress(col, kept) for col in columns]
+            else:
+                good_pids += range(pid, pid + len(lines))
+            for acc, col in zip(good, columns):
+                acc += col
+            pid += len(lines)
+    # each row's pids: a frozenset of its one pid
+    return (Relation.of_columns(sch, good, map(frozenset, zip(good_pids))),
+            Relation.of_columns(raw_schema, zip(*bad) if bad else ((),) * len(raw_schema),
+                                map(frozenset, zip(bad_pids))),
+            pid)
 
 
 # -- emission -----------------------------------------------------------
@@ -281,15 +289,17 @@ def write_csv(path: str, rel: Relation) -> None:
     _atomic_write(path, _csv_text(names, rel))
 
 
-def _render_column(cells: list) -> list:
+def _render_column(cells):
     """One column's cell texts: a column of decimals or of quantities
-    through one plain_column, any other of one class through a function
-    chosen once for the column."""
+    through one plain_column, a column of Missing cells in one pass, any
+    other of one class through a function chosen once for the column."""
     kinds = set(map(type, cells))
     if kinds <= {str}:
         return cells
     if kinds == {Decimal}:
         return plain_column(cells)
+    if kinds == {Missing}:
+        return ["" if v.reason == "empty" else v.reason for v in cells]
     if kinds == {Quantity}:
         amounts = plain_column(list(map(attrgetter("amount"), cells)))
         return list(map(" ".join, zip(amounts, map(attrgetter("unit"), cells))))
@@ -302,9 +312,8 @@ def _csv_text(names: list, rel: Relation) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(names)
-    fields = [rec.fields for rec in rel.rows]
-    columns = [_render_column(list(map(itemgetter(n), fields))) for n in names]
-    w.writerows(zip(*columns) if columns else ([] for _ in fields))
+    columns = list(map(_render_column, rel.columns))
+    w.writerows(zip(*columns) if columns else ([] for _ in range(len(rel))))
     return buf.getvalue()
 
 

@@ -2,7 +2,7 @@
 
 Predicates are three-valued: a comparison against a Missing cell is neither
 true nor false, it is unknown with a reason.  A compiled predicate maps a
-list of rows to a verdict column, None where the predicate holds and
+relation's columns to a verdict column, None where the predicate holds and
 (unknown, reason) elsewhere, and partitioning sends the false and the
 unknown rows alike to the reject side carrying that reason.  Expressions
 only ever add information to a row; division is deliberately absent
@@ -24,7 +24,7 @@ from .errors import ExprTypeError, FnNotTotal
 from .grammar import BOOL, NAME, TEXT, Choice, Entry, Leaf, ListOf
 from .monoid import Kind, MonoidElement
 from .relation import schema_field
-from .values import FieldValue, Frozen, Missing, Quantity, cell_key, dec4
+from .values import FieldValue, Frozen, Missing, Quantity, cell_key, dec4, key_column
 
 # -- predicate AST ------------------------------------------------------
 # inner is a Pred and parts a tuple of them; Compare's value is a FieldValue
@@ -157,9 +157,10 @@ def _disjoin(*verdicts):
 
 
 def compile_pred(p: Pred, sch):
-    """p as a column function: from a list of row field dicts to p's
-    verdict on each row, None where p holds and otherwise (unknown, reason),
-    so every rejected row carries a reason.
+    """p as a column function: from a relation's columns (one per field of
+    sch, in its order) and its row count to p's verdict on each row, None
+    where p holds and otherwise (unknown, reason), so every rejected row
+    carries a reason.
 
     Field names are resolved against sch (raising UnknownField) and InSet
     key sets are built here, once.  A cmp or in literal no cell of its
@@ -167,16 +168,15 @@ def compile_pred(p: Pred, sch):
     """
     if isinstance(p, Always):
         verdict = None if p.value else (False, "always false")
-        return lambda rows: [verdict] * len(rows)
+        return lambda cols, n: [verdict] * n
     if isinstance(p, (FieldDefined, Compare, InSet)):
         spec = schema_field(sch, p.field)
-        name = spec.name
-        get = operator.itemgetter(name)
+        name, at = spec.name, sch.index(spec)
         if isinstance(p, FieldDefined):
-            def defined(rows):
-                col = list(map(get, rows))
+            def defined(cols, n):
+                col = cols[at]
                 if Missing not in set(map(type, col)):
-                    return [None] * len(col)
+                    return [None] * n
                 return [(False, f"{name} missing: {v.reason}") if v.__class__ is Missing else None
                         for v in col]
             return defined
@@ -184,27 +184,35 @@ def compile_pred(p: Pred, sch):
             _meets(spec, p.value, p.op not in ("eq", "ne"))
             op, want = p.op, p.value
             test = lambda v: _compare_values(op, v, want, name)
-        else:
-            for x in p.values:
-                _meets(spec, x)
-            keys = frozenset(cell_key(x) for x in p.values)
-            test = lambda v: (None if cell_key(v) in keys
-                              else (False, f"{name} value {v} not in allowed set"))
 
-        def known(rows):
-            return [(True, f"{name} missing: {v.reason}") if v.__class__ is Missing else test(v)
-                    for v in map(get, rows)]
-        return known
+            def known(cols, n):
+                return [(True, f"{name} missing: {v.reason}") if v.__class__ is Missing
+                        else test(v) for v in cols[at]]
+            return known
+        for x in p.values:
+            _meets(spec, x)
+        # each literal is of the field's sem or Missing, so the key rule keys a
+        # cell as a literal exactly when their cell_keys agree
+        sem = spec.sem
+        keys = frozenset(key_column(p.values, sem))
+
+        def member(cols, n):
+            col = cols[at]
+            return [(True, f"{name} missing: {v.reason}") if v.__class__ is Missing
+                    else None if k in keys else (False, f"{name} value {v} not in allowed set")
+                    for v, k in zip(col, key_column(col, sem))]
+        return member
     if isinstance(p, Not):
         inner = compile_pred(p.inner, sch)
         negated = (False, f"negation of: {describe(p.inner)}")
-        return lambda rows: [negated if v is None else v if v[0] else None for v in inner(rows)]
+        return lambda cols, n: [negated if v is None else v if v[0] else None
+                                for v in inner(cols, n)]
     if isinstance(p, (All, AnyOf)):
         if not p.parts:  # no column to combine: all of none holds, any of none fails
             return compile_pred(Always(isinstance(p, All)), sch)
         parts = [compile_pred(q, sch) for q in p.parts]
         combine = _conjoin if isinstance(p, All) else _disjoin
-        return lambda rows: list(map(combine, *[part(rows) for part in parts]))
+        return lambda cols, n: list(map(combine, *[part(cols, n) for part in parts]))
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -291,7 +299,7 @@ _BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _HOLES = frozenset({Missing, FnNotTotal})
 
 
-def _viewed(view, col: list) -> list:
+def _viewed(view, col):
     """view over col's cells, holes passed on as they are."""
     if view is _same:
         return col
@@ -301,11 +309,12 @@ def _viewed(view, col: list) -> list:
 
 
 def compile_expr(e: Expr, sch):
-    """e as (column function, sem, unit).  The function maps a list of row
-    field dicts to e's column, one value per row, computed a column at a
-    time.  A cell where a view fails holds its FnNotTotal, and an operator
-    passes it on as it does a Missing operand, so each cell holds what e
-    gives on its row alone, or the fault it meets there.
+    """e as (column function, sem, unit).  The function maps a relation's
+    columns (one per field of sch, in its order) and its row count to e's
+    column, computed a column at a time; a column leaf is that very column.
+    A cell where a view fails holds its FnNotTotal, and an operator passes
+    it on as it does a Missing operand, so each cell holds what e gives on
+    its row alone, or the fault it meets there.
 
     This is the one place expressions are typed: (sem, unit) is what e
     computes over the plain schema sch, decided before any row is seen.  A
@@ -317,22 +326,22 @@ def compile_expr(e: Expr, sch):
     """
     if isinstance(e, Col):
         spec = schema_field(sch, e.name)
-        get = operator.itemgetter(spec.name)
-        return (lambda rows: list(map(get, rows))), spec.sem, spec.unit
+        at = sch.index(spec)
+        return (lambda cols, n: cols[at]), spec.sem, spec.unit
     if isinstance(e, Lit):
         value = e.value
         sem, unit = _literal_type(value)
-        return (lambda rows: [value] * len(rows)), sem, unit
+        return (lambda cols, n: [value] * n), sem, unit
     if isinstance(e, NumOf):
         inner, sem, _ = compile_expr(e.inner, sch)
         view = _number_view(sem, "num")
-        return (lambda rows: _viewed(view, inner(rows))), "decimal", None
+        return (lambda cols, n: _viewed(view, inner(cols, n))), "decimal", None
     if isinstance(e, UnitOf):
         inner, sem, _ = compile_expr(e.inner, sch)
         if sem not in ("quantity", None):
             raise ExprTypeError(f"unit_of applied to a {sem} value")
         unit = operator.attrgetter("unit")
-        return (lambda rows: _viewed(unit, inner(rows))), "text", None
+        return (lambda cols, n: _viewed(unit, inner(cols, n))), "text", None
     if isinstance(e, BinOp):
         if e.op not in _BINOPS:
             raise ExprTypeError(f"unknown operator {e.op!r}")
@@ -353,8 +362,8 @@ def compile_expr(e: Expr, sch):
                 return lv
             return rv if rv.__class__ is FnNotTotal else fn(lv, rv)
 
-        def binop(rows):
-            lcol, rcol = left(rows), right(rows)
+        def binop(cols, n):
+            lcol, rcol = left(cols, n), right(cols, n)
             if total and _HOLES.isdisjoint(map(type, lcol)) and _HOLES.isdisjoint(map(type, rcol)):
                 return list(map(fn, _viewed(lview, lcol), _viewed(rview, rcol)))
             return list(map(cell, lcol, rcol))

@@ -47,7 +47,7 @@ from .exprs import (
     NumOf,
     UnitOf,
 )
-from .relation import FieldSpec, Record, Relation, field_names, schema
+from .relation import FieldSpec, Relation, field_names, schema
 from .values import Frozen, Missing, Quantity
 
 OPERATOR_KINDS = (Project, Select, Rename, CrossProduct, NaturalJoin, OuterJoin,
@@ -129,12 +129,14 @@ class _Gen:
     def _table(self, sch, n: int, first_pid: int) -> Relation:
         """n rows of sch with pids from first_pid, as ingest numbers them.
 
-        Every cell is drawn of its column's sem, and the run that reads a
-        table checks its rows, so they are not checked here as well.
+        Cells are drawn row by row, then held a column at a time.  Every
+        cell is drawn of its column's sem, and the run that reads a table
+        checks its rows, so they are not checked here as well.
         """
-        draws = [(s.name, self._draw(s.sem)) for s in sch]
-        return Relation(sch, tuple(Record((pid,), {name: draw() for name, draw in draws})
-                                   for pid in range(first_pid, first_pid + n)))
+        draws = [self._draw(s.sem) for s in sch]
+        rows = [[draw() for draw in draws] for _ in range(n)]
+        return Relation.of_columns(sch, zip(*rows) if rows else ((),) * len(sch),
+                                   map(frozenset, zip(range(first_pid, first_pid + n))))
 
     # -- predicates and row expressions ---------------------------------
 

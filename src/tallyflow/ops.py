@@ -8,8 +8,8 @@ Operations that can reject rows return the rejects as first-class output.
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, itemgetter, not_, or_
 
 from .errors import (
     CollisionAfterRename,
@@ -23,24 +23,38 @@ from .errors import (
 from .exprs import Pred, compile_expr, compile_pred
 from .monoid import UNITS, Kind, MonoidElement, count, fold_payloads, set_of
 from .relation import (
-    ERROR_REASON,
-    ERROR_STAGE,
     FieldSpec,
     IrrelevantPart,
     PathTag,
-    Record,
     Relation,
     Schema,
+    empty,
     error_schema,
     field_names,
     has_field,
     schema,
     schema_field,
 )
-from .values import Frozen, Missing, Quantity, cell_key
+from .values import MISSING_KEY, Frozen, Missing, Quantity, key_column
 
 
 # -- partitioning -------------------------------------------------------
+
+def _picker(idx: list):
+    """A function from a column to the tuple of its cells at the positions
+    idx, in that order: one itemgetter, read once per column.  An itemgetter
+    of one position gives no tuple, so fewer than two take a slice."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
+def _gather(rel: Relation, sch: Schema, idx) -> Relation:
+    """The rows of rel at the positions idx, in that order, under sch."""
+    take = _picker(list(idx))
+    return Relation.of_columns(sch, map(take, rel.columns), take(rel.pids),
+                               take(rel.irrelevant), take(rel.tags))
+
 
 def partition_detailed(rel: Relation, pred: Pred):
     """Split by a three-valued predicate, read off its verdict column.
@@ -48,27 +62,25 @@ def partition_detailed(rel: Relation, pred: Pred):
     Returns (accepted, rejected, reasons) where reasons aligns with the
     rejected rows; a false or unknown verdict rejects with its reason.
     """
-    sch = rel.schema
-    verdicts = compile_pred(pred, sch)([rec.fields for rec in rel.rows])
-    acc, rej, reasons = [], [], []
-    for rec, v in zip(rel.rows, verdicts):
-        if v is None:
-            acc.append(rec)
-        else:
-            rej.append(rec)
-            reasons.append(v[1])
-    return Relation(sch, tuple(acc)), Relation(sch, tuple(rej)), tuple(reasons)
+    verdict_column = compile_pred(pred, rel.schema)
+    if not len(rel):
+        return rel, rel, ()
+    verdicts = verdict_column(rel.columns, len(rel))
+    held = [v is None for v in verdicts]
+    reasons = tuple(v[1] for v in verdicts if v is not None)
+    rows = range(len(rel))
+    return (_gather(rel, rel.schema, compress(rows, held)),
+            _gather(rel, rel.schema, compress(rows, map(not_, held))), reasons)
 
 
 def as_errors(rel: Relation, stage: str, reasons) -> Relation:
-    """Reshape rows onto the error rail, stamping stage and reason columns."""
+    """Reshape rows onto the error rail, adding stage and reason columns."""
     if isinstance(reasons, str):
-        reasons = repeat(reasons)
-    elif len(reasons) != len(rel.rows):
+        reasons = (reasons,) * len(rel)
+    elif len(reasons) != len(rel):
         raise ValueError("reasons must align with rows")
-    out = tuple(Record(rec.pids, {**rec.fields, ERROR_STAGE: stage, ERROR_REASON: reason},
-                       rec.irrelevant, rec.tags) for rec, reason in zip(rel.rows, reasons))
-    return Relation(error_schema(rel.schema), out)
+    return rel.with_columns(error_schema(rel.schema),
+                            rel.columns + ((stage,) * len(rel), tuple(reasons)))
 
 
 # -- tagged unions ------------------------------------------------------
@@ -93,66 +105,48 @@ def tagged_union(r1: Relation, r2: Relation) -> Relation:
     and strip_tags() drops it.
     """
     sch = union_schema(r1.schema, r2.schema)
-    tag_l, tag_r = PathTag("inl"), PathTag("inr")
-    rows = [Record(rec.pids, rec.fields, rec.irrelevant, rec.tags + (tag,))
-            for rel, tag in ((r1, tag_l), (r2, tag_r)) for rec in rel.rows]
-    return Relation(sch, tuple(rows))
+    tags = [*map(add, r1.tags, repeat((PathTag("inl"),))),
+            *map(add, r2.tags, repeat((PathTag("inr"),)))]
+    return Relation.of_columns(sch, map(add, r1.columns, r2.columns), r1.pids + r2.pids,
+                               r1.irrelevant + r2.irrelevant, tags)
 
 
-def _popped(rel: Relation):
-    """(side, row without its outermost tag) for each of rel's rows."""
-    for rec in rel.rows:
-        if not rec.tags:
-            raise UntagMissing("record has no tag to pop")
-        yield rec.tags[-1].side, Record(rec.pids, rec.fields, rec.irrelevant, rec.tags[:-1])
+def _popped(rel: Relation) -> tuple:
+    """(each row's outermost tag side, rel with that tag popped)."""
+    if () in rel.tags:
+        raise UntagMissing("record has no tag to pop")
+    return ([t[-1].side for t in rel.tags],
+            Relation.of_columns(rel.schema, rel.columns, rel.pids, rel.irrelevant,
+                                [t[:-1] for t in rel.tags]))
 
 
 def untag(rel: Relation):
     """Undo a tagged union exactly: split by the outermost tag and pop it."""
-    left, right = [], []
-    for side, rec in _popped(rel):
-        (left if side == "inl" else right).append(rec)
-    return Relation(rel.schema, tuple(left)), Relation(rel.schema, tuple(right))
+    sides, popped = _popped(rel)
+    left, rows = [side == "inl" for side in sides], range(len(rel))
+    return (_gather(popped, rel.schema, compress(rows, left)),
+            _gather(popped, rel.schema, compress(rows, map(not_, left))))
 
 
 def strip_tags(rel: Relation) -> Relation:
     """Pop the outermost tag from every row, keeping them in one relation."""
-    return Relation(rel.schema, tuple(rec for _, rec in _popped(rel)))
+    return _popped(rel)[1]
 
 
 # -- row keys -------------------------------------------------------------
 
-# the key every Missing cell shares, cell_key's; no present cell keys as a tuple
-_MISSING_KEY = ("missing",)
-
-
-def _key_column(col: list, sem: str, missing=_MISSING_KEY) -> list:
-    """Each cell's key for grouping and joining, a column at a time.  A text,
-    integer, decimal or quantity cell keys as itself: within one sem its ==
-    and hash agree with cell_key's (4 and 4.0000 are one decimal, a quantity
-    compares amount and unit).  Every Missing cell keys as missing, and a
-    summary cell by cell_key."""
-    if sem == "summary":
-        return [missing if v.__class__ is Missing else cell_key(v) for v in col]
-    if Missing not in set(map(type, col)):
-        return col
-    return [missing if v.__class__ is Missing else v for v in col]
-
-
-def _row_keys(n: int, cols: list, sems, missing=_MISSING_KEY):
+def _row_keys(n: int, cols, sems, missing=MISSING_KEY):
     """Each of n rows' key over the columns cols of sems sems: the tuple of
-    its cells' keys, one _key_column pass per column."""
+    its cells' keys, one key_column pass per column."""
     if not cols:
         return repeat((), n)
-    return zip(*map(_key_column, cols, sems, repeat(missing)))
+    return zip(*map(key_column, cols, sems, repeat(missing)))
 
 
-def _field_keys(rel: Relation, names, missing=_MISSING_KEY):
+def _field_keys(rel: Relation, names, missing=MISSING_KEY):
     """Each of rel's rows' key over the named fields."""
-    fields = [rec.fields for rec in rel.rows]
-    cols = [list(map(itemgetter(n), fields)) for n in names]
-    sems = [schema_field(rel.schema, n).sem for n in names]
-    return _row_keys(len(fields), cols, sems, missing)
+    return _row_keys(len(rel), list(map(rel.column, names)),
+                     [schema_field(rel.schema, n).sem for n in names], missing)
 
 
 # -- projection, rename, dedup -----------------------------------------
@@ -184,32 +178,45 @@ def rename_schema(sch: Schema, mapping: dict) -> Schema:
 def lossless_project(rel: Relation, fields) -> Relation:
     """Narrow the relevant fields; the complement rides along as payload.
 
-    Nothing is deleted: sliced-off fields move into each record's
-    irrelevant parts, still keyed by the record's pids.
+    Nothing is deleted: sliced-off fields move into each row's irrelevant
+    parts, still keyed by the row's pids.
     """
     sch = rel.schema
     new_schema = project_schema(sch, fields)
     keep = field_names(new_schema)
     drop = tuple(n for n in field_names(sch) if n not in keep)
-    rows = []
-    for rec in rel.rows:
-        kept = {n: rec.fields[n] for n in keep}
-        irr = rec.irrelevant
-        if drop:
-            sliced = {n: rec.fields[n] for n in drop}
-            irr = irr + (IrrelevantPart(rec.pids, sliced),)
-        rows.append(Record(rec.pids, kept, irr, rec.tags))
-    return Relation(new_schema, tuple(rows))
+    irr = None
+    if drop:
+        sliced = map(dict, map(zip, repeat(drop), zip(*map(rel.column, drop))))
+        irr = [parts + (IrrelevantPart(p, cells),)
+               for parts, p, cells in zip(rel.irrelevant, rel.pids, sliced)]
+    return rel.with_columns(new_schema, map(rel.column, keep), irr)
 
 
 def rename(rel: Relation, mapping: dict) -> Relation:
     """Rename fields; partial maps allowed, collisions refused."""
-    new_schema = rename_schema(rel.schema, mapping)
-    rows = []
-    for rec in rel.rows:
-        fields = {mapping.get(n, n): v for n, v in rec.fields.items()}
-        rows.append(Record(rec.pids, fields, rec.irrelevant, rec.tags))
-    return Relation(new_schema, tuple(rows))
+    return rel.with_columns(rename_schema(rel.schema, mapping), rel.columns)
+
+
+def _groups(keys) -> list:
+    """The positions of the rows of each key, keys in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = []
+        group.append(i)
+    return list(groups.values())
+
+
+def _merged(rel: Relation, groups) -> tuple:
+    """(pids, irrelevant parts) of each group of rel's row positions: a lone
+    row's own, else the union of the pids and every member's parts."""
+    pids, irr = rel.pids, rel.irrelevant
+    return ([pids[m[0]] if len(m) == 1 else frozenset().union(*map(pids.__getitem__, m))
+             for m in groups],
+            [irr[m[0]] if len(m) == 1 else tuple(chain.from_iterable(map(irr.__getitem__, m)))
+             for m in groups])
 
 
 def dedup(rel: Relation) -> Relation:
@@ -220,19 +227,10 @@ def dedup(rel: Relation) -> Relation:
     pid) content is unchanged; only row multiplicity collapses.
     """
     sch = rel.schema
-    groups: dict = {}  # relevant-field key -> members, in first-seen order
-    for rec, key in zip(rel.rows, _field_keys(rel, field_names(sch))):
-        groups.setdefault(key, []).append(rec)
-    rows = []
-    for members in groups.values():
-        first = members[0]
-        if len(members) == 1:
-            rows.append(first)
-            continue
-        pids = frozenset().union(*map(attrgetter("pids"), members))
-        irr = tuple(chain.from_iterable(map(attrgetter("irrelevant"), members)))
-        rows.append(Record(pids, first.fields, irr, first.tags))
-    return Relation(sch, tuple(rows))
+    members = _groups(_row_keys(len(rel), rel.columns, [s.sem for s in sch]))
+    take = _picker([m[0] for m in members])
+    pids, irr = _merged(rel, members)
+    return Relation.of_columns(sch, map(take, rel.columns), pids, irr, take(rel.tags))
 
 
 # -- joins --------------------------------------------------------------
@@ -279,34 +277,30 @@ def outer_join(r1: Relation, r2: Relation, on, missing_matches: bool = False):
     pairs = [(lf, rf) for lf, rf in on]
     inner_schema = join_schema(sch1, sch2, pairs)
     kept_right = inner_schema[len(sch1):]
+    if not (len(r1) and len(r2)):  # no row has a partner
+        return empty(inner_schema), r1, r2
 
-    # with missing_matches every Missing key cell keys as _MISSING_KEY; without,
+    # with missing_matches every Missing key cell keys as MISSING_KEY; without,
     # each side's Missing cells key as a token of that side, which no key of
     # the other side holds, so a row with a Missing key cell matches nothing
-    lmissing, rmissing = (_MISSING_KEY, _MISSING_KEY) if missing_matches else (object(), object())
+    lmissing, rmissing = (MISSING_KEY, MISSING_KEY) if missing_matches else (object(), object())
     index: dict = {}
     for j, k in enumerate(_field_keys(r2, [rf for _, rf in pairs], rmissing)):
         index.setdefault(k, []).append(j)
-    kept = [{s.name: rec.fields[s.name] for s in kept_right} for rec in r2.rows]
-
-    inner_rows = []
-    left_rows = []
-    right_matched = [False] * len(r2.rows)
-    for x, k in zip(r1.rows, _field_keys(r1, [lf for lf, _ in pairs], lmissing)):
-        hits = index.get(k)
-        if hits is None:
-            left_rows.append(x)
-            continue
-        for j in hits:
-            right_matched[j] = True
-            y = r2.rows[j]
-            inner_rows.append(Record(x.pids | y.pids, {**x.fields, **kept[j]},
-                                     x.irrelevant + y.irrelevant, x.tags + y.tags))
-    right_rows = tuple(rec for j, rec in enumerate(r2.rows) if not right_matched[j])
+    hits = list(map(index.get, _field_keys(r1, [lf for lf, _ in pairs], lmissing)))
+    # the inner rows, each a (left position, right position) pair in left order
+    li = [i for i, h in enumerate(hits) if h is not None for _ in h]
+    rj = list(chain.from_iterable(filter(None, hits)))
+    x, y = _picker(li), _picker(rj)
+    inner = Relation.of_columns(
+        inner_schema, [*map(x, r1.columns), *(y(r2.column(s.name)) for s in kept_right)],
+        map(or_, x(r1.pids), y(r2.pids)), map(add, x(r1.irrelevant), y(r2.irrelevant)),
+        map(add, x(r1.tags), y(r2.tags)))
+    matched = set(rj)
     return (
-        Relation(inner_schema, tuple(inner_rows)),
-        Relation(sch1, tuple(left_rows)),
-        Relation(sch2, right_rows),
+        inner,
+        _gather(r1, sch1, [i for i, h in enumerate(hits) if h is None]),
+        _gather(r2, sch2, [j for j in range(len(r2)) if j not in matched]),
     )
 
 
@@ -318,9 +312,10 @@ def fmap(rel: Relation, additions: dict, sems: dict,
 
     Each addition's type comes from compiling it (exprs.compile_expr) and
     must be the sem that sems declares for it, so a mismatch is refused
-    before any row moves and no computed cell is checked.  A text or integer
-    addition takes no unit, as a text or integer column does not.  Each
-    addition is computed as one column whose cells carry each row's outcome;
+    before any row moves and no computed cell is checked; its FieldSpec is
+    built after that check, and refuses a unit on a text or integer
+    addition.  Each addition is computed as one column whose cells carry
+    each row's outcome, beside the input's columns, which it shares;
     a cell holding a FnNotTotal fails the stage, which raises the first
     failing row's fault, and on that row the first addition's.
     """
@@ -328,27 +323,19 @@ def fmap(rel: Relation, additions: dict, sems: dict,
     for name in additions:
         if has_field(sch, name):
             raise ForbiddenFieldWrite(f"fmap may only add fields, {name!r} exists")
-    new_specs = tuple(FieldSpec(name, sems[name], (units or {}).get(name))
-                      for name in additions)
-    new_schema = schema(*(sch + new_specs))
-    compiled = []
-    for spec, e in zip(new_specs, additions.values()):
+    new_specs, compiled = [], []
+    for name, e in additions.items():
         fn, sem, _ = compile_expr(e, sch)
-        if sem not in (None, spec.sem):
-            raise SchemaMismatch(f"field {spec.name!r} is declared {spec.sem} "
+        if sem not in (None, sems[name]):
+            raise SchemaMismatch(f"field {name!r} is declared {sems[name]} "
                                  f"but computes {sem}")
-        if spec.unit is not None and spec.sem in ("text", "integer"):
-            raise SchemaMismatch(f"field {spec.name!r} of type {spec.sem} takes no unit")
+        new_specs.append(FieldSpec(name, sems[name], (units or {}).get(name)))
         compiled.append(fn)
-    fields = [rec.fields for rec in rel.rows]
-    columns = [fn(fields) for fn in compiled]
+    new_schema = schema(*sch, *new_specs)
+    columns = [fn(rel.columns, len(rel)) for fn in compiled]
     if any(FnNotTotal in set(map(type, col)) for col in columns):
         raise next(v for cells in zip(*columns) for v in cells if v.__class__ is FnNotTotal)
-    fields = list(map(dict.copy, fields))  # each row's own, widened a column at a time
-    for name, col in zip(additions, columns):
-        list(map(dict.__setitem__, fields, repeat(name), col))
-    return Relation(new_schema, tuple([Record(rec.pids, row, rec.irrelevant, rec.tags)
-                                       for rec, row in zip(rel.rows, fields)]))
+    return rel.with_columns(new_schema, (*rel.columns, *columns))
 
 
 # -- aggregation --------------------------------------------------------
@@ -440,36 +427,23 @@ def aggregate(rel: Relation, group_by, specs) -> Relation:
     out_schema, qty_fields = _agg_plan(sch, keys, specs)
 
     no_unit = Missing("empty")
-    gnames = keys + tuple(f"{f}_unit" for f in qty_fields)
-    row_fields = [rec.fields for rec in rel.rows]
-    gcols = [list(map(itemgetter(n), row_fields)) for n in keys]
-    gcols += [[v.unit if isinstance(v, Quantity) else no_unit
-               for v in map(itemgetter(q), row_fields)] for q in qty_fields]
-    gkeys = _row_keys(len(row_fields), gcols,
+    gcols = [rel.column(n) for n in keys]
+    gcols += [[v.unit if isinstance(v, Quantity) else no_unit for v in rel.column(q)]
+              for q in qty_fields]
+    gkeys = _row_keys(len(rel), gcols,
                       [schema_field(sch, n).sem for n in keys] + ["text"] * len(qty_fields))
-    keyed = zip(rel.rows, zip(*gcols) if gcols else repeat(()), gkeys)
-    groups: dict = {}  # group key -> (key cells, members), in first-seen order
-    for rec, gvals, gkey in keyed:
-        group = groups.get(gkey)
-        if group is None:
-            group = groups[gkey] = (dict(zip(gnames, gvals)), [])
-        group[1].append(rec)
-
-    plans = [(spec, schema_field(sch, spec.field)) for spec in specs]
-    rows = []
-    for gvals, members in groups.values():
-        fields = dict(gvals)
-        for spec, fspec in plans:
-            unit = None
-            if fspec.sem == "quantity":
-                ul = fields[f"{spec.field}_unit"]
-                unit = ul if isinstance(ul, str) else None
-            elif fspec.unit:
-                unit = fspec.unit
-            values = [m.fields[spec.field] for m in members]
-            fields[f"{spec.field}_{spec.op}"] = _agg_cell(spec.op, values, unit)
-        fields["count"] = count(len(members))
-        pids = frozenset().union(*map(attrgetter("pids"), members))
-        irr = tuple(chain.from_iterable(map(attrgetter("irrelevant"), members)))
-        rows.append(Record(pids=pids, fields=fields, irrelevant=irr))
-    return Relation(out_schema, tuple(rows))
+    members = _groups(gkeys)
+    columns = list(map(_picker([m[0] for m in members]), gcols))
+    units = dict(zip(qty_fields, columns[len(keys):]))
+    for spec in specs:
+        fspec = schema_field(sch, spec.field)
+        if fspec.sem == "quantity":  # each group's unit label, None for no unit
+            group_units = [u if isinstance(u, str) else None for u in units[spec.field]]
+        else:
+            group_units = repeat(fspec.unit or None)
+        col = rel.column(spec.field)
+        columns.append([_agg_cell(spec.op, [col[i] for i in m], unit)
+                        for m, unit in zip(members, group_units)])
+    columns.append([count(len(m)) for m in members])
+    pids, irr = _merged(rel, members)
+    return Relation.of_columns(out_schema, columns, pids, irr)

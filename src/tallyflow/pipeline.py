@@ -588,7 +588,7 @@ class PipelineGraph:
             rel = inputs[name]
             if rel.schema != s.schema:
                 raise SchemaMismatch(f"input for {name!r} does not match its declared schema")
-            check_rows(s.schema, rel.rows)
+            check_rows(s.schema, rel)
             values[PortRef(name, "out")] = rel
             try:
                 audit.source_pids[name] = record(name, "out", rel)

@@ -553,7 +553,7 @@ def _join_keys(rows: list, fields) -> list:
 
 def _r_eval(expr: RAExpr, inputs: dict, schemas: dict) -> list:
     if isinstance(expr, BaseRelation):
-        return [dict(rec.fields) for rec in inputs[expr.name].rows]
+        return inputs[expr.name].field_dicts()
 
     if isinstance(expr, Project):
         sub = _r_eval(expr.of, inputs, schemas)
@@ -747,28 +747,29 @@ def equivalence_check(expr: RAExpr, inputs: dict, graph: PipelineGraph | None = 
     except InvalidGraph as exc:
         head = "; ".join(f"{v.kind}@{v.where}" for v in exc.violations[:3])
         return Verdict(False, f"graph does not validate: {head}",
-                       len(expected.rows), 0, False)
+                       len(expected), 0, False)
     except TallyError as exc:
         return Verdict(False, f"{type(exc).__name__}: {exc}", 0, 0, False)
 
     got = result.sinks["result"]
-    want = Counter(row_key(rec.fields) for rec in expected.rows)
-    have = Counter(row_key(rec.fields) for rec in got.rows)
+    expected_rows = [rec.fields for rec in expected.rows]
+    got_rows = got.field_dicts()
+    want = Counter(map(row_key, expected_rows))
+    have = Counter(map(row_key, got_rows))
     cons = conservation_check(result.audit)
 
     if want != have:
         # a key whose counts differ is held by an expected row, or else by a
         # produced row, and then it was expected 0x
-        rec = next(r for r in expected.rows + got.rows
-                   if want[row_key(r.fields)] != have[row_key(r.fields)])
-        k = row_key(rec.fields)
+        row = next(r for r in expected_rows + got_rows if want[row_key(r)] != have[row_key(r)])
+        k = row_key(row)
         detail = (f"row expected {want[k]}x but produced {have[k]}x" if want[k]
                   else f"row produced {have[k]}x but expected 0x")
-        detail += f": {_show_row(rec.fields)}"
-        return Verdict(False, detail, len(expected.rows), len(got.rows), cons.ok)
+        detail += f": {_show_row(row)}"
+        return Verdict(False, detail, len(expected), len(got), cons.ok)
 
     if not cons.ok:
         first = next(c for c in cons.checks if not c.ok)
         return Verdict(False, f"conservation: {first.name}: {first.detail}",
-                       len(expected.rows), len(got.rows), False)
-    return Verdict(True, "", len(expected.rows), len(got.rows), True)
+                       len(expected), len(got), False)
+    return Verdict(True, "", len(expected), len(got), True)

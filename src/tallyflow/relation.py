@@ -1,19 +1,17 @@
 """Records, schemas and relations with provenance threaded through.
 
-A record never exists without provenance ids (pids).  Projection does not
-delete fields, it moves them into the record's irrelevant payload; tagged
-unions push path tags instead of blending rows.  Treat all of these values
-as immutable once constructed.  FieldSpec, PathTag, IrrelevantPart and
-Relation sit on values.Frozen, the record base, like the cells Quantity
-and Missing and the summary MonoidElement: they are slotted, and assigning
-to a field raises AttributeError.  Record, a slotted class because a run
-builds one per row per stage, is immutable by convention only; no
-operator assigns to a record it has been given.  Rows are checked where
-they enter a run (check_rows, called by ingest() and PipelineGraph.run,
-checks a column at a time by the set of its cell classes); operators only
-move checked rows, so Relation(...) trusts the rows it is given.  A
-relation's pids are read as one PidSet, an int bitset; a record's own pids
-stay a frozenset.
+A relation holds its rows a column at a time: a tuple of cells per field,
+and per row its pids (a nonempty frozenset), irrelevant parts and tag
+stack.  Every one is a tuple, so a stage hands its input's columns on
+uncopied and no reader can change another port's data.  Projection moves
+dropped fields into each row's irrelevant parts; tagged unions push path
+tags instead of blending rows.  These classes sit on values.Frozen, the
+slotted record base that refuses assignment.  Cells are checked where they
+enter a run (check_rows, called by ingest() and PipelineGraph.run, checks a
+column at a time by the set of its cell classes); operators only move
+checked cells, so a relation trusts its cells.  Its Records (Relation.rows)
+are a view built only when read.  A relation's pids are read as one PidSet,
+an int bitset, scanned once per pid column.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ ERROR_REASON = "error_reason"
 
 
 class FieldSpec(Frozen):
-    """One column: a name, a semantic type, an optional unit label."""
+    """One column: a name, a semantic type, an optional unit label.  A text
+    or integer field takes no unit (SchemaMismatch)."""
 
     __slots__ = ("name", "sem", "unit")
 
@@ -53,6 +52,8 @@ class FieldSpec(Frozen):
             raise ValueError(f"unknown semantic type {self.sem!r} for field {self.name!r}")
         if not self.name:
             raise ValueError("field name must be nonempty")
+        if self.unit is not None and self.sem in ("text", "integer"):
+            raise SchemaMismatch(f"field {self.name!r} of type {self.sem} takes no unit")
 
 
 Schema = tuple[FieldSpec, ...]
@@ -161,9 +162,11 @@ class Record:
     """One row: provenance ids, relevant fields, set-aside fields, tags.
 
     tags is a stack; the last element is the outermost (most recent) tag.
-    A slotted class, not a Frozen one, because a run builds one per row
-    per stage: it is immutable by convention, compares by value and, like
-    the dict it holds, cannot be hashed.
+    A relation's rows view holds one per row, and tests and the oracle's
+    answer build relations from them.  A slotted class, not a Frozen one,
+    because an oracle builds one per answer row: it is immutable by
+    convention, compares by value and, like the dict it holds, cannot be
+    hashed.
     """
 
     __slots__ = ("pids", "fields", "irrelevant", "tags")
@@ -195,7 +198,7 @@ _SEM_CLASSES = {"integer": int, "decimal": Decimal, "text": str, "quantity": Qua
                 "summary": MonoidElement}
 
 
-def _first_misfit(sem: str, col: list) -> int | None:
+def _first_misfit(sem: str, col) -> int | None:
     """The position of col's first cell that is neither Missing nor of sem.
     The set of the column's cell classes settles a column of sem's own class
     and Missing, after one is_finite pass over its decimals; only a column
@@ -221,55 +224,126 @@ def check_rows(sch: Schema, rows) -> None:
     """Raise SchemaMismatch unless every row has exactly sch's fields and
     each cell is Missing or a value of its field's sem.
 
-    The error is the one a row-by-row scan meets first: the first row with
-    a wrong field set or a bad cell, and in that row its field set before
-    its first bad cell in schema order.  Cells are checked a column at a
-    time, over the rows before the first wrong field set."""
+    rows is a relation or a sequence of Records.  A relation that holds no
+    Records has sch's field sets by construction; Records are checked
+    through their field dicts.  The error is the one a row-by-row scan
+    meets first: the first row with a wrong field set or a bad cell, and in
+    that row its field set before its first bad cell in schema order.
+    Cells are checked a column at a time, over the rows before the first
+    wrong field set."""
     names = field_names(sch)
-    fields = [rec.fields for rec in rows]
-    end = len(fields)  # the first row with a wrong field set, or none
-    cols = None
-    if set(map(len, fields)) <= {len(names)}:
-        try:  # rows that hold as many fields as sch and each of sch's: its fields
-            cols = [list(map(operator.itemgetter(n), fields)) for n in names]
-        except KeyError:
-            pass
+    fields = cols = end = None  # end: the first row with a wrong field set
+    if isinstance(rows, Relation) and "rows" not in rows.__dict__:
+        cols = rows.columns
+    else:
+        fields = [rec.fields for rec in getattr(rows, "rows", rows)]
+        if set(map(len, fields)) <= {len(names)}:
+            try:  # rows that hold as many fields as sch and each of sch's: its fields
+                cols = [list(map(operator.itemgetter(n), fields)) for n in names]
+            except KeyError:
+                pass
     if cols is None:
         end = list(map(operator.eq, map(dict.keys, fields), itertools.repeat(set(names)))).index(False)
         cols = [list(map(operator.itemgetter(n), fields[:end])) for n in names]
-    misfits = [(i, spec) for spec, col in zip(sch, cols)
+    misfits = [(i, spec, col) for spec, col in zip(sch, cols)
                if (i := _first_misfit(spec.sem, col)) is not None]
     if misfits:  # the first row's, and in it the first field's in schema order
-        i, spec = min(misfits, key=operator.itemgetter(0))
-        raise SchemaMismatch(f"field {spec.name!r}: {fields[i][spec.name]!r} is not {spec.sem}")
-    if end < len(fields):
+        i, spec, col = min(misfits, key=operator.itemgetter(0))
+        raise SchemaMismatch(f"field {spec.name!r}: {col[i]!r} is not {spec.sem}")
+    if end is not None:
         raise SchemaMismatch(f"record fields {sorted(fields[end])} do not match "
                              f"schema {names}")
 
 
 class Relation(Frozen):
-    """An ordered multiset of records sharing one schema; rows are trusted."""
+    """An ordered multiset of rows of one schema, held a column at a time.
 
-    __slots__ = ("schema", "rows", "__dict__")  # __dict__ holds pid_record
+    columns is a tuple of cells per field, in schema order; pids, irrelevant
+    and tags are a tuple each, one entry per row.  Relation.of_columns holds
+    these four and builds rows, a Record per row, when it is first read.
+    Relation(schema, rows) holds its Records and reads each of the four off
+    them when first read (a field a Record lacks reads as None; check_rows
+    refuses it).  It compares, prints and pickles as Relation(schema, rows).
+    """
 
-    def __init__(self, schema: Schema, rows: tuple[Record, ...] = ()) -> None:
-        set_field(self, "schema", schema)
-        set_field(self, "rows", rows)
-        self.__post_init__()
+    __slots__ = ("schema", "columns", "pids", "irrelevant", "tags",
+                 "__dict__")  # __dict__ holds rows and pid_record
+    _fields = ("schema", "rows")  # rows, not a slot, lands in __dict__
+    _defaults = {"rows": ()}
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
+        self.__dict__["rows"] = tuple(self.rows)
+
+    def __getattr__(self, name: str):
+        """Read one of the four off the Records, on first use: an oracle's
+        answer is compared by its Records and never reads its columns."""
+        rows = self.__dict__.get("rows")  # set when built from Records
+        if rows is None or name not in ("columns", "pids", "irrelevant", "tags"):
+            raise AttributeError(f"'Relation' object has no attribute {name!r}")
+        if name == "columns":
+            fields = [rec.fields for rec in rows]
+            value = tuple(tuple(f.get(n) for f in fields) for n in field_names(self.schema))
+        else:
+            value = tuple(map(operator.attrgetter(name), rows))
+        set_field(self, name, value)
+        return value
+
+    @classmethod
+    def of_columns(cls, schema: Schema, columns, pids, irrelevant=None, tags=None,
+                   pid_record: tuple | None = None) -> Relation:
+        """A relation of columns, one per field, and each row's pids,
+        irrelevant parts and tags (by default none), each held as a tuple (a
+        tuple as it is, uncopied).  pid_record is the scan of pids, if known.
+        Columns of unequal length, or not one per field, raise ValueError."""
+        columns, pids = tuple(map(tuple, columns)), tuple(pids)
+        none = ((),) * len(pids)
+        irrelevant = none if irrelevant is None else tuple(irrelevant)
+        tags = none if tags is None else tuple(tags)
+        lengths = {len(pids), len(irrelevant), len(tags), *map(len, columns)}
+        if len(columns) != len(schema) or len(lengths) > 1:
+            raise ValueError(f"a relation needs one column per field, each as long as its "
+                             f"pids, parts and tags: {len(schema)} fields, lengths {lengths}")
+        rel = object.__new__(cls)
+        set_field(rel, "schema", schema)
+        set_field(rel, "columns", columns)
+        set_field(rel, "pids", pids)
+        set_field(rel, "irrelevant", irrelevant)
+        set_field(rel, "tags", tags)
+        if pid_record is not None:
+            rel.__dict__["pid_record"] = pid_record
+        return rel
+
+    def with_columns(self, schema: Schema, columns, irrelevant=None) -> Relation:
+        """These rows under schema with other columns (and irrelevant parts,
+        if given): the same pid column, so the same pid_record, if scanned."""
+        return Relation.of_columns(schema, columns, self.pids,
+                                   self.irrelevant if irrelevant is None else irrelevant,
+                                   self.tags, self.__dict__.get("pid_record"))
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(map(Record, self.pids, self.field_dicts(), self.irrelevant, self.tags))
+
+    def field_dicts(self) -> list:
+        """A new field dict per row (name -> cell), read off the columns."""
+        cells = zip(*self.columns) if self.columns else itertools.repeat((), len(self))
+        return list(map(dict, map(zip, itertools.repeat(field_names(self.schema)), cells)))
+
+    def column(self, name: str) -> tuple:
+        return self.columns[field_names(self.schema).index(name)]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pids)
 
     @cached_property
     def pid_record(self) -> tuple:
         """(pids, repeats): the PidSet of every pid the rows carry, and,
         sparsely, pid -> number of rows that carry it for pids more than one
         row carries (a join copy, a dedup's merged duplicates).  Scanned on
-        first read and kept, so a relation fed to several ports is scanned once."""
-        sets = [rec.pids for rec in self.rows]
+        first read and kept, so a relation fed to several ports, or sharing
+        its pid column (with_columns), is scanned once."""
+        sets = self.pids
         pids = frozenset().union(*sets)
         repeats: dict = {}
         if sum(map(len, sets)) > len(pids):
@@ -279,7 +353,7 @@ class Relation(Frozen):
 
 
 def empty(sch: Schema) -> Relation:
-    return Relation(sch, ())
+    return Relation.of_columns(sch, ((),) * len(sch), ())
 
 
 def error_schema(base: Schema) -> Schema:
@@ -291,19 +365,18 @@ def error_schema(base: Schema) -> Schema:
 def ingest(sch: Schema, rows, first_pid: int = 1) -> Relation:
     """Build a checked relation from plain dicts, one fresh pid per row."""
     names = field_names(sch)
-    records = []
+    rows = list(rows)
     for pid, raw in zip(itertools.count(first_pid), rows):
-        try:
-            fields = {n: raw[n] for n in names}
-        except KeyError:
-            missing = next(n for n in names if n not in raw)
-            raise SchemaMismatch(f"row {pid}: missing field {missing!r}") from None
+        missing = next((n for n in names if n not in raw), None)
+        if missing is not None:
+            raise SchemaMismatch(f"row {pid}: missing field {missing!r}")
         if len(raw) != len(names):
             extra = set(raw) - set(names)
             raise SchemaMismatch(f"row {pid}: undeclared fields {sorted(extra)}")
-        records.append(Record((pid,), fields))
-    check_rows(sch, records)
-    return Relation(sch, tuple(records))
+    rel = Relation.of_columns(sch, [tuple(map(operator.itemgetter(n), rows)) for n in names],
+                              map(frozenset, zip(range(first_pid, first_pid + len(rows)))))
+    check_rows(sch, rel)
+    return rel
 
 
 def pids(rel: Relation) -> frozenset[int]:
@@ -311,21 +384,14 @@ def pids(rel: Relation) -> frozenset[int]:
 
 
 def triples(rel: Relation):
-    """Every (field, canonical value, pid) fact a relation holds.
+    """Every (field, canonical value, pid) fact a relation holds, a multiset.
 
     Relevant fields count once per pid; irrelevant payloads count per the
     pids they are keyed to.  This is the multiset lossless operations must
     preserve exactly.
     """
-    out = []
-    for rec in rel.rows:
-        for name, v in rec.fields.items():
-            k = cell_key(v)
-            for pid in rec.pids:
-                out.append((name, k, pid))
-        for part in rec.irrelevant:
-            for name, v in part.fields.items():
-                k = cell_key(v)
-                for pid in part.pids:
-                    out.append((name, k, pid))
+    out = [(name, cell_key(v), pid) for name, col in zip(field_names(rel.schema), rel.columns)
+           for v, pids in zip(col, rel.pids) for pid in pids]
+    out += [(name, cell_key(v), pid) for parts in rel.irrelevant for part in parts
+            for name, v in part.fields.items() for pid in part.pids]
     return out

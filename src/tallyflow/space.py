@@ -1,8 +1,8 @@
 """Data spaces: a relation carrier plus a measure into an information monoid.
 
-A space says how to summarize: payload gives one record's bare payload in
+A space says how to summarize: payloads gives each row's bare payload in
 the space's monoid, and measure maps any subrelation to one element, its
-records' payloads folded onto the space's unit (monoid.fold_payloads).  The
+rows' payloads folded onto the space's unit (monoid.fold_payloads).  The
 measure of a whole equals the fuse of the measures of any partition of it.
 The run ledger (audit.build_charges) reads the same payloads.
 """
@@ -13,7 +13,7 @@ from typing import Callable
 
 from .errors import SchemaMismatch
 from .monoid import ZERO, Kind, MonoidElement, fold_payloads, signed_legs, unit_for
-from .relation import Record, Relation, Schema
+from .relation import Relation, Schema
 from .values import FieldValue, Frozen, Missing
 
 # the one list of conservation schemes, each with the sem of the field it reads
@@ -30,16 +30,16 @@ def carries(sch: Schema, scheme: str, fld: str | None) -> bool:
 
 
 class DataSpace(Frozen):
-    """A named measure over records, folded from its unit element.
+    """A named measure over rows, folded from its unit element.
 
-    unit fixes the monoid's kind and unit label; payload is one record's
-    payload of that kind, the one definition measure() and the run ledger
-    share.  requires is the (scheme, field) payload reads;
+    unit fixes the monoid's kind and unit label; payloads maps a relation
+    to its rows' payloads of that kind, the one definition measure() and
+    the run ledger share.  requires is the (scheme, field) payloads reads;
     measure() refuses a relation whose schema does not carry it (carries)
     before folding.
     """
 
-    __slots__ = ("name", "unit", "payload", "requires")
+    __slots__ = ("name", "unit", "payloads", "requires")
     _defaults = {"requires": ("count", None)}
 
     def measure(self, rel: Relation) -> MonoidElement:
@@ -47,13 +47,13 @@ class DataSpace(Frozen):
             scheme, fld = self.requires
             raise SchemaMismatch(f"space {self.name} needs a {SCHEMES[scheme]} field {fld!r}")
         u = self.unit
-        payload = fold_payloads(u.kind, map(self.payload, rel.rows), u.payload)
+        payload = fold_payloads(u.kind, self.payloads(rel), u.payload)
         return MonoidElement(u.kind, payload, u.unit)
 
 
 def count_space() -> DataSpace:
     """Counts provenance ids, so merged duplicates still count fully."""
-    return DataSpace("count", unit_for(Kind.COUNT), lambda rec: len(rec.pids))
+    return DataSpace("count", unit_for(Kind.COUNT), lambda rel: list(map(len, rel.pids)))
 
 
 def _field_space(name: str, requires: tuple, unit: MonoidElement,
@@ -63,11 +63,10 @@ def _field_space(name: str, requires: tuple, unit: MonoidElement,
     fld = requires[1]
     zero = unit.payload
 
-    def payload(rec: Record) -> object:
-        v = rec.fields[fld]
-        return zero if isinstance(v, Missing) else of_cell(v)
+    def payloads(rel: Relation) -> list:
+        return [zero if isinstance(v, Missing) else of_cell(v) for v in rel.column(fld)]
 
-    return DataSpace(name, unit, payload, requires)
+    return DataSpace(name, unit, payloads, requires)
 
 
 def decimal_sum_space(fld: str, unit: str | None = None) -> DataSpace:

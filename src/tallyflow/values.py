@@ -6,7 +6,9 @@ ever goes through binary floating point, so equality checks are exact.
 
 from __future__ import annotations
 
+from collections import deque
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
 from operator import attrgetter
 
 DEC4 = Decimal("0.0001")
@@ -34,8 +36,9 @@ class Frozen:
     """The record base of the package's value classes.
 
     A subclass lists its fields, in constructor order, in __slots__ (a
-    class that caches a property adds "__dict__", which is no field) and
-    their defaults in _defaults.  Instances compare equal only to the same
+    class that caches a property adds "__dict__", which is no field), or
+    names them in _fields if its slots hold other things, and lists their
+    defaults in _defaults.  Instances compare equal only to the same
     class, field by field, hash as the tuple of their fields, print as
     their constructor call and refuse attribute assignment and deletion (a
     mutable record puts object's __setattr__ and __delattr__ back).
@@ -50,7 +53,8 @@ class Frozen:
     _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
-        names = tuple(n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
+        names = cls.__dict__.get("_fields") or tuple(
+            n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
         get = attrgetter(*names) if names else lambda self: ()
         cls._fields = names
         # the field tuple, read in C; attrgetter of one name returns it bare
@@ -96,7 +100,7 @@ class Frozen:
         return self.__class__, self._values(self)
 
 
-# sets one field of a Frozen instance, for __init__ and __post_init__ only
+# sets one field of a Frozen instance, for its constructors only
 set_field = object.__setattr__
 
 
@@ -110,7 +114,7 @@ class Quantity(Frozen):
     __slots__ = ("amount", "unit")
 
     def __init__(self, amount: Decimal, unit: str) -> None:
-        # checked inline, not in __post_init__: ingest builds one per cell
+        # checked inline, not in __post_init__; ingest uses quantity_column
         if not isinstance(amount, Decimal):
             raise TypeError("Quantity.amount must be a Decimal")
         if not amount.is_finite():
@@ -122,6 +126,15 @@ class Quantity(Frozen):
 
     def __str__(self) -> str:
         return f"{plain(self.amount)} {self.unit}"
+
+
+def quantity_column(amounts, units) -> list:
+    """Quantity(amount, unit) of each pair of checked cells (finite Decimal
+    amounts, nonempty labels), each field set by one map over the column."""
+    out = list(map(object.__new__, repeat(Quantity, len(amounts))))
+    deque(map(set_field, out, repeat("amount"), amounts), 0)
+    deque(map(set_field, out, repeat("unit"), units), 0)
+    return out
 
 
 class Missing(Frozen):
@@ -180,11 +193,14 @@ def plain_column(ds: list) -> list:
     return ["0" if t == "-0" else t for t in texts] if "-0" in texts else texts
 
 
+# the key every Missing cell shares; no present cell keys as a tuple
+MISSING_KEY = ("missing",)
+
 # a cell class's key: a tag, keyed (tag, value), or a function of the
 # value; monoid adds MonoidElement's, since this module cannot import it
 CELL_KEYS: dict = {
     str: "str", int: "int", Decimal: "dec",
-    Missing: lambda v: ("missing",),
+    Missing: lambda v: MISSING_KEY,
     Quantity: lambda q: ("qty", q.amount, q.unit),
 }
 
@@ -211,3 +227,17 @@ def cell_key(value: object) -> object:
     if isinstance(value, str):
         return ("str", value)
     raise TypeError(f"not a field value: {value!r}")
+
+
+def key_column(col, sem: str, missing=MISSING_KEY):
+    """Each cell's key for grouping, joining and set tests, a column at a
+    time: the engine's one key rule.  A text, integer, decimal or quantity
+    cell keys as itself: within one sem its == and hash agree with
+    cell_key's (4 and 4.0000 are one decimal, a quantity compares amount and
+    unit).  Every Missing cell keys as missing, and a summary cell by
+    cell_key."""
+    if sem == "summary":
+        return [missing if v.__class__ is Missing else cell_key(v) for v in col]
+    if Missing not in set(map(type, col)):
+        return col
+    return [missing if v.__class__ is Missing else v for v in col]

@@ -20,6 +20,7 @@ import pytest
 import yaml
 
 import tallyflow
+import tallyflow.csvio as csvio
 
 from tallyflow import Missing, PipelineGraph, Quantity, SchemaMismatch, schema
 from tallyflow.audit import (
@@ -445,6 +446,14 @@ def test_a_column_of_one_class_renders_as_render_cell_renders_each_cell():
         assert _render_column(cells) == [render_cell(v) for v in cells]
 
 
+def test_a_column_of_missing_cells_renders_in_one_pass(monkeypatch):
+    gaps = [Missing("empty"), Missing("n/a"), Missing("-1.50")]
+    calls = []
+    monkeypatch.setattr(csvio, "render_cell", lambda v: calls.append(v) or render_cell(v))
+    monkeypatch.setitem(csvio._RENDERERS, Missing, lambda v: calls.append(v) or "")
+    assert _render_column(gaps) == ["", "n/a", "-1.50"] and calls == []  # no call per cell
+
+
 def test_write_csv_is_deterministic_and_leaves_no_temp_files(tmp_path):
     sch = schema(FieldSpec("name", "text"), FieldSpec("n", "integer"))
     rel = Relation(sch, (
@@ -725,15 +734,29 @@ def test_run_validates_once_and_checks_conservation_once(tmp_path, monkeypatch):
     assert calls == {"validate": 1, "conservation_check": 1}
 
 
+def test_a_run_reads_every_relation_a_column_at_a_time(tmp_path, monkeypatch):
+    # a relation's rows is a Record per row, built only when read; a run
+    # reads columns alone, so it builds none of them
+    views = []
+    view = Relation.__dict__["rows"].func
+    monkeypatch.setattr(Relation, "rows", property(lambda rel: views.append(rel) or view(rel)))
+    for fixture in ("lookup", "ship"):
+        d = fixture_dir(fixture)
+        for fmt in ("text", "structured"):
+            assert main(["run", os.path.join(d, "pipeline.yaml"), "--data", d,
+                         "--out", str(tmp_path / fixture / fmt), "--format", fmt]) == 0
+    assert views == []
+
+
 def test_run_checks_each_source_row_once(tmp_path, monkeypatch):
     import tallyflow.pipeline as pipeline_mod
     import tallyflow.relation as relation_mod
     checked, cells = [], Counter()
     check_rows = relation_mod.check_rows
 
-    def counted_rows(sch, rows):
-        checked.extend(min(rec.pids) for rec in rows)
-        check_rows(sch, rows)
+    def counted_rows(sch, rel):
+        checked.extend(map(min, rel.pids))
+        check_rows(sch, rel)
 
     first_misfit = relation_mod._first_misfit
 
@@ -1150,9 +1173,11 @@ def test_run_scans_each_relation_once_for_its_pids(tmp_path, monkeypatch):
     d = fixture_dir("lookup")
     assert main(["run", os.path.join(d, "pipeline.yaml"),
                  "--data", d, "--out", str(tmp_path / "out")]) == 0
-    # 2 sources and 7 stage outputs; stage inputs and sinks read the
-    # record of the relation that feeds them
-    assert len(scanned) == len({id(rel) for rel in scanned}) == 9
+    # 2 sources and the 4 stage outputs that build a new pid column (the
+    # join's three ports and the aggregate's); an fmap or errorize output
+    # holds its input's pid column and so its record, and stage inputs and
+    # sinks read the record of the relation that feeds them
+    assert len(scanned) == len({id(rel) for rel in scanned}) == 6
 
 
 def test_run_names_the_stage_that_fails_on_rows(tmp_path, capsys):

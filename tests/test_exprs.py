@@ -80,9 +80,14 @@ ROW = {
 }
 
 
+def columns(sch, rows) -> tuple:
+    """The columns of rows, a list of field dicts, one per field of sch."""
+    return tuple(tuple(row[s.name] for row in rows) for s in sch)
+
+
 def verdict(p):
     """p's verdict on ROW: the one cell of its verdict column over [ROW]."""
-    [v] = compile_pred(p, SCH)([ROW])
+    [v] = compile_pred(p, SCH)(columns(SCH, [ROW]), 1)
     return v
 
 
@@ -94,7 +99,7 @@ def state(p):
 
 def value(e):
     """e's value on ROW: the one cell of its column over [ROW]."""
-    [v] = compile_expr(e, SCH)[0]([ROW])
+    [v] = compile_expr(e, SCH)[0](columns(SCH, [ROW]), 1)
     return v
 
 
@@ -190,7 +195,8 @@ def test_every_verdict_agrees_with_the_oracle_on_every_row(seed):
         gen = _Gen(rng)
         p = gen.pred(gen.sch_a, 3)
         rows = [rec.fields for name in ("a1", "a2") for rec in gen.tables[name].rows]
-        for row, v in zip(rows, compile_pred(p, gen.sch_a)(rows), strict=True):
+        verdicts = compile_pred(p, gen.sch_a)(columns(gen.sch_a, rows), len(rows))
+        for row, v in zip(rows, verdicts, strict=True):
             want = _o_pred(p, row)
             got = True if v is None else None if v[0] else False
             assert got is want, (describe(p), row, v)
@@ -243,8 +249,9 @@ def test_expressions_refuse_nonsense_instead_of_guessing():
 
 def test_compiling_resolves_every_field_against_the_schema():
     sch = (FieldSpec("i", "integer"), FieldSpec("t", "text"))
-    assert compile_pred(InSet("t", ("a", "b")), sch)([{"i": 1, "t": "b"}]) == [None]
-    assert compile_expr(BinOp("add", Col("i"), Lit(1)), sch)[0]([{"i": 1, "t": "b"}]) == [2]
+    cols = columns(sch, [{"i": 1, "t": "b"}])
+    assert compile_pred(InSet("t", ("a", "b")), sch)(cols, 1) == [None]
+    assert compile_expr(BinOp("add", Col("i"), Lit(1)), sch)[0](cols, 1) == [2]
     with pytest.raises(UnknownField, match="no field 'x'"):
         compile_pred(Not(All((FieldDefined("i"), FieldDefined("x")))), sch)
     with pytest.raises(UnknownField, match="no field 'x'"):
@@ -271,10 +278,10 @@ def test_compiling_decides_the_type_of_every_expression():
 
 def test_num_reads_a_count_or_a_fold_of_some_values():
     num = compile_expr(NumOf(Col("s")), (FieldSpec("s", "summary"),))[0]
-    assert num([{"s": count(3)}, {"s": min_of(D("2.5"))}]) == [D(3), D("2.5")]
+    assert num(((count(3), min_of(D("2.5"))),), 2) == [D(3), D("2.5")]
     # a row with no number holds its fault in its own cell
     for bad in (avg_of(D(4), 2), MonoidElement(Kind.MIN, D("Infinity"))):
-        good, fault = num([{"s": count(3)}, {"s": bad}])
+        good, fault = num(((count(3), bad),), 2)
         assert good == D(3) and isinstance(fault, FnNotTotal)
 
 

@@ -248,6 +248,43 @@ def test_dedup_after_project_still_loses_nothing():
     assert Counter(triples(narrowed)) == Counter(triples(r))
 
 
+def test_a_text_or_integer_field_takes_no_unit():
+    with pytest.raises(SchemaMismatch, match=r"^field 't' of type text takes no unit$"):
+        schema(FieldSpec("t", "text", "kg"))
+    with pytest.raises(SchemaMismatch, match=r"^field 'n' of type integer takes no unit$"):
+        FieldSpec("n", "integer", "each")
+    assert [FieldSpec(n, sem, "kg").unit for n, sem in (("d", "decimal"), ("q", "quantity"),
+                                                          ("s", "summary"))] == ["kg"] * 3
+
+
+def test_the_column_form_refuses_columns_of_unequal_length():
+    ids = (frozenset({1}), frozenset({2}))
+    cols = [("a", "b"), (1, 2), (D(1), D(2))]
+    assert len(Relation.of_columns(SCH, cols, ids)) == 2
+    for bad in ({"columns": [("a", "b"), (1,), (D(1), D(2))]},
+                {"columns": cols[:2]},
+                {"pids": ids[:1]},
+                {"irrelevant": ((),)},
+                {"tags": ((), (), ())}):
+        given = {"schema": SCH, "columns": cols, "pids": ids, **bad}
+        with pytest.raises(ValueError, match="one column per field"):
+            Relation.of_columns(**given)
+
+
+def test_a_relation_built_from_rows_gives_them_back_through_its_columns():
+    part = IrrelevantPart(frozenset({4}), {"cost": D(2)})
+    rows = (Record({1}, {"name": "a", "n": 1, "price": D("1.5")}),
+            Record({2, 3}, {"name": "b", "n": Missing("n/a"), "price": D(0)}, (part,),
+                   (PathTag("inl"),)),
+            Record({2}, {"name": "c", "n": 3, "price": Missing("empty")}, (), (PathTag("inr"),)))
+    built = Relation(SCH, rows)
+    assert built.rows == rows
+    again = Relation.of_columns(SCH, built.columns, built.pids, built.irrelevant, built.tags)
+    assert again.rows == rows and again.pid_record == built.pid_record
+    assert again.pid_record == (pid_bits({1, 2, 3}), {2: 2})
+    assert again == built
+
+
 def test_relation_equality_is_structural():
     assert rel() == rel()
     assert rel() != dedup(rel())

@@ -82,7 +82,7 @@ def test_measure_folds_the_payloads_per_record_checks(space):
     # measure() folds bare payloads; building each record's element from
     # payload validates it, and fuse_all checks and folds those
     rel = ledger()
-    elements = [replace(space.unit, payload=space.payload(r)) for r in rel.rows]
+    elements = [replace(space.unit, payload=p) for p in space.payloads(rel)]
     assert space.measure(rel) == fuse_all(elements, space.unit)
 
 

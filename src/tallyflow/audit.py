@@ -19,7 +19,7 @@ from functools import reduce
 from itertools import repeat
 
 from .monoid import MonoidElement, fold_payloads, fuse
-from .relation import ERROR_REASON, ERROR_STAGE, REPORT, PidSet, has_field, pid_bits, pid_runs
+from .relation import ERROR_REASON, ERROR_STAGE, REPORT, PidSet, has_field, pid_bits
 from .space import carries, count_space, decimal_sum_space, paccioli_space, quantity_sum_space
 from .values import Frozen, Quantity, set_field
 
@@ -197,9 +197,13 @@ def pid_ranges(bits: int) -> str:
 
     A run of two or more consecutive pids is "a-b" (inclusive), a lone pid
     "a", and the empty set "": the bits of {1, 2, 3, 7, 9, 10, 11, 12} are
-    "1-3,7,9-12".  The runs are read off the binary digits.
+    "1-3,7,9-12".  A run starts at each pid whose predecessor is absent
+    and ends at each pid whose successor is absent, so its starts and ends
+    are two bit masks, read in step.
     """
-    return ",".join(str(a) if b - a == 1 else f"{a}-{b - 1}" for a, b in pid_runs(bits))
+    starts = PidSet(bits & ~(bits << 1))
+    ends = PidSet(bits & ~(bits >> 1))
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in zip(starts, ends))
 
 
 def path_classes(audit) -> list:

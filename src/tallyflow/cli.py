@@ -8,6 +8,13 @@ fuzz   drive randomized equivalence checks of the query compiler
 Exit codes: run 0 ok / 2 bad input or wiring / 3 conservation broken;
 check 0 ok / 2 violations; fuzz 0 ok / 1 divergence found / 2 bad
 arguments, such as a negative --iterations.
+
+The `tallyflow` command and `python -m tallyflow.cli` enter through
+entry(), which ends the process once main() has returned and stdout and
+stderr are flushed: every output file is closed by then, so tearing the
+interpreter down (a last collection, then every module and object freed
+one by one) would only cost time.  main() returns its code and never
+ends the process.
 """
 
 from __future__ import annotations
@@ -207,5 +214,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def entry() -> None:
+    """Run main() on the command line's arguments and end the process with
+    its code, without tearing the interpreter down.  A flush that fails
+    (stdout closed early) ends it through sys.exit, as a plain return
+    from main() would."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

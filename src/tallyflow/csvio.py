@@ -7,16 +7,23 @@ never dropped and never abort the load; they land in a separate error
 relation, raw text preserved, with the usual stage and reason columns.
 
 Cells cross this boundary a column at a time, in blocks of BLOCK_ROWS
-rows, through one function chosen per column: a column block with no
-empty cell and no sentinel converts in one pass, any other goes through
-_cell_parser cell by cell, and a sink column renders once.  Source files
-are UTF-8 and may start with a byte-order mark.
+rows, through one function chosen per column: a column block converts in
+one pass, its empty and sentinel cells parsed once per distinct text and
+put in their places, and only a block holding a junk cell goes through
+_cell_parser cell by cell.  Source files are UTF-8 and may start with a
+byte-order mark.
+
+A sink column renders once, and the CSV text is the rendered columns
+joined a row at a time: a cell holding a comma, a quote, a CR or an LF
+is quoted, with each quote doubled, and a row of one empty field is
+written "".  That is csv.writer's output, with "\\n" line ends, as
+CPython 3.13 writes it; earlier versions leave a bare CR unquoted, which
+a reader then takes for a line break.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 from decimal import Decimal
 from itertools import compress, count, islice, repeat
@@ -156,28 +163,62 @@ def _decimal_column(texts) -> list:
 
 
 # each column type's conversion of a clean block, a column at a time (a
-# block's texts are a tuple already, which tuple() returns as it is)
-_COLUMN_CONVERTERS = {"text": tuple, "integer": lambda texts: list(map(int, texts)),
-                      "decimal": _decimal_column, "quantity": _decimal_column}
+# text block's cells are its texts), and the text that stands in for a
+# hole (an empty or sentinel cell) meanwhile
+_COLUMN_CONVERTERS = {"text": (lambda texts: texts, ""),
+                      "integer": (lambda texts: list(map(int, texts)), "0"),
+                      "decimal": (_decimal_column, "0"), "quantity": (_decimal_column, "0")}
+
+
+def _holes(col: ColumnSpec, texts: tuple) -> dict:
+    """Row -> text of each empty or sentinel cell of a column block, found
+    by one scan of the block per distinct such text."""
+    at = {}
+    for hole in {"", *col.sentinels}:
+        i = -1
+        try:
+            while True:
+                i = texts.index(hole, i + 1)
+                at[i] = hole
+        except ValueError:
+            pass
+    return at
 
 
 def _parse_column(col: ColumnSpec, parse, texts: tuple, problems: dict) -> list:
-    """One column block's cells.  A block with no empty cell and no sentinel
-    converts a column at a time; any other, or one whose conversion raises,
-    goes cell by cell, putting each junk cell's reason in problems (row ->
-    first reason) and None in its place."""
-    if "" not in texts and frozenset(col.sentinels).isdisjoint(texts):
-        try:
-            return _COLUMN_CONVERTERS[col.type](texts)
-        except (ValueError, ArithmeticError):
-            pass
-    cells = []
-    for i, raw in enumerate(texts):
-        try:
-            cells.append(parse(raw))
-        except ValueError as exc:
-            problems.setdefault(i, str(exc))
-            cells.append(None)
+    """One column block's cells.  The block converts a column at a time,
+    each hole (an empty or sentinel cell) standing in as a clean text, and
+    then takes each hole's parsed cell in its place; a block whose
+    conversion raises goes cell by cell.  A junk cell's reason goes in
+    problems (row -> first reason), and None in its place."""
+    convert, filler = _COLUMN_CONVERTERS[col.type]
+    holes = _holes(col, texts)
+    filled = texts
+    if holes:
+        filled = list(texts)
+        for i in holes:
+            filled[i] = filler
+    try:
+        cells = convert(filled)
+    except (ValueError, ArithmeticError):
+        cells = []
+        for i, raw in enumerate(texts):
+            try:
+                cells.append(parse(raw))
+            except ValueError as exc:
+                problems.setdefault(i, str(exc))
+                cells.append(None)
+        return cells
+    parsed: dict = {}  # each distinct hole text's cell, or the reason it is junk
+    for i, raw in holes.items():
+        if raw not in parsed:
+            try:
+                parsed[raw] = (parse(raw), None)
+            except ValueError as exc:
+                parsed[raw] = (None, str(exc))
+        cells[i], reason = parsed[raw]
+        if reason is not None:
+            problems.setdefault(i, reason)
     return cells
 
 
@@ -308,13 +349,29 @@ def _render_column(cells):
     return [v if type(v) is str else render_cell(v) for v in cells]
 
 
+def _csv_fields(texts):
+    """A column's texts as CSV fields: a text holding a comma, a quote, a CR
+    or an LF in quotes, each quote doubled.  The column is scanned cell by
+    cell only if its joined text holds one of them."""
+    if not _needs_quotes("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in texts]
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
 def _csv_text(names: list, rel: Relation) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(names)
-    columns = list(map(_render_column, rel.columns))
-    w.writerows(zip(*columns) if columns else ([] for _ in range(len(rel))))
-    return buf.getvalue()
+    """The CSV text of a header and a relation's rows, as CPython 3.13's
+    csv.writer writes it with "\\n" line ends: minimal quoting, a CR
+    included, and a row of one empty field written as two quotes.  The
+    rendered columns are joined a row at a time, with no writer."""
+    columns = [_csv_fields(_render_column(cells)) for cells in rel.columns]
+    if len(columns) == 1:
+        columns = [['""' if t == "" else t for t in columns[0]]]
+    rows = map(",".join, zip(*columns)) if columns else repeat("", len(rel))
+    return "\n".join([",".join(_csv_fields(names)), *rows, ""])
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -346,19 +346,54 @@ def run_fuzz(seed: int, iterations: int) -> FuzzReport:
     workers run the others; the shares merge by case index, so the report
     does not depend on k.  With k = 1, or where processes cannot fork,
     nothing is forked.
-    """
-    k = min(_cpus(), iterations) if hasattr(os, "fork") else 1
-    if k <= 1:
-        shares = [run_share(seed, iterations, 0, 1)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
 
-        # forked workers start with the caller's imports and collector
-        # setting; the pool forks them all before it starts its own thread
-        with ProcessPoolExecutor(k - 1, mp_context=get_context("fork")) as pool:
-            rest = [pool.submit(run_share, seed, iterations, w, k) for w in range(1, k)]
-            shares = [run_share(seed, iterations, 0, k)] + [f.result() for f in rest]
+    Each worker sends its share's result, or the exception its share
+    raised, pickled through a pipe of its own, and every path through a
+    worker ends in os._exit: no code of the caller's runs twice.  The
+    caller raises a worker's exception as its own and reaps every worker
+    however the job ends.
+    """
+    k = max(1, min(_cpus(), iterations)) if hasattr(os, "fork") else 1
+    if k > 1:
+        import pickle  # loaded only by a job that forks
+    workers = []  # (pid, read end of its pipe) of each forked worker
+    try:
+        for w in range(1, k):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the worker: run share w, send it, exit
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        sent = (True, run_share(seed, iterations, w, k))
+                    except BaseException as exc:  # raised again by the caller
+                        sent = (False, exc)
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(sent, fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            workers.append((pid, open(read_end, "rb")))
+        shares = [run_share(seed, iterations, 0, k)]
+        for w, (_, pipe) in enumerate(workers, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"fuzz worker of share {w} ended without a result")
+            ok, share = pickle.loads(data)
+            if not ok:
+                raise share
+            shares.append(share)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()  # a worker still writing to it gets EPIPE, and exits
+            os.waitpid(pid, 0)
     firsts = [first for _, first, _ in shares if first is not None]
     return FuzzReport(iterations, sum(failures for failures, _, _ in shares),
                       min(firsts)[1] if firsts else "",

@@ -104,17 +104,6 @@ class IrrelevantPart(Frozen):
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # a pid's flag byte -> its binary digit
 
 
-def pid_runs(bits: int):
-    """(first, last + 1) of each run of consecutive pids in bits, ascending."""
-    low = (bits & -bits).bit_length() - 1  # the smallest pid, -1 for none
-    digits = bin(bits >> low if bits else 0)[:1:-1] + "0"  # binary digits, from low up
-    start = digits.find("1")
-    while start >= 0:
-        end = digits.find("0", start)
-        yield low + start, low + end
-        start = digits.find("1", end)
-
-
 class PidSet(int):
     """A set of pids as an int bitset, bit p for pid p.  Its set algebra is
     int algebra (&, |, & ~, bit_count()), whose results are plain ints; a

@@ -5,6 +5,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -386,6 +387,27 @@ def test_read_table_parses_messy_tables_like_a_row_by_row_reader(tmp_path, seed)
         "column 'id': not an integer: 'x'"]
 
 
+def test_a_block_with_holes_parses_each_distinct_hole_once(tmp_path, monkeypatch):
+    # the empty and sentinel cells of a block are parsed once per distinct
+    # text and put in their places; the other cells convert a column at a time
+    header = [c.name for c in MESSY_COLUMNS]
+    rows = [[GOOD_CELLS[n][k % 3] for n in header] for k in range(600)]
+    for k in range(0, 600, 7):
+        rows[k][header.index("price")] = ("", "n/a")[k % 2]
+        rows[k][header.index("label")] = ""
+    calls = Counter()
+    cell_parser = csvio._cell_parser
+
+    def counted(col):
+        parse = cell_parser(col)
+        return lambda raw: calls.update([(col.name, raw)]) or parse(raw)
+
+    monkeypatch.setattr(csvio, "_cell_parser", counted)
+    rel, bad = assert_reads_like_the_reference(write_rows(tmp_path, header, rows))
+    assert (len(rel), len(bad)) == (600, 0)
+    assert calls == {("price", ""): 1, ("price", "n/a"): 1, ("label", ""): 1}
+
+
 def test_read_table_reads_a_junk_row_in_a_later_block_like_a_row_by_row_reader(tmp_path):
     header = [c.name for c in MESSY_COLUMNS]
     rows = [[GOOD_CELLS[n][k % 3] for n in header] for k in range(BLOCK_ROWS + 1)]
@@ -466,6 +488,62 @@ def test_write_csv_is_deterministic_and_leaves_no_temp_files(tmp_path):
     write_csv(str(out), rel)
     assert out.read_text(encoding="utf-8") == "name,n\na,1\nb,2\n"
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+# cell texts for the CSV writer: every character csv.writer quotes, a
+# bare CR, which it quotes from CPython 3.13 on only, and none of them
+CSV_TEXTS = ["", "a", " b ", "x,y", 'say "hi"', '"', "two\nlines", "cr\rlf\r\n", "\r",
+             "tab\tquote'", ",", "12.5"]
+
+
+def _writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sink_csv_text_is_what_csv_writer_writes(tmp_path, seed):
+    # byte for byte csv.writer's text where no cell holds a bare CR, and
+    # with one, the 3.13 writer's; read back, the rows are unchanged
+    rng = Random(seed)
+    no_cr = [t for t in CSV_TEXTS if "\r" not in t]
+    for width, texts in itertools.product((1, 2, 3), (CSV_TEXTS, no_cr)):
+        names = [f"f{i}" for i in range(width)]
+        rows = [[rng.choice(texts) for _ in names] for _ in range(rng.randint(0, 30))]
+        rows.append([""] * width)  # a row of one empty field is written ""
+        rel = Relation.of_columns(schema(*(FieldSpec(n, "text") for n in names)),
+                                  list(zip(*rows)), [frozenset({i}) for i in range(len(rows))])
+        out = tmp_path / "out.csv"
+        write_csv(str(out), rel)
+        if texts is no_cr or sys.version_info >= (3, 13):
+            assert out.read_bytes().decode("utf-8") == _writer_text([names, *rows])
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [names, *rows]
+
+
+def test_a_bare_cr_in_a_source_cell_reads_back_from_the_sink_as_one_row(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir("lookup"), data)
+    products = data / "products.csv"
+    text = products.read_text(encoding="utf-8")
+    assert text.count("\nNutella,Hazelnut spread,10\n") == 1
+    products.write_text(text.replace("\nNutella,Hazelnut spread,10\n",
+                                     '\nNutella,"Hazelnut\rspread",10\n'), encoding="utf-8")
+    outs = {}
+    for name, d in (("plain", fixture_dir("lookup")), ("cr", str(data))):
+        assert main(["run", os.path.join(d, "pipeline.yaml"), "--data", d,
+                     "--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "priced.csv", newline="", encoding="utf-8") as fh:
+            outs[name] = list(csv.reader(fh))
+    plain_rows, cr_rows = outs["plain"], outs["cr"]
+    col = plain_rows[0].index("description")
+    assert len(cr_rows) == len(plain_rows)  # one row per priced order
+    assert {len(row) for row in cr_rows} == {len(plain_rows[0])}
+    assert [row[col] for row in cr_rows if row[0] != plain_rows[0][0]] == [
+        "Hazelnut\rspread" if row[col] == "Hazelnut spread" else row[col]
+        for row in plain_rows[1:]]
+    assert "Hazelnut\rspread" in [row[col] for row in cr_rows]
 
 
 def test_written_files_honour_the_umask(tmp_path):
@@ -1919,9 +1997,11 @@ def test_a_case_that_raises_while_it_is_built_fails_that_case(monkeypatch, capsy
     assert "Traceback" not in out + err
 
 
-# a command through the CLI, then which process-pool modules it loaded
+# a command through the CLI, seeing two CPUs, then which process-pool
+# modules it loaded
 POOL_PROBE = """
-import sys
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
 from tallyflow.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(repr([m for m in ("multiprocessing", "concurrent.futures", "dataclasses")
@@ -1930,13 +2010,14 @@ sys.exit(code)
 """
 
 
-def test_run_check_and_an_empty_fuzz_never_load_a_process_pool(tmp_path):
+def test_run_check_and_fuzz_never_load_a_process_pool(tmp_path):
     d = fixture_dir("lookup")
     pipeline = os.path.join(d, "pipeline.yaml")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tallyflow.__file__))}
     for argv in (["run", pipeline, "--data", d, "--out", str(tmp_path / "out")],
                  ["check", pipeline, "--data", d],
-                 ["fuzz", "--iterations", "0"]):
+                 ["fuzz", "--iterations", "0"],
+                 ["fuzz", "--iterations", "4"]):  # forks a worker
         proc = subprocess.run([sys.executable, "-c", POOL_PROBE, *argv], env=env,
                               capture_output=True, text=True, check=False, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "[]"), argv
@@ -1978,29 +2059,201 @@ def test_a_one_case_fuzz_runs_in_this_process(monkeypatch):
     assert run_fuzz(3, 1) == FuzzReport(1, 0, "", kinds)
 
 
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_fuzz_forks_one_worker_per_share_but_its_own_and_leaves_none(monkeypatch):
-    import concurrent.futures
-    import multiprocessing
     import threading
     from tallyflow.fuzz import run_fuzz, run_share
 
-    workers = []
+    forks = []
+    fork = os.fork
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kw):
-            workers.append(max_workers)
-            super().__init__(max_workers, **kw)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     threads = threading.active_count()
-    for iterations in (30, 2, 1, 0):
+    for iterations, workers in ((30, 2), (2, 1), (1, 0), (0, 0)):
+        del forks[:]
         failures, _, seen = run_share(6, iterations, 0, 1)
         report = run_fuzz(6, iterations)
         assert (report.failures, report.kinds_seen) == (failures, tuple(sorted(seen)))
-        assert multiprocessing.active_children() == []
+        assert len(forks) == workers
+        assert_no_child_is_left()
         assert threading.active_count() == threads
-    assert workers == [2, 1]
+
+
+class PlantedError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("share", [0, 1])
+def test_a_share_that_raises_raises_from_the_fuzz_and_leaves_no_worker(monkeypatch, share):
+    import tallyflow.fuzz as fuzz_mod
+    run_share = fuzz_mod.run_share
+
+    def raise_in_one_share(seed, iterations, w, k):
+        if w == share:
+            raise PlantedError(f"planted in share {w}")
+        return run_share(seed, iterations, w, k)
+
+    monkeypatch.setattr(fuzz_mod, "run_share", raise_in_one_share)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(PlantedError, match=f"planted in share {share}"):
+        fuzz_mod.run_fuzz(2, 6)
+    assert_no_child_is_left()
+
+
+def test_a_worker_that_ends_without_a_result_fails_the_fuzz(monkeypatch):
+    import tallyflow.fuzz as fuzz_mod
+    run_share = fuzz_mod.run_share
+
+    def die_in_share_1(seed, iterations, w, k):
+        if w == 1:
+            os._exit(7)
+        return run_share(seed, iterations, w, k)
+
+    monkeypatch.setattr(fuzz_mod, "run_share", die_in_share_1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(RuntimeError, match="fuzz worker of share 1 ended without a result"):
+        fuzz_mod.run_fuzz(2, 6)
+    assert_no_child_is_left()
+
+
+# -- command line: the process entry -------------------------------------
+# `python -m tallyflow.cli` and the `tallyflow` script enter through
+# cli.entry(), which ends the process with os._exit once main() has
+# returned and stdout and stderr are flushed.
+
+
+# a conservation_check that corrupts one pid's count ledger entry first;
+# appended to a copy of the package's __init__, it breaks that copy's runs
+BREAK = """
+def _break(check):
+    def broken(audit):
+        audit.charges["count"][1] += 1
+        return check(audit)
+    return broken
+"""
+PLANT = """
+from . import audit as _audit
+_audit.conservation_check = _break(_audit.conservation_check)
+"""
+
+
+def _cli_process(argv: list, pythonpath: str) -> tuple:
+    proc = subprocess.run([sys.executable, "-m", "tallyflow.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, check=False, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _cli_in_process(argv: list, capsys) -> tuple:
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def _broken_copy(tmp_path) -> str:
+    """A copy of the package whose runs break conservation; its PYTHONPATH."""
+    pkg = tmp_path / "broken" / "tallyflow"
+    shutil.copytree(os.path.dirname(tallyflow.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(pkg / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write(BREAK + PLANT)
+    return str(pkg.parent)
+
+
+def test_the_process_entry_gives_what_main_gives(tmp_path, capsys, monkeypatch):
+    import tallyflow.cli as cli_mod
+    src = os.path.dirname(os.path.dirname(tallyflow.__file__))
+    d = fixture_dir("lookup")
+    pipeline = os.path.join(d, "pipeline.yaml")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: demo\nsources:\n  orders: {file: order_details.csv}\n"
+                   "sinks:\n  out: {from: ghost.out}\n", encoding="utf-8")
+    jobs = [(["run", pipeline, "--data", d, "--out"], 0),
+            (["run", pipeline, "--data", d, "--out"], 3),  # on the broken copy
+            (["check", pipeline, "--data", d], 0),
+            (["check", str(bad), "--data", d], 2),
+            (["fuzz", "--seed", "3", "--iterations", "20"], 0)]
+    broken = _broken_copy(tmp_path)
+    check = cli_mod.conservation_check
+    plant: dict = {}
+    exec(BREAK, plant)
+    for n, (argv, code) in enumerate(jobs):
+        outs = [str(tmp_path / f"{n}-process"), str(tmp_path / f"{n}-main")]
+        monkeypatch.setattr(cli_mod, "conservation_check",
+                            plant["_break"](check) if code == 3 else check)
+        if argv[-1] == "--out":
+            process = _cli_process(argv + [outs[0]], broken if code == 3 else src)
+            in_process = _cli_in_process(argv + [outs[1]], capsys)
+            assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
+            for name in os.listdir(outs[0]):
+                with open(os.path.join(outs[0], name), "rb") as a, \
+                        open(os.path.join(outs[1], name), "rb") as b:
+                    assert a.read() == b.read(), name
+        else:
+            process = _cli_process(argv, src)
+            in_process = _cli_in_process(argv, capsys)
+        assert process == in_process, argv
+        assert process[0] == code, process
+
+
+def test_a_run_whose_stdout_is_closed_raises_broken_pipe_in_out(tmp_path):
+    d = fixture_dir("lookup")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tallyflow.cli", "run", os.path.join(d, "pipeline.yaml"),
+             "--data", d, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tallyflow.__file__))},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, check=False, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert ", in _out\n" in proc.stderr
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "out" / "audit.json").exists()  # written before stdout
+
+
+class _HardExit(BaseException):
+    """Raised in place of os._exit, with its code."""
+
+
+class _ClosedStream:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_entry_flushes_then_ends_the_process_or_exits_if_a_flush_fails(monkeypatch, capsys):
+    import tallyflow.cli as cli_mod
+    d = fixture_dir("ship")
+
+    def hard_exit(code):
+        raise _HardExit(code)
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    monkeypatch.setattr(sys, "argv", ["tallyflow", "check", os.path.join(d, "pipeline.yaml"),
+                                      "--data", d])
+    with pytest.raises(_HardExit) as ended:
+        cli_mod.entry()
+    assert ended.value.args == (0,)
+    assert capsys.readouterr().out.startswith("check: ship: graph is runnable")
+    monkeypatch.setattr(sys, "stdout", _ClosedStream())
+    with pytest.raises(SystemExit) as exited:
+        cli_mod.entry()
+    assert exited.value.code == 0
 
 
 # -- command line: the cyclic collector ---------------------------------

@@ -15,9 +15,10 @@ gone stale.  A function is a code object with its own locals and a name;
 class and module bodies, lambdas and comprehensions are not functions.
 
 The workload: check, and run in both formats, on both fixtures; the
-refusal tables' documents and the widened untag document of
-test_csv_cli; README's library example; the acceptance criteria at
-reduced case counts; and 300 fuzz cases of seed 0 in one share.
+refusal tables' documents, the widened untag document and the process
+entry (os._exit patched) of test_csv_cli; README's library example; the
+acceptance criteria at reduced case counts; and 300 fuzz cases of seed
+0 in one share.
 """
 
 import inspect
@@ -152,6 +153,9 @@ def workload(tmp_path, capsys, monkeypatch, codes: dict) -> None:
     for case in cli_tests.UNKNOWN_COLUMNS:
         cli_tests.test_an_unknown_column_is_caught_before_any_row_runs(fresh(), capsys, case)
     cli_tests.test_untag_splits_a_union_again_after_a_shared_stage(fresh(), capsys)
+    with monkeypatch.context() as patch:  # the process entry, with os._exit patched
+        cli_tests.test_entry_flushes_then_ends_the_process_or_exits_if_a_flush_fails(
+            patch, capsys)
     pipeline_tests.test_the_readme_library_example_runs_and_balances(capsys)
 
     # the acceptance criteria at reduced case counts, on one CPU so that
